@@ -4,7 +4,7 @@ Every suite is a pure function of its seed and returns (ok, detail).
 Oracles are kept structurally independent of the code under test:
 binomial counts for shuffles, an explicit matrix model for the rank-one
 Kac-Moody case, the Weyl dimension formula, the Freudenthal recursion,
-and brute-force tensor projections.
+Gram ranks of the contravariant form, and brute-force tensor projections.
 """
 from __future__ import annotations
 
@@ -331,20 +331,87 @@ def check_km_sl2(seed: int):
     return True, "m <= 6 strings; theta = (1+ab)^m at 20 points, both routes"
 
 
+GRAM_MAX_DEPTH = 6
+
+
+def verma_e(gcm, lam, i: int, w: tuple) -> dict:
+    """e_i on the Verma monomial f_{w[0]} ... f_{w[-1]} v, as {word: coefficient}.
+
+    e_i passes every letter j != i and turns each letter i into h_i, which
+    acts by its weight on the monomial to its right.
+    """
+    out = {}
+    for t, letter in enumerate(w):
+        if letter == i:
+            rest = w[:t] + w[t + 1:]
+            weight = lam[i] - sum(gcm.a[i][s] for s in w[t + 1:])
+            out[rest] = out.get(rest, 0) + weight
+    return {u: Fraction(c) for u, c in out.items() if c}
+
+
+class GramSpace:
+    """A weight space of L(Lambda) as the radical quotient of a Verma weight space.
+
+    The oracle for `kacmoody.IrrTrunc`: the contravariant form
+    <f_u v, f_w v> = <f_{u[1:]} v, e_{u[0]} f_w v> on every ordering w of
+    the multiset k, its Gram matrix, and the pivot monomials as the basis.
+    There are as many orderings as multinomial(k), so depth is limited to
+    GRAM_MAX_DEPTH.
+    """
+
+    def __init__(self, gcm, lam, k):
+        if sum(k) > GRAM_MAX_DEPTH:
+            raise ValueError(f"the Gram oracle stops at depth {GRAM_MAX_DEPTH}")
+        letters = [i for i, x in enumerate(k) for _ in range(x)]
+        self.monomials = sorted(set(itertools.permutations(letters)))
+        form = {}
+
+        def pair(u, w):
+            if not u:
+                return Fraction(int(not w))
+            if (u, w) not in form:
+                form[(u, w)] = sum(
+                    (c * pair(u[1:], w2) for w2, c in verma_e(gcm, lam, u[0], w).items()),
+                    Fraction(0),
+                )
+            return form[(u, w)]
+
+        self.gram = [[pair(u, w) for w in self.monomials] for u in self.monomials]
+        self.pivots = linalg.rref(self.gram)[1]
+        self.basis = tuple(self.monomials[p] for p in self.pivots)
+        self.dim = len(self.basis)
+
+    def coords(self, combo: dict) -> tuple:
+        """Quotient coordinates of a combination {word: coefficient} of monomials.
+
+        Solves G[:, B] c = G u, which is consistent because the pairings of a
+        module element with the monomials lie in the column space of G.
+        """
+        if not self.dim:
+            return ()
+        u = [Fraction(combo.get(w, 0)) for w in self.monomials]
+        rows = [[row[p] for p in self.pivots] for row in self.gram]
+        return linalg.solve(rows, linalg.mat_vec(self.gram, u))
+
+
 def weyl_dim_a2(p: int, q: int) -> int:
     """Weyl dimension formula for A2: (p+1)(q+1)(p+q+2)/2."""
     return (p + 1) * (q + 1) * (p + q + 2) // 2
 
 
 def check_km_a2(seed: int):
-    """A2 dimensions against the Weyl formula; defining relations on bases."""
+    """A2 dimensions against the Weyl formula and Gram ranks; defining relations."""
     gcm = validate_gcm([[2, -1], [-1, 2]])
     for lam, depth in (((1, 0), 3), ((1, 1), 5)):
         mod = IrrTrunc(gcm, lam, depth=depth)
-        total = sum(mod.dimensions().values())
+        dims = mod.dimensions()
+        total = sum(dims.values())
         expected = weyl_dim_a2(*lam)
         if total != expected:
             return False, f"dim L{lam} = {total}, Weyl formula gives {expected}"
+        for k in itertools.product(range(depth + 1), repeat=gcm.n):
+            if sum(k) <= depth and dims.get(k, 0) != GramSpace(gcm, lam, k).dim:
+                return False, f"L{lam} at {k}: {dims.get(k, 0)} differs from the Gram rank"
     mod = IrrTrunc(gcm, (1, 1), depth=6, depth_cap=8)
     n = gcm.n
     for k in itertools.product(range(7), repeat=n):
@@ -384,11 +451,11 @@ def check_km_a2(seed: int):
                             acc = acc + t
                         if not acc.is_zero():
                             return False, f"Serre relation f{i},f{j} failed at {k}"
-    return True, "dims 3 and 8 match the Weyl formula; relations hold to depth 6"
+    return True, "dims 3 and 8 match Weyl and Gram ranks; relations hold to depth 6"
 
 
 def check_km_affine(seed: int):
-    """Affine rank two: Gram ranks vs the Freudenthal recursion, depth <= 5."""
+    """Affine rank two: multiplicities vs Freudenthal and Gram ranks, depth <= 5."""
     gcm = validate_gcm([[2, -2], [-2, 2]])
     lam = (1, 0)
     mod = IrrTrunc(gcm, lam, depth=5)
@@ -397,12 +464,13 @@ def check_km_affine(seed: int):
     for k in itertools.product(range(6), repeat=2):
         if sum(k) > 5:
             continue
-        gram_rank = mod.weight_multiplicity(k)
-        oracle = kacmoody.freudenthal_multiplicity(gcm, lam, k, cache)
-        if gram_rank != oracle:
-            return False, f"multiplicity mismatch at {k}: {gram_rank} vs {oracle}"
+        got = mod.weight_multiplicity(k)
+        freudenthal = kacmoody.freudenthal_multiplicity(gcm, lam, k, cache)
+        gram = GramSpace(gcm, lam, k).dim
+        if not got == freudenthal == gram:
+            return False, f"multiplicity mismatch at {k}: {got} vs {freudenthal} vs {gram}"
         checked += 1
-    return True, f"{checked} weights agree between Gram rank and Freudenthal"
+    return True, f"{checked} weights agree between the module, Freudenthal and Gram ranks"
 
 
 def _sl2_tensor_oracle_span(m: int):

@@ -1,23 +1,23 @@
 """Depth-truncated integrable highest-weight modules of Kac-Moody algebras.
 
-L(Lambda) is realized from the generalized Cartan matrix alone: Verma
-monomials in the lowering generators span each weight space, the
-contravariant (Shapovalov-style) Gram matrix is computed per weight, and
-the module is the radical quotient.  Weight multiplicities are Gram ranks;
-the Freudenthal recursion (with Peterson root multiplicities) provides a
-fully independent cross-check.
+L(Lambda) is realized from the generalized Cartan matrix alone, one weight
+space at a time.  Below the top, V_k is spanned by the vectors f_i b with
+b a basis vector of V_{k - e_i}, and a vector there is zero exactly when
+every raising generator e_j kills it (it would otherwise generate a proper
+submodule).  So each weight space is the image of its candidates under
+x -> (e_j x)_j, computed from the lower levels.  The Freudenthal recursion
+(with Peterson root multiplicities) provides an independent cross-check.
 
 Weights are tracked as depth vectors k with lambda = Lambda - sum k_i alpha_i.
 """
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, words
-from .linalg import Echelon, frac, rref, solve
+from .linalg import Echelon, frac
 from .words import NcPoly
 
 DEFAULT_DEPTH_CAP = 24
@@ -161,18 +161,20 @@ def root_multiplicities(gcm: GCM, max_height: int) -> dict:
             denom = gcm.bilinear(beta, beta) - 2 * sum(
                 b * r for b, r in zip(beta, rho_pair)
             )
-            cb = rhs / denom if denom != 0 else Fraction(0)
-            # peel off proper divisors: c_beta = sum_{k>=1} mult(beta/k)/k
-            m = cb
-            for k in range(2, height + 1):
-                if all(b % k == 0 for b in beta):
-                    sub = tuple(b // k for b in beta)
-                    m -= Fraction(mult.get(sub, 0), k)
+            # c_beta = sum_{k>=1} mult(beta/k)/k; peel off the proper divisors
+            divisors = sum(
+                (Fraction(mult.get(tuple(b // k for b in beta), 0), k)
+                 for k in range(2, height + 1) if all(b % k == 0 for b in beta)),
+                Fraction(0),
+            )
+            # (beta|beta-2rho) = 0 only for beta = rho - w rho, which is not
+            # a root of height > 1: then mult(beta) = 0
+            cb = rhs / denom if denom != 0 else divisors
+            m = cb - divisors
             if m != 0:
                 assert m.denominator == 1 and m > 0, (beta, m)
                 mult[beta] = int(m)
-                c[beta] = cb
-            elif cb != 0:
+            if cb != 0:
                 c[beta] = cb
     return mult
 
@@ -193,31 +195,33 @@ def freudenthal_multiplicity(gcm: GCM, lam, beta, _cache=None) -> int:
         _cache = {}
     if beta in _cache:
         return _cache[beta]
+    roots = [  # (alpha, mult, (Lambda|alpha), (alpha|alpha)), up to beta's height
+        (alpha, mult_a,
+         sum(a * gcm.d[i] * lam[i] for i, a in enumerate(alpha)),
+         gcm.bilinear(alpha, alpha))
+        for alpha, mult_a in sorted(root_multiplicities(gcm, sum(beta)).items())
+    ]
+    return _freudenthal(gcm, lam, beta, roots, _cache)
+
+
+def _freudenthal(gcm: GCM, lam, beta, roots, cache) -> int:
+    if beta in cache:
+        return cache[beta]
     if all(b == 0 for b in beta):
         return 1
-    height = sum(beta)
-    roots = root_multiplicities(gcm, height)
-    lam_pair = {  # (Lambda | alpha) for each root alpha
-        alpha: sum(a * gcm.d[i] * lam[i] for i, a in enumerate(alpha))
-        for alpha in roots
-    }
     denom = 2 * sum(
         b * gcm.d[i] * (lam[i] + 1) for i, b in enumerate(beta)
     ) - gcm.bilinear(beta, beta)
     total = Fraction(0)
-    for alpha, mult_a in sorted(roots.items()):
+    for alpha, mult_a, lam_pair, norm in roots:
         j = 1
         while True:
             target = tuple(b - j * a for b, a in zip(beta, alpha))
             if any(t < 0 for t in target):
                 break
-            m = freudenthal_multiplicity(gcm, lam, target, _cache)
+            m = _freudenthal(gcm, lam, target, roots, cache)
             if m:
-                pairing = (
-                    lam_pair[alpha]
-                    - gcm.bilinear(beta, alpha)
-                    + j * gcm.bilinear(alpha, alpha)
-                )
+                pairing = lam_pair - gcm.bilinear(beta, alpha) + j * norm
                 total += mult_a * m * pairing
             j += 1
     if denom == 0:
@@ -227,7 +231,7 @@ def freudenthal_multiplicity(gcm: GCM, lam, beta, _cache=None) -> int:
         value = 2 * total / denom
         assert value.denominator == 1 and value >= 0, (lam, beta, value)
         result = int(value)
-    _cache[beta] = result
+    cache[beta] = result
     return result
 
 
@@ -235,57 +239,37 @@ def freudenthal_multiplicity(gcm: GCM, lam, beta, _cache=None) -> int:
 # The truncated irreducible module.
 
 
+@dataclass(frozen=True)
 class WeightSpace:
-    """One weight of L(Lambda): monomial spanning set, Gram data, quotient basis."""
+    """One weight space of L(Lambda) with its basis of Verma monomials.
 
-    __slots__ = ("depth", "monomials", "index", "gram", "basis_cols", "dim", "lam")
+    The word w stands for f_{w[0]} ... f_{w[-1]} v_Lambda; the basis is the
+    lexicographically first linearly independent set of such monomials.
+    """
 
-    def __init__(self, depth, monomials, gram, basis_cols, lam):
-        self.depth = depth
-        self.monomials = monomials
-        self.index = {w: i for i, w in enumerate(monomials)}
-        self.gram = gram
-        self.basis_cols = basis_cols
-        self.dim = len(basis_cols)
-        self.lam = lam  # weight coordinates lambda(h_i)
+    depth: tuple
+    basis: tuple
+    lam: tuple  # weight coordinates lambda(h_i)
 
-    def coords(self, combo: dict):
-        """Quotient coordinates of a linear combination of monomials.
-
-        Solves G[:,B] c = G u, which is consistent because pairing vectors
-        of module elements lie in the Gram column space.
-        """
-        if self.dim == 0:
-            return ()
-        u = [Fraction(0)] * len(self.monomials)
-        for w, cf in combo.items():
-            u[self.index[w]] += cf
-        p = [
-            sum((self.gram[r][s] * u[s] for s in range(len(u))), Fraction(0))
-            for r in range(len(self.monomials))
-        ]
-        a_rows = [[self.gram[r][b] for b in self.basis_cols] for r in range(len(self.monomials))]
-        x = solve(a_rows, p)
-        assert x is not None
-        return x
-
-    def basis_monomial(self, col_idx: int):
-        return self.monomials[self.basis_cols[col_idx]]
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
 
 
-def _multiset_words(depth_vector):
-    letters = []
-    for i, k in enumerate(depth_vector):
-        letters.extend([i] * k)
-    return sorted(set(itertools.permutations(letters)))
+def _shift(k, i, step):
+    """The depth vector k + step * e_i."""
+    return tuple(x + step if j == i else x for j, x in enumerate(k))
 
 
 class IrrTrunc:
     """Depth-truncated integrable irreducible highest-weight module L(Lambda).
 
-    Weight spaces are built lazily and cached; a lock keeps concurrent
-    readers consistent.  `depth` is the declared truncation; operations
-    that escape it either raise or auto-extend up to `depth_cap`.
+    Weight spaces are built lazily, each from the ones one and two levels
+    closer to the top, and cached with the matrices of f_i into them and of
+    e_i out of them.  `depth` is the declared truncation; operations that
+    escape it either raise or auto-extend up to `depth_cap`.  `dim_cap`
+    bounds the number of candidates reduced for one weight space.  An
+    instance takes no lock, so it is not meant to be shared between threads.
     """
 
     def __init__(self, gcm: GCM, lam, depth: int,
@@ -305,10 +289,8 @@ class IrrTrunc:
         self.depth_cap = depth_cap
         self.dim_cap = dim_cap
         self._spaces: dict = {}
-        self._shap_cache: dict = {}
-        self._fmat_cache: dict = {}
-        self._emat_cache: dict = {}
-        self._lock = threading.RLock()
+        self._fmat: dict = {}  # (i, k) -> matrix of f_i from V_k to V_{k + e_i}
+        self._emat: dict = {}  # (i, k) -> matrix of e_i from V_k to V_{k - e_i}
 
     # -- construction ------------------------------------------------------
 
@@ -319,38 +301,6 @@ class IrrTrunc:
             for i in range(self.gcm.n)
         )
 
-    def _e_action(self, i: int, w: tuple) -> dict:
-        """e_i on the Verma monomial f_w v: commute past each matching letter."""
-        out = {}
-        for t, letter in enumerate(w):
-            if letter == i:
-                coeff = self.lam[i] - sum(self.gcm.a[i][s] for s in w[t + 1:])
-                target = w[:t] + w[t + 1:]
-                out[target] = out.get(target, Fraction(0)) + coeff
-        return {w2: c for w2, c in out.items() if c != 0}
-
-    def _e_action_combo(self, i: int, combo: dict) -> dict:
-        out = {}
-        for w, cf in combo.items():
-            for w2, c in self._e_action(i, w).items():
-                out[w2] = out.get(w2, Fraction(0)) + cf * c
-        return {w2: c for w2, c in out.items() if c != 0}
-
-    def _shap(self, w1: tuple, w2: tuple) -> Fraction:
-        """Contravariant form <f_{w1} v, f_{w2} v>."""
-        key = (w1, w2)
-        cached = self._shap_cache.get(key)
-        if cached is not None:
-            return cached
-        if not w1:
-            value = Fraction(1) if not w2 else Fraction(0)
-        else:
-            value = Fraction(0)
-            for w2p, c in self._e_action(w1[0], w2).items():
-                value += c * self._shap(w1[1:], w2p)
-        self._shap_cache[key] = value
-        return value
-
     def space(self, k, extend: bool = False) -> WeightSpace:
         k = tuple(int(x) for x in k)
         if any(x < 0 for x in k):
@@ -360,23 +310,75 @@ class IrrTrunc:
                 raise TruncationError(sum(k), self.depth)
             if sum(k) > self.depth_cap:
                 raise TruncationError(sum(k), self.depth_cap)
-        with self._lock:
-            ws = self._spaces.get(k)
-            if ws is not None:
-                return ws
-            monomials = _multiset_words(k)
-            if len(monomials) > self.dim_cap:
-                raise linalg.CapError(
-                    f"weight space spanning set of size {len(monomials)} exceeds "
-                    f"cap {self.dim_cap}"
-                )
-            gram = [
-                [self._shap(w1, w2) for w2 in monomials] for w1 in monomials
-            ]
-            _, pivots = rref(gram)
-            ws = WeightSpace(k, monomials, gram, list(pivots), self.lam_of(k))
-            self._spaces[k] = ws
-            return ws
+        ws = self._spaces.get(k)
+        if ws is None:
+            ws = self._spaces[k] = self._build(k)
+        return ws
+
+    def _build(self, k) -> WeightSpace:
+        """V_k, and the matrices of f_i into it and of e_i out of it.
+
+        The candidates are f_i b for each i with k_i > 0 and each basis
+        vector b of V_{k - e_i}, in that order.  Below the top a vector that
+        every e_j kills is zero, so a candidate is kept iff its stacked image
+        (e_j f_i b)_j is independent of the images kept before it.  The
+        images come from the levels above by
+        e_j f_i b = f_i (e_j b) + delta_ij lambda_{k - e_i}(h_i) b.
+        """
+        n = self.gcm.n
+        self._emat.update({(j, k): () for j in range(n) if not k[j]})
+        if not any(k):
+            return WeightSpace(k, ((),), self.lam)
+        above = {j: self.space(_shift(k, j, -1), True) for j in range(n) if k[j]}
+        count = sum(ws.dim for ws in above.values())
+        if count > self.dim_cap:
+            raise linalg.CapError(
+                f"weight space candidate set of size {count} exceeds cap {self.dim_cap}"
+            )
+        basis, images = [], []
+        rows = []  # (pivot, reduced image, that image as a combination of kept ones)
+        coords = {i: [] for i in above}  # each candidate in the kept basis
+        for i, src in above.items():
+            for b in range(src.dim):
+                image = []
+                for j, tgt in above.items():
+                    block = [Fraction(0)] * tgt.dim
+                    if j == i:
+                        block[b] = Fraction(src.lam[i])
+                    if src.depth[j]:
+                        e_col = [row[b] for row in self._emat[(j, src.depth)]]
+                        f_ij = self._fmat[(i, _shift(src.depth, j, -1))]
+                        block = linalg.vec_add(block, linalg.mat_vec(f_ij, e_col))
+                    image.extend(block)
+                x, combo = image, {}
+                for p, row, row_combo in rows:
+                    c = x[p]
+                    if c:
+                        x = [a - c * r for a, r in zip(x, row)]
+                        for t, a in row_combo.items():
+                            combo[t] = combo.get(t, 0) + c * a
+                p = next((q for q, a in enumerate(x) if a), None)
+                if p is None:
+                    coords[i].append(combo)
+                    continue
+                inv = 1 / x[p]
+                row_combo = {t: -a * inv for t, a in combo.items()}
+                row_combo[len(basis)] = inv
+                rows.append((p, [a * inv for a in x], row_combo))
+                coords[i].append({len(basis): Fraction(1)})
+                basis.append((i,) + src.basis[b])
+                images.append(image)
+        for i, src in above.items():
+            self._fmat[(i, src.depth)] = tuple(
+                tuple(c.get(r, Fraction(0)) for c in coords[i]) for r in range(len(basis))
+            )
+        offset = 0
+        for j, tgt in above.items():
+            self._emat[(j, k)] = tuple(
+                tuple(image[offset + r] for image in images) for r in range(tgt.dim)
+            )
+            offset += tgt.dim
+        return WeightSpace(k, tuple(basis), self.lam_of(k))
 
     def weight_multiplicity(self, k) -> int:
         return self.space(k).dim
@@ -396,45 +398,13 @@ class IrrTrunc:
 
     def f_matrix(self, i: int, k, extend: bool = False):
         """Matrix of f_i from weight k to weight k + e_i in quotient coordinates."""
-        key = (i, tuple(k))
-        with self._lock:
-            if key in self._fmat_cache:
-                return self._fmat_cache[key]
-            src = self.space(k, extend)
-            tgt_k = tuple(x + (1 if j == i else 0) for j, x in enumerate(k))
-            tgt = self.space(tgt_k, extend)
-            cols = []
-            for b in range(src.dim):
-                w = src.basis_monomial(b)
-                cols.append(tgt.coords({(i,) + w: Fraction(1)}))
-            m = tuple(
-                tuple(cols[b][r] for b in range(src.dim)) for r in range(tgt.dim)
-            )
-            self._fmat_cache[key] = m
-            return m
+        k = self.space(k, extend).depth
+        self.space(_shift(k, i, 1), extend)
+        return self._fmat[(i, k)]
 
     def e_matrix(self, i: int, k):
         """Matrix of e_i from weight k to weight k - e_i in quotient coordinates."""
-        key = (i, tuple(k))
-        with self._lock:
-            if key in self._emat_cache:
-                return self._emat_cache[key]
-            src = self.space(k)
-            if k[i] == 0:
-                tgt_dim = 0
-                m = ()
-            else:
-                tgt_k = tuple(x - (1 if j == i else 0) for j, x in enumerate(k))
-                tgt = self.space(tgt_k)
-                cols = []
-                for b in range(src.dim):
-                    w = src.basis_monomial(b)
-                    cols.append(tgt.coords(self._e_action(i, w)))
-                m = tuple(
-                    tuple(cols[b][r] for b in range(src.dim)) for r in range(tgt.dim)
-                )
-            self._emat_cache[key] = m
-            return m
+        return self._emat[(i, self.space(k).depth)]
 
     # -- vectors ------------------------------------------------------------
 
@@ -469,10 +439,7 @@ class TruncVector:
     def __add__(self, other):
         out = dict(self.parts)
         for k, coords in other.parts.items():
-            if k in out:
-                out[k] = tuple(a + b for a, b in zip(out[k], coords))
-            else:
-                out[k] = coords
+            _accumulate(out, k, coords)
         return TruncVector(out)
 
     def __rmul__(self, scalar):
@@ -492,32 +459,28 @@ class TruncVector:
         return f"TruncVector({self.parts})"
 
 
-def act_f(m: IrrTrunc, i: int, v: TruncVector, extend: bool = False) -> TruncVector:
+def _accumulate(out: dict, key, coords) -> None:
+    """out[key] += coords, for coordinate tuples kept in a dict."""
+    old = out.get(key)
+    out[key] = tuple(coords) if old is None else tuple(a + b for a, b in zip(old, coords))
+
+
+def _act(v: TruncVector, i: int, step: int, matrix) -> TruncVector:
+    """Apply the generator whose matrix at weight k is matrix(k); it moves k by step e_i."""
     out = {}
     for k, coords in v.parts.items():
-        mat = m.f_matrix(i, k, extend)
-        if not mat:
-            continue
-        tgt_k = tuple(x + (1 if j == i else 0) for j, x in enumerate(k))
-        new = linalg.mat_vec(mat, coords)
-        if tgt_k in out:
-            new = tuple(a + b for a, b in zip(out[tgt_k], new))
-        out[tgt_k] = new
+        mat = matrix(k)
+        if mat:
+            _accumulate(out, _shift(k, i, step), linalg.mat_vec(mat, coords))
     return TruncVector(out)
+
+
+def act_f(m: IrrTrunc, i: int, v: TruncVector, extend: bool = False) -> TruncVector:
+    return _act(v, i, 1, lambda k: m.f_matrix(i, k, extend))
 
 
 def act_e(m: IrrTrunc, i: int, v: TruncVector) -> TruncVector:
-    out = {}
-    for k, coords in v.parts.items():
-        mat = m.e_matrix(i, k)
-        if not mat:
-            continue
-        tgt_k = tuple(x - (1 if j == i else 0) for j, x in enumerate(k))
-        new = linalg.mat_vec(mat, coords)
-        if tgt_k in out:
-            new = tuple(a + b for a, b in zip(out[tgt_k], new))
-        out[tgt_k] = new
-    return TruncVector(out)
+    return _act(v, i, -1, lambda k: m.e_matrix(i, k))
 
 
 def act_h(m: IrrTrunc, i: int, v: TruncVector) -> TruncVector:
@@ -704,42 +667,23 @@ def _flatten_tensor(blocks, tensor_parts):
 
 
 def _tensor_f(m: IrrTrunc, i: int, parts: dict, extend: bool) -> dict:
-    """f_i (x) 1 + 1 (x) f_i on a tensor vector keyed by weight pairs."""
+    """f_i (x) 1 + 1 (x) f_i on a tensor vector keyed by weight pairs.
+
+    The (k1, k2) block is a dim V_k1 x dim V_k2 matrix C flattened by rows;
+    f_i (x) 1 sends it to F C and 1 (x) f_i sends each row c of C to F c.
+    """
     out = {}
-
-    def accumulate(key, coords):
-        if key in out:
-            out[key] = tuple(a + b for a, b in zip(out[key], coords))
-        else:
-            out[key] = tuple(coords)
-
     for (k1, k2), coords in parts.items():
-        d1 = m.space(k1, extend).dim
         d2 = m.space(k2, extend).dim
+        rows = [coords[a:a + d2] for a in range(0, len(coords), d2)]
         m1 = m.f_matrix(i, k1, extend)
         if m1:
-            t1 = tuple(x + (1 if j == i else 0) for j, x in enumerate(k1))
-            td = m.space(t1, extend).dim
-            new = [Fraction(0)] * (td * d2)
-            for a in range(d1):
-                for r in range(td):
-                    c = m1[r][a]
-                    if c:
-                        for b in range(d2):
-                            new[r * d2 + b] += c * coords[a * d2 + b]
-            accumulate((t1, k2), new)
+            new = linalg.mat_mul(m1, rows)
+            _accumulate(out, (_shift(k1, i, 1), k2), [x for row in new for x in row])
         m2 = m.f_matrix(i, k2, extend)
         if m2:
-            t2 = tuple(x + (1 if j == i else 0) for j, x in enumerate(k2))
-            td = m.space(t2, extend).dim
-            new = [Fraction(0)] * (d1 * td)
-            for b in range(d2):
-                for r in range(td):
-                    c = m2[r][b]
-                    if c:
-                        for a in range(d1):
-                            new[a * td + r] += c * coords[a * d2 + b]
-            accumulate((k1, t2), new)
+            new = [linalg.mat_vec(m2, row) for row in rows]
+            _accumulate(out, (k1, _shift(k2, i, 1)), [x for row in new for x in row])
     return {k: v for k, v in out.items() if any(x != 0 for x in v)}
 
 
@@ -788,19 +732,11 @@ def kostant_cone_test(m: IrrTrunc, v: TruncVector, m2: IrrTrunc = None) -> bool:
         return spans[total_k]
 
     # components of v (x) v by total weight
-    vv = {}
+    by_total = {}
     for k1, c1 in v.parts.items():
         for k2, c2 in v.parts.items():
-            key = (k1, k2)
-            coords = linalg.vec_kron(c1, c2)
-            if key in vv:
-                vv[key] = tuple(a + b for a, b in zip(vv[key], coords))
-            else:
-                vv[key] = coords
-    by_total = {}
-    for (k1, k2), coords in vv.items():
-        total = tuple(a + b for a, b in zip(k1, k2))
-        by_total.setdefault(total, {})[(k1, k2)] = coords
+            total = tuple(a + b for a, b in zip(k1, k2))
+            by_total.setdefault(total, {})[(k1, k2)] = linalg.vec_kron(c1, c2)
 
     for total_k, parts in by_total.items():
         blocks, ech = span_at(total_k)

@@ -122,6 +122,21 @@ def test_km_subcommands(capsys):
     assert json.loads(out)["theta"] == "4"
 
 
+def test_km_mult_oracle_past_a_zero_peterson_denominator(capsys):
+    # (beta|beta-2rho) = 0 at beta = (2,2) for A2
+    code, out, _ = run(
+        capsys,
+        "km-mult",
+        "--matrix", '{"matrix":[[2,-1],[-1,2]]}',
+        "--weight", "[1,1]",
+        "--k", "[2,2]",
+        "--oracle",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["gram-rank"] == data["freudenthal"] == 1
+
+
 def test_exit_codes(capsys):
     code, _, err = run(capsys, "shuffle", "--w1", "e1..x", "--w2", "e1")
     assert code == 1 and "empty letter" in err

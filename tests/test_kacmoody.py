@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from liereg import kacmoody, linalg
+from liereg import checks, kacmoody, linalg
 from liereg.kacmoody import (
     GCM,
     GCMError,
@@ -32,6 +32,52 @@ from liereg.kacmoody import (
 SL2 = validate_gcm([[2]])
 A2 = validate_gcm([[2, -1], [-1, 2]])
 AFFINE = validate_gcm([[2, -2], [-2, 2]])
+B2 = validate_gcm([[2, -1], [-2, 2]])
+G2 = validate_gcm([[2, -1], [-3, 2]])
+A3 = validate_gcm([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+HYPERBOLIC = validate_gcm([[2, -3], [-3, 2]])
+
+
+def _weights(n, depth):
+    return [k for k in itertools.product(range(depth + 1), repeat=n) if sum(k) <= depth]
+
+
+def _shift(k, i, step):
+    return tuple(x + step * (j == i) for j, x in enumerate(k))
+
+
+def _unit(dim, idx):
+    return tuple(Fraction(int(i == idx)) for i in range(dim))
+
+
+def _columns(mat, ncols):
+    return [tuple(row[c] for row in mat) for c in range(ncols)]
+
+
+def _finite_positive_roots(a):
+    """Positive roots of a finite-type Cartan matrix, grown along root strings.
+
+    The alpha_i-string through a root beta runs from beta - p alpha_i to
+    beta + q alpha_i with p - q = <beta, h_i>, and every root of height
+    h + 1 is some beta + alpha_i with beta of height h.
+    """
+    n = len(a)
+    layer = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    roots = set(layer)
+    while layer:
+        nxt = []
+        for beta in layer:
+            for i in range(n):
+                p = 0
+                while tuple(b - (p + 1) * (j == i) for j, b in enumerate(beta)) in roots:
+                    p += 1
+                q = p - sum(a[i][j] * beta[j] for j in range(n))
+                up = tuple(b + (j == i) for j, b in enumerate(beta))
+                if q > 0 and up not in roots:
+                    roots.add(up)
+                    nxt.append(up)
+        layer = nxt
+    return roots
 
 
 def test_validate_gcm_symmetrizers():
@@ -171,6 +217,35 @@ def test_root_multiplicities_a2():
     assert mult == {(1, 0): 1, (0, 1): 1, (1, 1): 1}
 
 
+@pytest.mark.parametrize("gcm,height", [(A2, 8), (B2, 8), (G2, 8), (A3, 6)])
+def test_root_multiplicities_finite_beyond_height_3(gcm, height):
+    # A2 (2,2), B2 (2,4), G2 (2,6) and A3 (0,2,2) have (beta|beta-2rho) = 0
+    expected = {beta: 1 for beta in _finite_positive_roots(gcm.a)}
+    assert max(sum(beta) for beta in expected) < height
+    assert root_multiplicities(gcm, height) == expected
+
+
+def test_root_multiplicities_affine_to_height_16():
+    # real roots (m, m +- 1) and imaginary roots (m, m), all of multiplicity 1
+    expected = {
+        beta: 1 for beta in _weights(2, 16) if any(beta) and abs(beta[0] - beta[1]) <= 1
+    }
+    assert root_multiplicities(AFFINE, 16) == expected
+
+
+def test_freudenthal_runs_peterson_once(monkeypatch):
+    calls = []
+    real = kacmoody.root_multiplicities
+
+    def counted(gcm, max_height):
+        calls.append(max_height)
+        return real(gcm, max_height)
+
+    monkeypatch.setattr(kacmoody, "root_multiplicities", counted)
+    assert freudenthal_multiplicity(AFFINE, (1, 0), (4, 4)) == 5
+    assert calls == [8]
+
+
 def test_root_multiplicities_affine():
     mult = root_multiplicities(AFFINE, 4)
     # real roots have multiplicity 1; imaginary roots n*delta too (rank 1)
@@ -195,9 +270,8 @@ def test_freudenthal_matches_gram_a2_adjoint():
 
 
 def test_gram_matrices_symmetric():
-    mod = IrrTrunc(AFFINE, (1, 0), depth=4)
     for k in [(1, 0), (2, 1), (2, 2)]:
-        gram = mod.space(k).gram
+        gram = checks.GramSpace(AFFINE, (1, 0), k).gram
         n = len(gram)
         for i in range(n):
             for j in range(n):
@@ -227,7 +301,8 @@ def test_multibracket_rootvector_a2():
 def test_exp_rootvector_action():
     mod = IrrTrunc(A2, (1, 1), depth=2)
     x = multibracket_rootvector(A2, (0, 1))
-    v = TruncVector({(1, 1): mod.space((1, 1)).coords({(0, 1): Fraction(1)})})
+    hw = mod.highest_weight_vector()
+    v = act_f(mod, 0, act_f(mod, 1, hw))  # the Verma monomial f_0 f_1 v
     xv = kacmoody.act_e_poly(mod, x, v)
     assert not xv.is_zero() and set(xv.parts) == {(0, 0)}
     out = exp_action(mod, KMFactor("root", (0, 1), Fraction(1)), v)
@@ -285,13 +360,66 @@ def test_truncvector_algebra():
 
 def test_weight_space_coords_consistency():
     mod = IrrTrunc(AFFINE, (1, 0), depth=4)
-    ws = mod.space((2, 1))
-    # express each basis monomial in its own coordinates
-    for idx in range(ws.dim):
-        w = ws.basis_monomial(idx)
-        coords = ws.coords({w: Fraction(1)})
-        expected = tuple(Fraction(int(i == idx)) for i in range(ws.dim))
-        assert coords == expected
+    hw = mod.highest_weight_vector()
+    for k in [(2, 1), (1, 2), (2, 2)]:
+        ws = mod.space(k)
+        assert ws.dim >= 1
+        # each basis monomial, applied to v_Lambda, is its own unit vector
+        for idx, w in enumerate(ws.basis):
+            v = hw
+            for i in reversed(w):
+                v = act_f(mod, i, v)
+            assert v == TruncVector({k: _unit(ws.dim, idx)})
+
+
+@pytest.mark.parametrize("gcm,lam", [
+    (A2, (1, 1)), (G2, (1, 0)), (AFFINE, (1, 0)), (HYPERBOLIC, (1, 0)),
+])
+def test_inductive_build_matches_gram_oracle(gcm, lam):
+    depth = checks.GRAM_MAX_DEPTH
+    mod = IrrTrunc(gcm, lam, depth=depth)
+    oracle = {k: checks.GramSpace(gcm, lam, k) for k in _weights(gcm.n, depth)}
+    for k, gram in oracle.items():
+        ws = mod.space(k)
+        assert ws.basis == gram.basis, k
+        for i in range(gcm.n):
+            if k[i]:
+                down = oracle[_shift(k, i, -1)]
+                expected = [down.coords(checks.verma_e(gcm, lam, i, w)) for w in gram.basis]
+                assert _columns(mod.e_matrix(i, k), ws.dim) == expected, (i, k)
+            if sum(k) < depth:
+                up = oracle[_shift(k, i, 1)]
+                expected = [up.coords({(i,) + w: 1}) for w in gram.basis]
+                assert _columns(mod.f_matrix(i, k), ws.dim) == expected, (i, k)
+
+
+def test_matrices_of_zero_spaces_keep_their_shape():
+    mod = IrrTrunc(SL2, (1,), depth=3)
+    assert mod.space((2,)).dim == 0
+    assert mod.f_matrix(0, (1,)) == ()  # into a zero space: no rows
+    assert mod.f_matrix(0, (2,)) == ()
+    assert mod.e_matrix(0, (2,)) == ((),)  # out of a zero space: empty rows
+    assert mod.e_matrix(0, (0,)) == ()
+
+
+def test_dim_cap_bounds_the_candidates():
+    mod = IrrTrunc(AFFINE, (1, 0), depth=4, dim_cap=1)
+    assert mod.space((1, 1)).dim == 1  # one candidate: f_1 f_0 v
+    with pytest.raises(linalg.CapError):
+        mod.space((2, 2))  # f_0 V_(1,2) and f_1 V_(2,1): two candidates
+
+
+def test_affine_multiplicities_match_freudenthal_to_depth_12():
+    mod = IrrTrunc(AFFINE, (1, 0), depth=12)
+    cache = {}
+    for k in _weights(2, 12):
+        assert mod.weight_multiplicity(k) == freudenthal_multiplicity(AFFINE, (1, 0), k, cache)
+    assert mod.weight_multiplicity((6, 6)) == 11
+
+
+def test_a2_weyl_dimension_2_1():
+    mod = IrrTrunc(A2, (2, 1), depth=10)
+    assert sum(mod.dimensions().values()) == checks.weyl_dim_a2(2, 1) == 15
 
 
 def test_depth_extension_is_lazy_and_cached():
