@@ -5,7 +5,7 @@ space at a time.  Below the top, V_k is spanned by the vectors f_i b with
 b a basis vector of V_{k - e_i}, and a vector there is zero exactly when
 every raising generator e_j kills it (it would otherwise generate a proper
 submodule).  So each weight space is the image of its candidates under
-x -> (e_j x)_j, computed from the lower levels.  The Freudenthal recursion
+x -> (e_j x)_j, computed from the levels above it.  The Freudenthal recursion
 (with Peterson root multiplicities) provides an independent cross-check.
 
 Weights are tracked as depth vectors k with lambda = Lambda - sum k_i alpha_i.
