@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import duals, grp, kacmoody, linalg, reps, words
 from .duals import FiniteFunctional, MatrixCoefficient
-from .grp import GroupWord, OneParamFactor, RegularFunction, exp_factor
+from .grp import GroupWord, RegularFunction, exp_factor
 from .kacmoody import IrrTrunc, KMFactor, TruncVector, validate_gcm
 from .words import Alphabet, NcPoly
 

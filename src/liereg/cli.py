@@ -10,10 +10,9 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import checks, duals, grp, jsonio, kacmoody, linalg, reps, words
-from .duals import FiniteFunctional, MatrixCoefficient
+from .duals import MatrixCoefficient
 from .jsonio import SchemaError, decode_fraction, encode_fraction
 from .kacmoody import IrrTrunc, KMFactor, TruncVector, validate_gcm
 from .words import Alphabet, NcPoly
@@ -87,8 +86,15 @@ def _functional_from_args(args) -> tuple:
         alphabet = _alphabet_from_args(args)
     h = jsonio.decode_functional(obj, alphabet)
     if isinstance(h, MatrixCoefficient):
+        _require_integrable(h.rep, "functional.rep")
         alphabet = h.rep.alphabet
     return alphabet, h
+
+
+def _require_integrable(rep, field: str) -> None:
+    violations = reps.validate_integrable(rep)
+    if violations:
+        raise SchemaError(f"{field}: " + "; ".join(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +145,7 @@ def cmd_antipode(args):
 
 def cmd_act(args):
     rep = jsonio.decode_rep(_load_json(args.rep, "rep"))
-    violations = reps.validate_integrable(rep)
-    if violations:
-        raise SchemaError("rep: " + "; ".join(violations))
+    _require_integrable(rep, "rep")
     v = jsonio.decode_vector(_load_json(args.vector, "vector"), "vector")
     if args.group is not None:
         g = jsonio.decode_group_word(rep.alphabet, _load_json(args.group, "group"))
@@ -192,6 +196,7 @@ def cmd_taylor(args):
 
 def cmd_phi_map(args):
     rep = jsonio.decode_rep(_load_json(args.rep, "rep"))
+    _require_integrable(rep, "rep")
     phi = jsonio.decode_vector(_load_json(args.phi, "phi"), "phi")
     v = jsonio.decode_vector(_load_json(args.vector, "vector"), "vector")
     f = grp.RegularFunction(rep, phi, v)
@@ -329,8 +334,17 @@ def cmd_km_cone(args):
         raise SchemaError("vector: expected a list of {depth, coords}")
     parts = {}
     for i, entry in enumerate(obj):
-        k = tuple(int(x) for x in entry["depth"])
-        coords = jsonio.decode_vector(entry["coords"], f"vector[{i}].coords")
+        if not isinstance(entry, dict):
+            raise SchemaError(f"vector[{i}]: expected {{depth, coords}}")
+        depth = entry.get("depth")
+        if not (
+            isinstance(depth, list)
+            and len(depth) == mod.gcm.n
+            and all(isinstance(x, int) and not isinstance(x, bool) for x in depth)
+        ):
+            raise SchemaError(f"vector[{i}].depth: expected a list of {mod.gcm.n} integers")
+        k = tuple(depth)
+        coords = jsonio.decode_vector(entry.get("coords"), f"vector[{i}].coords")
         if len(coords) != mod.space(k, extend=True).dim:
             raise SchemaError(
                 f"vector[{i}].coords: expected {mod.space(k, True).dim} coordinates"

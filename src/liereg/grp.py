@@ -7,11 +7,10 @@ computed; group elements are only compared through their actions.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import duals, linalg, reps, words
+from . import linalg, reps, words
 from .duals import FiniteFunctional, MatrixCoefficient, expand_rho, realize_rep_backed
 from .linalg import dot, frac, mat_vec, vec
 from .reps import RepSpec, act_poly

@@ -58,10 +58,6 @@ def decode_alphabet(obj) -> Alphabet:
         raise SchemaError(f"alphabet: {exc}") from exc
 
 
-def encode_word(alphabet: Alphabet, w) -> str:
-    return alphabet.word_str(w)
-
-
 def decode_word(alphabet: Alphabet, text, field: str = "word"):
     try:
         return alphabet.word(str(text))
@@ -239,26 +235,10 @@ def decode_group_word(alphabet: Alphabet, obj) -> GroupWord:
     return GroupWord(factors)
 
 
-def encode_rho_expansion(alphabet: Alphabet, exp) -> dict:
-    return {
-        "tuple": [alphabet.names[e] for e in exp.letters],
-        "coeffs": [
-            {"k": list(ks), "c": encode_fraction(c)} for ks, c in exp.items()
-        ],
-    }
-
-
 def encode_taylor(poly: grp.TaylorPolynomial) -> dict:
     return {
         "nvars": poly.nvars,
         "terms": [{"k": list(ks), "c": encode_fraction(c)} for ks, c in poly.items()],
-    }
-
-
-def encode_gcm(gcm) -> dict:
-    return {
-        "matrix": [list(row) for row in gcm.a],
-        "symmetrizer": [encode_fraction(d) for d in gcm.d],
     }
 
 

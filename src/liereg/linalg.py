@@ -3,6 +3,13 @@
 Matrices are tuples of tuples of Fraction (row major), vectors are tuples
 of Fraction.  Everything here is deterministic: pivots are always the
 first nonzero entry scanning left to right, rows are processed in order.
+
+Storage stays dense, but no kernel here ever multiplies a zero entry.  The
+modules the library works with (V_N(J), chains, their tensor products) have
+letter matrices that are almost all zero -- V_N(J) has at most one nonzero
+entry per column -- and a Fraction product costs far more than the truth
+test that skips it.  Keeping the dense rows means callers, the JSON and
+``RepSpec.matrices`` need not know about sparsity at all.
 """
 from __future__ import annotations
 
@@ -44,7 +51,7 @@ def identity(n) -> tuple:
 
 
 def is_zero_vec(v) -> bool:
-    return all(x == 0 for x in v)
+    return not any(v)
 
 
 def is_zero_mat(m) -> bool:
@@ -56,26 +63,43 @@ def vec_add(u, v) -> tuple:
 
 
 def vec_scale(c, v) -> tuple:
-    return tuple(c * a for a in v)
+    if not c:
+        return (ZERO,) * len(v)
+    return tuple(c * a if a else ZERO for a in v)
 
 
 def dot(u, v) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), ZERO)
+    return sum((a * b for a, b in zip(u, v) if a and b), ZERO)
 
 
 def mat_vec(m, v) -> tuple:
-    return tuple(dot(row, v) for row in m)
+    nz = [(j, x) for j, x in enumerate(v) if x]
+    return tuple(sum((row[j] * x for j, x in nz if row[j]), ZERO) for row in m)
 
 
 def vec_mat(v, m) -> tuple:
     """Row vector times matrix."""
-    n = len(m[0]) if m else 0
-    return tuple(sum((v[i] * m[i][j] for i in range(len(v))), ZERO) for j in range(n))
+    out = [ZERO] * (len(m[0]) if m else 0)
+    for x, row in zip(v, m):
+        if x:
+            for j, y in enumerate(row):
+                if y:
+                    out[j] += x * y
+    return tuple(out)
 
 
 def mat_mul(a, b) -> tuple:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+    n = len(b[0]) if b else 0
+    b_nz = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [ZERO] * n
+        for k, x in enumerate(row):
+            if x:
+                for j, y in b_nz[k]:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_add(a, b) -> tuple:
@@ -97,14 +121,12 @@ def kron(a, b) -> tuple:
     if not a or not b:
         return ()
     return tuple(
-        tuple(a[i][j] * b[k][l] for j in range(len(a[0])) for l in range(len(b[0])))
-        for i in range(len(a))
-        for k in range(len(b))
+        tuple(x * y if x and y else ZERO for x in ra for y in rb) for ra in a for rb in b
     )
 
 
 def vec_kron(u, v) -> tuple:
-    return tuple(a * b for a in u for b in v)
+    return tuple(a * b if a and b else ZERO for a in u for b in v)
 
 
 class Echelon:
@@ -113,36 +135,42 @@ class Echelon:
     def __init__(self):
         self.rows = []
         self.pivots = []
+        self._supports = []  # nonzero columns of each row, in order
 
     def _reduce(self, v):
         v = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                c = v[p]
-                for j in range(p, len(v)):
+        for row, p, support in zip(self.rows, self.pivots, self._supports):
+            c = v[p]
+            if c:
+                for j in support:
                     v[j] -= c * row[j]
         return v
 
     def add(self, v) -> bool:
         """Add a vector; returns True if it enlarged the span."""
         v = self._reduce(v)
-        p = next((j for j, x in enumerate(v) if x != 0), None)
-        if p is None:
+        support = [j for j, x in enumerate(v) if x]
+        if not support:
             return False
-        inv = 1 / v[p]
-        v = [x * inv for x in v]
+        p = support[0]
+        inv = ONE / v[p]  # exact even when the input rows hold ints
+        for j in support:
+            v[j] *= inv
         # back-substitute into existing rows
         for i, row in enumerate(self.rows):
-            if row[p] != 0:
-                c = row[p]
-                self.rows[i] = [a - c * b for a, b in zip(row, v)]
+            c = row[p]
+            if c:
+                for j in support:
+                    row[j] -= c * v[j]
+                self._supports[i] = [j for j, x in enumerate(row) if x]
         idx = next((i for i, q in enumerate(self.pivots) if q > p), len(self.pivots))
         self.rows.insert(idx, v)
         self.pivots.insert(idx, p)
+        self._supports.insert(idx, support)
         return True
 
     def contains(self, v) -> bool:
-        return all(x == 0 for x in self._reduce(v))
+        return not any(self._reduce(v))
 
     @property
     def rank(self) -> int:

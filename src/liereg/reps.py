@@ -45,16 +45,8 @@ class RepSpec:
     def kind(self, letter: int) -> str:
         return self.alphabet.kind(letter)
 
-    def matrix(self, letter: int):
-        return self.matrices[letter]
-
     def basis_vector(self, i: int):
         return tuple(Fraction(1) if j == i else Fraction(0) for j in range(self.dim))
-
-    def label_index(self, label) -> int:
-        if self.labels is None:
-            raise RepError("module carries no basis labels")
-        return self.labels.index(label)
 
 
 def _is_nilpotent(m, dim) -> bool:

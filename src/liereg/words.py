@@ -81,18 +81,6 @@ class Alphabet:
         return ".".join(self.names[i] for i in w)
 
 
-def concat(w1: Word, w2: Word) -> Word:
-    return tuple(w1) + tuple(w2)
-
-
-def length(w: Word) -> int:
-    return len(w)
-
-
-def support(w: Word) -> frozenset:
-    return frozenset(w)
-
-
 def word_key(w: Word):
     """Canonical order: by length, then lexicographically on letter ids."""
     return (len(w), w)
@@ -230,10 +218,6 @@ class TensorNcPoly:
                 if c != 0:
                     clean[(tuple(w1), tuple(w2))] = c
         self.terms = clean
-
-    @classmethod
-    def pure(cls, w1: Word, w2: Word, coeff=1):
-        return cls({(tuple(w1), tuple(w2)): coeff})
 
     def coeff(self, w1: Word, w2: Word) -> Fraction:
         return self.terms.get((tuple(w1), tuple(w2)), Fraction(0))

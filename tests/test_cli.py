@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from liereg import cli, jsonio, reps
 from liereg.words import Alphabet
 
@@ -150,6 +152,48 @@ def test_exit_codes(capsys):
     assert code == 2 and "cap" in err
     code, _, err = run(capsys, "eval", "--functional", "{bad json", "--x", "e1")
     assert code == 1
+
+
+@pytest.mark.parametrize("vector, field", [
+    ('[{"depth":[1,0,0],"coords":["1"]}]', "vector[0].depth"),
+    ('[{"depth":[1],"coords":["1"]}]', "vector[0].depth"),
+    ('[["x"]]', "vector[0]:"),
+])
+def test_km_cone_rejects_malformed_vector(capsys, vector, field):
+    code, _, err = run(
+        capsys,
+        "km-cone",
+        "--matrix", '{"matrix":[[2,-1],[-1,2]]}',
+        "--weight", "[1,0]",
+        "--depth", "1",
+        "--vector", vector,
+    )
+    assert code == 1
+    assert field in err and "Traceback" not in err
+
+
+NOT_NILPOTENT = (
+    '{"dim":2,"letters":[{"name":"e1","kind":"locally-nilpotent",'
+    '"matrix":[["1","0"],["0","0"]]}]}'
+)
+NOT_NILPOTENT_MC = (
+    '{"kind":"matrix-coefficient","rep":' + NOT_NILPOTENT
+    + ',"phi":["1","0"],"v":["1","0"]}'
+)
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["taylor", "--functional", NOT_NILPOTENT_MC, "--tuple", "e1"], "functional.rep:"),
+    (["eval", "--functional", NOT_NILPOTENT_MC, "--x", "e1"], "functional.rep:"),
+    (
+        ["phi-map", "--rep", NOT_NILPOTENT, "--phi", '["1","0"]', "--vector", '["1","0"]'],
+        "rep:",
+    ),
+])
+def test_non_integrable_rep_rejected(capsys, argv, field):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith(f"error: {field}") and "not nilpotent" in err
 
 
 def test_check_single_suite_deterministic(capsys):

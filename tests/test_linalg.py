@@ -1,7 +1,11 @@
 from fractions import Fraction
 
-from liereg import linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from liereg import linalg, reps
 from liereg.linalg import Echelon, frac, rank, rref, solve
+from liereg.words import Alphabet
 
 
 def test_frac_passthrough():
@@ -43,6 +47,8 @@ def test_rank_and_rref_pivots():
 def test_solve_unique():
     a = [(2, 0), (0, 3)]
     assert solve(a, (4, 9)) == (2, 3)
+    x = solve([(3,)], (1,))
+    assert x == (Fraction(1, 3),) and type(x[0]) is Fraction
 
 
 def test_solve_overdetermined_consistent():
@@ -58,3 +64,208 @@ def test_solve_inconsistent():
 def test_solve_underdetermined_free_vars_zero():
     a = [(1, 1)]
     assert solve(a, (5,)) == (5, 0)
+
+
+# ---------------------------------------------------------------------------
+# The kernels skip zero entries; these compare them with the plain textbook
+# formulas on matrices from all-zero to fully dense, including empty shapes.
+
+ZERO = Fraction(0)
+SHAPES = settings(max_examples=60, deadline=None)
+
+
+def ref_dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), ZERO)
+
+
+def ref_mat_vec(m, v):
+    return tuple(ref_dot(row, v) for row in m)
+
+
+def ref_vec_mat(v, m):
+    cols = len(m[0]) if m else 0
+    return tuple(sum((v[i] * m[i][j] for i in range(len(v))), ZERO) for j in range(cols))
+
+
+def ref_mat_mul(a, b):
+    cols = len(b[0]) if b else 0
+    return tuple(
+        tuple(sum((row[k] * b[k][j] for k in range(len(row))), ZERO) for j in range(cols))
+        for row in a
+    )
+
+
+def ref_kron(a, b):
+    if not a or not b:
+        return ()
+    return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
+
+
+def ref_rref(rows):
+    """Textbook Gauss-Jordan elimination; returns (nonzero rows, pivots)."""
+    m = [list(r) for r in rows]
+    cols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return [tuple(row) for row in m[:r]], pivots
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None):
+    """Fraction matrices with a drawn share of zeros and some zeroed lines."""
+    n = draw(st.integers(0, 6)) if rows is None else rows
+    m = draw(st.integers(0, 6)) if cols is None else cols
+    zero_pct = draw(st.integers(0, 100))
+    nonzero = st.builds(
+        Fraction,
+        st.integers(-9, 9).filter(bool),
+        st.integers(1, 5),
+    )
+    out = [
+        [
+            ZERO if draw(st.integers(0, 99)) < zero_pct else draw(nonzero)
+            for _ in range(m)
+        ]
+        for _ in range(n)
+    ]
+    for i in draw(st.sets(st.integers(0, n - 1))) if n else ():
+        out[i] = [ZERO] * m
+    for j in draw(st.sets(st.integers(0, m - 1))) if m else ():
+        for row in out:
+            row[j] = ZERO
+    return tuple(tuple(row) for row in out)
+
+
+@st.composite
+def mat_and_vec(draw):
+    m = draw(matrices())
+    cols = len(m[0]) if m else draw(st.integers(0, 6))
+    v = draw(matrices(rows=1, cols=cols))[0]
+    return m, v
+
+
+@st.composite
+def composable(draw):
+    a = draw(matrices())
+    inner = len(a[0]) if a else draw(st.integers(0, 6))
+    b = draw(matrices(rows=inner))
+    return a, b
+
+
+@SHAPES
+@given(mat_and_vec())
+def test_dot_and_mat_vec_match_reference(mv):
+    m, v = mv
+    assert linalg.mat_vec(m, v) == ref_mat_vec(m, v)
+    for row in m:
+        assert linalg.dot(row, v) == ref_dot(row, v)
+
+
+@SHAPES
+@given(matrices(), st.data())
+def test_vec_mat_matches_reference(m, data):
+    v = data.draw(matrices(rows=1, cols=len(m)))[0]
+    assert linalg.vec_mat(v, m) == ref_vec_mat(v, m)
+
+
+@SHAPES
+@given(composable())
+def test_mat_mul_matches_reference(ab):
+    a, b = ab
+    assert linalg.mat_mul(a, b) == ref_mat_mul(a, b)
+
+
+@SHAPES
+@given(matrices(), matrices())
+def test_kron_matches_reference(a, b):
+    assert linalg.kron(a, b) == ref_kron(a, b)
+    if a and b:
+        assert linalg.vec_kron(a[0], b[0]) == ref_kron((a[0],), (b[0],))[0]
+
+
+@SHAPES
+@given(matrices())
+# the second row's back-substitution fills a zero of the first row, which
+# the third row must then see
+@example(tuple(tuple(map(Fraction, r)) for r in ((1, 1, 0), (0, 1, 1), (1, 0, 0))))
+def test_rank_and_rref_match_reference(m):
+    basis, pivots = ref_rref(m)
+    assert rank(m) == len(pivots)
+    assert rref(m) == (basis, pivots)
+
+
+@SHAPES
+@given(mat_and_vec())
+def test_solve_matches_reference(mv):
+    a, x0 = mv
+    cols = len(a[0]) if a else 0  # a matrix with no rows has no width
+    rows = len(a)
+    b = ref_mat_vec(a, x0)
+    # a consistent right-hand side, and one perturbed in a single entry
+    for rhs in (b, tuple(y + (i == 0) for i, y in enumerate(b))):
+        x = solve(a, rhs)
+        aug = [tuple(a[i]) + (rhs[i],) for i in range(rows)]
+        consistent = len(ref_rref(a)[1]) == len(ref_rref(aug)[1]) if rows else True
+        if not consistent:
+            assert x is None
+            continue
+        assert x is not None and len(x) == cols
+        assert ref_mat_vec(a, x) == rhs
+        pivots = set(ref_rref(a)[1])
+        assert all(x[j] == 0 for j in range(cols) if j not in pivots)
+
+
+class CountingFraction(Fraction):
+    """A Fraction that counts how often it is the left factor of a product."""
+
+    products = 0
+
+    def __mul__(self, other):
+        CountingFraction.products += 1
+        return Fraction.__mul__(self, other)
+
+
+def _counting(m):
+    return tuple(tuple(CountingFraction(x) for x in row) for row in m)
+
+
+def test_mat_vec_multiplies_only_nonzero_pairs():
+    rep = reps.make_VNJ(Alphabet(("e1", "e2", "e3")), 4, (0, 1, 2))
+    assert rep.dim == 121
+    m = _counting(rep.matrices[0])
+    for v in (rep.basis_vector(0), (Fraction(1),) * rep.dim):
+        v = tuple(CountingFraction(x) for x in v)
+        pairs = sum(1 for row in m for x, y in zip(row, v) if x and y)
+        CountingFraction.products = 0
+        assert linalg.mat_vec(m, v) == ref_mat_vec(m, v)
+        # ref_mat_vec multiplies every pair, zero or not
+        assert CountingFraction.products == pairs + rep.dim * rep.dim
+        CountingFraction.products = 0
+        linalg.mat_vec(m, v)
+        assert CountingFraction.products == pairs
+    assert pairs == 40  # words of length <= 3 over three letters
+
+
+def test_mat_mul_multiplies_only_nonzero_pairs():
+    rep = reps.make_VNJ(Alphabet(("e1", "e2", "e3")), 4, (0, 1, 2))
+    a = _counting(rep.matrices[0])
+    b = _counting(rep.matrices[1])
+    pairs = sum(
+        1 for row in a for k, x in enumerate(row) if x for y in b[k] if y
+    )
+    CountingFraction.products = 0
+    linalg.mat_mul(a, b)
+    assert CountingFraction.products == pairs
