@@ -4,16 +4,26 @@ Matrices are tuples of tuples of Fraction (row major), vectors are tuples
 of Fraction.  Everything here is deterministic: pivots are always the
 first nonzero entry scanning left to right, rows are processed in order.
 
-Storage stays dense, but no kernel here ever multiplies a zero entry.  The
-modules the library works with (V_N(J), chains, their tensor products) have
-letter matrices that are almost all zero -- V_N(J) has at most one nonzero
-entry per column -- and a Fraction product costs far more than the truth
-test that skips it.  Keeping the dense rows means callers, the JSON and
+Storage stays dense, but the kernels skip zero entries.  The modules the
+library works with (V_N(J), chains, their tensor products) have letter
+matrices that are almost all zero -- V_N(J) has at most one nonzero entry
+per column -- and a Fraction product costs far more than the truth test
+that skips it.  Keeping the dense rows means callers, the JSON and
 ``RepSpec.matrices`` need not know about sparsity at all.
+
+The matrix-vector products skip zeros only in a sparse matrix, one with at
+most a tenth of its entries nonzero.  A letter matrix of V_N(J) or of a
+chain has fewer nonzero entries than rows, so from dimension 10 on it is
+always sparse.  A denser matrix goes through the plain dense loop, whose
+cost is fixed by the shapes.  Skipping its zeros would make the cost follow
+where a change of basis happened to put them: the same job on the same
+module, written in two random bases, could cost twice as much in one as in
+the other.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -72,13 +82,27 @@ def dot(u, v) -> Fraction:
     return sum((a * b for a, b in zip(u, v) if a and b), ZERO)
 
 
+def _sparse(m) -> bool:
+    """At most a tenth of m's entries are nonzero."""
+    budget = len(m) * len(m[0]) // 10 if m else 0
+    for row in m:
+        budget -= sum(1 for x in row if x)
+        if budget < 0:
+            return False
+    return True
+
+
 def mat_vec(m, v) -> tuple:
+    if not _sparse(m):
+        return tuple(sum(map(mul, row, v), ZERO) for row in m)
     nz = [(j, x) for j, x in enumerate(v) if x]
     return tuple(sum((row[j] * x for j, x in nz if row[j]), ZERO) for row in m)
 
 
 def vec_mat(v, m) -> tuple:
     """Row vector times matrix."""
+    if not _sparse(m):
+        return tuple(sum(map(mul, v, col), ZERO) for col in zip(*m))
     out = [ZERO] * (len(m[0]) if m else 0)
     for x, row in zip(v, m):
         if x:

@@ -67,8 +67,9 @@ def test_solve_underdetermined_free_vars_zero():
 
 
 # ---------------------------------------------------------------------------
-# The kernels skip zero entries; these compare them with the plain textbook
-# formulas on matrices from all-zero to fully dense, including empty shapes.
+# The kernels skip zero entries (the matrix-vector products only in sparse
+# matrices); these compare them with the plain textbook formulas on matrices
+# from all-zero to fully dense, including empty shapes.
 
 ZERO = Fraction(0)
 SHAPES = settings(max_examples=60, deadline=None)
@@ -269,3 +270,31 @@ def test_mat_mul_multiplies_only_nonzero_pairs():
     CountingFraction.products = 0
     linalg.mat_mul(a, b)
     assert CountingFraction.products == pairs
+
+
+def _products(kernel, *args):
+    CountingFraction.products = 0
+    kernel(*args)
+    return CountingFraction.products
+
+
+def test_matrix_vector_products_skip_zeros_only_in_sparse_matrices():
+    n = 10
+    ones = tuple(CountingFraction(1) for _ in range(n))
+
+    def first_nonzero(k):  # the first k entries, row by row, are 1, the rest 0
+        flat = [CountingFraction(int(i < k)) for i in range(n * n)]
+        return tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
+
+    # a tenth of the entries nonzero: sparse, only nonzero pairs multiplied
+    m = first_nonzero(n * n // 10)
+    assert _products(linalg.mat_vec, m, ones) == n * n // 10
+    assert _products(linalg.vec_mat, ones, m) == n * n // 10
+    # one more nonzero, half, all: dense, every pair multiplied, so the cost
+    # does not depend on where the zeros are
+    for k in (n * n // 10 + 1, n * n // 2, n * n):
+        m = first_nonzero(k)
+        assert _products(linalg.mat_vec, m, ones) == n * n
+        assert _products(linalg.vec_mat, ones, m) == n * n
+        assert linalg.mat_vec(m, ones) == ref_mat_vec(m, ones)
+        assert linalg.vec_mat(ones, m) == ref_vec_mat(ones, m)
