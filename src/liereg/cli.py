@@ -240,15 +240,34 @@ def cmd_membership(args):
     finite, dim = duals.membership_ffr(h, alphabet)
     out = {"translation-closure-finite": finite, "closure-dimension": dim}
     if args.bound is not None:
-        out["in-shuffle-span"] = duals.in_shuffle_span(h, args.bound, args.slack)
+        out["in-shuffle-span"] = duals.in_shuffle_span(h, args.bound)
         out["bound"] = args.bound
     _emit(out)
     return EXIT_OK
 
 
+def _int_list(obj, field: str, n: int = None, below: int = None) -> tuple:
+    """obj, a list of JSON integers, as a tuple; else a SchemaError naming the field.
+
+    n, if given, is the required length; below, if given, bounds every entry
+    to 0..below-1.  Floats, strings and booleans are refused: int() would
+    truncate 1.9, parse "2" and read true as 1.
+    """
+    if not (
+        isinstance(obj, list)
+        and n in (None, len(obj))
+        and all(type(x) is int and (below is None or 0 <= x < below) for x in obj)
+    ):
+        count = "" if n is None else f"{n} "
+        plural = "" if n == 1 else "s"
+        scope = "" if below is None else f" in 0..{below - 1}"
+        raise SchemaError(f"{field}: expected {count}integer{plural}{scope}")
+    return tuple(obj)
+
+
 def _km_module(args) -> IrrTrunc:
     gcm = validate_gcm(jsonio.decode_gcm_matrix(_load_json(args.matrix, "gcm")))
-    lam = tuple(int(x) for x in _load_json(args.weight, "weight"))
+    lam = _int_list(_load_json(args.weight, "weight"), "weight", gcm.n)
     return IrrTrunc(
         gcm, lam, depth=args.depth, depth_cap=_depth_cap(), dim_cap=_dim_cap()
     )
@@ -274,8 +293,8 @@ def cmd_km_build(args):
 
 def cmd_km_mult(args):
     gcm = validate_gcm(jsonio.decode_gcm_matrix(_load_json(args.matrix, "gcm")))
-    lam = tuple(int(x) for x in _load_json(args.weight, "weight"))
-    k = tuple(int(x) for x in _load_json(args.k, "k"))
+    lam = _int_list(_load_json(args.weight, "weight"), "weight", gcm.n)
+    k = _int_list(_load_json(args.k, "k"), "k", gcm.n)
     mod = IrrTrunc(gcm, lam, depth=sum(k), depth_cap=_depth_cap(), dim_cap=_dim_cap())
     gram = mod.weight_multiplicity(k)
     out = {"depth": list(k), "gram-rank": gram}
@@ -295,20 +314,15 @@ def _decode_km_group(gcm, lam, obj):
         kind = entry["kind"]
         try:
             if kind in ("e", "f"):
-                factors.append(
-                    KMFactor(kind, int(entry["index"]), decode_fraction(entry["param"]))
-                )
+                (index,) = _int_list([entry["index"]], f"group[{i}].index", 1, gcm.n)
+                factors.append(KMFactor(kind, index, decode_fraction(entry["param"])))
             elif kind == "root":
-                factors.append(
-                    KMFactor(
-                        "root",
-                        tuple(int(x) for x in entry["indices"]),
-                        decode_fraction(entry["param"]),
-                    )
-                )
+                indices = _int_list(entry["indices"], f"group[{i}].indices", below=gcm.n)
+                factors.append(KMFactor("root", indices, decode_fraction(entry["param"])))
             elif kind == "torus":
+                coweight = _int_list(entry["coweight"], f"group[{i}].coweight", gcm.n)
                 factor = kacmoody.coweight_torus_factor(
-                    gcm, lam, entry["coweight"], decode_fraction(entry["param"])
+                    gcm, lam, coweight, decode_fraction(entry["param"])
                 )
                 factors.append(factor)
             else:
@@ -336,14 +350,7 @@ def cmd_km_cone(args):
     for i, entry in enumerate(obj):
         if not isinstance(entry, dict):
             raise SchemaError(f"vector[{i}]: expected {{depth, coords}}")
-        depth = entry.get("depth")
-        if not (
-            isinstance(depth, list)
-            and len(depth) == mod.gcm.n
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in depth)
-        ):
-            raise SchemaError(f"vector[{i}].depth: expected a list of {mod.gcm.n} integers")
-        k = tuple(depth)
+        k = _int_list(entry.get("depth"), f"vector[{i}].depth", mod.gcm.n)
         coords = jsonio.decode_vector(entry.get("coords"), f"vector[{i}].coords")
         if len(coords) != mod.space(k, extend=True).dim:
             raise SchemaError(
@@ -439,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("membership", cmd_membership, help="translation closure and span tests")
     p.add_argument("--functional", required=True)
     p.add_argument("--bound", type=int)
-    p.add_argument("--slack", type=int, default=duals.DEFAULT_SLACK)
     p.add_argument("--letters")
 
     p = add("km-build", cmd_km_build, help="build a truncated highest-weight module")

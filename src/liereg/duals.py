@@ -1,8 +1,8 @@
 """Linear functionals on U(g): shuffle algebra and rep-backed matrix coefficients.
 
-Two functional variants are kept distinct on purpose.  Finite support is
-undecidable for a general rep-backed functional without a horizon, so the
-shuffle-span test below is an explicitly horizon-bounded semi-decision.
+Two functional variants are kept distinct on purpose.  A rep-backed one need
+not have finite support; the shuffle-span test below decides exactly whether
+it has (the rational-series view; Tzeng, SIAM J. Comput. 21(2), 1992).
 """
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from .reps import RepSpec, act_poly, act_word, matrix_of_poly
 from .words import Alphabet, NcPoly, Word, word_key
 
 DEFAULT_TUPLE_LEN = 3
-DEFAULT_SLACK = 5
 
 
 class FiniteFunctional:
@@ -314,7 +313,8 @@ def membership_ffr(h, alphabet: Alphabet = None):
     """Finite-dimensionality of the right-translation closure U(g) |> h.
 
     Returns (True, dimension certificate); finiteness always holds for the
-    representable functionals this artifact manipulates.
+    representable functionals this artifact manipulates.  For a matrix
+    coefficient it is dim U(g) . v, only an upper bound on dim U(g) |> h.
     """
     if isinstance(h, MatrixCoefficient):
         basis = reps.submodule_generated(h.rep, h.v)
@@ -346,42 +346,36 @@ def membership_ffr(h, alphabet: Alphabet = None):
     return True, ech.rank
 
 
-def _exists_nonzero_word(h: MatrixCoefficient, letters, length: int) -> bool:
-    """Depth-first search for a word of the given length with h(word) != 0.
+def in_shuffle_span(h, length_bound: int) -> bool:
+    """Exact: does h vanish on every word longer than the bound?
 
-    Words are built suffix-first so that applying a letter extends the
-    suffix action on v; zero vectors prune whole subtrees.
-    """
-    rep = h.rep
-    mats = [(e, rep.matrices[e]) for e in letters]
-
-    def rec(u, remaining):
-        if remaining == 0:
-            return dot(h.phi, u) != 0
-        for _e, m in mats:
-            u2 = mat_vec(m, u)
-            if not linalg.is_zero_vec(u2) and rec(u2, remaining - 1):
-                return True
-        return False
-
-    return rec(h.v, length)
-
-
-def in_shuffle_span(h, length_bound: int, slack: int = DEFAULT_SLACK) -> bool:
-    """Semi-decision: does h vanish on every word longer than the bound?
-
-    Checks lengths in (N, N+slack]; a rep-backed functional with support
-    beyond the horizon would be misclassified, hence 'semi-decision'.
+    With L_k = span{w . v : |w| = k} = sum_e e . L_{k-1}, h vanishes past N
+    iff phi kills every L_k, k > N.  Once a layer lies in the sum of the
+    earlier layers past N, so do all later ones: at most dim layers past N
+    are built.  The tails sum_{j >= k} L_j decrease and settle by k = dim.
     """
     if length_bound < 0:
         raise ValueError("length bound must be nonnegative")
     if isinstance(h, FiniteFunctional):
         return h.max_length() <= length_bound
-    letters = sorted(reps.support(h.rep))
-    for ln in range(length_bound + 1, length_bound + slack + 1):
-        if _exists_nonzero_word(h, letters, ln):
-            return False
-    return True
+    length_bound = min(length_bound, h.rep.dim)
+    mats = [h.rep.matrices[e] for e in sorted(reps.support(h.rep))]
+    layer = [h.v]
+    past = Echelon()  # the sum of the layers beyond the bound
+    for k in itertools.count(1):
+        span = Echelon()
+        for m in mats:
+            for u in layer:
+                span.add(mat_vec(m, u))
+        layer = span.basis()
+        if k > length_bound:
+            if any(dot(h.phi, u) for u in layer):
+                return False
+            rank = past.rank
+            for u in layer:
+                past.add(u)
+            if past.rank == rank:
+                return True
 
 
 class ZMonoid:

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liereg import cli, jsonio, reps
+from liereg import cli, duals, jsonio, reps
 from liereg.words import Alphabet
 
 
@@ -78,6 +82,22 @@ def test_membership_subcommand(capsys):
     data = json.loads(out)
     assert data["closure-dimension"] == 3
     assert data["in-shuffle-span"] is True
+
+
+def test_membership_span_verdict_is_exact(capsys):
+    # b10*(x . b0) on the chain e1.e2.e1...: 1 on one word of length 10
+    rep = reps.make_chain(Alphabet(("e1", "e2")), [i % 2 for i in range(10)])
+    h = duals.MatrixCoefficient(rep, rep.basis_vector(10), rep.basis_vector(0))
+    functional = json.dumps(jsonio.encode_functional(h))
+    code, out, _ = run(capsys, "membership", "--functional", functional, "--bound", "0")
+    assert code == 0
+    assert json.loads(out)["in-shuffle-span"] is False
+    code, out, _ = run(capsys, "membership", "--functional", functional, "--bound", "10")
+    assert json.loads(out)["in-shuffle-span"] is True
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["membership", "--functional", functional, "--bound", "0", "--slack", "20"])
+    assert exc.value.code == 2
+    assert "--slack" in capsys.readouterr().err
 
 
 def test_witness_subcommand(capsys):
@@ -170,6 +190,68 @@ def test_km_cone_rejects_malformed_vector(capsys, vector, field):
     )
     assert code == 1
     assert field in err and "Traceback" not in err
+
+
+A1 = '{"matrix":[[2]]}'
+A2 = '{"matrix":[[2,-1],[-1,2]]}'
+A2_THETA = ["km-theta", "--matrix", A2, "--weight", "[1,0]", "--depth", "2", "--group"]
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["km-build", "--matrix", A1, "--weight", "[1.5]", "--depth", "2"], "weight:"),
+    (["km-build", "--matrix", A1, "--weight", "[true]", "--depth", "2"], "weight:"),
+    (["km-build", "--matrix", A2, "--weight", "3", "--depth", "2"], "weight:"),
+    (["km-mult", "--matrix", A1, "--weight", '["2"]', "--k", "[1]"], "weight:"),
+    (["km-mult", "--matrix", A1, "--weight", "[2]", "--k", "[1.9]"], "k:"),
+    (["km-mult", "--matrix", A2, "--weight", "[1,0]", "--k", "[1]"], "k:"),
+    (A2_THETA + ['[{"kind":"e","index":2,"param":"1"}]'], "group[0].index:"),
+    (A2_THETA + ['[{"kind":"f","index":true,"param":"1"}]'], "group[0].index:"),
+    (A2_THETA + ['[{"kind":"root","indices":[0,1.0],"param":"1"}]'], "group[0].indices:"),
+    (A2_THETA + ['[{"kind":"root","indices":1,"param":"1"}]'], "group[0].indices:"),
+    (A2_THETA + ['[{"kind":"torus","coweight":[1,0,5],"param":"2"}]'], "group[0].coweight:"),
+    (A2_THETA + ['[{"kind":"torus","coweight":[1.7,0],"param":"2"}]'], "group[0].coweight:"),
+])
+def test_km_integer_fields_rejected(capsys, argv, field):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith(f"error: {field}") and "Traceback" not in err
+
+
+# arbitrary JSON, and lists of near-integers, for the integer fields of km-*
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+NEAR_INTS = st.lists(
+    st.integers(-2, 3) | st.floats(-2, 3) | st.booleans() | st.sampled_from(["1", "x"]),
+    max_size=3,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_km_integer_fields_fuzz(data):
+    """Any JSON in --weight, --k and --vector ends in exit 0, 1 or 2."""
+    matrix = data.draw(st.sampled_from([[[2]], [[2, -1], [-1, 2]], [[2, -2], [-2, 2]]]))
+    # one draw in three is well-formed, so that the later checks are reached too
+    field = st.lists(st.integers(-1, 3), min_size=len(matrix), max_size=len(matrix))
+    field = field | JSON | NEAR_INTS
+    command = data.draw(st.sampled_from(["km-build", "km-mult", "km-cone"]))
+    # the --name=value form keeps argparse from reading -Infinity as an option
+    argv = [command, "--matrix", json.dumps({"matrix": matrix})]
+    argv.append("--weight=" + json.dumps(data.draw(field)))
+    if command == "km-mult":
+        argv.append("--k=" + json.dumps(data.draw(field)))
+    else:
+        argv.append(f"--depth={data.draw(st.integers(0, 3))}")
+    if command == "km-cone":
+        coords = st.lists(st.sampled_from(["1", "-1/2"]), max_size=2) | JSON
+        entry = st.fixed_dictionaries({"depth": field, "coords": coords}) | JSON
+        argv.append("--vector=" + json.dumps(data.draw(st.lists(entry, max_size=2) | JSON)))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) in (0, 1, 2)
 
 
 NOT_NILPOTENT = (

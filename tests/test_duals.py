@@ -3,6 +3,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from liereg import duals, reps, words
 from liereg.duals import FiniteFunctional, MatrixCoefficient
@@ -163,6 +165,13 @@ def test_r_cut_spans_translation_closure():
         assert ok and dim == len(duals.r_cut(w))
 
 
+def chain_functional(p=10):
+    """h = b_p*(x . b_0) on the chain a.b.a.b... of length p: h is 1 on one
+    word of length p and 0 on every other word."""
+    rep = reps.make_chain(AB, [i % 2 for i in range(p)])
+    return MatrixCoefficient(rep, rep.basis_vector(p), rep.basis_vector(0))
+
+
 def test_in_shuffle_span():
     assert duals.in_shuffle_span(duals.phi((0, 1)), 2)
     assert not duals.in_shuffle_span(duals.phi((0, 1)), 1)
@@ -170,6 +179,64 @@ def test_in_shuffle_span():
     h = cyclic_functional()
     for bound in range(6):
         assert not duals.in_shuffle_span(h, bound)
+    # the one nonzero value lies up to ten letters past the bound
+    chain = chain_functional(10)
+    assert [duals.in_shuffle_span(chain, bound) for bound in range(12)] == [False] * 10 + [True] * 2
+    realized = duals.realize_rep_backed(duals.phi((0, 1, 1)), AB)
+    assert duals.in_shuffle_span(realized, 3)
+    assert not duals.in_shuffle_span(realized, 2)
+    assert duals.in_shuffle_span(realized, 10**9)
+    assert not duals.in_shuffle_span(h, 10**9)
+
+
+def inside_by_brute_force(h, bound):
+    """h vanishes on every word of length bound+1 .. bound+dim+1.
+
+    Enough to vanish past the bound: the sums of the layers
+    span{w . v : |w| = k} from bound+1 on stop growing within dim steps.
+    """
+    letters = sorted(h.rep.matrices)
+    return not any(
+        h.evaluate_word(w)
+        for n in range(bound + 1, bound + h.rep.dim + 2)
+        for w in itertools.product(letters, repeat=n)
+    )
+
+
+@st.composite
+def matrix_coefficients(draw):
+    """Random h = phi(x . v) on 1- to 4-dim modules over two letters, with a
+    drawn share of zero entries, so that both verdicts occur."""
+    dim = draw(st.integers(1, 4))
+    zero_pct = draw(st.integers(0, 100))
+    nonzero = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+
+    def entries(n):
+        return [
+            Fraction(0) if draw(st.integers(0, 99)) < zero_pct else draw(nonzero)
+            for _ in range(n)
+        ]
+
+    mats = {e: [entries(dim) for _ in range(dim)] for e in AB.letters()}
+    return MatrixCoefficient(reps.RepSpec(AB, dim, mats), entries(dim), entries(dim))
+
+
+def partly_new_layer():
+    """e1: b0 -> b1 -> b1, e2: b1 -> b2 -> b3, h = b3*(x . b0).  The layer
+    span{b1, b2} of length 2 is only partly inside the layer b1 before it,
+    and h is nonzero on e2.e2.e1."""
+    z, o = Fraction(0), Fraction(1)
+    e1 = [[z, z, z, z], [o, o, z, z], [z, z, z, z], [z, z, z, z]]
+    e2 = [[z, z, z, z], [z, z, z, z], [z, o, z, z], [z, z, o, z]]
+    rep = reps.RepSpec(AB, 4, {0: e1, 1: e2})
+    return MatrixCoefficient(rep, rep.basis_vector(3), rep.basis_vector(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_coefficients(), st.integers(0, 4))
+@example(partly_new_layer(), 0)
+def test_in_shuffle_span_matches_brute_force(h, bound):
+    assert duals.in_shuffle_span(h, bound) == inside_by_brute_force(h, bound)
 
 
 def test_z_monoid():
