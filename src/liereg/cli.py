@@ -13,7 +13,7 @@ import sys
 
 from . import checks, duals, grp, jsonio, kacmoody, linalg, reps, words
 from .duals import MatrixCoefficient
-from .jsonio import SchemaError, decode_fraction, encode_fraction
+from .jsonio import SchemaError, decode_fraction, decode_int_list, encode_fraction
 from .kacmoody import IrrTrunc, KMFactor, TruncVector, validate_gcm
 from .words import Alphabet, NcPoly
 
@@ -106,10 +106,7 @@ def cmd_shuffle(args):
     w1 = jsonio.decode_word(alphabet, args.w1, "w1")
     w2 = jsonio.decode_word(alphabet, args.w2, "w2")
     h = duals.shuffle_product(duals.phi(w1), duals.phi(w2))
-    _emit({"terms": [
-        {"word": alphabet.word_str(w), "coeff": encode_fraction(c)}
-        for w, c in h.items()
-    ]})
+    _emit({"terms": jsonio.encode_ncpoly(alphabet, h)})
     return EXIT_OK
 
 
@@ -166,7 +163,7 @@ def cmd_eval(args):
     return EXIT_OK
 
 
-def _pretty_taylor(poly: grp.TaylorPolynomial) -> str:
+def _pretty_taylor(poly: duals.RhoExpansion) -> str:
     parts = []
     for ks, c in poly.items():
         factors = []
@@ -186,7 +183,10 @@ def cmd_taylor(args):
     tuple_names = [n for n in args.tuple.split(",") if n]
     if alphabet is None:
         alphabet = Alphabet(sorted(set(tuple_names)))
-    letters = [alphabet.index(n) for n in tuple_names]
+    try:
+        letters = [alphabet.index(n) for n in tuple_names]
+    except KeyError as exc:
+        raise SchemaError(f"tuple: unknown letter {exc.args[0]!r}") from exc
     poly = grp.taylor_expand(h, letters, alphabet)
     out = jsonio.encode_taylor(poly)
     out["pretty"] = _pretty_taylor(poly)
@@ -246,28 +246,24 @@ def cmd_membership(args):
     return EXIT_OK
 
 
-def _int_list(obj, field: str, n: int = None, below: int = None) -> tuple:
-    """obj, a list of JSON integers, as a tuple; else a SchemaError naming the field.
+def _nonnegative_ints(obj, field: str, n: int) -> tuple:
+    """n nonnegative JSON integers, as a dominant weight or a depth vector is."""
+    k = decode_int_list(obj, field, n)
+    if any(x < 0 for x in k):
+        raise SchemaError(f"{field}: expected {n} nonnegative integers")
+    return k
 
-    n, if given, is the required length; below, if given, bounds every entry
-    to 0..below-1.  Floats, strings and booleans are refused: int() would
-    truncate 1.9, parse "2" and read true as 1.
-    """
-    if not (
-        isinstance(obj, list)
-        and n in (None, len(obj))
-        and all(type(x) is int and (below is None or 0 <= x < below) for x in obj)
-    ):
-        count = "" if n is None else f"{n} "
-        plural = "" if n == 1 else "s"
-        scope = "" if below is None else f" in 0..{below - 1}"
-        raise SchemaError(f"{field}: expected {count}integer{plural}{scope}")
-    return tuple(obj)
+
+def _km_weight(args) -> tuple:
+    """The validated GCM of --matrix and the dominant weight of --weight."""
+    gcm = validate_gcm(jsonio.decode_gcm_matrix(_load_json(args.matrix, "gcm")))
+    return gcm, _nonnegative_ints(_load_json(args.weight, "weight"), "weight", gcm.n)
 
 
 def _km_module(args) -> IrrTrunc:
-    gcm = validate_gcm(jsonio.decode_gcm_matrix(_load_json(args.matrix, "gcm")))
-    lam = _int_list(_load_json(args.weight, "weight"), "weight", gcm.n)
+    gcm, lam = _km_weight(args)
+    if args.depth < 0:
+        raise SchemaError("depth: expected a nonnegative integer")
     return IrrTrunc(
         gcm, lam, depth=args.depth, depth_cap=_depth_cap(), dim_cap=_dim_cap()
     )
@@ -292,9 +288,8 @@ def cmd_km_build(args):
 
 
 def cmd_km_mult(args):
-    gcm = validate_gcm(jsonio.decode_gcm_matrix(_load_json(args.matrix, "gcm")))
-    lam = _int_list(_load_json(args.weight, "weight"), "weight", gcm.n)
-    k = _int_list(_load_json(args.k, "k"), "k", gcm.n)
+    gcm, lam = _km_weight(args)
+    k = _nonnegative_ints(_load_json(args.k, "k"), "k", gcm.n)
     mod = IrrTrunc(gcm, lam, depth=sum(k), depth_cap=_depth_cap(), dim_cap=_dim_cap())
     gram = mod.weight_multiplicity(k)
     out = {"depth": list(k), "gram-rank": gram}
@@ -314,13 +309,13 @@ def _decode_km_group(gcm, lam, obj):
         kind = entry["kind"]
         try:
             if kind in ("e", "f"):
-                (index,) = _int_list([entry["index"]], f"group[{i}].index", 1, gcm.n)
+                (index,) = decode_int_list([entry["index"]], f"group[{i}].index", 1, gcm.n)
                 factors.append(KMFactor(kind, index, decode_fraction(entry["param"])))
             elif kind == "root":
-                indices = _int_list(entry["indices"], f"group[{i}].indices", below=gcm.n)
+                indices = decode_int_list(entry["indices"], f"group[{i}].indices", below=gcm.n)
                 factors.append(KMFactor("root", indices, decode_fraction(entry["param"])))
             elif kind == "torus":
-                coweight = _int_list(entry["coweight"], f"group[{i}].coweight", gcm.n)
+                coweight = decode_int_list(entry["coweight"], f"group[{i}].coweight", gcm.n)
                 factor = kacmoody.coweight_torus_factor(
                     gcm, lam, coweight, decode_fraction(entry["param"])
                 )
@@ -350,7 +345,7 @@ def cmd_km_cone(args):
     for i, entry in enumerate(obj):
         if not isinstance(entry, dict):
             raise SchemaError(f"vector[{i}]: expected {{depth, coords}}")
-        k = _int_list(entry.get("depth"), f"vector[{i}].depth", mod.gcm.n)
+        k = _nonnegative_ints(entry.get("depth"), f"vector[{i}].depth", mod.gcm.n)
         coords = jsonio.decode_vector(entry.get("coords"), f"vector[{i}].coords")
         if len(coords) != mod.space(k, extend=True).dim:
             raise SchemaError(

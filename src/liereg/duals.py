@@ -12,55 +12,16 @@ from fractions import Fraction
 
 from . import linalg, reps, words
 from .linalg import Echelon, dot, frac, mat_vec, vec, vec_kron, vec_mat
-from .reps import RepSpec, act_poly, act_word, matrix_of_poly
-from .words import Alphabet, NcPoly, Word, word_key
+from .reps import RepSpec, act_poly, act_word
+from .words import Alphabet, NcPoly, TermMap, Word, word_key
 
 DEFAULT_TUPLE_LEN = 3
 
 
-class FiniteFunctional:
+class FiniteFunctional(TermMap):
     """Finitely supported functional: canonical map word -> Fraction."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for w, c in terms.items():
-                c = frac(c)
-                if c != 0:
-                    clean[tuple(w)] = c
-        self.terms = clean
-
-    def items(self):
-        return sorted(self.terms.items(), key=lambda kv: word_key(kv[0]))
-
-    def coeff(self, w: Word) -> Fraction:
-        return self.terms.get(tuple(w), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def max_length(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
-    def support_letters(self) -> frozenset:
-        out = set()
-        for w in self.terms:
-            out.update(w)
-        return frozenset(out)
-
-    def __eq__(self, other):
-        return isinstance(other, FiniteFunctional) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return FiniteFunctional(out)
-
-    def __rmul__(self, scalar):
-        return FiniteFunctional({w: frac(scalar) * c for w, c in self.terms.items()})
+    __slots__ = ()
 
     def __repr__(self):
         parts = [f"{c}*phi_{w}" for w, c in self.items()]
@@ -141,7 +102,13 @@ def left_translate(x, h):
     """x <| h : y -> h(x y)."""
     x = _as_poly(x)
     if isinstance(h, MatrixCoefficient):
-        new_phi = vec_mat(h.phi, matrix_of_poly(h.rep, x))
+        # phi(u y . v) = (phi M_u1 ... M_um)(y . v): pull phi back letter by letter
+        new_phi = linalg.zero_vec(h.rep.dim)
+        for u, cu in x.terms.items():
+            pulled = h.phi
+            for e in u:
+                pulled = vec_mat(pulled, h.rep.matrices[e])
+            new_phi = linalg.vec_add(new_phi, linalg.vec_scale(cu, pulled))
         return MatrixCoefficient(h.rep, new_phi, h.v)
     out = {}
     for u, cu in x.terms.items():
@@ -207,6 +174,19 @@ class RhoExpansion:
 
     def items(self):
         return sorted(self.coeffs.items())
+
+    def __call__(self, *ts) -> Fraction:
+        """The sum at eta_i(y_i) = ts[i]: t for exp(t e), s for s^e."""
+        if len(ts) != len(self.letters):
+            raise ValueError("wrong number of evaluation points")
+        ts = [frac(t) for t in ts]
+        total = Fraction(0)
+        for ks, c in self.coeffs.items():
+            term = c
+            for t, k in zip(ts, ks):
+                term *= t**k
+            total += term
+        return total
 
     def __eq__(self, other):
         return (

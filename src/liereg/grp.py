@@ -11,7 +11,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, reps, words
-from .duals import FiniteFunctional, MatrixCoefficient, expand_rho, realize_rep_backed
+from .duals import (
+    FiniteFunctional,
+    MatrixCoefficient,
+    RhoExpansion,
+    expand_rho,
+    realize_rep_backed,
+)
 from .linalg import dot, frac, mat_vec, vec
 from .reps import RepSpec, act_poly
 from .words import Alphabet, NcPoly, Word
@@ -118,54 +124,18 @@ def xi_map(h, alphabet: Alphabet = None) -> RegularFunction:
     return RegularFunction(h.rep, h.phi, h.v)
 
 
-class TaylorPolynomial:
-    """Exact multivariate polynomial, exponent tuple -> Fraction."""
-
-    __slots__ = ("nvars", "coeffs")
-
-    def __init__(self, nvars: int, coeffs):
-        self.nvars = nvars
-        self.coeffs = {tuple(k): frac(c) for k, c in coeffs.items() if c != 0}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TaylorPolynomial)
-            and self.nvars == other.nvars
-            and self.coeffs == other.coeffs
-        )
-
-    def __call__(self, *ts) -> Fraction:
-        if len(ts) != self.nvars:
-            raise ValueError("wrong number of evaluation points")
-        ts = [frac(t) for t in ts]
-        total = Fraction(0)
-        for ks, c in self.coeffs.items():
-            term = c
-            for t, k in zip(ts, ks):
-                term *= t**k
-            total += term
-        return total
-
-    def items(self):
-        return sorted(self.coeffs.items())
-
-    def __repr__(self):
-        return f"TaylorPolynomial({dict(self.items())})"
-
-
-def taylor_expand(h, letters, alphabet: Alphabet = None) -> TaylorPolynomial:
+def taylor_expand(h, letters, alphabet: Alphabet = None) -> RhoExpansion:
     """f(exp(t1 e1)...exp(tp ep)) = sum h(e1^k1...ep^kp) t^k / k!.
 
-    Only defined along tuples of locally nilpotent letters; the expansion
-    coefficients are exactly the rho-development coefficients.
+    Only defined along tuples of locally nilpotent letters, where the Taylor
+    polynomial is the rho-development itself: call it at (t1, ..., tp).
     """
     letters = tuple(letters)
     if isinstance(h, MatrixCoefficient):
         for e in letters:
             if h.rep.kind(e) != words.NILPOTENT:
                 raise ValueError("taylor_expand requires locally nilpotent letters")
-    exp = expand_rho(h, letters, alphabet)
-    return TaylorPolynomial(len(letters), exp.coeffs)
+    return expand_rho(h, letters, alphabet)
 
 
 def f_w(w: Word, g: GroupWord) -> Fraction:

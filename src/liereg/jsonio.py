@@ -7,15 +7,34 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import grp, words
-from .duals import FiniteFunctional, MatrixCoefficient
+from . import words
+from .duals import FiniteFunctional, MatrixCoefficient, RhoExpansion
 from .grp import GroupWord, OneParamFactor
 from .reps import RepSpec
-from .words import Alphabet, NcPoly
+from .words import Alphabet, NcPoly, TermMap
 
 
 class SchemaError(ValueError):
     pass
+
+
+def decode_int_list(obj, field: str, n: int = None, below: int = None) -> tuple:
+    """obj, a list of JSON integers, as a tuple; else a SchemaError naming the field.
+
+    n, if given, is the required length; below, if given, bounds every entry
+    to 0..below-1.  Floats, strings and booleans are refused: int() would
+    truncate 1.9, parse "2" and read true as 1.
+    """
+    if not (
+        isinstance(obj, list)
+        and n in (None, len(obj))
+        and all(type(x) is int and (below is None or 0 <= x < below) for x in obj)
+    ):
+        count = "" if n is None else f"{n} "
+        plural = "" if n == 1 else "s"
+        scope = "" if below is None else f" in 0..{below - 1}"
+        raise SchemaError(f"{field}: expected {count}integer{plural}{scope}")
+    return tuple(obj)
 
 
 def encode_fraction(x: Fraction) -> str:
@@ -65,24 +84,30 @@ def decode_word(alphabet: Alphabet, text, field: str = "word"):
         raise SchemaError(f"{field}: unknown letter {exc.args[0]!r}") from exc
 
 
-def encode_ncpoly(alphabet: Alphabet, x: NcPoly) -> list:
+def encode_ncpoly(alphabet: Alphabet, x: TermMap) -> list:
+    """The terms of a polynomial or a finite functional, in canonical order."""
     return [
         {"word": alphabet.word_str(w), "coeff": encode_fraction(c)}
         for w, c in x.items()
     ]
 
 
-def decode_ncpoly(alphabet: Alphabet, obj) -> NcPoly:
+def _decode_terms(alphabet: Alphabet, obj, field: str) -> dict:
+    """A list of {word, coeff} as a map word -> summed coefficient."""
     if not isinstance(obj, list):
-        raise SchemaError("poly: expected a list of {word, coeff}")
+        raise SchemaError(f"{field}: expected a list of {{word, coeff}}")
     terms = {}
     for i, term in enumerate(obj):
         if not isinstance(term, dict) or "word" not in term:
-            raise SchemaError(f"poly[{i}]: expected {{word, coeff}}")
-        w = decode_word(alphabet, term["word"], f"poly[{i}].word")
-        c = decode_fraction(term.get("coeff", "1"), f"poly[{i}].coeff")
+            raise SchemaError(f"{field}[{i}]: expected {{word, coeff}}")
+        w = decode_word(alphabet, term["word"], f"{field}[{i}].word")
+        c = decode_fraction(term.get("coeff", "1"), f"{field}[{i}].coeff")
         terms[w] = terms.get(w, Fraction(0)) + c
-    return NcPoly(terms)
+    return terms
+
+
+def decode_ncpoly(alphabet: Alphabet, obj) -> NcPoly:
+    return NcPoly(_decode_terms(alphabet, obj, "poly"))
 
 
 def encode_vector(v) -> list:
@@ -127,10 +152,7 @@ def encode_rep(rep: RepSpec) -> dict:
 def decode_rep(obj) -> RepSpec:
     if not isinstance(obj, dict) or "dim" not in obj or "letters" not in obj:
         raise SchemaError("rep: expected {dim, letters, labels?}")
-    try:
-        dim = int(obj["dim"])
-    except (TypeError, ValueError) as exc:
-        raise SchemaError("rep.dim: expected an integer") from exc
+    (dim,) = decode_int_list([obj["dim"]], "rep.dim", 1)
     letters = obj["letters"]
     if not isinstance(letters, list) or not letters:
         raise SchemaError("rep.letters: expected a nonempty list")
@@ -149,6 +171,12 @@ def decode_rep(obj) -> RepSpec:
         )
     alphabet = Alphabet(names, kinds)
     labels = obj.get("labels")
+    if labels is not None and not (
+        isinstance(labels, list)
+        and len(labels) == dim
+        and all(isinstance(label, str) for label in labels)
+    ):
+        raise SchemaError(f"rep.labels: expected one string per basis vector, {dim} in all")
     try:
         return RepSpec(alphabet, dim, matrices, labels)
     except ValueError as exc:
@@ -159,13 +187,7 @@ def encode_functional(h, alphabet: Alphabet = None) -> dict:
     if isinstance(h, FiniteFunctional):
         if alphabet is None:
             raise ValueError("finite functionals need an alphabet to serialize")
-        return {
-            "kind": "finite",
-            "terms": [
-                {"word": alphabet.word_str(w), "coeff": encode_fraction(c)}
-                for w, c in h.items()
-            ],
-        }
+        return {"kind": "finite", "terms": encode_ncpoly(alphabet, h)}
     return {
         "kind": "matrix-coefficient",
         "rep": encode_rep(h.rep),
@@ -181,12 +203,9 @@ def decode_functional(obj, alphabet: Alphabet = None):
     if kind == "finite":
         if alphabet is None:
             raise SchemaError("functional: finite terms need an alphabet in context")
-        terms = {}
-        for i, term in enumerate(obj.get("terms", [])):
-            w = decode_word(alphabet, term["word"], f"functional.terms[{i}].word")
-            c = decode_fraction(term.get("coeff", "1"), f"functional.terms[{i}].coeff")
-            terms[w] = terms.get(w, Fraction(0)) + c
-        return FiniteFunctional(terms)
+        return FiniteFunctional(
+            _decode_terms(alphabet, obj.get("terms", []), "functional.terms")
+        )
     if kind == "matrix-coefficient":
         rep = decode_rep(obj.get("rep"))
         phi = decode_vector(obj.get("phi"), "functional.phi")
@@ -235,9 +254,9 @@ def decode_group_word(alphabet: Alphabet, obj) -> GroupWord:
     return GroupWord(factors)
 
 
-def encode_taylor(poly: grp.TaylorPolynomial) -> dict:
+def encode_taylor(poly: RhoExpansion) -> dict:
     return {
-        "nvars": poly.nvars,
+        "nvars": len(poly.letters),
         "terms": [{"k": list(ks), "c": encode_fraction(c)} for ks, c in poly.items()],
     }
 
@@ -248,12 +267,4 @@ def decode_gcm_matrix(obj):
     rows = obj["matrix"]
     if not isinstance(rows, list):
         raise SchemaError("gcm.matrix: expected a list of rows")
-    out = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, list):
-            raise SchemaError(f"gcm.matrix[{i}]: expected a list of integers")
-        try:
-            out.append([int(x) for x in row])
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"gcm.matrix[{i}]: entries must be integers") from exc
-    return out
+    return [list(decode_int_list(row, f"gcm.matrix[{i}]")) for i, row in enumerate(rows)]

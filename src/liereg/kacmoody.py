@@ -320,10 +320,14 @@ class IrrTrunc:
 
         The candidates are f_i b for each i with k_i > 0 and each basis
         vector b of V_{k - e_i}, in that order.  Below the top a vector that
-        every e_j kills is zero, so a candidate is kept iff its stacked image
-        (e_j f_i b)_j is independent of the images kept before it.  The
-        images come from the levels above by
-        e_j f_i b = f_i (e_j b) + delta_ij lambda_{k - e_i}(h_i) b.
+        every e_j kills is zero, so the candidates' relations are those of
+        their stacked images (e_j f_i b)_j, which come from the levels above
+        by e_j f_i b = f_i (e_j b) + delta_ij lambda_{k - e_i}(h_i) b.  One
+        reduced row echelon form of the matrix whose columns are these images
+        gives all of it: the pivot columns are the first independent
+        candidates, kept as the basis; column c holds candidate c in that
+        basis, which is the matrix of f_i; the images at the pivots are the
+        matrices of e_j.
         """
         n = self.gcm.n
         self._emat.update({(j, k): () for j in range(n) if not k[j]})
@@ -335,9 +339,7 @@ class IrrTrunc:
             raise linalg.CapError(
                 f"weight space candidate set of size {count} exceeds cap {self.dim_cap}"
             )
-        basis, images = [], []
-        rows = []  # (pivot, reduced image, that image as a combination of kept ones)
-        coords = {i: [] for i in above}  # each candidate in the kept basis
+        candidates, images = [], []
         for i, src in above.items():
             for b in range(src.dim):
                 image = []
@@ -350,35 +352,21 @@ class IrrTrunc:
                         f_ij = self._fmat[(i, _shift(src.depth, j, -1))]
                         block = linalg.vec_add(block, linalg.mat_vec(f_ij, e_col))
                     image.extend(block)
-                x, combo = image, {}
-                for p, row, row_combo in rows:
-                    c = x[p]
-                    if c:
-                        x = [a - c * r for a, r in zip(x, row)]
-                        for t, a in row_combo.items():
-                            combo[t] = combo.get(t, 0) + c * a
-                p = next((q for q, a in enumerate(x) if a), None)
-                if p is None:
-                    coords[i].append(combo)
-                    continue
-                inv = 1 / x[p]
-                row_combo = {t: -a * inv for t, a in combo.items()}
-                row_combo[len(basis)] = inv
-                rows.append((p, [a * inv for a in x], row_combo))
-                coords[i].append({len(basis): Fraction(1)})
-                basis.append((i,) + src.basis[b])
+                candidates.append((i,) + src.basis[b])
                 images.append(image)
+        rows, pivots = linalg.rref(zip(*images))
+        start = 0
         for i, src in above.items():
-            self._fmat[(i, src.depth)] = tuple(
-                tuple(c.get(r, Fraction(0)) for c in coords[i]) for r in range(len(basis))
-            )
-        offset = 0
+            self._fmat[(i, src.depth)] = tuple(row[start:start + src.dim] for row in rows)
+            start += src.dim
+        start = 0
         for j, tgt in above.items():
             self._emat[(j, k)] = tuple(
-                tuple(image[offset + r] for image in images) for r in range(tgt.dim)
+                tuple(images[p][start + r] for p in pivots) for r in range(tgt.dim)
             )
-            offset += tgt.dim
-        return WeightSpace(k, tuple(basis), self.lam_of(k))
+            start += tgt.dim
+        basis = tuple(candidates[p] for p in pivots)
+        return WeightSpace(k, basis, self.lam_of(k))
 
     def weight_multiplicity(self, k) -> int:
         return self.space(k).dim
@@ -560,8 +548,7 @@ def coweight_torus_factor(gcm: GCM, lam, coeffs, s) -> KMFactor:
 KMGroupWord = tuple  # of KMFactor, leftmost factor acts last
 
 
-def _exp_series(m: IrrTrunc, apply_once, t: Fraction, v: TruncVector,
-                extend: bool) -> TruncVector:
+def _exp_series(m: IrrTrunc, apply_once, t: Fraction, v: TruncVector) -> TruncVector:
     out = v
     term = v
     k = 0
@@ -575,19 +562,15 @@ def _exp_series(m: IrrTrunc, apply_once, t: Fraction, v: TruncVector,
         out = out + term
 
 
-def exp_action(m: IrrTrunc, factor: KMFactor, v: TruncVector,
-               extend: bool = True) -> TruncVector:
+def exp_action(m: IrrTrunc, factor: KMFactor, v: TruncVector) -> TruncVector:
+    """Apply one factor; exp(t f_i) extends the truncation up to its depth cap."""
     if factor.kind == "e":
-        i = factor.data if isinstance(factor.data, int) else factor.data[0]
-        return _exp_series(m, lambda u: act_e(m, i, u), factor.param, v, extend)
+        return _exp_series(m, lambda u: act_e(m, factor.data, u), factor.param, v)
     if factor.kind == "f":
-        i = factor.data if isinstance(factor.data, int) else factor.data[0]
-        return _exp_series(
-            m, lambda u: act_f(m, i, u, extend), factor.param, v, extend
-        )
+        return _exp_series(m, lambda u: act_f(m, factor.data, u, True), factor.param, v)
     if factor.kind == "root":
         poly = words.multibracket(factor.data)
-        return _exp_series(m, lambda u: act_e_poly(m, poly, u), factor.param, v, extend)
+        return _exp_series(m, lambda u: act_e_poly(m, poly, u), factor.param, v)
     # torus
     lam_val, alpha_vals = factor.data
     s = factor.param
@@ -598,10 +581,10 @@ def exp_action(m: IrrTrunc, factor: KMFactor, v: TruncVector,
     return TruncVector(out)
 
 
-def act_km_group(m: IrrTrunc, g, v: TruncVector, extend: bool = True) -> TruncVector:
+def act_km_group(m: IrrTrunc, g, v: TruncVector) -> TruncVector:
     out = v
     for factor in reversed(tuple(g)):
-        out = exp_action(m, factor, out, extend)
+        out = exp_action(m, factor, out)
     return out
 
 
@@ -640,15 +623,14 @@ def rootvector_is_zero(m: IrrTrunc, poly: NcPoly, max_depth: int = None) -> bool
 # Tensor squares, the Kostant cone, and Peter-Weyl rank.
 
 
-def _tensor_blocks(m: IrrTrunc, total_k, extend: bool):
+def _tensor_blocks(m: IrrTrunc, total_k):
     """Sorted (k1, k2) pairs with k1 + k2 = total_k and both spaces nonzero."""
-    n = m.gcm.n
     ranges = [range(t + 1) for t in total_k]
     blocks = []
     for k1 in itertools.product(*ranges):
         k2 = tuple(t - a for t, a in zip(total_k, k1))
-        d1 = m.space(k1, extend).dim
-        d2 = m.space(k2, extend).dim
+        d1 = m.space(k1, True).dim
+        d2 = m.space(k2, True).dim
         if d1 and d2:
             blocks.append((k1, k2, d1, d2))
     blocks.sort(key=lambda b: (b[0], b[1]))
@@ -666,7 +648,7 @@ def _flatten_tensor(blocks, tensor_parts):
     return tuple(out)
 
 
-def _tensor_f(m: IrrTrunc, i: int, parts: dict, extend: bool) -> dict:
+def _tensor_f(m: IrrTrunc, i: int, parts: dict) -> dict:
     """f_i (x) 1 + 1 (x) f_i on a tensor vector keyed by weight pairs.
 
     The (k1, k2) block is a dim V_k1 x dim V_k2 matrix C flattened by rows;
@@ -674,13 +656,13 @@ def _tensor_f(m: IrrTrunc, i: int, parts: dict, extend: bool) -> dict:
     """
     out = {}
     for (k1, k2), coords in parts.items():
-        d2 = m.space(k2, extend).dim
+        d2 = m.space(k2, True).dim
         rows = [coords[a:a + d2] for a in range(0, len(coords), d2)]
-        m1 = m.f_matrix(i, k1, extend)
+        m1 = m.f_matrix(i, k1, True)
         if m1:
             new = linalg.mat_mul(m1, rows)
             _accumulate(out, (_shift(k1, i, 1), k2), [x for row in new for x in row])
-        m2 = m.f_matrix(i, k2, extend)
+        m2 = m.f_matrix(i, k2, True)
         if m2:
             new = [linalg.mat_vec(m2, row) for row in rows]
             _accumulate(out, (k1, _shift(k2, i, 1)), [x for row in new for x in row])
@@ -703,13 +685,12 @@ def kostant_cone_test(m: IrrTrunc, v: TruncVector, m2: IrrTrunc = None) -> bool:
     # generate the highest component level by level
     top_key = ((0,) * n, (0,) * n)
     level_vectors = {0: [{top_key: (Fraction(1),)}]}
-    span_by_weight = {(0,) * n: None}
     spans = {}
     for depth in range(1, max_total + 1):
         vecs = []
         for parts in level_vectors[depth - 1]:
             for i in range(n):
-                img = _tensor_f(m, i, parts, True)
+                img = _tensor_f(m, i, parts)
                 if img:
                     vecs.append(img)
         level_vectors[depth] = vecs
@@ -717,7 +698,7 @@ def kostant_cone_test(m: IrrTrunc, v: TruncVector, m2: IrrTrunc = None) -> bool:
     def span_at(total_k):
         if total_k in spans:
             return spans[total_k]
-        blocks = _tensor_blocks(m, total_k, True)
+        blocks = _tensor_blocks(m, total_k)
         ech = Echelon()
         for parts in level_vectors.get(sum(total_k), []):
             relevant = {

@@ -130,10 +130,6 @@ def mat_add(a, b) -> tuple:
     return tuple(vec_add(r, s) for r, s in zip(a, b))
 
 
-def mat_scale(c, a) -> tuple:
-    return tuple(vec_scale(c, r) for r in a)
-
-
 def transpose(m) -> tuple:
     if not m:
         return ()

@@ -113,20 +113,6 @@ def act_poly(rep: RepSpec, x: NcPoly, v):
     return out
 
 
-def matrix_of_word(rep: RepSpec, w: Word):
-    m = linalg.identity(rep.dim)
-    for e in w:
-        m = mat_mul(m, rep.matrices[e])
-    return m
-
-
-def matrix_of_poly(rep: RepSpec, x: NcPoly):
-    out = zero_mat(rep.dim)
-    for w, c in x.terms.items():
-        out = linalg.mat_add(out, linalg.mat_scale(c, matrix_of_word(rep, w)))
-    return out
-
-
 def tensor(r1: RepSpec, r2: RepSpec) -> RepSpec:
     """Tensor product module: letters act as x(x)1 + 1(x)x."""
     if r1.alphabet != r2.alphabet:

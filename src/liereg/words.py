@@ -2,7 +2,8 @@
 
 A word is a tuple of letter indices into an :class:`Alphabet`.  Elements of
 the enveloping algebra are :class:`NcPoly` values: canonical finite maps
-word -> Fraction with no stored zero coefficients.  The coproduct, antipode
+word -> Fraction with no stored zero coefficients (:class:`TermMap`, which
+the finitely supported functionals share).  The coproduct, antipode
 and counit make this the usual cocommutative Hopf structure in which the
 letters are primitive.
 """
@@ -117,19 +118,64 @@ def shuffles(w1: Word, w2: Word) -> dict:
     return out
 
 
-class NcPoly:
-    """Noncommutative polynomial: canonical finite map word -> Fraction."""
+class TermMap:
+    """Canonical finite map key -> Fraction with no stored zero coefficients.
+
+    The keys are words, except in :class:`TensorNcPoly` (pairs of words),
+    which uses only the methods that do not read a key as a word.  Two maps
+    are equal only when they are of the same class.
+    """
 
     __slots__ = ("terms",)
+
+    _key = staticmethod(tuple)  # canonical form of a key
 
     def __init__(self, terms=None):
         clean = {}
         if terms:
-            for w, c in terms.items():
+            key = self._key
+            for k, c in terms.items():
                 c = frac(c)
                 if c != 0:
-                    clean[tuple(w)] = c
+                    clean[key(k)] = c
         self.terms = clean
+
+    def items(self):
+        """Terms in canonical (length, lexicographic) order."""
+        return sorted(self.terms.items(), key=lambda kv: word_key(kv[0]))
+
+    def coeff(self, w: Word) -> Fraction:
+        return self.terms.get(tuple(w), Fraction(0))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, Fraction(0)) + c
+        return type(self)(out)
+
+    def __rmul__(self, scalar):
+        return type(self)({k: frac(scalar) * c for k, c in self.terms.items()})
+
+    def max_length(self) -> int:
+        return max((len(w) for w in self.terms), default=0)
+
+    def support_letters(self) -> frozenset:
+        out = set()
+        for w in self.terms:
+            out.update(w)
+        return frozenset(out)
+
+
+class NcPoly(TermMap):
+    """Noncommutative polynomial: canonical finite map word -> Fraction."""
+
+    __slots__ = ()
 
     @classmethod
     def zero(cls):
@@ -147,30 +193,11 @@ class NcPoly:
     def letter(cls, i: int, coeff=1):
         return cls({(i,): coeff})
 
-    def items(self):
-        """Terms in canonical (length, lexicographic) order."""
-        return sorted(self.terms.items(), key=lambda kv: word_key(kv[0]))
-
-    def coeff(self, w: Word) -> Fraction:
-        return self.terms.get(tuple(w), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
-    def __eq__(self, other):
-        return isinstance(other, NcPoly) and self.terms == other.terms
-
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return NcPoly(out)
 
     def __sub__(self, other):
         out = dict(self.terms)
@@ -186,50 +213,24 @@ class NcPoly:
             return poly_mul(self, other)
         return NcPoly({w: c * frac(other) for w, c in self.terms.items()})
 
-    def __rmul__(self, scalar):
-        return NcPoly({w: frac(scalar) * c for w, c in self.terms.items()})
-
     def __repr__(self):
         if not self.terms:
             return "NcPoly(0)"
         parts = [f"{c}*{w}" for w, c in self.items()]
         return "NcPoly(" + " + ".join(parts) + ")"
 
-    def max_length(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
 
-    def support_letters(self) -> frozenset:
-        out = set()
-        for w in self.terms:
-            out.update(w)
-        return frozenset(out)
-
-
-class TensorNcPoly:
+class TensorNcPoly(TermMap):
     """Element of U(g) tensor U(g): canonical map (word, word) -> Fraction."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for (w1, w2), c in terms.items():
-                c = frac(c)
-                if c != 0:
-                    clean[(tuple(w1), tuple(w2))] = c
-        self.terms = clean
+    @staticmethod
+    def _key(k):
+        return (tuple(k[0]), tuple(k[1]))
 
     def coeff(self, w1: Word, w2: Word) -> Fraction:
         return self.terms.get((tuple(w1), tuple(w2)), Fraction(0))
-
-    def __eq__(self, other):
-        return isinstance(other, TensorNcPoly) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return TensorNcPoly(out)
 
     def __mul__(self, other):
         out = {}

@@ -51,6 +51,30 @@ def test_eval_and_taylor(capsys):
     assert json.loads(out)["pretty"] == "t1"
 
 
+MC_3 = (
+    '{"kind":"matrix-coefficient","rep":{"dim":3,"letters":['
+    '{"name":"a","matrix":[["0","0","0"],["1","0","0"],["0","2/3","0"]]},'
+    '{"name":"b","matrix":[["0","0","0"],["0","0","0"],["5","-1","0"]]}]},'
+    '"phi":["1","-2","3/7"],"v":["1","1/2","0"]}'
+)
+
+
+def test_taylor_matrix_coefficient_output(capsys):
+    """The taylor JSON of a fixed matrix coefficient, byte for byte."""
+    code, out, _ = run(capsys, "taylor", "--functional", MC_3, "--tuple", "a,b,a")
+    assert code == 0
+    terms = [
+        ([0, 0, 1], "-13/7"), ([0, 0, 2], "1/7"), ([0, 1, 0], "27/14"), ([0, 1, 1], "-3/7"),
+        ([1, 0, 0], "-13/7"), ([1, 0, 1], "2/7"), ([2, 0, 0], "1/7"),
+    ]
+    assert out == json.dumps({
+        "nvars": 3,
+        "terms": [{"k": k, "c": c} for k, c in terms],
+        "pretty": "-13/7*t3 + 1/7*t3^2 + 27/14*t2 + -3/7*t2*t3 + -13/7*t1 + 2/7*t1*t3"
+                  " + 1/7*t1^2",
+    }, indent=2) + "\n"
+
+
 def test_act_subcommand(capsys):
     rep = reps.make_chain(Alphabet(("e1", "e2")), (0, 1))
     rep_json = json.dumps(jsonio.encode_rep(rep))
@@ -178,6 +202,7 @@ def test_exit_codes(capsys):
     ('[{"depth":[1,0,0],"coords":["1"]}]', "vector[0].depth"),
     ('[{"depth":[1],"coords":["1"]}]', "vector[0].depth"),
     ('[["x"]]', "vector[0]:"),
+    ('[{"depth":[-1,1],"coords":["1"]}]', "vector[0].depth:"),
 ])
 def test_km_cone_rejects_malformed_vector(capsys, vector, field):
     code, _, err = run(
@@ -210,6 +235,14 @@ A2_THETA = ["km-theta", "--matrix", A2, "--weight", "[1,0]", "--depth", "2", "--
     (A2_THETA + ['[{"kind":"root","indices":1,"param":"1"}]'], "group[0].indices:"),
     (A2_THETA + ['[{"kind":"torus","coweight":[1,0,5],"param":"2"}]'], "group[0].coweight:"),
     (A2_THETA + ['[{"kind":"torus","coweight":[1.7,0],"param":"2"}]'], "group[0].coweight:"),
+    (["km-build", "--matrix", '{"matrix":[[2.5]]}', "--weight", "[1]", "--depth", "2"],
+     "gcm.matrix[0]:"),
+    (["km-build", "--matrix", '{"matrix":[["2"]]}', "--weight", "[1]", "--depth", "2"],
+     "gcm.matrix[0]:"),
+    (["km-build", "--matrix", A2, "--weight", "[1,0]", "--depth", "-1"], "depth:"),
+    (["km-mult", "--matrix", A2, "--weight", "[1,0]", "--k", "[-1,0]"], "k:"),
+    (["km-mult", "--matrix", A2, "--weight", "[1,0]", "--k", "[-1,2]"], "k:"),
+    (["km-mult", "--matrix", A2, "--weight", "[-1,0]", "--k", "[1,0]"], "weight:"),
 ])
 def test_km_integer_fields_rejected(capsys, argv, field):
     code, _, err = run(capsys, *argv)
@@ -233,14 +266,16 @@ NEAR_INTS = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_km_integer_fields_fuzz(data):
-    """Any JSON in --weight, --k and --vector ends in exit 0, 1 or 2."""
+    """Any JSON in --matrix, --weight, --k and --vector ends in exit 0, 1 or 2."""
     matrix = data.draw(st.sampled_from([[[2]], [[2, -1], [-1, 2]], [[2, -2], [-2, 2]]]))
     # one draw in three is well-formed, so that the later checks are reached too
     field = st.lists(st.integers(-1, 3), min_size=len(matrix), max_size=len(matrix))
     field = field | JSON | NEAR_INTS
+    rows = st.lists(NEAR_INTS, min_size=len(matrix), max_size=len(matrix))
+    entries = data.draw(st.just(matrix) | rows | JSON)
     command = data.draw(st.sampled_from(["km-build", "km-mult", "km-cone"]))
     # the --name=value form keeps argparse from reading -Infinity as an option
-    argv = [command, "--matrix", json.dumps({"matrix": matrix})]
+    argv = [command, "--matrix", json.dumps({"matrix": entries})]
     argv.append("--weight=" + json.dumps(data.draw(field)))
     if command == "km-mult":
         argv.append("--k=" + json.dumps(data.draw(field)))
@@ -276,6 +311,34 @@ def test_non_integrable_rep_rejected(capsys, argv, field):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith(f"error: {field}") and "not nilpotent" in err
+
+
+REP_1 = '{"dim":1,"letters":[{"name":"a"}]'
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["eval", "--functional", '{"kind":"finite","terms":["x"]}', "--x", "e1", "--letters", "e1"],
+     "functional.terms[0]:"),
+    (["eval", "--functional", '{"kind":"finite","terms":5}', "--x", "e1", "--letters", "e1"],
+     "functional.terms:"),
+    (["xi-map", "--functional", '{"kind":"finite","terms":[{"coeff":"1"}]}', "--letters", "a"],
+     "functional.terms[0]:"),
+    (["taylor", "--functional", "phi:a.b", "--tuple", "a,c"], "tuple:"),
+    (["phi-map", "--rep", '{"dim":2.7,"letters":[{"name":"a"}]}', "--phi", '["1","0"]',
+      "--vector", '["1","0"]'], "rep.dim:"),
+    (["phi-map", "--rep", '{"dim":true,"letters":[{"name":"a"}]}', "--phi", '["1"]',
+      "--vector", '["1"]'], "rep.dim:"),
+    (["phi-map", "--rep", REP_1 + ',"labels":5}', "--phi", '["1"]', "--vector", '["1"]'],
+     "rep.labels:"),
+    (["phi-map", "--rep", REP_1 + ',"labels":[1]}', "--phi", '["1"]', "--vector", '["1"]'],
+     "rep.labels:"),
+    (["phi-map", "--rep", REP_1 + ',"labels":["x","y"]}', "--phi", '["1"]', "--vector", '["1"]'],
+     "rep.labels:"),
+])
+def test_malformed_field_named(capsys, argv, field):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith(f"error: {field}") and "Traceback" not in err
 
 
 def test_check_single_suite_deterministic(capsys):

@@ -70,6 +70,25 @@ def test_translations_on_matrix_coefficient():
     assert lmoved.evaluate_word((1,)) == h.evaluate_word((0, 1))
 
 
+def test_left_translate_matrix_coefficient_is_product_on_the_left():
+    """(x <| h)(y) = h(x y), with x a combination of words of different orders."""
+    rep = reps.make_VNJ(AB, 6, [0, 1])
+    h = MatrixCoefficient(rep, range(1, rep.dim + 1), rep.basis_vector(rep.labels.index(())))
+    x = NcPoly({(0, 1): 2, (1,): 1, (): -3})
+    moved = duals.left_translate(x, h)
+    for n in range(5):
+        for y in itertools.product((0, 1), repeat=n):
+            assert moved.evaluate_word(y) == duals.evaluate(h, x * NcPoly.word(y)), y
+
+
+def test_term_maps_of_different_classes_differ():
+    terms = {(0, 1): Fraction(1, 2), (): 3}
+    assert NcPoly(terms) == NcPoly(terms)
+    assert FiniteFunctional(terms) == FiniteFunctional(terms)
+    assert NcPoly(terms) != FiniteFunctional(terms)
+    assert FiniteFunctional(terms) != NcPoly(terms)
+
+
 def test_translation_commutation_instance():
     h = cyclic_functional()
     x, y = NcPoly.word((0, 1)), NcPoly.word((1,))

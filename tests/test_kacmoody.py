@@ -132,21 +132,36 @@ def test_act_chevalley_sl2():
         act_chevalley(mod, ("x", 0), v)
 
 
-def test_commutation_relation_on_basis():
-    mod = IrrTrunc(A2, (1, 1), depth=4)
-    for k in [(0, 0), (1, 0), (1, 1), (2, 1)]:
+def _assert_commutators(mod, weights):
+    """[e_i, f_j] = delta_ij h_i on every basis vector of the given weight spaces."""
+    n = mod.gcm.n
+    for k in weights:
         ws = mod.space(k)
         for b in range(ws.dim):
-            v = TruncVector({k: tuple(
-                Fraction(int(i == b)) for i in range(ws.dim)
-            )})
-            for i in range(2):
-                for j in range(2):
+            v = TruncVector({k: _unit(ws.dim, b)})
+            for i in range(n):
+                for j in range(n):
                     lhs = act_e(mod, i, act_f(mod, j, v)) + Fraction(-1) * act_f(
                         mod, j, act_e(mod, i, v)
                     )
                     rhs = act_h(mod, i, v) if i == j else mod.zero_vector()
-                    assert lhs == rhs
+                    assert lhs == rhs, (k, b, i, j)
+
+
+def test_commutation_relation_on_basis():
+    _assert_commutators(IrrTrunc(A2, (1, 1), depth=4), [(0, 0), (1, 0), (1, 1), (2, 1)])
+
+
+def test_hyperbolic_module_matches_freudenthal_and_commutators():
+    """[[2,-3],[-3,2]] with Lambda = (1,0), whose weight space at depth (4,4) is 17-dimensional."""
+    mod = IrrTrunc(HYPERBOLIC, (1, 0), depth=8)
+    cache = {}
+    for k in _weights(2, 8):
+        assert mod.weight_multiplicity(k) == freudenthal_multiplicity(
+            HYPERBOLIC, (1, 0), k, cache
+        ), k
+    assert mod.weight_multiplicity((4, 4)) == 17
+    _assert_commutators(mod, _weights(2, 7))
 
 
 def test_out_of_truncation_errors():
