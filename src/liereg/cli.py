@@ -65,19 +65,32 @@ def _alphabet_from_args(args, *word_texts) -> Alphabet:
     return Alphabet(sorted(seen))
 
 
+def _is_json_arg(text: str) -> bool:
+    stripped = text.lstrip()
+    return stripped.startswith("[") or stripped.startswith("@") or stripped == "-"
+
+
+def _bare_words(text: str) -> list:
+    """[text] when a polynomial argument is a bare word, else []."""
+    return [] if _is_json_arg(text) else [text]
+
+
 def _decode_poly_arg(alphabet: Alphabet, text: str) -> NcPoly:
     """Accept either a bare word string or an NcPoly JSON array."""
-    stripped = text.lstrip()
-    if stripped.startswith("[") or stripped.startswith("@") or stripped == "-":
+    if _is_json_arg(text):
         return jsonio.decode_ncpoly(alphabet, _load_json(text, "poly"))
     return NcPoly.word(jsonio.decode_word(alphabet, text))
 
 
-def _functional_from_args(args) -> tuple:
-    """Returns (alphabet or None, functional)."""
+def _functional_from_args(args, *word_texts) -> tuple:
+    """Returns (alphabet or None, functional).
+
+    The letters of a phi:w functional and of word_texts, the other words of
+    the command, make up the alphabet when --letters does not give one.
+    """
     text = args.functional
     if text.startswith("phi:"):
-        alphabet = _alphabet_from_args(args, text[4:])
+        alphabet = _alphabet_from_args(args, text[4:], *word_texts)
         w = jsonio.decode_word(alphabet, text[4:], "functional")
         return alphabet, duals.phi(w)
     obj = _load_json(text, "functional")
@@ -155,7 +168,7 @@ def cmd_act(args):
 
 
 def cmd_eval(args):
-    alphabet, h = _functional_from_args(args)
+    alphabet, h = _functional_from_args(args, *_bare_words(args.x))
     if alphabet is None:
         alphabet = _alphabet_from_args(args, args.x)
     x = _decode_poly_arg(alphabet, args.x)
@@ -179,8 +192,8 @@ def _pretty_taylor(poly: duals.RhoExpansion) -> str:
 
 
 def cmd_taylor(args):
-    alphabet, h = _functional_from_args(args)
     tuple_names = [n for n in args.tuple.split(",") if n]
+    alphabet, h = _functional_from_args(args, ".".join(tuple_names))
     if alphabet is None:
         alphabet = Alphabet(sorted(set(tuple_names)))
     try:
@@ -207,7 +220,7 @@ def cmd_phi_map(args):
 
 def cmd_xi_map(args):
     alphabet, h = _functional_from_args(args)
-    f = grp.xi_map(h, alphabet)
+    f = grp.xi_map(h, alphabet, _dim_cap())
     out = jsonio.encode_functional(grp.phi_map(f))
     out["kind"] = "regular-function"
     _emit(out)
@@ -222,11 +235,9 @@ def cmd_witness(args):
             raise SchemaError("group: witness construction needs a reduced word")
         rep, v0, moved = grp.group_faithfulness_witness(g, alphabet)
     else:
-        alphabet = _alphabet_from_args(args, *(
-            [] if args.x.lstrip().startswith(("[", "@", "-")) else [args.x]
-        ))
+        alphabet = _alphabet_from_args(args, *_bare_words(args.x))
         x = _decode_poly_arg(alphabet, args.x)
-        rep, v0, moved = grp.faithfulness_witness(x, alphabet)
+        rep, v0, moved = grp.faithfulness_witness(x, alphabet, _dim_cap())
     _emit({
         "rep": jsonio.encode_rep(rep),
         "start": jsonio.encode_vector(v0),

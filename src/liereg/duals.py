@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 from . import linalg, reps, words
-from .linalg import Echelon, dot, frac, mat_vec, vec, vec_kron, vec_mat
+from .linalg import Echelon, dot, frac, vec, vec_kron, vec_mat
 from .reps import RepSpec, act_poly, act_word
 from .words import Alphabet, NcPoly, TermMap, Word, word_key
 
@@ -119,7 +119,9 @@ def left_translate(x, h):
     return FiniteFunctional(out)
 
 
-def realize_rep_backed(h: FiniteFunctional, alphabet: Alphabet) -> MatrixCoefficient:
+def realize_rep_backed(
+    h: FiniteFunctional, alphabet: Alphabet, dim_cap: int = reps.DEFAULT_DIM_CAP
+) -> MatrixCoefficient:
     """Realize a finite functional as a matrix coefficient on V_N(J).
 
     The covector collects the coefficients on the labeled basis b_w, the
@@ -134,7 +136,7 @@ def realize_rep_backed(h: FiniteFunctional, alphabet: Alphabet) -> MatrixCoeffic
         j = [e for e in alphabet.letters() if alphabet.is_nilpotent(e)][:1]
         if not j:
             raise ValueError("alphabet has no locally nilpotent letter")
-    rep = reps.make_VNJ(alphabet, n, j)
+    rep = reps.make_VNJ(alphabet, n, j, dim_cap)
     phi_vec = [h.coeff(w) for w in rep.labels]
     v = rep.basis_vector(rep.labels.index(()))
     return MatrixCoefficient(rep, phi_vec, v)
@@ -210,7 +212,7 @@ def _expand_mc(rep: RepSpec, phi_vec, v, letters):
     rest = letters[:-1]
     out = {}
     if rep.kind(e) == words.NILPOTENT:
-        m = rep.matrices[e]
+        op = rep.operators[e]
         u = v
         k = 0
         factorial = 1
@@ -222,7 +224,7 @@ def _expand_mc(rep: RepSpec, phi_vec, v, letters):
                 out[key] = out.get(key, Fraction(0)) + c / factorial
             k += 1
             factorial *= k
-            u = mat_vec(m, u)
+            u = op.apply(u)
     else:
         m = rep.matrices[e]
         by_eig = {}
@@ -339,14 +341,14 @@ def in_shuffle_span(h, length_bound: int) -> bool:
     if isinstance(h, FiniteFunctional):
         return h.max_length() <= length_bound
     length_bound = min(length_bound, h.rep.dim)
-    mats = [h.rep.matrices[e] for e in sorted(reps.support(h.rep))]
+    ops = [h.rep.operators[e] for e in sorted(reps.support(h.rep))]
     layer = [h.v]
     past = Echelon()  # the sum of the layers beyond the bound
     for k in itertools.count(1):
         span = Echelon()
-        for m in mats:
+        for op in ops:
             for u in layer:
-                span.add(mat_vec(m, u))
+                span.add(op.apply(u))
         layer = span.basis()
         if k > length_bound:
             if any(dot(h.phi, u) for u in layer):

@@ -18,7 +18,7 @@ from .duals import (
     expand_rho,
     realize_rep_backed,
 )
-from .linalg import dot, frac, mat_vec, vec
+from .linalg import dot, frac, vec
 from .reps import RepSpec, act_poly
 from .words import Alphabet, NcPoly, Word
 
@@ -69,20 +69,21 @@ def act_factor(rep: RepSpec, factor: OneParamFactor, v):
             f"factor kind {factor.kind} does not match the module kind of "
             f"letter {rep.alphabet.names[factor.letter]}"
         )
-    m = rep.matrices[factor.letter]
     if factor.kind == words.NILPOTENT:
+        op = rep.operators[factor.letter]
         out = vec(v)
         term = vec(v)
         k = 0
         while True:
             k += 1
-            term = linalg.vec_scale(Fraction(factor.param, k), mat_vec(m, term))
+            term = linalg.vec_scale(Fraction(factor.param, k), op.apply(term))
             if linalg.is_zero_vec(term):
                 return out
             out = linalg.vec_add(out, term)
             if k > rep.dim:
                 raise reps.RepError("exp series did not terminate: matrix not nilpotent")
     s = factor.param
+    m = rep.matrices[factor.letter]
     return tuple(x * s ** int(m[i][i]) for i, x in enumerate(v))
 
 
@@ -117,10 +118,12 @@ def phi_map(f: RegularFunction) -> MatrixCoefficient:
     return MatrixCoefficient(f.rep, f.phi, f.v)
 
 
-def xi_map(h, alphabet: Alphabet = None) -> RegularFunction:
+def xi_map(
+    h, alphabet: Alphabet = None, dim_cap: int = reps.DEFAULT_DIM_CAP
+) -> RegularFunction:
     """Xi: regular linear functional -> regular function on the group."""
     if isinstance(h, FiniteFunctional):
-        h = realize_rep_backed(h, alphabet)
+        h = realize_rep_backed(h, alphabet, dim_cap)
     return RegularFunction(h.rep, h.phi, h.v)
 
 
@@ -172,7 +175,7 @@ def derive_right(e: int, f: RegularFunction) -> RegularFunction:
     nilpotent derivative at t=0 and the torus derivative at s=1 both give
     e acting on v.
     """
-    return RegularFunction(f.rep, f.phi, mat_vec(f.rep.matrices[e], f.v))
+    return RegularFunction(f.rep, f.phi, f.rep.operators[e].apply(f.v))
 
 
 def derive_left(e: int, f: RegularFunction) -> RegularFunction:
@@ -180,13 +183,13 @@ def derive_left(e: int, f: RegularFunction) -> RegularFunction:
     return RegularFunction(f.rep, linalg.vec_mat(f.phi, f.rep.matrices[e]), f.v)
 
 
-def faithfulness_witness(x: NcPoly, alphabet: Alphabet):
+def faithfulness_witness(x: NcPoly, alphabet: Alphabet, dim_cap: int = reps.DEFAULT_DIM_CAP):
     """(V_N(J), b_empty, x.b_empty) with the image reproducing x's coefficients."""
     if x.is_zero():
         raise ValueError("faithfulness witness needs a nonzero polynomial")
     n = x.max_length()
     j = sorted(x.support_letters()) or [0]
-    rep = reps.make_VNJ(alphabet, n, j)
+    rep = reps.make_VNJ(alphabet, n, j, dim_cap)
     v0 = rep.basis_vector(rep.labels.index(()))
     moved = act_poly(rep, x, v0)
     return rep, v0, moved

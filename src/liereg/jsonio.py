@@ -143,10 +143,22 @@ def encode_rep(rep: RepSpec) -> dict:
         ],
     }
     if rep.labels is not None:
-        out["labels"] = [
-            l if isinstance(l, str) else rep.alphabet.word_str(l) for l in rep.labels
-        ]
+        out["labels"] = [_encode_label(rep.alphabet, label) for label in rep.labels]
     return out
+
+
+def _encode_label(alphabet: Alphabet, label) -> str:
+    """A basis label as a string: a name, a dotted word, or "(a (x) b)".
+
+    Tensor modules label their basis by pairs (a, b) of factor labels.
+    decode_rep reads every label back as the string written here.
+    """
+    if isinstance(label, str):
+        return label
+    if all(type(x) is int for x in label):
+        return alphabet.word_str(label)
+    left, right = label
+    return f"({_encode_label(alphabet, left)} (x) {_encode_label(alphabet, right)})"
 
 
 def decode_rep(obj) -> RepSpec:

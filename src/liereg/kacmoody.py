@@ -29,12 +29,16 @@ class GCMError(ValueError):
 
 
 class TruncationError(linalg.CapError):
-    """Raised when an operation needs depth beyond the configured cap."""
+    """Raised when an operation needs depth beyond the depth cap, or beyond
+    the module's declared depth where it may not extend."""
 
-    def __init__(self, required_depth, cap):
-        super().__init__(
-            f"operation requires truncation depth {required_depth}, cap is {cap}"
+    def __init__(self, required_depth, cap, declared: bool = False):
+        bound = (
+            f"the module is truncated at depth {cap}"
+            if declared
+            else f"the depth cap is {cap}; raise it with LIEREG_DEPTH_CAP"
         )
+        super().__init__(f"operation requires truncation depth {required_depth}, {bound}")
         self.required_depth = required_depth
         self.cap = cap
 
@@ -307,7 +311,7 @@ class IrrTrunc:
             raise ValueError("depth vector must be componentwise nonnegative")
         if sum(k) > self.depth:
             if not extend:
-                raise TruncationError(sum(k), self.depth)
+                raise TruncationError(sum(k), self.depth, declared=True)
             if sum(k) > self.depth_cap:
                 raise TruncationError(sum(k), self.depth_cap)
         ws = self._spaces.get(k)
@@ -337,7 +341,8 @@ class IrrTrunc:
         count = sum(ws.dim for ws in above.values())
         if count > self.dim_cap:
             raise linalg.CapError(
-                f"weight space candidate set of size {count} exceeds cap {self.dim_cap}"
+                f"weight space candidate set of size {count} exceeds the dimension "
+                f"cap {self.dim_cap}; raise it with LIEREG_DIM_CAP"
             )
         candidates, images = [], []
         for i, src in above.items():

@@ -11,17 +11,26 @@ per column -- and a Fraction product costs far more than the truth test
 that skips it.  Keeping the dense rows means callers, the JSON and
 ``RepSpec.matrices`` need not know about sparsity at all.
 
-The matrix-vector products skip zeros only in a sparse matrix, one with at
-most a tenth of its entries nonzero.  A letter matrix of V_N(J) or of a
-chain has fewer nonzero entries than rows, so from dimension 10 on it is
-always sparse.  A denser matrix goes through the plain dense loop, whose
-cost is fixed by the shapes.  Skipping its zeros would make the cost follow
-where a change of basis happened to put them: the same job on the same
-module, written in two random bases, could cost twice as much in one as in
-the other.
+A matrix applied many times, as a module's letter matrix is, becomes an
+:class:`Operator` once: ``RepSpec`` builds one per letter.  The operator
+holds integer rows over one common denominator and decides sparse or dense
+once, when it is built; a product then scales the vector to integers, runs
+integer dot products and builds one Fraction per nonzero output entry.
+
+A matrix counts as sparse when at most a tenth of its entries are nonzero.
+A letter matrix of V_N(J) or of a chain has fewer nonzero entries than
+rows, so from dimension 10 on it is always sparse.  Only a sparse matrix
+has its zeros skipped; a denser one goes through the plain dense loop,
+whose cost is fixed by the shapes.  Skipping its zeros would make the cost
+follow where a change of basis happened to put them: the same job on the
+same module, written in two random bases, could cost twice as much in one
+as in the other.  ``mat_vec`` and ``vec_mat``, for matrices used once or a
+few times (the Kac-Moody build, the oracles), make that choice on every
+call.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import mul
 
@@ -97,6 +106,41 @@ def mat_vec(m, v) -> tuple:
         return tuple(sum(map(mul, row, v), ZERO) for row in m)
     nz = [(j, x) for j, x in enumerate(v) if x]
     return tuple(sum((row[j] * x for j, x in nz if row[j]), ZERO) for row in m)
+
+
+class Operator:
+    """A fixed matrix M as integer rows over one common denominator: M = rows / denom.
+
+    A sparse matrix keeps only the (column, value) pairs of each row, a dense
+    one its full integer rows; the choice is made here, once.
+    """
+
+    __slots__ = ("denom", "rows", "sparse")
+
+    def __init__(self, m):
+        nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in m]
+        self.denom = denom = math.lcm(*{x.denominator for row in nonzero for _, x in row})
+        self.sparse = _sparse(m)
+        if self.sparse:
+            self.rows = tuple(
+                tuple((j, x.numerator * (denom // x.denominator)) for j, x in row)
+                for row in nonzero
+            )
+        else:
+            self.rows = tuple(
+                tuple(x.numerator * (denom // x.denominator) for x in row) for row in m
+            )
+
+    def apply(self, v) -> tuple:
+        """M v, equal to mat_vec(M, v), with no Fraction arithmetic but the output."""
+        d = math.lcm(*{x.denominator for x in v})
+        ints = [x.numerator * (d // x.denominator) for x in v]
+        if self.sparse:
+            sums = [sum([ints[j] * a for j, a in row]) for row in self.rows]
+        else:
+            sums = [sum(map(mul, row, ints)) for row in self.rows]
+        d *= self.denom
+        return tuple(Fraction(s, d) if s else ZERO for s in sums)
 
 
 def vec_mat(v, m) -> tuple:

@@ -11,9 +11,10 @@ Convention: a word acts first-letter-outermost,
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import linalg, words
-from .linalg import Echelon, mat, mat_mul, mat_vec, vec, zero_mat, zero_vec
+from .linalg import Echelon, Operator, mat, mat_mul, vec, zero_mat, zero_vec
 from .words import Alphabet, NcPoly, Word
 
 DEFAULT_DIM_CAP = 4096
@@ -26,20 +27,25 @@ class RepError(ValueError):
 class RepSpec:
     """One exact matrix per letter, plus the letter kinds.
 
-    `labels` is optional human-readable metadata for the basis; it never
-    affects the algebra.
+    `matrices` is the public dense form; `operators` holds each letter's
+    matrix as an :class:`~liereg.linalg.Operator`, built once here and used
+    for every product with a vector.  Both maps are read-only, so the two
+    forms cannot drift apart.  `labels` is optional human-readable metadata
+    for the basis; it never affects the algebra.
     """
 
     def __init__(self, alphabet: Alphabet, dim: int, matrices, labels=None):
         self.alphabet = alphabet
         self.dim = dim
-        self.matrices = {e: mat(m) for e, m in matrices.items()}
+        mats = {e: mat(m) for e, m in matrices.items()}
         for e in alphabet.letters():
-            if e not in self.matrices:
-                self.matrices[e] = zero_mat(dim)
-        for e, m in self.matrices.items():
+            if e not in mats:
+                mats[e] = zero_mat(dim)
+        for e, m in mats.items():
             if len(m) != dim or any(len(r) != dim for r in m):
                 raise RepError(f"matrix for letter {alphabet.names[e]} is not {dim}x{dim}")
+        self.matrices = MappingProxyType(mats)
+        self.operators = MappingProxyType({e: Operator(m) for e, m in mats.items()})
         self.labels = tuple(labels) if labels is not None else None
 
     def kind(self, letter: int) -> str:
@@ -102,7 +108,7 @@ def act_word(rep: RepSpec, w: Word, v):
         raise RepError(f"vector has length {len(v)}, module dimension is {rep.dim}")
     out = vec(v)
     for e in reversed(w):
-        out = mat_vec(rep.matrices[e], out)
+        out = rep.operators[e].apply(out)
     return out
 
 
@@ -145,7 +151,7 @@ def submodule_generated(rep: RepSpec, v):
     while queue:
         u = queue.pop(0)
         for e in sorted(rep.alphabet.letters()):
-            w = mat_vec(rep.matrices[e], u)
+            w = rep.operators[e].apply(u)
             if ech.add(w):
                 queue.append(w)
     return ech.basis()
@@ -174,7 +180,10 @@ def make_VNJ(alphabet: Alphabet, n: int, j_letters, dim_cap: int = DEFAULT_DIM_C
             raise RepError("V_N(J) requires locally nilpotent letters")
     basis = sorted(words.all_words(j_letters, n), key=words.word_key)
     if len(basis) > dim_cap:
-        raise linalg.CapError(f"V_N(J) dimension {len(basis)} exceeds cap {dim_cap}")
+        raise linalg.CapError(
+            f"V_N(J) dimension {len(basis)} exceeds the dimension cap {dim_cap}; "
+            "raise it with LIEREG_DIM_CAP"
+        )
     index = {w: i for i, w in enumerate(basis)}
     dim = len(basis)
     mats = {}

@@ -198,6 +198,44 @@ def test_exit_codes(capsys):
     assert code == 1
 
 
+def test_phi_functional_alphabet_takes_the_other_words(capsys):
+    code, out, err = run(capsys, "taylor", "--functional", "phi:1", "--tuple", "a")
+    assert code == 0, err
+    assert json.loads(out) == {"nvars": 1, "terms": [{"k": [0], "c": "1"}], "pretty": "1"}
+    code, out, _ = run(capsys, "eval", "--functional", "phi:e1", "--x", "e2")
+    assert code == 0 and json.loads(out)["value"] == "0"
+
+
+AFFINE_A1 = '{"matrix":[[2,-2],[-2,2]]}'
+
+
+@pytest.mark.parametrize("env, argv, needs", [
+    ({}, ["km-build", "--matrix", '{"matrix":[[2]]}', "--weight", "[1]", "--depth", "99"],
+     ["truncation depth 99", "depth cap is 24", "LIEREG_DEPTH_CAP"]),
+    ({"LIEREG_DEPTH_CAP": "3"},
+     ["km-build", "--matrix", '{"matrix":[[2]]}', "--weight", "[1]", "--depth", "8"],
+     ["truncation depth 8", "depth cap is 3", "LIEREG_DEPTH_CAP"]),
+    ({"LIEREG_DIM_CAP": "1"},
+     ["km-mult", "--matrix", AFFINE_A1, "--weight", "[1,0]", "--k", "[2,2]"],
+     ["candidate set of size 2", "dimension cap 1", "LIEREG_DIM_CAP"]),
+    ({"LIEREG_DIM_CAP": "14"}, ["witness", "--x", "e1.e2.e1"],
+     ["V_N(J) dimension 15", "dimension cap 14", "LIEREG_DIM_CAP"]),
+    ({"LIEREG_DIM_CAP": "14"}, ["xi-map", "--functional", "phi:e1.e2.e1"],
+     ["V_N(J) dimension 15", "dimension cap 14", "LIEREG_DIM_CAP"]),
+])
+def test_cap_errors_name_the_cap_and_its_variable(capsys, monkeypatch, env, argv, needs):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    for text in needs:
+        assert text in err, err
+    # the named variable lifts the cap
+    monkeypatch.setenv(needs[-1], "99" if "DEPTH" in needs[-1] else "15")
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+
+
 @pytest.mark.parametrize("vector, field", [
     ('[{"depth":[1,0,0],"coords":["1"]}]', "vector[0].depth"),
     ('[{"depth":[1],"coords":["1"]}]', "vector[0].depth"),
@@ -323,7 +361,7 @@ REP_1 = '{"dim":1,"letters":[{"name":"a"}]'
      "functional.terms:"),
     (["xi-map", "--functional", '{"kind":"finite","terms":[{"coeff":"1"}]}', "--letters", "a"],
      "functional.terms[0]:"),
-    (["taylor", "--functional", "phi:a.b", "--tuple", "a,c"], "tuple:"),
+    (["taylor", "--functional", "phi:a.b", "--tuple", "a,c", "--letters", "a,b"], "tuple:"),
     (["phi-map", "--rep", '{"dim":2.7,"letters":[{"name":"a"}]}', "--phi", '["1","0"]',
       "--vector", '["1","0"]'], "rep.dim:"),
     (["phi-map", "--rep", '{"dim":true,"letters":[{"name":"a"}]}', "--phi", '["1"]',

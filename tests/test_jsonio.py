@@ -46,6 +46,18 @@ def test_rep_round_trip():
         jsonio.decode_rep({"dim": 2})
 
 
+def test_tensor_rep_round_trip():
+    # tensor labels are pairs of factor labels, nested for iterated products
+    left = reps.tensor(reps.make_VNJ(AB, 1, (0, 1)), reps.make_chain(AB, (1,)))
+    rep = reps.tensor(left, reps.make_VNJ(AB, 1, (1,)))
+    obj = jsonio.encode_rep(rep)
+    assert obj["labels"][:2] == ["((1 (x) b0) (x) 1)", "((1 (x) b0) (x) e2)"]
+    assert len(set(obj["labels"])) == rep.dim
+    decoded = jsonio.decode_rep(obj)
+    assert decoded.matrices == rep.matrices
+    assert jsonio.encode_rep(decoded) == obj
+
+
 def test_functional_round_trip():
     h = duals.phi((0, 1)) + duals.phi(())
     obj = jsonio.encode_functional(h, AB)

@@ -176,6 +176,22 @@ def test_dot_and_mat_vec_match_reference(mv):
 
 
 @SHAPES
+@given(mat_and_vec(), st.booleans(), st.booleans())
+@example(((), ()), False, False)  # 0x0
+@example((((Fraction(-2, 3),),), (Fraction(3, 4),)), False, False)  # 1x1
+@example((((ZERO,),), (Fraction(5),)), True, True)
+def test_operator_matches_reference(mv, int_matrix, int_vector):
+    m, v = mv
+    if int_matrix:  # plain ints, as callers may pass them
+        m = tuple(tuple(x.numerator for x in row) for row in m)
+    if int_vector:
+        v = tuple(x.numerator for x in v)
+    out = linalg.Operator(m).apply(v)
+    assert out == ref_mat_vec(m, v)
+    assert all(type(x) is Fraction for x in out)
+
+
+@SHAPES
 @given(matrices(), st.data())
 def test_vec_mat_matches_reference(m, data):
     v = data.draw(matrices(rows=1, cols=len(m)))[0]

@@ -36,6 +36,48 @@ def test_act_word_is_monoid_homomorphism():
             )
 
 
+class CountingFraction(Fraction):
+    """A Fraction that counts the products it takes part in."""
+
+    products = 0
+
+    def __mul__(self, other):
+        CountingFraction.products += 1
+        return Fraction.__mul__(self, other)
+
+    __rmul__ = __mul__
+
+
+def test_letter_operators_are_built_once_and_run_on_integers(monkeypatch):
+    calls = []
+    sparse = linalg._sparse
+    monkeypatch.setattr(linalg, "_sparse", lambda m: calls.append(1) or sparse(m))
+    abc = Alphabet(("e1", "e2", "e3"))
+    vnj = reps.make_VNJ(abc, 4, (0, 1, 2))
+    assert vnj.dim == 121 and len(calls) == 3
+    counting = {
+        e: [[CountingFraction(x) for x in row] for row in m] for e, m in vnj.matrices.items()
+    }
+    rep = RepSpec(abc, vnj.dim, counting)
+    assert len(calls) == 6  # once per letter, while the module is built
+    v = tuple(CountingFraction(i % 5 - 2, i % 3 + 1) for i in range(rep.dim))
+    for w in [(0,), (2, 1), (0, 1, 2), (1, 1, 0, 2), ()]:
+        expected = tuple(Fraction(x) for x in v)
+        for e in reversed(w):  # the textbook product, on plain Fractions
+            expected = tuple(
+                sum((a * b for a, b in zip(row, expected)), Fraction(0))
+                for row in vnj.matrices[e]
+            )
+        CountingFraction.products = 0
+        assert reps.act_word(rep, w, v) == expected
+        assert CountingFraction.products == 0
+    assert len(calls) == 6  # not once per product
+    with pytest.raises(TypeError):
+        rep.matrices[0] = linalg.zero_mat(rep.dim)
+    with pytest.raises(TypeError):
+        rep.operators[0] = None
+
+
 def test_act_poly_linear():
     rep = chain12()
     b0 = rep.basis_vector(0)
