@@ -12,6 +12,7 @@ import functools
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 from . import duals, grp, kacmoody, linalg, reps, words
@@ -586,11 +587,12 @@ def run_suite(name: str, seed: int = 0):
 
 
 def run_all(seed: int = 0, names=None):
-    """Run the selected suites; returns a list of (name, ok, detail)."""
+    """Run the selected suites; returns a list of (name, ok, detail, seconds)."""
     results = []
     for name, fn in SUITES:
         if names is not None and name not in names:
             continue
+        start = time.perf_counter()
         ok, detail = fn(seed)
-        results.append((name, ok, detail))
+        results.append((name, ok, detail, time.perf_counter() - start))
     return results

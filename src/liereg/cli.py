@@ -1,4 +1,5 @@
-"""Command-line front end: JSON in, JSON out, deterministic.
+"""Command-line front end: JSON in, JSON out, deterministic (``check`` also
+prints each suite's wall time).
 
 Exit codes: 0 success, 1 validation failure, 2 size/depth cap exceeded.
 Caps can be overridden with the environment variables LIEREG_DIM_CAP and
@@ -7,6 +8,7 @@ LIEREG_DEPTH_CAP.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -377,9 +379,9 @@ def cmd_check(args):
         )
     results = checks.run_all(args.seed, names)
     failed = 0
-    for name, ok, detail in results:
+    for name, ok, detail, seconds in results:
         status = "PASS" if ok else "FAIL"
-        print(f"[{status}] {name}: {detail}")
+        print(f"[{status}] {name} ({seconds:.2f} s): {detail}")
         if not ok:
             failed += 1
     print(f"{len(results) - failed}/{len(results)} suites passed (seed {args.seed})")
@@ -389,6 +391,7 @@ def cmd_check(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # built once per process: main parses with it on every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liereg",

@@ -9,9 +9,10 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
 from . import linalg, reps, words
-from .linalg import Echelon, dot, frac, vec, vec_kron, vec_mat
+from .linalg import Echelon, dot, frac, vec, vec_kron
 from .reps import RepSpec, act_poly, act_word
 from .words import Alphabet, NcPoly, TermMap, Word, word_key
 
@@ -107,7 +108,7 @@ def left_translate(x, h):
         for u, cu in x.terms.items():
             pulled = h.phi
             for e in u:
-                pulled = vec_mat(pulled, h.rep.matrices[e])
+                pulled = h.rep.operators[e].pull_back(pulled)
             new_phi = linalg.vec_add(new_phi, linalg.vec_scale(cu, pulled))
         return MatrixCoefficient(h.rep, new_phi, h.v)
     out = {}
@@ -342,16 +343,19 @@ def in_shuffle_span(h, length_bound: int) -> bool:
         return h.max_length() <= length_bound
     length_bound = min(length_bound, h.rep.dim)
     ops = [h.rep.operators[e] for e in sorted(reps.support(h.rep))]
-    layer = [h.v]
+    # layers are kept as integer rows: only their spans and whether phi
+    # vanishes on them matter, and neither sees the scale of a vector
+    phi = linalg.integral(h.phi)[1]
+    layer = [linalg.integral(h.v)[1]]
     past = Echelon()  # the sum of the layers beyond the bound
     for k in itertools.count(1):
         span = Echelon()
         for op in ops:
             for u in layer:
-                span.add(op.apply(u))
-        layer = span.basis()
+                span.add(op.image(u))
+        layer = span.rows
         if k > length_bound:
-            if any(dot(h.phi, u) for u in layer):
+            if any(sum(map(mul, phi, u)) for u in layer):
                 return False
             rank = past.rank
             for u in layer:

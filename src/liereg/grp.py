@@ -180,7 +180,7 @@ def derive_right(e: int, f: RegularFunction) -> RegularFunction:
 
 def derive_left(e: int, f: RegularFunction) -> RegularFunction:
     """The right invariant derivation e <| f = d/dt|_e f(kappa_e(t) g)."""
-    return RegularFunction(f.rep, linalg.vec_mat(f.phi, f.rep.matrices[e]), f.v)
+    return RegularFunction(f.rep, f.rep.operators[e].pull_back(f.phi), f.v)
 
 
 def faithfulness_witness(x: NcPoly, alphabet: Alphabet, dim_cap: int = reps.DEFAULT_DIM_CAP):

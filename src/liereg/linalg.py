@@ -15,7 +15,24 @@ A matrix applied many times, as a module's letter matrix is, becomes an
 :class:`Operator` once: ``RepSpec`` builds one per letter.  The operator
 holds integer rows over one common denominator and decides sparse or dense
 once, when it is built; a product then scales the vector to integers, runs
-integer dot products and builds one Fraction per nonzero output entry.
+integer dot products and builds one Fraction per nonzero output entry.  The
+integer product itself, ``Operator.image``, is a positive multiple of M v,
+and ``Operator.pull_back`` gives the row-vector product phi M on the same
+integer rows.
+
+Elimination is fraction-free.  :class:`Echelon` clears an input vector's
+denominators once and keeps each row as a primitive integer row: the
+reduced row times its pivot entry, with a positive pivot entry and gcd 1.
+Reduction and back-substitution cross-multiply and divide by the row gcd,
+in the manner of Bareiss (Math. Comp. 22, 1968), so no Fraction is built
+until ``basis()`` divides each row by its pivot entry.  The reduced row
+echelon form of a span is unique, so ``basis()``, ``rref``, ``rank`` and
+``solve`` give exactly what Gauss-Jordan elimination over the rationals
+gives.  For the same reason a span loop (``reps.submodule_generated``,
+``duals.in_shuffle_span``) may run on integer multiples of its vectors,
+from ``Operator.image`` to ``Echelon.rows`` and back: a span does not
+change when a vector is scaled, and neither does whether a functional
+vanishes on it.
 
 A matrix counts as sparse when at most a tenth of its entries are nonzero.
 A letter matrix of V_N(J) or of a chain has fewer nonzero entries than
@@ -108,6 +125,17 @@ def mat_vec(m, v) -> tuple:
     return tuple(sum((row[j] * x for j, x in nz if row[j]), ZERO) for row in m)
 
 
+def integral(v):
+    """(d, ints) with v = ints / d: d the least common denominator of v's
+    entries (ints or Fractions), ints a new list of ints."""
+    d = math.lcm(*{x.denominator for x in v})
+    return d, [x.numerator * (d // x.denominator) for x in v]
+
+
+def _over(sums, d) -> tuple:
+    return tuple(Fraction(s, d) if s else ZERO for s in sums)
+
+
 class Operator:
     """A fixed matrix M as integer rows over one common denominator: M = rows / denom.
 
@@ -115,12 +143,13 @@ class Operator:
     one its full integer rows; the choice is made here, once.
     """
 
-    __slots__ = ("denom", "rows", "sparse")
+    __slots__ = ("denom", "rows", "sparse", "width")
 
     def __init__(self, m):
         nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in m]
         self.denom = denom = math.lcm(*{x.denominator for row in nonzero for _, x in row})
         self.sparse = _sparse(m)
+        self.width = len(m[0]) if m else 0
         if self.sparse:
             self.rows = tuple(
                 tuple((j, x.numerator * (denom // x.denominator)) for j, x in row)
@@ -131,16 +160,29 @@ class Operator:
                 tuple(x.numerator * (denom // x.denominator) for x in row) for row in m
             )
 
+    def image(self, ints) -> list:
+        """rows . ints, a list of ints: denom * M v for an integer vector v."""
+        if self.sparse:
+            return [sum([ints[j] * a for j, a in row]) for row in self.rows]
+        return [sum(map(mul, row, ints)) for row in self.rows]
+
     def apply(self, v) -> tuple:
         """M v, equal to mat_vec(M, v), with no Fraction arithmetic but the output."""
-        d = math.lcm(*{x.denominator for x in v})
-        ints = [x.numerator * (d // x.denominator) for x in v]
+        d, ints = integral(v)
+        return _over(self.image(ints), d * self.denom)
+
+    def pull_back(self, phi) -> tuple:
+        """The row vector phi M, equal to vec_mat(phi, M), on the same integer rows."""
+        d, ints = integral(phi)
         if self.sparse:
-            sums = [sum([ints[j] * a for j, a in row]) for row in self.rows]
+            sums = [0] * self.width
+            for x, row in zip(ints, self.rows):
+                if x:
+                    for j, a in row:
+                        sums[j] += x * a
         else:
-            sums = [sum(map(mul, row, ints)) for row in self.rows]
-        d *= self.denom
-        return tuple(Fraction(s, d) if s else ZERO for s in sums)
+            sums = [sum(map(mul, ints, col)) for col in zip(*self.rows)]
+        return _over(sums, d * self.denom)
 
 
 def vec_mat(v, m) -> tuple:
@@ -194,7 +236,12 @@ def vec_kron(u, v) -> tuple:
 
 
 class Echelon:
-    """Incrementally maintained reduced row echelon basis of a subspace."""
+    """Incrementally maintained reduced row echelon basis of a subspace.
+
+    `rows` holds primitive integer rows: each is its reduced row times the
+    row's pivot entry, so the pivot entry is positive and the entries have
+    gcd 1.  `basis()` divides by the pivot entries.
+    """
 
     def __init__(self):
         self.rows = []
@@ -202,10 +249,17 @@ class Echelon:
         self._supports = []  # nonzero columns of each row, in order
 
     def _reduce(self, v):
-        v = list(v)
+        """v reduced against every row, as a list of ints: a nonzero multiple of
+        the exact remainder, zero exactly when v lies in the span."""
+        v = integral(v)[1]
         for row, p, support in zip(self.rows, self.pivots, self._supports):
             c = v[p]
             if c:
+                a = row[p]
+                g = math.gcd(a, c)
+                if g != a:
+                    v = list(map((a // g).__mul__, v))
+                c //= g
                 for j in support:
                     v[j] -= c * row[j]
         return v
@@ -217,16 +271,21 @@ class Echelon:
         if not support:
             return False
         p = support[0]
-        inv = ONE / v[p]  # exact even when the input rows hold ints
-        for j in support:
-            v[j] *= inv
-        # back-substitute into existing rows
+        _make_primitive(v, support, p)
+        a = v[p]
+        # back-substitute into existing rows: cross-multiply, clear column p
         for i, row in enumerate(self.rows):
             c = row[p]
             if c:
+                g = math.gcd(a, c)
+                s, c = a // g, c // g
+                if s != 1:
+                    for j in self._supports[i]:
+                        row[j] *= s
                 for j in support:
                     row[j] -= c * v[j]
-                self._supports[i] = [j for j, x in enumerate(row) if x]
+                self._supports[i] = row_support = [j for j, x in enumerate(row) if x]
+                _make_primitive(row, row_support, self.pivots[i])
         idx = next((i for i, q in enumerate(self.pivots) if q > p), len(self.pivots))
         self.rows.insert(idx, v)
         self.pivots.insert(idx, p)
@@ -241,7 +300,18 @@ class Echelon:
         return len(self.rows)
 
     def basis(self):
-        return [tuple(r) for r in self.rows]
+        """The reduced rows, as tuples of Fraction."""
+        return [_over(row, row[p]) for row, p in zip(self.rows, self.pivots)]
+
+
+def _make_primitive(row, support, p) -> None:
+    """Divide the int list row, nonzero on support, by its gcd signed as row[p]."""
+    g = math.gcd(*[row[j] for j in support])
+    if row[p] < 0:
+        g = -g
+    if g != 1:
+        for j in support:
+            row[j] //= g
 
 
 def rank(rows) -> int:

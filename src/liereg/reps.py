@@ -143,15 +143,19 @@ def dual_rep(rep: RepSpec) -> RepSpec:
 
 
 def submodule_generated(rep: RepSpec, v):
-    """Exact basis of the smallest subspace containing v closed under all letters."""
+    """Exact basis of the smallest subspace containing v closed under all letters.
+
+    The walk runs on integer multiples of the vectors (a span does not see
+    scale); only the returned reduced basis is built of Fractions.
+    """
+    ops = [rep.operators[e] for e in sorted(rep.alphabet.letters())]
     ech = Echelon()
-    queue = []
-    if ech.add(vec(v)):
-        queue.append(vec(v))
+    u = linalg.integral(vec(v))[1]
+    queue = [u] if ech.add(u) else []
     while queue:
         u = queue.pop(0)
-        for e in sorted(rep.alphabet.letters()):
-            w = rep.operators[e].apply(u)
+        for op in ops:
+            w = op.image(u)
             if ech.add(w):
                 queue.append(w)
     return ech.basis()

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -379,9 +380,37 @@ def test_malformed_field_named(capsys, argv, field):
     assert err.startswith(f"error: {field}") and "Traceback" not in err
 
 
+SUITE_TIME = re.compile(r" \(\d+\.\d\d s\)")
+
+
 def test_check_single_suite_deterministic(capsys):
     code, out1, _ = run(capsys, "check", "--suite", "hopf-axioms", "--seed", "3")
     assert code == 0
     code, out2, _ = run(capsys, "check", "--suite", "hopf-axioms", "--seed", "3")
-    assert out1 == out2
+    # everything but the wall times repeats
+    assert SUITE_TIME.sub("", out1) == SUITE_TIME.sub("", out2)
     assert "[PASS] hopf-axioms" in out1
+
+
+def test_check_lines_carry_suite_seconds(capsys):
+    code, out, _ = run(capsys, "check", "--suite", "z-monoid", "--seed", "1")
+    assert code == 0
+    line, summary = out.splitlines()
+    assert re.fullmatch(r"\[PASS\] z-monoid \(\d+\.\d\d s\): \S.*", line)
+    assert summary == "1/1 suites passed (seed 1)"
+
+
+def test_parser_is_built_once_and_reused_after_an_error(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _ = run(capsys, "shuffle", "--w1", "e1", "--w2", "e2")
+    assert code == 0
+    first = json.loads(out)
+    with pytest.raises(SystemExit) as exc:  # argparse: unknown option
+        cli.main(["shuffle", "--w1", "e1", "--w2", "e2", "--w3", "e1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --w3" in capsys.readouterr().err
+    code, out, _ = run(capsys, "mul", "--x", "e1", "--y", "e2")
+    assert code == 0
+    assert json.loads(out)["terms"] == [{"word": "e1.e2", "coeff": "1"}]
+    code, out, _ = run(capsys, "shuffle", "--w1", "e1", "--w2", "e2")
+    assert code == 0 and json.loads(out) == first

@@ -191,6 +191,41 @@ def test_operator_matches_reference(mv, int_matrix, int_vector):
     assert all(type(x) is Fraction for x in out)
 
 
+@st.composite
+def vec_and_mat(draw):
+    m = draw(matrices())
+    v = draw(matrices(rows=1, cols=len(m)))[0]
+    return v, m
+
+
+@SHAPES
+@given(vec_and_mat(), st.booleans(), st.booleans())
+@example(((), ()), False, False)  # 0x0
+@example(((Fraction(3, 4),), ((Fraction(-2, 3),),)), False, False)  # 1x1
+@example(((Fraction(5), Fraction(1, 2)), ((ZERO, ZERO), (ZERO, ZERO))), True, True)
+@example(  # sparse: 3 of 36 entries nonzero, two of them in one column
+    (
+        tuple(map(Fraction, (1, Fraction(2, 3), 0, -5, 7, Fraction(1, 2)))),
+        tuple(
+            tuple({(0, 1): Fraction(3, 2), (2, 5): Fraction(-2), (4, 1): Fraction(5, 3)}
+                  .get((i, j), ZERO) for j in range(6))
+            for i in range(6)
+        ),
+    ),
+    False,
+    False,
+)
+def test_operator_pull_back_matches_reference(vm, int_matrix, int_vector):
+    v, m = vm
+    if int_matrix:
+        m = tuple(tuple(x.numerator for x in row) for row in m)
+    if int_vector:
+        v = tuple(x.numerator for x in v)
+    out = linalg.Operator(m).pull_back(v)
+    assert out == ref_vec_mat(v, m)
+    assert all(type(x) is Fraction for x in out)
+
+
 @SHAPES
 @given(matrices(), st.data())
 def test_vec_mat_matches_reference(m, data):
@@ -314,3 +349,113 @@ def test_matrix_vector_products_skip_zeros_only_in_sparse_matrices():
         assert _products(linalg.vec_mat, ones, m) == n * n
         assert linalg.mat_vec(m, ones) == ref_mat_vec(m, ones)
         assert linalg.vec_mat(ones, m) == ref_vec_mat(ones, m)
+
+
+# ---------------------------------------------------------------------------
+# Echelon keeps primitive integer rows; its answers must be those of plain
+# Gauss-Jordan elimination over the rationals.
+
+
+def _as_fractions(rows):
+    return [tuple(map(Fraction, r)) for r in rows]
+
+
+@st.composite
+def echelon_steps(draw):
+    """add/contains calls on int, Fraction and mixed vectors of one width,
+    some repeating or combining earlier ones."""
+    n = draw(st.integers(0, 6))
+    zero_pct = draw(st.integers(0, 100))
+    entry = st.one_of(
+        st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+    )
+    steps, seen = [], []
+    for _ in range(draw(st.integers(0, 10))):
+        how = draw(st.sampled_from(("fresh", "repeat", "combine"))) if seen else "fresh"
+        if how == "fresh":
+            v = [0 if draw(st.integers(0, 99)) < zero_pct else draw(entry) for _ in range(n)]
+        elif how == "repeat":
+            v = list(draw(st.sampled_from(seen)))
+        else:
+            a, b = draw(st.sampled_from(seen)), draw(st.sampled_from(seen))
+            s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            v = [s * x + t * y for x, y in zip(a, b)]
+        form = draw(st.sampled_from(("int", "fraction", "mixed")))
+        if form == "int":
+            v = [x.numerator if Fraction(x).denominator == 1 else x for x in v]
+        elif form == "fraction":
+            v = [Fraction(x) for x in v]
+        seen.append(tuple(v))
+        steps.append((draw(st.sampled_from(("add", "contains"))), tuple(v)))
+    return steps
+
+
+@SHAPES
+@given(echelon_steps())
+def test_echelon_matches_reference(steps):
+    e = Echelon()
+    added = []
+    for op, v in steps:
+        grows = len(ref_rref(_as_fractions(added + [v]))[1]) > len(ref_rref(_as_fractions(added))[1])
+        if op == "add":
+            assert e.add(v) is grows
+            added.append(v)
+        else:
+            assert e.contains(v) is not grows
+        basis, pivots = ref_rref(_as_fractions(added))
+        assert e.rank == len(pivots)
+        assert e.pivots == pivots
+        assert e.basis() == basis
+        assert all(type(x) is Fraction for row in e.basis() for x in row)
+
+
+def test_echelon_negative_pivot_and_back_substitution_gcd():
+    e = Echelon()
+    assert e.add((2, 1, 1))
+    assert e.rows == [[2, 1, 1]]  # primitive, pivot entry 2
+    assert e.basis() == [(1, Fraction(1, 2), Fraction(1, 2))]
+    # first entry -3: divided by -3, so the pivot entry turns positive
+    assert e.add((0, -3, 3))
+    # (2, 1, 1) - (0, 1, -1) = (2, 0, 2), divided by its gcd 2
+    assert e.rows == [[1, 0, 1], [0, 1, -1]]
+    assert e.pivots == [0, 1]
+    assert e.basis() == [(1, 0, 1), (0, 1, -1)]
+    assert e.contains((Fraction(1, 3), Fraction(-5, 3), Fraction(2)))
+    assert not e.contains((0, 0, 1))
+
+
+class ArithmeticCountingFraction(Fraction):
+    """A Fraction that counts its products, differences and quotients."""
+
+    calls = 0
+
+    def _counted(name):
+        def op(self, other):
+            ArithmeticCountingFraction.calls += 1
+            return getattr(Fraction, name)(self, other)
+        return op
+
+    __mul__, __rmul__ = _counted("__mul__"), _counted("__rmul__")
+    __sub__, __rsub__ = _counted("__sub__"), _counted("__rsub__")
+    __truediv__, __rtruediv__ = _counted("__truediv__"), _counted("__rtruediv__")
+    del _counted
+
+
+def test_echelon_runs_without_fraction_arithmetic():
+    def counting(*entries):
+        return tuple(ArithmeticCountingFraction(x) for x in entries)
+
+    vectors = [
+        counting(Fraction(2, 3), -1, 0, Fraction(5, 7)),
+        counting(0, Fraction(-3, 4), Fraction(1, 2), 2),
+        counting(Fraction(4, 3), Fraction(-11, 4), Fraction(1, 2), Fraction(24, 7)),  # dependent
+        counting(1, 1, 1, 1),
+        counting(0, 0, Fraction(-9, 5), 3),
+    ]
+    assert sum(1 for x in vectors[0] if x) == 3  # the guard sees real work
+    ArithmeticCountingFraction.calls = 0
+    e = Echelon()
+    accepted = [e.add(v) for v in vectors]
+    held = [e.contains(v) for v in vectors]
+    assert ArithmeticCountingFraction.calls == 0
+    assert accepted == [True, True, False, True, True] and all(held)
