@@ -55,28 +55,6 @@ KIND_NAMES = {words.NILPOTENT: "locally-nilpotent", words.DIAGONAL: "diagonaliza
 KIND_VALUES = {v: k for k, v in KIND_NAMES.items()}
 
 
-def encode_alphabet(alphabet: Alphabet) -> dict:
-    return {
-        "names": list(alphabet.names),
-        "kinds": [KIND_NAMES[k] for k in alphabet.kinds],
-    }
-
-
-def decode_alphabet(obj) -> Alphabet:
-    if not isinstance(obj, dict) or "names" not in obj:
-        raise SchemaError("alphabet: expected {names, kinds?}")
-    kinds = obj.get("kinds")
-    if kinds is not None:
-        try:
-            kinds = [KIND_VALUES[k] for k in kinds]
-        except KeyError as exc:
-            raise SchemaError(f"alphabet.kinds: unknown kind {exc.args[0]!r}") from exc
-    try:
-        return Alphabet(obj["names"], kinds)
-    except ValueError as exc:
-        raise SchemaError(f"alphabet: {exc}") from exc
-
-
 def decode_word(alphabet: Alphabet, text, field: str = "word"):
     try:
         return alphabet.word(str(text))
@@ -229,19 +207,7 @@ def decode_functional(obj, alphabet: Alphabet = None):
     raise SchemaError(f"functional.kind: unknown kind {kind!r}")
 
 
-FACTOR_KIND_NAMES = {words.NILPOTENT: "exp", words.DIAGONAL: "torus"}
-FACTOR_KIND_VALUES = {v: k for k, v in FACTOR_KIND_NAMES.items()}
-
-
-def encode_group_word(alphabet: Alphabet, g: GroupWord) -> list:
-    return [
-        {
-            "letter": alphabet.names[f.letter],
-            "kind": FACTOR_KIND_NAMES[f.kind],
-            "param": encode_fraction(f.param),
-        }
-        for f in g
-    ]
+FACTOR_KIND_VALUES = {"exp": words.NILPOTENT, "torus": words.DIAGONAL}
 
 
 def decode_group_word(alphabet: Alphabet, obj) -> GroupWord:

@@ -326,12 +326,14 @@ class IrrTrunc:
         vector b of V_{k - e_i}, in that order.  Below the top a vector that
         every e_j kills is zero, so the candidates' relations are those of
         their stacked images (e_j f_i b)_j, which come from the levels above
-        by e_j f_i b = f_i (e_j b) + delta_ij lambda_{k - e_i}(h_i) b.  One
-        reduced row echelon form of the matrix whose columns are these images
-        gives all of it: the pivot columns are the first independent
-        candidates, kept as the basis; column c holds candidate c in that
-        basis, which is the matrix of f_i; the images at the pivots are the
-        matrices of e_j.
+        by e_j f_i b = f_i (e_j b) + delta_ij lambda_{k - e_i}(h_i) b.  So the
+        matrix whose columns are these images is made of blocks
+        F_ij E_j + delta_ij lambda(h_i) I, one matrix product each, with F_ij
+        the matrix of f_i into V_{k - e_j} and E_j that of e_j on V_{k - e_i}.
+        Its reduced row echelon form gives all of it: the pivot columns are
+        the first independent candidates, kept as the basis; column c holds
+        candidate c in that basis, which is the matrix of f_i; the images at
+        the pivots are the matrices of e_j.
         """
         n = self.gcm.n
         self._emat.update({(j, k): () for j in range(n) if not k[j]})
@@ -344,32 +346,31 @@ class IrrTrunc:
                 f"weight space candidate set of size {count} exceeds the dimension "
                 f"cap {self.dim_cap}; raise it with LIEREG_DIM_CAP"
             )
-        candidates, images = [], []
-        for i, src in above.items():
-            for b in range(src.dim):
-                image = []
-                for j, tgt in above.items():
-                    block = [Fraction(0)] * tgt.dim
-                    if j == i:
-                        block[b] = Fraction(src.lam[i])
-                    if src.depth[j]:
-                        e_col = [row[b] for row in self._emat[(j, src.depth)]]
-                        f_ij = self._fmat[(i, _shift(src.depth, j, -1))]
-                        block = linalg.vec_add(block, linalg.mat_vec(f_ij, e_col))
-                    image.extend(block)
-                candidates.append((i,) + src.basis[b])
-                images.append(image)
-        rows, pivots = linalg.rref(zip(*images))
-        start = 0
+        images = []
+        for j, tgt in above.items():
+            blocks = []
+            for i, src in above.items():
+                e_j = self._emat[(j, src.depth)]
+                if e_j:
+                    block = linalg.mat_mul(self._fmat[(i, _shift(src.depth, j, -1))], e_j)
+                else:
+                    block = linalg.zero_mat(tgt.dim, src.dim)
+                if i == j:
+                    block = [
+                        [x + src.lam[i] if r == c else x for c, x in enumerate(row)]
+                        for r, row in enumerate(block)
+                    ]
+                blocks.append(block)
+            images.extend([x for part in parts for x in part] for parts in zip(*blocks))
+        rows, pivots = linalg.rref(images)
+        start = 0  # where f_i V_{k - e_i} starts, in the columns and in the rows
         for i, src in above.items():
             self._fmat[(i, src.depth)] = tuple(row[start:start + src.dim] for row in rows)
-            start += src.dim
-        start = 0
-        for j, tgt in above.items():
-            self._emat[(j, k)] = tuple(
-                tuple(images[p][start + r] for p in pivots) for r in range(tgt.dim)
+            self._emat[(i, k)] = tuple(
+                tuple(images[start + r][p] for p in pivots) for r in range(src.dim)
             )
-            start += tgt.dim
+            start += src.dim
+        candidates = [(i,) + b for i, src in above.items() for b in src.basis]
         basis = tuple(candidates[p] for p in pivots)
         return WeightSpace(k, basis, self.lam_of(k))
 
@@ -485,18 +486,6 @@ def act_h(m: IrrTrunc, i: int, v: TruncVector) -> TruncVector:
     )
 
 
-def act_chevalley(m: IrrTrunc, gen, v: TruncVector) -> TruncVector:
-    """gen is ('e', i), ('f', i) or ('h', i)."""
-    tag, i = gen
-    if tag == "e":
-        return act_e(m, i, v)
-    if tag == "f":
-        return act_f(m, i, v)
-    if tag == "h":
-        return act_h(m, i, v)
-    raise ValueError(f"unknown generator {gen!r}")
-
-
 def act_e_word(m: IrrTrunc, w, v: TruncVector) -> TruncVector:
     """A word in the raising generators, first letter outermost."""
     out = v
@@ -599,15 +588,6 @@ def theta_eval(m: IrrTrunc, g) -> Fraction:
     return v.coefficient((0,) * m.gcm.n)
 
 
-def multibracket_rootvector(gcm: GCM, seq) -> NcPoly:
-    """Nested bracket of raising generators; acts through act_e_poly."""
-    seq = tuple(int(i) for i in seq)
-    for i in seq:
-        if not 0 <= i < gcm.n:
-            raise ValueError("generator index out of range")
-    return words.multibracket(seq)
-
-
 def rootvector_is_zero(m: IrrTrunc, poly: NcPoly, max_depth: int = None) -> bool:
     """Does the bracket act by zero on every basis vector within the truncation?"""
     max_depth = m.depth if max_depth is None else max_depth
@@ -657,7 +637,7 @@ def _tensor_f(m: IrrTrunc, i: int, parts: dict) -> dict:
     """f_i (x) 1 + 1 (x) f_i on a tensor vector keyed by weight pairs.
 
     The (k1, k2) block is a dim V_k1 x dim V_k2 matrix C flattened by rows;
-    f_i (x) 1 sends it to F C and 1 (x) f_i sends each row c of C to F c.
+    f_i (x) 1 sends it to F C and 1 (x) f_i to C F^T.
     """
     out = {}
     for (k1, k2), coords in parts.items():
@@ -669,7 +649,7 @@ def _tensor_f(m: IrrTrunc, i: int, parts: dict) -> dict:
             _accumulate(out, (_shift(k1, i, 1), k2), [x for row in new for x in row])
         m2 = m.f_matrix(i, k2, True)
         if m2:
-            new = [linalg.mat_vec(m2, row) for row in rows]
+            new = linalg.mat_mul(rows, linalg.transpose(m2))
             _accumulate(out, (k1, _shift(k2, i, 1)), [x for row in new for x in row])
     return {k: v for k, v in out.items() if any(x != 0 for x in v)}
 

@@ -34,16 +34,15 @@ from ``Operator.image`` to ``Echelon.rows`` and back: a span does not
 change when a vector is scaled, and neither does whether a functional
 vanishes on it.
 
-A matrix counts as sparse when at most a tenth of its entries are nonzero.
-A letter matrix of V_N(J) or of a chain has fewer nonzero entries than
-rows, so from dimension 10 on it is always sparse.  Only a sparse matrix
-has its zeros skipped; a denser one goes through the plain dense loop,
+An operator counts as sparse when at most a tenth of its entries are
+nonzero.  A letter matrix of V_N(J) or of a chain has fewer nonzero entries
+than rows, so from dimension 10 on it is always sparse.  Only a sparse
+operator has its zeros skipped; a denser one runs the plain dense loop,
 whose cost is fixed by the shapes.  Skipping its zeros would make the cost
 follow where a change of basis happened to put them: the same job on the
 same module, written in two random bases, could cost twice as much in one
-as in the other.  ``mat_vec`` and ``vec_mat``, for matrices used once or a
-few times (the Kac-Moody build, the oracles), make that choice on every
-call.
+as in the other.  ``Operator`` is the only place that makes this choice;
+``mat_mul`` and the one-off ``mat_vec`` always skip zeros.
 """
 from __future__ import annotations
 
@@ -108,21 +107,8 @@ def dot(u, v) -> Fraction:
     return sum((a * b for a, b in zip(u, v) if a and b), ZERO)
 
 
-def _sparse(m) -> bool:
-    """At most a tenth of m's entries are nonzero."""
-    budget = len(m) * len(m[0]) // 10 if m else 0
-    for row in m:
-        budget -= sum(1 for x in row if x)
-        if budget < 0:
-            return False
-    return True
-
-
 def mat_vec(m, v) -> tuple:
-    if not _sparse(m):
-        return tuple(sum(map(mul, row, v), ZERO) for row in m)
-    nz = [(j, x) for j, x in enumerate(v) if x]
-    return tuple(sum((row[j] * x for j, x in nz if row[j]), ZERO) for row in m)
+    return tuple(dot(row, v) for row in m)
 
 
 def integral(v):
@@ -139,8 +125,9 @@ def _over(sums, d) -> tuple:
 class Operator:
     """A fixed matrix M as integer rows over one common denominator: M = rows / denom.
 
-    A sparse matrix keeps only the (column, value) pairs of each row, a dense
-    one its full integer rows; the choice is made here, once.
+    A sparse matrix (at most a tenth of its entries nonzero) keeps only the
+    (column, value) pairs of each row, a dense one its full integer rows; the
+    choice is made here, once.
     """
 
     __slots__ = ("denom", "rows", "sparse", "width")
@@ -148,8 +135,8 @@ class Operator:
     def __init__(self, m):
         nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in m]
         self.denom = denom = math.lcm(*{x.denominator for row in nonzero for _, x in row})
-        self.sparse = _sparse(m)
         self.width = len(m[0]) if m else 0
+        self.sparse = 10 * sum(map(len, nonzero)) <= len(m) * self.width
         if self.sparse:
             self.rows = tuple(
                 tuple((j, x.numerator * (denom // x.denominator)) for j, x in row)
@@ -172,7 +159,7 @@ class Operator:
         return _over(self.image(ints), d * self.denom)
 
     def pull_back(self, phi) -> tuple:
-        """The row vector phi M, equal to vec_mat(phi, M), on the same integer rows."""
+        """The row vector phi M, on the same integer rows."""
         d, ints = integral(phi)
         if self.sparse:
             sums = [0] * self.width
@@ -183,19 +170,6 @@ class Operator:
         else:
             sums = [sum(map(mul, ints, col)) for col in zip(*self.rows)]
         return _over(sums, d * self.denom)
-
-
-def vec_mat(v, m) -> tuple:
-    """Row vector times matrix."""
-    if not _sparse(m):
-        return tuple(sum(map(mul, v, col), ZERO) for col in zip(*m))
-    out = [ZERO] * (len(m[0]) if m else 0)
-    for x, row in zip(v, m):
-        if x:
-            for j, y in enumerate(row):
-                if y:
-                    out[j] += x * y
-    return tuple(out)
 
 
 def mat_mul(a, b) -> tuple:

@@ -1,0 +1,52 @@
+"""Every public top-level function of liereg has a caller inside the package,
+or is listed below with the reason it stays without one."""
+import ast
+from pathlib import Path
+
+import liereg
+
+SRC = Path(liereg.__file__).parent
+
+# public functions that nothing in the package calls, kept on purpose
+UNCALLED = (
+    ("checks.run_suite", "runs one acceptance suite by name, for callers that want one"),
+    ("duals.is_regular", "the paper's regularity criterion, with its certificate"),
+    ("grp.derive_left", "the right invariant derivation e <| f, a paper concept"),
+    ("grp.derive_right", "the left invariant derivation e |> f, a paper concept"),
+    ("grp.f_w", "the coordinate functions f_w of the group, a paper concept"),
+    ("grp.torus_factor", "the torus factor s^d of a diagonalizable letter"),
+    ("kacmoody.peter_weyl_rank", "the Peter-Weyl rank of matrix coefficients"),
+    ("kacmoody.rootvector_is_zero", "whether a root vector acts by zero on L(Lambda)"),
+    ("reps.dual_rep", "the dual module, for the opposite algebra"),
+    ("words.counit", "the counit of the Hopf algebra U(g)"),
+)
+
+
+def _uncalled():
+    defined, used = {}, {}
+    for path in sorted(SRC.glob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text()).body:
+            owner = getattr(node, "name", None)
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                defined[node.name] = module
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    used.setdefault(sub.id, set()).add((module, owner))
+                elif isinstance(sub, ast.Attribute):
+                    used.setdefault(sub.attr, set()).add((module, owner))
+    # a use inside the function's own body (recursion) is not a caller
+    return {
+        f"{module}.{name}"
+        for name, module in defined.items()
+        if not used.get(name, set()) - {(module, name)}
+    }
+
+
+def test_every_public_function_has_a_caller_or_a_reason():
+    kept = dict(UNCALLED)
+    assert len(kept) == len(UNCALLED)
+    uncalled = _uncalled()
+    assert uncalled - set(kept) == set(), "public functions with no caller in liereg"
+    assert set(kept) - uncalled == set(), "listed as uncalled, but now called or gone"
+    assert all(reason for reason in kept.values())

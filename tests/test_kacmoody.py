@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 
 from fractions import Fraction
 
 import pytest
 
-from liereg import checks, kacmoody, linalg
+from liereg import checks, kacmoody, linalg, words
 from liereg.kacmoody import (
     GCM,
     GCMError,
@@ -15,12 +16,10 @@ from liereg.kacmoody import (
     act_e,
     act_f,
     act_h,
-    act_chevalley,
     coweight_torus_factor,
     exp_action,
     freudenthal_multiplicity,
     kostant_cone_test,
-    multibracket_rootvector,
     peter_weyl_rank,
     root_multiplicities,
     rootvector_is_zero,
@@ -127,9 +126,6 @@ def test_act_chevalley_sl2():
     assert not fv.is_zero()
     fffv = act_f(mod, 0, act_f(mod, 0, fv))
     assert fffv.is_zero()  # f^3 kills L(2)
-    assert act_chevalley(mod, ("f", 0), v) == fv
-    with pytest.raises(ValueError):
-        act_chevalley(mod, ("x", 0), v)
 
 
 def _assert_commutators(mod, weights):
@@ -304,18 +300,18 @@ def test_integrability_f_nilpotent_on_vectors():
 
 def test_multibracket_rootvector_a2():
     mod = IrrTrunc(A2, (1, 1), depth=3)
-    x = multibracket_rootvector(A2, (0, 1))
+    x = words.multibracket((0, 1))
     assert not rootvector_is_zero(mod, x, max_depth=2)
-    zero = multibracket_rootvector(A2, (0, 0))
+    zero = words.multibracket((0, 0))
     assert zero.is_zero()
     assert rootvector_is_zero(mod, zero, max_depth=2)
-    e0 = multibracket_rootvector(A2, (0,))
+    e0 = words.multibracket((0,))
     assert e0.terms == {(0,): 1}
 
 
 def test_exp_rootvector_action():
     mod = IrrTrunc(A2, (1, 1), depth=2)
-    x = multibracket_rootvector(A2, (0, 1))
+    x = words.multibracket((0, 1))
     hw = mod.highest_weight_vector()
     v = act_f(mod, 0, act_f(mod, 1, hw))  # the Verma monomial f_0 f_1 v
     xv = kacmoody.act_e_poly(mod, x, v)
@@ -443,3 +439,33 @@ def test_depth_extension_is_lazy_and_cached():
     out = exp_action(mod, KMFactor("f", 0, Fraction(1)), mod.highest_weight_vector())
     assert out.coefficient((6,)) == Fraction(1, 720)
     assert (6,) in mod._spaces
+
+
+def _build_digest(mod):
+    """sha256 prefix of every weight-space basis and every f/e matrix entry,
+    each entry written as type:value, so that a change of value or of type shows."""
+    h = hashlib.sha256()
+    for k in sorted(mod._spaces):
+        h.update(f"{k}:{mod._spaces[k].basis}\n".encode())
+    for name, table in (("f", mod._fmat), ("e", mod._emat)):
+        for key in sorted(table):
+            h.update(f"{name}{key}:".encode())
+            for row in table[key]:
+                h.update((",".join(f"{type(x).__name__}:{x}" for x in row) + ";").encode())
+            h.update(b"\n")
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "gcm,lam,depth,dim,digest",
+    [
+        (HYPERBOLIC, (1, 0), 9, 147, "b08fde32a055860e"),
+        (AFFINE, (1, 0), 12, 70, "78b68e96759ebbcd"),
+        (validate_gcm([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]), (1, 0, 0), 6, 22,
+         "c9161ecf2b3667de"),
+    ],
+)
+def test_weight_space_bases_and_matrices_are_pinned(gcm, lam, depth, dim, digest):
+    mod = IrrTrunc(gcm, lam, depth)
+    assert sum(mod.dimensions().values()) == dim
+    assert _build_digest(mod) == digest

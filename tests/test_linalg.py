@@ -13,10 +13,9 @@ def test_frac_passthrough():
     assert frac(2) == 2
 
 
-def test_mat_vec_and_vec_mat():
+def test_mat_vec():
     m = linalg.mat([[1, 2], [3, 4]])
     assert linalg.mat_vec(m, (1, 1)) == (3, 7)
-    assert linalg.vec_mat((1, 1), m) == (4, 6)
 
 
 def test_kron_shape_and_values():
@@ -227,13 +226,6 @@ def test_operator_pull_back_matches_reference(vm, int_matrix, int_vector):
 
 
 @SHAPES
-@given(matrices(), st.data())
-def test_vec_mat_matches_reference(m, data):
-    v = data.draw(matrices(rows=1, cols=len(m)))[0]
-    assert linalg.vec_mat(v, m) == ref_vec_mat(v, m)
-
-
-@SHAPES
 @given(composable())
 def test_mat_mul_matches_reference(ab):
     a, b = ab
@@ -323,32 +315,21 @@ def test_mat_mul_multiplies_only_nonzero_pairs():
     assert CountingFraction.products == pairs
 
 
-def _products(kernel, *args):
-    CountingFraction.products = 0
-    kernel(*args)
-    return CountingFraction.products
-
-
-def test_matrix_vector_products_skip_zeros_only_in_sparse_matrices():
+def test_operator_is_sparse_up_to_a_tenth_nonzero():
     n = 10
-    ones = tuple(CountingFraction(1) for _ in range(n))
+    v = tuple(Fraction(j - 4, j % 3 + 1) for j in range(n))
 
-    def first_nonzero(k):  # the first k entries, row by row, are 1, the rest 0
-        flat = [CountingFraction(int(i < k)) for i in range(n * n)]
+    def first_nonzero(k):  # the first k entries, row by row, nonzero, the rest 0
+        flat = [Fraction(i + 1, 2) if i < k else ZERO for i in range(n * n)]
         return tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
 
-    # a tenth of the entries nonzero: sparse, only nonzero pairs multiplied
-    m = first_nonzero(n * n // 10)
-    assert _products(linalg.mat_vec, m, ones) == n * n // 10
-    assert _products(linalg.vec_mat, ones, m) == n * n // 10
-    # one more nonzero, half, all: dense, every pair multiplied, so the cost
-    # does not depend on where the zeros are
-    for k in (n * n // 10 + 1, n * n // 2, n * n):
+    # sparse at exactly n^2/10 nonzero entries, dense from one more on
+    for k, sparse in ((n * n // 10, True), (n * n // 10 + 1, False)):
         m = first_nonzero(k)
-        assert _products(linalg.mat_vec, m, ones) == n * n
-        assert _products(linalg.vec_mat, ones, m) == n * n
-        assert linalg.mat_vec(m, ones) == ref_mat_vec(m, ones)
-        assert linalg.vec_mat(ones, m) == ref_vec_mat(ones, m)
+        op = linalg.Operator(m)
+        assert op.sparse is sparse
+        assert op.apply(v) == ref_mat_vec(m, v)
+        assert op.pull_back(v) == ref_vec_mat(v, m)
 
 
 # ---------------------------------------------------------------------------

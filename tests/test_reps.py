@@ -49,9 +49,11 @@ class CountingFraction(Fraction):
 
 
 def test_letter_operators_are_built_once_and_run_on_integers(monkeypatch):
-    calls = []
-    sparse = linalg._sparse
-    monkeypatch.setattr(linalg, "_sparse", lambda m: calls.append(1) or sparse(m))
+    calls = []  # one entry per Operator built, wherever it is built
+    init = linalg.Operator.__init__
+    monkeypatch.setattr(
+        linalg.Operator, "__init__", lambda self, m: calls.append(1) or init(self, m)
+    )
     abc = Alphabet(("e1", "e2", "e3"))
     vnj = reps.make_VNJ(abc, 4, (0, 1, 2))
     assert vnj.dim == 121 and len(calls) == 3
