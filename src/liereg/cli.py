@@ -304,8 +304,9 @@ def cmd_km_mult(args):
     gcm, lam = _km_weight(args)
     k = _nonnegative_ints(_load_json(args.k, "k"), "k", gcm.n)
     mod = IrrTrunc(gcm, lam, depth=sum(k), depth_cap=_depth_cap(), dim_cap=_dim_cap())
-    gram = mod.weight_multiplicity(k)
-    out = {"depth": list(k), "gram-rank": gram}
+    mult = mod.weight_multiplicity(k)
+    # "gram-rank" is the old name of "multiplicity", kept for one release
+    out = {"depth": list(k), "multiplicity": mult, "gram-rank": mult}
     if args.oracle:
         out["freudenthal"] = kacmoody.freudenthal_multiplicity(gcm, lam, k)
     _emit(out)

@@ -13,8 +13,10 @@ Weights are tracked as depth vectors k with lambda = Lambda - sum k_i alpha_i.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, sub
 
 from . import linalg, words
 from .linalg import Echelon, frac
@@ -44,25 +46,30 @@ class TruncationError(linalg.CapError):
 
 
 class GCM:
-    """Symmetrizable generalized Cartan matrix with a fixed least symmetrizer."""
+    """Symmetrizable generalized Cartan matrix with a fixed least symmetrizer.
+
+    `d` holds the least positive integers with d_i a_ij = d_j a_ji, and `b`
+    the symmetrized matrix b_ij = d_i a_ij, so the invariant form on the root
+    lattice, (beta|gamma) = sum_ij beta_i b_ij gamma_j, is integral and
+    every pairing below is an int.
+    """
 
     def __init__(self, a, d):
         self.a = tuple(tuple(int(x) for x in row) for row in a)
-        self.d = tuple(frac(x) for x in d)
+        self.d = tuple(int(x) for x in d)
+        self.b = tuple(tuple(di * x for x in row) for di, row in zip(self.d, self.a))
         self.n = len(self.a)
 
-    def sym(self, i: int, j: int) -> Fraction:
+    def sym(self, i: int, j: int) -> int:
         """Invariant form on simple roots: (alpha_i | alpha_j) = d_i a_ij."""
-        return self.d[i] * self.a[i][j]
+        return self.b[i][j]
 
-    def bilinear(self, beta, gamma) -> Fraction:
-        total = Fraction(0)
-        for i, bi in enumerate(beta):
-            if bi:
-                for j, gj in enumerate(gamma):
-                    if gj:
-                        total += bi * gj * self.sym(i, j)
-        return total
+    def pair_vector(self, beta) -> tuple:
+        """B beta: the coordinates of gamma -> (gamma|beta) = sum_i gamma_i (B beta)_i."""
+        return tuple(sum(x * y for x, y in zip(row, beta) if y) for row in self.b)
+
+    def bilinear(self, beta, gamma) -> int:
+        return sum(x * y for x, y in zip(self.pair_vector(beta), gamma) if y)
 
     def __repr__(self):
         return f"GCM({[list(r) for r in self.a]})"
@@ -110,85 +117,86 @@ def validate_gcm(a) -> GCM:
                     elif d[j] != required:
                         raise GCMError("matrix is not symmetrizable")
     # rescale to least positive integers (per connected component jointly)
-    lcm = 1
-    for x in d:
-        lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
-    d = [x * lcm for x in d]
-    g = 0
-    for x in d:
-        g = _gcd(g, x.numerator)
-    d = [x / g for x in d]
-    return GCM(a, d)
-
-
-def _gcd(a, b):
-    a, b = abs(int(a)), abs(int(b))
-    while b:
-        a, b = b, a % b
-    return a
+    d = [x * math.lcm(*(y.denominator for y in d)) for x in d]
+    g = math.gcd(*(x.numerator for x in d))
+    return GCM(a, [x / g for x in d])
 
 
 # ---------------------------------------------------------------------------
 # Root multiplicities (Peterson recurrence) and the Freudenthal oracle.
+#
+# Both run in integers over the root support.  Peterson's recurrence (Kac,
+# Infinite-dimensional Lie algebras, Ex. 11.11) reads, for beta in Q_+,
+#
+#     (beta|beta - 2 rho) c_beta = sum_{beta' + beta'' = beta} (beta'|beta'') c_beta' c_beta'',
+#     c_beta = sum_{k >= 1} mult(beta/k) / k,
+#
+# with (alpha_i|rho) = d_i.  Up to height h every c_beta is a multiple of
+# 1/L for L = lcm(1..h), so the integers C_beta = L c_beta carry it:
+#
+#     (beta|beta - 2 rho) L C_beta = sum (beta'|beta'') C_beta' C_beta'',
+#     mult(beta) = (C_beta - sum_{k >= 2} mult(beta/k) L/k) / L.
+#
+# Both divisions must be exact, and that is checked: a remainder (or a
+# negative multiplicity) means the recurrence went wrong.  Only the nonzero
+# C_beta' are stored, and the sum runs over them alone.  Freudenthal's
+# formula pairs against B alpha, precomputed for each root, so each
+# (beta|alpha) is one integer dot product and its final division is exact.
 
 
 def root_multiplicities(gcm: GCM, max_height: int) -> dict:
     """Multiplicities of positive roots up to the given height.
 
-    Peterson's recurrence, run over the positive root lattice in height
-    order; returns {depth vector: multiplicity} for the actual roots.
+    Peterson's recurrence, run in integers in height order; returns
+    {depth vector: multiplicity} for the actual roots.  The right-hand side
+    at height h is gathered from the pairs of stored C_beta' whose heights
+    add up to h, so only sums of two multiples of roots are visited, never
+    the whole lattice.
     """
-    n = gcm.n
-    rho_pair = gcm.d  # (alpha_i | rho) = d_i since rho(h_i) = 1
-
-    mult: dict = {}
-    c: dict = {}
-
-    def lattice_points(height):
-        for ks in itertools.product(range(height + 1), repeat=n):
-            if sum(ks) == height:
-                yield ks
-
-    for height in range(1, max_height + 1):
-        for beta in lattice_points(height):
-            if height == 1:
-                mult[beta] = 1
-                c[beta] = Fraction(1)
-                continue
-            rhs = Fraction(0)
-            for bp in _positive_summands(beta):
-                bpp = tuple(b - p for b, p in zip(beta, bp))
-                cb1 = c.get(bp)
-                cb2 = c.get(bpp)
-                if cb1 and cb2:
-                    rhs += gcm.bilinear(bp, bpp) * cb1 * cb2
-            denom = gcm.bilinear(beta, beta) - 2 * sum(
-                b * r for b, r in zip(beta, rho_pair)
-            )
-            # c_beta = sum_{k>=1} mult(beta/k)/k; peel off the proper divisors
+    if max_height < 1:
+        return {}
+    scale = math.lcm(*range(1, max_height + 1))  # L
+    simple = sorted(tuple(int(i == j) for j in range(gcm.n)) for i in range(gcm.n))
+    mult = {alpha: 1 for alpha in simple}
+    # height -> [(beta, B beta, C_beta)] for the nonzero C_beta of that height
+    support = {1: [(alpha, gcm.pair_vector(alpha), scale) for alpha in simple]}
+    for height in range(2, max_height + 1):
+        rhs: dict = {}
+        for h1 in range(1, height // 2 + 1):
+            # (beta'|beta'') C' C'' is symmetric: unequal heights count twice
+            twice = 1 if 2 * h1 == height else 2
+            for bp, pair_bp, cb1 in support.get(h1, ()):
+                cb1 *= twice
+                for bpp, _, cb2 in support.get(height - h1, ()):
+                    beta = tuple(map(add, bp, bpp))
+                    rhs[beta] = rhs.get(beta, 0) + sum(map(mul, pair_bp, bpp)) * cb1 * cb2
+        # every C_beta is a sum of nonnegative terms, positive exactly on the
+        # multiples of roots; k alpha = alpha + (k - 1) alpha is a key already
+        for beta in sorted(rhs):
+            # L c_beta = sum_{k>=1} mult(beta/k) L/k; peel off the proper divisors
+            g = math.gcd(*beta)
             divisors = sum(
-                (Fraction(mult.get(tuple(b // k for b in beta), 0), k)
-                 for k in range(2, height + 1) if all(b % k == 0 for b in beta)),
-                Fraction(0),
+                mult.get(tuple(b // k for b in beta), 0) * (scale // k)
+                for k in range(2, g + 1) if g % k == 0
             )
+            pair = gcm.pair_vector(beta)
+            denom = sum(map(mul, pair, beta)) - 2 * sum(map(mul, beta, gcm.d))
             # (beta|beta-2rho) = 0 only for beta = rho - w rho, which is not
             # a root of height > 1: then mult(beta) = 0
-            cb = rhs / denom if denom != 0 else divisors
-            m = cb - divisors
-            if m != 0:
-                assert m.denominator == 1 and m > 0, (beta, m)
-                mult[beta] = int(m)
-            if cb != 0:
-                c[beta] = cb
+            if denom:
+                cb, rem = divmod(rhs[beta], denom * scale)
+                if rem:
+                    raise AssertionError((beta, Fraction(rhs[beta], denom * scale)))
+            else:
+                cb = divisors
+            if cb != divisors:
+                m, rem = divmod(cb - divisors, scale)
+                if rem or m <= 0:
+                    raise AssertionError((beta, Fraction(cb - divisors, scale)))
+                mult[beta] = m
+            if cb:
+                support.setdefault(height, []).append((beta, pair, cb))
     return mult
-
-
-def _positive_summands(beta):
-    """All nonzero lattice vectors strictly below beta componentwise sums."""
-    ranges = [range(b + 1) for b in beta]
-    for bp in itertools.product(*ranges):
-        if any(bp) and bp != beta:
-            yield bp
 
 
 def freudenthal_multiplicity(gcm: GCM, lam, beta, _cache=None) -> int:
@@ -199,42 +207,46 @@ def freudenthal_multiplicity(gcm: GCM, lam, beta, _cache=None) -> int:
         _cache = {}
     if beta in _cache:
         return _cache[beta]
-    roots = [  # (alpha, mult, (Lambda|alpha), (alpha|alpha)), up to beta's height
-        (alpha, mult_a,
-         sum(a * gcm.d[i] * lam[i] for i, a in enumerate(alpha)),
-         gcm.bilinear(alpha, alpha))
-        for alpha, mult_a in sorted(root_multiplicities(gcm, sum(beta)).items())
-    ]
-    return _freudenthal(gcm, lam, beta, roots, _cache)
+    lam_pairs = tuple(map(mul, gcm.d, lam))  # (alpha_i|Lambda) = d_i Lambda(h_i)
+    roots = []  # (alpha, mult, B alpha, (Lambda|alpha), (alpha|alpha)), up to beta's height
+    for alpha, mult_a in sorted(root_multiplicities(gcm, sum(beta)).items()):
+        pair = gcm.pair_vector(alpha)
+        roots.append((alpha, mult_a, pair, sum(map(mul, alpha, lam_pairs)),
+                      sum(map(mul, pair, alpha))))
+    lam_rho = tuple(map(add, lam_pairs, gcm.d))  # (alpha_i|Lambda + rho)
+    return _freudenthal(beta, roots, lam_rho, gcm, _cache)
 
 
-def _freudenthal(gcm: GCM, lam, beta, roots, cache) -> int:
+def _freudenthal(beta, roots, lam_rho, gcm: GCM, cache) -> int:
+    """mult(beta) from Freudenthal's formula at the weight Lambda - beta:
+
+        (2 (Lambda + rho|beta) - (beta|beta)) mult(beta)
+            = 2 sum_{alpha > 0, j >= 1} mult(alpha) mult(beta - j alpha) (Lambda - beta + j alpha|alpha).
+    """
     if beta in cache:
         return cache[beta]
-    if all(b == 0 for b in beta):
+    if not any(beta):
         return 1
-    denom = 2 * sum(
-        b * gcm.d[i] * (lam[i] + 1) for i, b in enumerate(beta)
-    ) - gcm.bilinear(beta, beta)
-    total = Fraction(0)
-    for alpha, mult_a, lam_pair, norm in roots:
-        j = 1
-        while True:
-            target = tuple(b - j * a for b, a in zip(beta, alpha))
-            if any(t < 0 for t in target):
-                break
-            m = _freudenthal(gcm, lam, target, roots, cache)
+    denom = 2 * sum(map(mul, beta, lam_rho)) - gcm.bilinear(beta, beta)
+    total = 0
+    for alpha, mult_a, pair, lam_pair, norm in roots:
+        steps = min(b // a for a, b in zip(alpha, beta) if a)
+        pairing = lam_pair - sum(map(mul, pair, beta))
+        target = beta
+        for _ in range(steps):
+            target = tuple(map(sub, target, alpha))
+            pairing += norm
+            m = _freudenthal(target, roots, lam_rho, gcm, cache)
             if m:
-                pairing = lam_pair - gcm.bilinear(beta, alpha) + j * norm
                 total += mult_a * m * pairing
-            j += 1
     if denom == 0:
-        assert total == 0, (lam, beta)
+        if total:
+            raise AssertionError((beta, total))
         result = 0
     else:
-        value = 2 * total / denom
-        assert value.denominator == 1 and value >= 0, (lam, beta, value)
-        result = int(value)
+        result, rem = divmod(2 * total, denom)
+        if rem or result < 0:
+            raise AssertionError((beta, Fraction(2 * total, denom)))
     cache[beta] = result
     return result
 
@@ -692,8 +704,8 @@ def kostant_cone_test(m: IrrTrunc, v: TruncVector, m2: IrrTrunc = None) -> bool:
             }
             if relevant:
                 ech.add(_flatten_tensor(blocks, relevant))
-        if m2 is not None:
-            assert ech.rank == m2.space(total_k, True).dim, total_k
+        if m2 is not None and ech.rank != m2.space(total_k, True).dim:
+            raise AssertionError(total_k)
         spans[total_k] = (blocks, ech)
         return spans[total_k]
 

@@ -148,6 +148,15 @@ def test_km_subcommands(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["total-dimension"] == 3
+    assert data["symmetrizer"] == ["1"]
+    code, out, _ = run(
+        capsys,
+        "km-build",
+        "--matrix", '{"matrix":[[2,-1],[-3,2]]}',
+        "--weight", "[0,1]",
+        "--depth", "1",
+    )
+    assert json.loads(out)["symmetrizer"] == ["3", "1"]
     code, out, _ = run(
         capsys,
         "km-mult",
@@ -157,7 +166,7 @@ def test_km_subcommands(capsys):
         "--oracle",
     )
     data = json.loads(out)
-    assert data["gram-rank"] == data["freudenthal"]
+    assert data["multiplicity"] == data["gram-rank"] == data["freudenthal"] == 2
     code, out, _ = run(
         capsys,
         "km-theta",
@@ -181,7 +190,7 @@ def test_km_mult_oracle_past_a_zero_peterson_denominator(capsys):
     )
     assert code == 0
     data = json.loads(out)
-    assert data["gram-rank"] == data["freudenthal"] == 1
+    assert data["multiplicity"] == data["gram-rank"] == data["freudenthal"] == 1
 
 
 def test_exit_codes(capsys):

@@ -1,9 +1,12 @@
 import hashlib
 import itertools
+import math
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from liereg import checks, kacmoody, linalg, words
 from liereg.kacmoody import (
@@ -35,6 +38,7 @@ B2 = validate_gcm([[2, -1], [-2, 2]])
 G2 = validate_gcm([[2, -1], [-3, 2]])
 A3 = validate_gcm([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
 HYPERBOLIC = validate_gcm([[2, -3], [-3, 2]])
+AFFINE_A2 = validate_gcm([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
 
 
 def _weights(n, depth):
@@ -86,6 +90,9 @@ def test_validate_gcm_symmetrizers():
     b2 = validate_gcm([[2, -1], [-2, 2]])
     assert b2.d == (2, 1)
     assert b2.sym(0, 1) == b2.sym(1, 0)
+    assert b2.b == ((4, -2), (-2, 2))
+    assert all(type(x) is int for x in b2.d + b2.b[0] + b2.b[1])
+    assert b2.bilinear((1, 1), (1, 2)) == 4 - 4 - 2 + 4
 
 
 def test_validate_gcm_rejections():
@@ -255,6 +262,154 @@ def test_freudenthal_runs_peterson_once(monkeypatch):
     monkeypatch.setattr(kacmoody, "root_multiplicities", counted)
     assert freudenthal_multiplicity(AFFINE, (1, 0), (4, 4)) == 5
     assert calls == [8]
+
+
+def _ref_bilinear(gcm, beta, gamma):
+    """(beta|gamma) = sum_ij beta_i d_i a_ij gamma_j over Fractions."""
+    total = Fraction(0)
+    for i, bi in enumerate(beta):
+        if bi:
+            for j, gj in enumerate(gamma):
+                if gj:
+                    total += bi * gj * Fraction(gcm.d[i]) * gcm.a[i][j]
+    return total
+
+
+def ref_root_multiplicities(gcm, max_height: int) -> dict:
+    """Peterson's recurrence over Fractions and every lattice point: the
+    earlier implementation, kept as the reference (with the form computed
+    by `_ref_bilinear` from the Cartan matrix and the symmetrizer)."""
+    n = gcm.n
+    rho_pair = gcm.d  # (alpha_i | rho) = d_i since rho(h_i) = 1
+
+    mult: dict = {}
+    c: dict = {}
+
+    def lattice_points(height):
+        for ks in itertools.product(range(height + 1), repeat=n):
+            if sum(ks) == height:
+                yield ks
+
+    for height in range(1, max_height + 1):
+        for beta in lattice_points(height):
+            if height == 1:
+                mult[beta] = 1
+                c[beta] = Fraction(1)
+                continue
+            rhs = Fraction(0)
+            for bp in _ref_positive_summands(beta):
+                bpp = tuple(b - p for b, p in zip(beta, bp))
+                cb1 = c.get(bp)
+                cb2 = c.get(bpp)
+                if cb1 and cb2:
+                    rhs += _ref_bilinear(gcm, bp, bpp) * cb1 * cb2
+            denom = _ref_bilinear(gcm, beta, beta) - 2 * sum(
+                b * r for b, r in zip(beta, rho_pair)
+            )
+            # c_beta = sum_{k>=1} mult(beta/k)/k; peel off the proper divisors
+            divisors = sum(
+                (Fraction(mult.get(tuple(b // k for b in beta), 0), k)
+                 for k in range(2, height + 1) if all(b % k == 0 for b in beta)),
+                Fraction(0),
+            )
+            # (beta|beta-2rho) = 0 only for beta = rho - w rho, which is not
+            # a root of height > 1: then mult(beta) = 0
+            cb = rhs / denom if denom != 0 else divisors
+            m = cb - divisors
+            if m != 0:
+                assert m.denominator == 1 and m > 0, (beta, m)
+                mult[beta] = int(m)
+            if cb != 0:
+                c[beta] = cb
+    return mult
+
+
+def _ref_positive_summands(beta):
+    """All nonzero lattice vectors strictly below beta componentwise sums."""
+    ranges = [range(b + 1) for b in beta]
+    for bp in itertools.product(*ranges):
+        if any(bp) and bp != beta:
+            yield bp
+
+
+@st.composite
+def symmetrizable_gcms(draw):
+    """Rank 2: any off-diagonal pair, both zero or both negative.  Rank 3:
+    a_ij = b_ij / d_i for a symmetric b with b_ii = 2 d_i and off-diagonal
+    entries nonpositive multiples of lcm(d_i, d_j)."""
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            return [[2, 0], [0, 2]]
+        a01, a10 = draw(st.integers(-5, -1)), draw(st.integers(-5, -1))
+        return [[2, a01], [a10, 2]]
+    d = draw(st.lists(st.integers(1, 3), min_size=3, max_size=3))
+    a = [[2 if i == j else 0 for j in range(3)] for i in range(3)]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        b_ij = -draw(st.integers(0, 2)) * math.lcm(d[i], d[j])
+        a[i][j], a[j][i] = b_ij // d[i], b_ij // d[j]
+    return a
+
+
+@settings(max_examples=80, deadline=None)
+@given(symmetrizable_gcms(), st.integers(0, 7))
+@example([[2, -1], [-4, 2]], 7)
+@example([[2, -5], [-2, 2]], 7)
+@example([[2, -2, 0], [-1, 2, -1], [0, -2, 2]], 7)
+@example([[2, -3], [-3, 2]], 7)
+def test_root_multiplicities_match_the_fraction_reference(a, height):
+    gcm = validate_gcm(a)
+    mult = root_multiplicities(gcm, height)
+    assert mult == ref_root_multiplicities(gcm, height)
+    assert list(mult) == list(ref_root_multiplicities(gcm, height))  # same order
+    assert all(type(m) is int for m in mult.values())
+
+
+def test_root_multiplicities_affine_a2_imaginary_roots():
+    # n delta = (n, n, n) has multiplicity 2 = rank of A2; real roots have 1
+    mult = root_multiplicities(AFFINE_A2, 12)
+    assert [mult[(n, n, n)] for n in range(1, 5)] == [2, 2, 2, 2]
+    assert all(m == 1 for beta, m in mult.items() if len(set(beta)) > 1)
+
+
+def _colored_partitions(n: int, colors: int) -> int:
+    """Coefficient of q^n in prod_{m >= 1} (1 - q^m)^(-colors)."""
+    if n < 0:
+        return 0
+    p = [1] + [0] * n
+    for _ in range(colors):
+        for part in range(1, n + 1):
+            for total in range(part, n + 1):
+                p[total] += p[total - part]
+    return p[n]
+
+
+def _frenkel_kac(a, k) -> int:
+    """Multiplicity of Lambda_0 - sum_i k_i alpha_i in the basic module of A_r^(1).
+
+    The weight is Lambda_0 + gamma - k_0 delta, delta = sum_i alpha_i and
+    gamma = sum_{i>0} (k_0 - k_i) alpha_i in the finite root lattice; it has
+    multiplicity p_r(k_0 - |gamma|^2 / 2), r-colored partitions (Frenkel-Kac).
+    """
+    r = len(k) - 1
+    gamma = [k[0] - x for x in k[1:]]
+    norm = sum(gamma[i] * a[i + 1][j + 1] * gamma[j] for i in range(r) for j in range(r))
+    return _colored_partitions(k[0] - norm // 2, r)
+
+
+@pytest.mark.parametrize("gcm,depth", [(AFFINE, 12), (AFFINE_A2, 9)], ids=["A1^(1)", "A2^(1)"])
+def test_freudenthal_matches_frenkel_kac_on_basic_modules(gcm, depth):
+    lam = (1,) + (0,) * (gcm.n - 1)
+    cache = {}
+    got = {k: freudenthal_multiplicity(gcm, lam, k, cache) for k in _weights(gcm.n, depth)}
+    assert got == {k: _frenkel_kac(gcm.a, k) for k in _weights(gcm.n, depth)}
+    assert max(got.values()) > 1
+
+
+def test_freudenthal_matches_the_hyperbolic_module_to_depth_10():
+    dims = IrrTrunc(HYPERBOLIC, (1, 0), depth=10).dimensions()
+    cache = {}
+    got = {k: freudenthal_multiplicity(HYPERBOLIC, (1, 0), k, cache) for k in _weights(2, 10)}
+    assert {k: m for k, m in got.items() if m} == dims
 
 
 def test_root_multiplicities_affine():
