@@ -12,8 +12,8 @@ from fractions import Fraction
 from operator import mul
 
 from . import linalg, reps, words
-from .linalg import Echelon, dot, frac, vec, vec_kron
-from .reps import RepSpec, act_poly, act_word
+from .linalg import Echelon, frac, vec, vec_kron
+from .reps import RepSpec, act_poly
 from .words import Alphabet, NcPoly, TermMap, Word, word_key
 
 DEFAULT_TUPLE_LEN = 3
@@ -38,14 +38,18 @@ class MatrixCoefficient:
     __slots__ = ("rep", "phi", "v")
 
     def __init__(self, rep: RepSpec, phi, v):
-        if len(phi) != rep.dim or len(v) != rep.dim:
-            raise ValueError("covector/vector length must match the module dimension")
+        rep.check_length(phi, "phi")
+        rep.check_length(v)
         self.rep = rep
         self.phi = vec(phi)
         self.v = vec(v)
 
     def evaluate_word(self, w: Word) -> Fraction:
-        return dot(self.phi, act_word(self.rep, w, self.v))
+        """phi(w . v), paired in integers: one Fraction, built at the end."""
+        d_phi, phi = linalg.integral(self.phi)
+        d_v, v = linalg.integral(self.v)
+        d_w, v = self.rep.image(w, v)
+        return Fraction(sum(map(mul, phi, v)), d_phi * d_v * d_w)
 
     def __repr__(self):
         return f"MatrixCoefficient(dim={self.rep.dim})"
@@ -205,37 +209,36 @@ class RhoExpansion:
         return f"RhoExpansion({self.letters}, {dict(self.items())})"
 
 
-def _expand_mc(rep: RepSpec, phi_vec, v, letters):
+def _expand_mc(rep: RepSpec, phi, v, den, letters):
+    """The development of phi(. v) along letters, for integer vectors phi and v
+    over the common denominator den; each index tuple is reached once."""
     if not letters:
-        c = dot(phi_vec, v)
-        return {(): c} if c != 0 else {}
+        c = sum(map(mul, phi, v))
+        return {(): Fraction(c, den)} if c else {}
     e = letters[-1]
     rest = letters[:-1]
     out = {}
     if rep.kind(e) == words.NILPOTENT:
         op = rep.operators[e]
-        u = v
         k = 0
-        factorial = 1
-        while not linalg.is_zero_vec(u):
+        while any(v):
             if k > rep.dim:
                 raise RuntimeError("non-terminating expansion on a nilpotent letter")
-            for ks, c in _expand_mc(rep, phi_vec, u, rest).items():
-                key = ks + (k,)
-                out[key] = out.get(key, Fraction(0)) + c / factorial
+            for ks, c in _expand_mc(rep, phi, v, den, rest).items():
+                out[ks + (k,)] = c
             k += 1
-            factorial *= k
-            u = op.apply(u)
+            # e^k v / k! = image^k(v) / (denom^k k!)
+            v = op.image(v)
+            den *= op.denom * k
     else:
         m = rep.matrices[e]
         by_eig = {}
         for i, x in enumerate(v):
-            if x != 0:
-                by_eig.setdefault(int(m[i][i]), [Fraction(0)] * rep.dim)[i] = x
+            if x:
+                by_eig.setdefault(int(m[i][i]), [0] * rep.dim)[i] = x
         for n, u in sorted(by_eig.items()):
-            for ks, c in _expand_mc(rep, phi_vec, tuple(u), rest).items():
-                key = ks + (n,)
-                out[key] = out.get(key, Fraction(0)) + c
+            for ks, c in _expand_mc(rep, phi, u, den, rest).items():
+                out[ks + (n,)] = c
     return out
 
 
@@ -243,7 +246,9 @@ def expand_rho(h, letters, alphabet: Alphabet = None) -> RhoExpansion:
     """Development of h along rho_(e1..ep), one position at a time."""
     letters = tuple(letters)
     if isinstance(h, MatrixCoefficient):
-        coeffs = _expand_mc(h.rep, h.phi, h.v, letters)
+        d_phi, phi = linalg.integral(h.phi)
+        d_v, v = linalg.integral(h.v)
+        coeffs = _expand_mc(h.rep, phi, v, d_phi * d_v, letters)
         return RhoExpansion(letters, coeffs)
     if alphabet is not None:
         for e in letters:

@@ -7,6 +7,7 @@ computed; group elements are only compared through their actions.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,36 +64,57 @@ class GroupWord(tuple):
         return all(a.letter != b.letter for a, b in zip(self, self[1:]))
 
 
-def act_factor(rep: RepSpec, factor: OneParamFactor, v):
+def _factor_image(rep: RepSpec, factor: OneParamFactor, ints):
+    """(D, u) with factor . ints = u / D, for an integer vector ints."""
     if rep.kind(factor.letter) != factor.kind:
         raise reps.RepError(
             f"factor kind {factor.kind} does not match the module kind of "
             f"letter {rep.alphabet.names[factor.letter]}"
         )
+    p, q = factor.param.numerator, factor.param.denominator
     if factor.kind == words.NILPOTENT:
+        # with t = p/q and M = R/D, the k-th term t^k M^k v / k! is
+        # term_k / ((qD)^k k!), term_k = p R term_(k-1); the sum is kept
+        # over the running denominator (qD)^k k!
         op = rep.operators[factor.letter]
-        out = vec(v)
-        term = vec(v)
-        k = 0
+        step = q * op.denom
+        acc = term = ints
+        den = k = 1
         while True:
-            k += 1
-            term = linalg.vec_scale(Fraction(factor.param, k), op.apply(term))
-            if linalg.is_zero_vec(term):
-                return out
-            out = linalg.vec_add(out, term)
+            term = [p * x for x in op.image(term)]
+            if not any(term):
+                return den, acc
+            scale = step * k
+            acc = [a * scale + x for a, x in zip(acc, term)]
+            den *= scale
             if k > rep.dim:
                 raise reps.RepError("exp series did not terminate: matrix not nilpotent")
-    s = factor.param
+            k += 1
+    # s^n with s = p/q, over q^top |p|^bottom: every entry stays an integer
     m = rep.matrices[factor.letter]
-    return tuple(x * s ** int(m[i][i]) for i, x in enumerate(v))
+    eigs = [int(m[i][i]) for i in range(rep.dim)]
+    top, bottom = max([0, *eigs]), -min([0, *eigs])
+    den = q**top * abs(p) ** bottom
+    scale = {n: den * p**n // q**n if n >= 0 else den * q**-n // p**-n for n in set(eigs)}
+    return den, [x * scale[n] for x, n in zip(ints, eigs)]
 
 
 def act_group(rep: RepSpec, g: GroupWord, v):
-    """Apply a group word; the rightmost factor acts first."""
-    out = vec(v)
+    """Apply a group word; the rightmost factor acts first.
+
+    The vector stays a list of ints over one denominator from the first
+    factor to the last, reduced by their gcd between factors.
+    """
+    rep.check_length(v)
+    d, ints = linalg.integral(v)
     for factor in reversed(g):
-        out = act_factor(rep, factor, out)
-    return out
+        d_f, ints = _factor_image(rep, factor, ints)
+        d *= d_f
+        c = math.gcd(d, *ints)
+        if c != 1:
+            d //= c
+            ints = [x // c for x in ints]
+    return linalg.over(ints, d)
 
 
 class RegularFunction:
@@ -101,6 +123,8 @@ class RegularFunction:
     __slots__ = ("rep", "phi", "v")
 
     def __init__(self, rep: RepSpec, phi, v):
+        rep.check_length(phi, "phi")
+        rep.check_length(v)
         self.rep = rep
         self.phi = vec(phi)
         self.v = vec(v)
@@ -175,7 +199,7 @@ def derive_right(e: int, f: RegularFunction) -> RegularFunction:
     nilpotent derivative at t=0 and the torus derivative at s=1 both give
     e acting on v.
     """
-    return RegularFunction(f.rep, f.phi, f.rep.operators[e].apply(f.v))
+    return RegularFunction(f.rep, f.phi, reps.act_word(f.rep, (e,), f.v))
 
 
 def derive_left(e: int, f: RegularFunction) -> RegularFunction:

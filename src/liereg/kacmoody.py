@@ -60,10 +60,6 @@ class GCM:
         self.b = tuple(tuple(di * x for x in row) for di, row in zip(self.d, self.a))
         self.n = len(self.a)
 
-    def sym(self, i: int, j: int) -> int:
-        """Invariant form on simple roots: (alpha_i | alpha_j) = d_i a_ij."""
-        return self.b[i][j]
-
     def pair_vector(self, beta) -> tuple:
         """B beta: the coordinates of gamma -> (gamma|beta) = sum_i gamma_i (B beta)_i."""
         return tuple(sum(x * y for x, y in zip(row, beta) if y) for row in self.b)
@@ -353,6 +349,10 @@ class IrrTrunc:
             return WeightSpace(k, ((),), self.lam)
         above = {j: self.space(_shift(k, j, -1), True) for j in range(n) if k[j]}
         count = sum(ws.dim for ws in above.values())
+        if not count:  # no candidates: V_k is zero, and so are its matrices
+            for i, src in above.items():
+                self._fmat[(i, src.depth)] = self._emat[(i, k)] = ()
+            return WeightSpace(k, (), self.lam_of(k))
         if count > self.dim_cap:
             raise linalg.CapError(
                 f"weight space candidate set of size {count} exceeds the dimension "

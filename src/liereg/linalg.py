@@ -14,11 +14,13 @@ that skips it.  Keeping the dense rows means callers, the JSON and
 A matrix applied many times, as a module's letter matrix is, becomes an
 :class:`Operator` once: ``RepSpec`` builds one per letter.  The operator
 holds integer rows over one common denominator and decides sparse or dense
-once, when it is built; a product then scales the vector to integers, runs
-integer dot products and builds one Fraction per nonzero output entry.  The
-integer product itself, ``Operator.image``, is a positive multiple of M v,
-and ``Operator.pull_back`` gives the row-vector product phi M on the same
-integer rows.
+once, when it is built.  Its product, ``Operator.image``, takes an integer
+vector and runs integer dot products: it gives denom * M v.  A whole action
+(a word, a polynomial, a group word on a module) clears its vector's
+denominators once with ``integral``, chains ``image`` over its letters while
+it multiplies the denominators, and builds one Fraction per nonzero output
+entry once, at the end, with ``over``.  ``Operator.pull_back`` gives the
+row-vector product phi M on the same integer rows.
 
 Elimination is fraction-free.  :class:`Echelon` clears an input vector's
 denominators once and keeps each row as a primitive integer row: the
@@ -118,8 +120,9 @@ def integral(v):
     return d, [x.numerator * (d // x.denominator) for x in v]
 
 
-def _over(sums, d) -> tuple:
-    return tuple(Fraction(s, d) if s else ZERO for s in sums)
+def over(ints, d) -> tuple:
+    """The vector ints / d as a tuple of Fractions: the inverse of integral."""
+    return tuple(Fraction(s, d) if s else ZERO for s in ints)
 
 
 class Operator:
@@ -153,11 +156,6 @@ class Operator:
             return [sum([ints[j] * a for j, a in row]) for row in self.rows]
         return [sum(map(mul, row, ints)) for row in self.rows]
 
-    def apply(self, v) -> tuple:
-        """M v, equal to mat_vec(M, v), with no Fraction arithmetic but the output."""
-        d, ints = integral(v)
-        return _over(self.image(ints), d * self.denom)
-
     def pull_back(self, phi) -> tuple:
         """The row vector phi M, on the same integer rows."""
         d, ints = integral(phi)
@@ -169,7 +167,7 @@ class Operator:
                         sums[j] += x * a
         else:
             sums = [sum(map(mul, ints, col)) for col in zip(*self.rows)]
-        return _over(sums, d * self.denom)
+        return over(sums, d * self.denom)
 
 
 def mat_mul(a, b) -> tuple:
@@ -258,7 +256,10 @@ class Echelon:
                         row[j] *= s
                 for j in support:
                     row[j] -= c * v[j]
-                self._supports[i] = row_support = [j for j, x in enumerate(row) if x]
+                # only columns where row or v was nonzero can be nonzero now
+                self._supports[i] = row_support = [
+                    j for j in sorted({*self._supports[i], *support}) if row[j]
+                ]
                 _make_primitive(row, row_support, self.pivots[i])
         idx = next((i for i, q in enumerate(self.pivots) if q > p), len(self.pivots))
         self.rows.insert(idx, v)
@@ -275,7 +276,7 @@ class Echelon:
 
     def basis(self):
         """The reduced rows, as tuples of Fraction."""
-        return [_over(row, row[p]) for row, p in zip(self.rows, self.pivots)]
+        return [over(row, row[p]) for row, p in zip(self.rows, self.pivots)]
 
 
 def _make_primitive(row, support, p) -> None:

@@ -10,11 +10,12 @@ Convention: a word acts first-letter-outermost,
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from types import MappingProxyType
 
 from . import linalg, words
-from .linalg import Echelon, Operator, mat, mat_mul, vec, zero_mat, zero_vec
+from .linalg import Echelon, Operator, mat, mat_mul, vec, zero_mat
 from .words import Alphabet, NcPoly, Word
 
 DEFAULT_DIM_CAP = 4096
@@ -53,6 +54,24 @@ class RepSpec:
 
     def basis_vector(self, i: int):
         return tuple(Fraction(1) if j == i else Fraction(0) for j in range(self.dim))
+
+    def check_length(self, v, field: str = "vector") -> None:
+        """Raise RepError, naming the field, unless v has one entry per basis vector."""
+        if len(v) != self.dim:
+            raise RepError(f"{field}: has length {len(v)}, module dimension is {self.dim}")
+
+    def image(self, w: Word, ints):
+        """(D, u) with w . ints = u / D, for an integer vector ints.
+
+        The letter operators run on ints in turn and their denominators
+        multiply up to D; no Fraction is built.
+        """
+        d = 1
+        for e in reversed(w):
+            op = self.operators[e]
+            ints = op.image(ints)
+            d *= op.denom
+        return d, ints
 
 
 def _is_nilpotent(m, dim) -> bool:
@@ -104,19 +123,27 @@ def eigenvalues(rep: RepSpec, letter: int):
 
 
 def act_word(rep: RepSpec, w: Word, v):
-    if len(v) != rep.dim:
-        raise RepError(f"vector has length {len(v)}, module dimension is {rep.dim}")
-    out = vec(v)
-    for e in reversed(w):
-        out = rep.operators[e].apply(out)
-    return out
+    rep.check_length(v)
+    d, ints = linalg.integral(v)
+    dw, ints = rep.image(w, ints)
+    return linalg.over(ints, d * dw)
 
 
 def act_poly(rep: RepSpec, x: NcPoly, v):
-    out = zero_vec(rep.dim)
+    """x . v, its terms summed in integers over one common denominator."""
+    rep.check_length(v)
+    d, ints = linalg.integral(v)
+    den, acc = 1, [0] * rep.dim
     for w, c in x.terms.items():
-        out = linalg.vec_add(out, linalg.vec_scale(c, act_word(rep, w, v)))
-    return out
+        dw, u = rep.image(w, ints)
+        dw *= c.denominator
+        common = math.lcm(den, dw)
+        if common != den:
+            acc = [a * (common // den) for a in acc]
+            den = common
+        s = c.numerator * (common // dw)
+        acc = [a + s * b for a, b in zip(acc, u)]
+    return linalg.over(acc, d * den)
 
 
 def tensor(r1: RepSpec, r2: RepSpec) -> RepSpec:

@@ -1,5 +1,6 @@
-"""Every public top-level function of liereg has a caller inside the package,
-or is listed below with the reason it stays without one."""
+"""Every public top-level function and every public method of a top-level
+class of liereg has a caller inside the package, or is listed below with the
+reason it stays without one."""
 import ast
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import liereg
 
 SRC = Path(liereg.__file__).parent
 
-# public functions that nothing in the package calls, kept on purpose
+# public functions and methods that nothing in the package calls, kept on purpose
 UNCALLED = (
     ("checks.run_suite", "runs one acceptance suite by name, for callers that want one"),
     ("duals.is_regular", "the paper's regularity criterion, with its certificate"),
@@ -22,24 +23,36 @@ UNCALLED = (
 )
 
 
+def _uses(node, module, owner, used):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.setdefault(sub.id, set()).add((module, owner))
+        elif isinstance(sub, ast.Attribute):
+            used.setdefault(sub.attr, set()).add((module, owner))
+
+
 def _uncalled():
-    defined, used = {}, {}
+    defined, used = {}, {}  # defined: qualified name -> (name, module, owner)
     for path in sorted(SRC.glob("*.py")):
         module = path.stem
         for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    owner = f"{node.name}.{getattr(item, 'name', '')}"
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        defined[f"{module}.{owner}"] = (item.name, module, owner)
+                    _uses(item, module, owner, used)
+                continue
             owner = getattr(node, "name", None)
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                defined[node.name] = module
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name):
-                    used.setdefault(sub.id, set()).add((module, owner))
-                elif isinstance(sub, ast.Attribute):
-                    used.setdefault(sub.attr, set()).add((module, owner))
-    # a use inside the function's own body (recursion) is not a caller
+                defined[f"{module}.{owner}"] = (node.name, module, owner)
+            _uses(node, module, owner, used)
+    # a use inside the function's own body (recursion) is not a caller; a
+    # method counts as called wherever an attribute of its name is read
     return {
-        f"{module}.{name}"
-        for name, module in defined.items()
-        if not used.get(name, set()) - {(module, name)}
+        qualified
+        for qualified, (name, module, owner) in defined.items()
+        if not used.get(name, set()) - {(module, owner)}
     }
 
 

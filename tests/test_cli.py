@@ -99,6 +99,20 @@ def test_act_subcommand(capsys):
     assert json.loads(out)["vector"] == ["1", "2", "6"]
 
 
+@pytest.mark.parametrize("vector", ['["1","0"]', '["1","0","0","0"]'])
+@pytest.mark.parametrize("action", [
+    ["--x", "e2.e1"],
+    ["--x", "[]"],
+    ["--group", '[{"letter":"e1","kind":"exp","param":"2"}]'],
+])
+def test_act_rejects_a_vector_of_the_wrong_length(capsys, vector, action):
+    rep = reps.make_chain(Alphabet(("e1", "e2")), (0, 1))
+    rep_json = json.dumps(jsonio.encode_rep(rep))
+    code, out, err = run(capsys, "act", "--rep", rep_json, "--vector", vector, *action)
+    assert code == 1 and out == ""
+    assert err.startswith("error: vector: has length") and "Traceback" not in err
+
+
 def test_membership_subcommand(capsys):
     code, out, _ = run(
         capsys, "membership", "--functional", "phi:e1.e2", "--bound", "2"

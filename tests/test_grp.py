@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liereg import duals, grp, linalg, reps, words
 from liereg.duals import MatrixCoefficient
 from liereg.grp import GroupWord, RegularFunction, exp_factor, torus_factor
 from liereg.words import Alphabet, NcPoly
+from test_reps import NIL_DIAG, ZERO, modules, ref_act_word, vectors
 
 
 AB = Alphabet(("e1", "e2"))
@@ -184,3 +187,158 @@ def test_group_faithfulness_witness():
     assert moved2[-1] == 385
     with pytest.raises(ValueError):
         grp.group_faithfulness_witness(GroupWord([exp_factor(0, 0)]), AB)
+
+
+# ---------------------------------------------------------------------------
+# Group actions and developments run on integer vectors over one
+# denominator; these compare them with the textbook Fraction formulas on the
+# modules of test_reps (sparse and dense e1, e2; d with eigenvalues of both
+# signs).
+
+ACTION = settings(max_examples=40, deadline=None)
+PARAMS = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6))
+
+
+def ref_act_group(rep, g, v):
+    """exp(t M) v = sum_k t^k M^k v / k! summed until a term is zero; s^d v
+    scales the entry of eigenvalue n by s^n."""
+    v = [Fraction(x) for x in v]
+    for f in reversed(g):
+        if f.kind == words.NILPOTENT:
+            out, term, k = list(v), v, 0
+            while any(term):
+                k += 1
+                term = [f.param / k * x for x in ref_act_word(rep, (f.letter,), term)]
+                out = [a + b for a, b in zip(out, term)]
+            v = out
+        else:
+            diag = rep.matrices[f.letter]
+            v = [x * f.param ** int(diag[i][i]) for i, x in enumerate(v)]
+    return tuple(v)
+
+
+@st.composite
+def group_words(draw):
+    factor = st.one_of(
+        st.builds(exp_factor, st.integers(0, 1), PARAMS),
+        st.builds(torus_factor, st.just(2), PARAMS.filter(bool)),
+    )
+    return GroupWord(draw(st.lists(factor, max_size=5)))
+
+
+@ACTION
+@given(st.data())
+def test_act_group_matches_reference(data):
+    rep = data.draw(modules())
+    v = data.draw(vectors(rep.dim))
+    g = data.draw(group_words())
+    out = grp.act_group(rep, g, v)
+    assert out == ref_act_group(rep, g, v)
+    assert all(type(x) is Fraction for x in out)
+    phi = data.draw(vectors(rep.dim))
+    assert RegularFunction(rep, phi, v)(g) == sum(
+        (a * b for a, b in zip(phi, out)), ZERO
+    )
+
+
+def ref_expansion(rep, phi, v, letters):
+    """phi(y_1 ... y_p v) over every index tuple: e^k / k! on a nilpotent
+    letter, the projection onto the eigenvalue n on a diagonal one."""
+    out = {}
+
+    def walk(u, i, ks):  # u = y_(i+1) ... y_p v
+        if not any(u):
+            return
+        if i == 0:
+            out[ks] = sum((a * b for a, b in zip(phi, u)), ZERO)
+            return
+        e = letters[i - 1]
+        if rep.kind(e) == words.NILPOTENT:
+            k = 0
+            while any(u):
+                walk(u, i - 1, (k,) + ks)
+                k += 1
+                u = [x / k for x in ref_act_word(rep, (e,), u)]
+        else:
+            for n in reps.eigenvalues(rep, e):
+                walk([x if rep.matrices[e][j][j] == n else ZERO for j, x in enumerate(u)],
+                     i - 1, (n,) + ks)
+
+    walk([Fraction(x) for x in v], len(letters), ())
+    return {ks: c for ks, c in out.items() if c}
+
+
+@ACTION
+@given(st.data())
+def test_taylor_expand_matches_reference(data):
+    rep = data.draw(modules())
+    phi, v = data.draw(vectors(rep.dim)), data.draw(vectors(rep.dim))
+    h = MatrixCoefficient(rep, phi, v)
+    nilpotent = data.draw(st.lists(st.integers(0, 1), max_size=3).map(tuple))
+    assert grp.taylor_expand(h, nilpotent).coeffs == ref_expansion(rep, phi, v, nilpotent)
+    mixed = data.draw(st.lists(st.integers(0, 2), max_size=3).map(tuple))
+    assert duals.expand_rho(h, mixed).coeffs == ref_expansion(rep, phi, v, mixed)
+
+
+class CountingFraction(Fraction):
+    """A Fraction that counts the sums and products it takes part in."""
+
+    ops = 0
+
+    def _count(name):
+        def op(self, other):
+            CountingFraction.ops += 1
+            return getattr(Fraction, name)(self, other)
+        return op
+
+    __mul__, __rmul__ = _count("__mul__"), _count("__rmul__")
+    __add__, __radd__ = _count("__add__"), _count("__radd__")
+    del _count
+
+
+def test_actions_run_without_fraction_arithmetic():
+    rep = reps.RepSpec(NIL_DIAG, 4, {
+        0: [[0, CountingFraction(2, 3), 0, 0], [0, 0, CountingFraction(-1, 2), 0],
+            [0, 0, 0, 5], [0, 0, 0, 0]],
+        1: [[0, 0, 0, CountingFraction(7, 4)], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+        2: [[2, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, 0], [0, 0, 0, -3]],
+    })
+    v = tuple(CountingFraction(i - 2, i + 1) for i in range(4))
+    g = GroupWord([
+        exp_factor(0, CountingFraction(-3, 2)),
+        torus_factor(2, CountingFraction(-2, 5)),
+        exp_factor(1, CountingFraction(4, 3)),
+    ])
+    h = MatrixCoefficient(rep, v, v)
+    x = NcPoly({(0, 1): CountingFraction(1, 2), (1,): CountingFraction(-3)})
+    CountingFraction.ops = 0
+    grp.act_group(rep, g, v)
+    reps.act_word(rep, (0, 1, 0), v)
+    reps.act_poly(rep, x, v)
+    h.evaluate_word((1, 0))
+    assert CountingFraction.ops == 0
+
+
+def test_group_actions_reject_a_vector_of_the_wrong_length():
+    rep = reps.make_chain(AB, (0, 1))
+    g = GroupWord([exp_factor(0, 2)])
+    for v in [(1, 0), (1, 0, 0, 0), ()]:
+        with pytest.raises(reps.RepError, match="^vector: has length"):
+            grp.act_group(rep, g, v)
+        with pytest.raises(reps.RepError, match="^vector: has length"):
+            grp.act_group(rep, GroupWord([]), v)
+        with pytest.raises(reps.RepError, match="^vector: has length"):
+            RegularFunction(rep, (0, 0, 1), v)
+        with pytest.raises(reps.RepError, match="^phi: has length"):
+            RegularFunction(rep, v, (1, 0, 0))
+
+
+def test_exp_of_a_letter_that_is_not_nilpotent_is_refused():
+    # the module is not validated, so the letter's matrix may be invertible
+    rep = reps.RepSpec(AB, 2, {0: [[1, 0], [0, 1]]})
+    with pytest.raises(reps.RepError, match="not nilpotent"):
+        grp.act_group(rep, GroupWord([exp_factor(0, 1)]), (1, 0))
+    with pytest.raises(RuntimeError, match="non-terminating"):
+        grp.taylor_expand(MatrixCoefficient(rep, (1, 0), (1, 0)), (0,))
+    with pytest.raises(reps.RepError, match="does not match"):
+        grp.act_group(rep, GroupWord([torus_factor(0, 2)]), (1, 0))

@@ -89,7 +89,7 @@ def test_validate_gcm_symmetrizers():
     assert AFFINE.d == (1, 1)
     b2 = validate_gcm([[2, -1], [-2, 2]])
     assert b2.d == (2, 1)
-    assert b2.sym(0, 1) == b2.sym(1, 0)
+    assert b2.b[0][1] == b2.b[1][0]  # (alpha_i | alpha_j) = d_i a_ij is symmetric
     assert b2.b == ((4, -2), (-2, 2))
     assert all(type(x) is int for x in b2.d + b2.b[0] + b2.b[1])
     assert b2.bilinear((1, 1), (1, 2)) == 4 - 4 - 2 + 4

@@ -174,6 +174,12 @@ def test_dot_and_mat_vec_match_reference(mv):
         assert linalg.dot(row, v) == ref_dot(row, v)
 
 
+def _apply(op, v):
+    """M v through the operator's integer product, as a module action runs it."""
+    d, ints = linalg.integral(v)
+    return linalg.over(op.image(ints), d * op.denom)
+
+
 @SHAPES
 @given(mat_and_vec(), st.booleans(), st.booleans())
 @example(((), ()), False, False)  # 0x0
@@ -185,7 +191,7 @@ def test_operator_matches_reference(mv, int_matrix, int_vector):
         m = tuple(tuple(x.numerator for x in row) for row in m)
     if int_vector:
         v = tuple(x.numerator for x in v)
-    out = linalg.Operator(m).apply(v)
+    out = _apply(linalg.Operator(m), v)
     assert out == ref_mat_vec(m, v)
     assert all(type(x) is Fraction for x in out)
 
@@ -328,7 +334,7 @@ def test_operator_is_sparse_up_to_a_tenth_nonzero():
         m = first_nonzero(k)
         op = linalg.Operator(m)
         assert op.sparse is sparse
-        assert op.apply(v) == ref_mat_vec(m, v)
+        assert _apply(op, v) == ref_mat_vec(m, v)
         assert op.pull_back(v) == ref_vec_mat(v, m)
 
 

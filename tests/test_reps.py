@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liereg import linalg, reps, words
+from liereg.duals import MatrixCoefficient
 from liereg.linalg import CapError
 from liereg.reps import RepError, RepSpec
 from liereg.words import Alphabet, NcPoly
@@ -191,3 +194,108 @@ def test_support():
     trivial = RepSpec(AB, 1, {})
     assert reps.support(trivial) == frozenset()
     assert reps.support(reps.make_VNJ(AB, 2, (0,))) == frozenset({0})
+
+
+# ---------------------------------------------------------------------------
+# Word and polynomial actions carry the vector as integers over one
+# denominator; these compare them with the textbook Fraction formulas.
+
+ACTION = settings(max_examples=40, deadline=None)
+ZERO = Fraction(0)
+NIL_DIAG = Alphabet(("e1", "e2", "d"), (words.NILPOTENT, words.NILPOTENT, words.DIAGONAL))
+
+
+def _entries(draw, n, zero_pct):
+    """n Fractions: a drawn share of zeros, mixed denominators, both signs."""
+    nonzero = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+    return [ZERO if draw(st.integers(0, 99)) < zero_pct else draw(nonzero) for _ in range(n)]
+
+
+@st.composite
+def modules(draw):
+    """A module over NIL_DIAG: e1, e2 strictly upper triangular in a permuted
+    basis, from all zero to dense (so both sparse and dense operators), and d
+    diagonal with eigenvalues of both signs."""
+    dim = draw(st.integers(1, 9))
+    perm = draw(st.permutations(range(dim)))
+    mats = {}
+    for e in (0, 1):
+        zero_pct = draw(st.integers(0, 100))
+        m = [[ZERO] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j, x in enumerate(_entries(draw, dim - i - 1, zero_pct), i + 1):
+                m[perm[i]][perm[j]] = x
+        mats[e] = m
+    mats[2] = [[Fraction(draw(st.integers(-3, 3))) if i == j else ZERO for j in range(dim)]
+               for i in range(dim)]
+    return RepSpec(NIL_DIAG, dim, mats)
+
+
+@st.composite
+def vectors(draw, dim):
+    v = _entries(draw, dim, draw(st.integers(0, 100)))
+    if draw(st.booleans()):  # plain ints, as callers may pass them
+        v = [x.numerator for x in v]
+    return tuple(v)
+
+
+NIL_WORDS = st.lists(st.integers(0, 1), max_size=6).map(tuple)
+
+
+def ref_act_word(rep, w, v):
+    out = [Fraction(x) for x in v]
+    for e in reversed(w):
+        out = [sum((a * b for a, b in zip(row, out)), ZERO) for row in rep.matrices[e]]
+    return tuple(out)
+
+
+@ACTION
+@given(st.data())
+def test_act_word_matches_reference(data):
+    rep = data.draw(modules())
+    v = data.draw(vectors(rep.dim))
+    w = data.draw(st.lists(st.integers(0, 2), max_size=6).map(tuple))
+    out = reps.act_word(rep, w, v)
+    assert out == ref_act_word(rep, w, v)
+    assert all(type(x) is Fraction for x in out)
+
+
+@ACTION
+@given(st.data())
+def test_act_poly_matches_reference(data):
+    rep = data.draw(modules())
+    v = data.draw(vectors(rep.dim))
+    coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+    x = NcPoly(data.draw(st.dictionaries(NIL_WORDS, coeff, max_size=5)))
+    expected = [ZERO] * rep.dim
+    for w, c in x.terms.items():
+        expected = [a + c * b for a, b in zip(expected, ref_act_word(rep, w, v))]
+    out = reps.act_poly(rep, x, v)
+    assert out == tuple(expected)
+    assert all(type(y) is Fraction for y in out)
+
+
+@ACTION
+@given(st.data())
+def test_evaluate_word_matches_reference(data):
+    rep = data.draw(modules())
+    phi, v = data.draw(vectors(rep.dim)), data.draw(vectors(rep.dim))
+    h = MatrixCoefficient(rep, phi, v)
+    for w in data.draw(st.lists(st.lists(st.integers(0, 2), max_size=5), max_size=4)):
+        value = h.evaluate_word(tuple(w))
+        image = ref_act_word(rep, tuple(w), v)
+        assert value == sum((a * b for a, b in zip(phi, image)), ZERO)
+        assert type(value) is Fraction
+
+
+def test_actions_reject_a_vector_of_the_wrong_length():
+    rep = chain12()
+    for v in [(1, 0), (1, 0, 0, 0), ()]:
+        with pytest.raises(RepError, match="^vector: has length"):
+            reps.act_word(rep, (), v)
+        with pytest.raises(RepError, match="^vector: has length"):
+            reps.act_poly(rep, NcPoly.zero(), v)
+        with pytest.raises(RepError, match="^vector: has length"):
+            MatrixCoefficient(rep, (1, 0, 0), v)
+        with pytest.raises(RepError, match="^phi: has length"):
+            MatrixCoefficient(rep, v, (1, 0, 0))
