@@ -12,8 +12,8 @@ from fractions import Fraction
 from operator import mul
 
 from . import linalg, reps, words
-from .linalg import Echelon, frac, vec, vec_kron
-from .reps import RepSpec, act_poly
+from .linalg import Echelon, frac, vec
+from .reps import RepSpec
 from .words import Alphabet, NcPoly, TermMap, Word, word_key
 
 DEFAULT_TUPLE_LEN = 3
@@ -33,26 +33,42 @@ class FiniteFunctional(TermMap):
 
 
 class MatrixCoefficient:
-    """Rep-backed functional h(x) = phi(x . v)."""
+    """Rep-backed functional h(x) = phi(x . v): phi and v are stored as pairs
+    (d, ints) for ints / d, with read-only Fraction views `phi` and `v`."""
 
-    __slots__ = ("rep", "phi", "v")
+    __slots__ = ("rep", "_phi", "_v")
 
     def __init__(self, rep: RepSpec, phi, v):
         rep.check_length(phi, "phi")
         rep.check_length(v)
         self.rep = rep
-        self.phi = vec(phi)
-        self.v = vec(v)
+        self._phi = linalg.integral(vec(phi))
+        self._v = linalg.integral(vec(v))
+
+    @property
+    def phi(self) -> tuple:
+        return linalg.over(self._phi[1], self._phi[0])
+
+    @property
+    def v(self) -> tuple:
+        return linalg.over(self._v[1], self._v[0])
 
     def evaluate_word(self, w: Word) -> Fraction:
         """phi(w . v), paired in integers: one Fraction, built at the end."""
-        d_phi, phi = linalg.integral(self.phi)
-        d_v, v = linalg.integral(self.v)
+        d_phi, phi = self._phi
+        d_v, v = self._v
         d_w, v = self.rep.image(w, v)
         return Fraction(sum(map(mul, phi, v)), d_phi * d_v * d_w)
 
     def __repr__(self):
         return f"MatrixCoefficient(dim={self.rep.dim})"
+
+
+def _coefficient(rep: RepSpec, phi, v) -> MatrixCoefficient:
+    """The MatrixCoefficient of phi and v given as pairs (d, ints)."""
+    h = object.__new__(MatrixCoefficient)
+    h.rep, h._phi, h._v = rep, phi, v
+    return h
 
 
 Functional = (FiniteFunctional, MatrixCoefficient)
@@ -89,7 +105,10 @@ def right_translate(x, h):
     """x |> h : y -> h(y x)."""
     x = _as_poly(x)
     if isinstance(h, MatrixCoefficient):
-        return MatrixCoefficient(h.rep, h.phi, act_poly(h.rep, x, h.v))
+        d_v, v = h._v
+        terms = ((c, *h.rep.image(u, v)) for u, c in x.terms.items())
+        den, moved = linalg.combine(terms, h.rep.dim)
+        return _coefficient(h.rep, h._phi, (d_v * den, moved))
     out = {}
     for u, cu in x.terms.items():
         if not u:
@@ -108,13 +127,10 @@ def left_translate(x, h):
     x = _as_poly(x)
     if isinstance(h, MatrixCoefficient):
         # phi(u y . v) = (phi M_u1 ... M_um)(y . v): pull phi back letter by letter
-        new_phi = linalg.zero_vec(h.rep.dim)
-        for u, cu in x.terms.items():
-            pulled = h.phi
-            for e in u:
-                pulled = h.rep.operators[e].pull_back(pulled)
-            new_phi = linalg.vec_add(new_phi, linalg.vec_scale(cu, pulled))
-        return MatrixCoefficient(h.rep, new_phi, h.v)
+        d_phi, phi = h._phi
+        terms = ((c, *h.rep.pull_back(u, phi)) for u, c in x.terms.items())
+        den, pulled = linalg.combine(terms, h.rep.dim)
+        return _coefficient(h.rep, (d_phi * den, pulled), h._v)
     out = {}
     for u, cu in x.terms.items():
         for w, c in h.terms.items():
@@ -161,7 +177,12 @@ def product(h1, h2, alphabet: Alphabet = None):
     if isinstance(h2, FiniteFunctional):
         h2 = realize_rep_backed(h2, alphabet or h1.rep.alphabet)
     rep = reps.tensor(h1.rep, h2.rep)
-    return MatrixCoefficient(rep, vec_kron(h1.phi, h2.phi), vec_kron(h1.v, h2.v))
+    return _coefficient(rep, _kron(h1._phi, h2._phi), _kron(h1._v, h2._v))
+
+
+def _kron(a, b):
+    """The Kronecker product of two vectors given as pairs (d, ints)."""
+    return a[0] * b[0], [x * y for x in a[1] for y in b[1]]
 
 
 class RhoExpansion:
@@ -231,11 +252,10 @@ def _expand_mc(rep: RepSpec, phi, v, den, letters):
             v = op.image(v)
             den *= op.denom * k
     else:
-        m = rep.matrices[e]
         by_eig = {}
-        for i, x in enumerate(v):
+        for i, (x, n) in enumerate(zip(v, rep.operators[e].diagonal())):
             if x:
-                by_eig.setdefault(int(m[i][i]), [0] * rep.dim)[i] = x
+                by_eig.setdefault(n, [0] * rep.dim)[i] = x
         for n, u in sorted(by_eig.items()):
             for ks, c in _expand_mc(rep, phi, u, den, rest).items():
                 out[ks + (n,)] = c
@@ -246,8 +266,7 @@ def expand_rho(h, letters, alphabet: Alphabet = None) -> RhoExpansion:
     """Development of h along rho_(e1..ep), one position at a time."""
     letters = tuple(letters)
     if isinstance(h, MatrixCoefficient):
-        d_phi, phi = linalg.integral(h.phi)
-        d_v, v = linalg.integral(h.v)
+        (d_phi, phi), (d_v, v) = h._phi, h._v
         coeffs = _expand_mc(h.rep, phi, v, d_phi * d_v, letters)
         return RhoExpansion(letters, coeffs)
     if alphabet is not None:
@@ -350,8 +369,8 @@ def in_shuffle_span(h, length_bound: int) -> bool:
     ops = [h.rep.operators[e] for e in sorted(reps.support(h.rep))]
     # layers are kept as integer rows: only their spans and whether phi
     # vanishes on them matter, and neither sees the scale of a vector
-    phi = linalg.integral(h.phi)[1]
-    layer = [linalg.integral(h.v)[1]]
+    phi = h._phi[1]
+    layer = [h._v[1]]
     past = Echelon()  # the sum of the layers beyond the bound
     for k in itertools.count(1):
         span = Echelon()

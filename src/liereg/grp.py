@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg, reps, words
+from . import duals, linalg, reps, words
 from .duals import (
     FiniteFunctional,
     MatrixCoefficient,
@@ -91,8 +91,7 @@ def _factor_image(rep: RepSpec, factor: OneParamFactor, ints):
                 raise reps.RepError("exp series did not terminate: matrix not nilpotent")
             k += 1
     # s^n with s = p/q, over q^top |p|^bottom: every entry stays an integer
-    m = rep.matrices[factor.letter]
-    eigs = [int(m[i][i]) for i in range(rep.dim)]
+    eigs = rep.operators[factor.letter].diagonal()
     top, bottom = max([0, *eigs]), -min([0, *eigs])
     den = q**top * abs(p) ** bottom
     scale = {n: den * p**n // q**n if n >= 0 else den * q**-n // p**-n for n in set(eigs)}
@@ -203,8 +202,8 @@ def derive_right(e: int, f: RegularFunction) -> RegularFunction:
 
 
 def derive_left(e: int, f: RegularFunction) -> RegularFunction:
-    """The right invariant derivation e <| f = d/dt|_e f(kappa_e(t) g)."""
-    return RegularFunction(f.rep, f.rep.operators[e].pull_back(f.phi), f.v)
+    """The right invariant derivation e <| f = d/dt|_e f(kappa_e(t) g): Xi(e <| Phi(f))."""
+    return xi_map(duals.left_translate((e,), phi_map(f)))
 
 
 def faithfulness_witness(x: NcPoly, alphabet: Alphabet, dim_cap: int = reps.DEFAULT_DIM_CAP):

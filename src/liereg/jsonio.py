@@ -115,9 +115,9 @@ def encode_rep(rep: RepSpec) -> dict:
             {
                 "name": rep.alphabet.names[e],
                 "kind": KIND_NAMES[rep.kind(e)],
-                "matrix": encode_matrix(rep.matrices[e]),
+                "matrix": encode_matrix(m),
             }
-            for e in rep.alphabet.letters()
+            for e, m in rep.matrices.items()
         ],
     }
     if rep.labels is not None:
@@ -150,9 +150,11 @@ def decode_rep(obj) -> RepSpec:
     for i, entry in enumerate(letters):
         if not isinstance(entry, dict) or "name" not in entry:
             raise SchemaError(f"rep.letters[{i}]: expected {{name, kind, matrix}}")
-        names.append(str(entry["name"]))
+        if not isinstance(entry["name"], str):
+            raise SchemaError(f"rep.letters[{i}].name: expected a string")
+        names.append(entry["name"])
         kind = entry.get("kind", "locally-nilpotent")
-        if kind not in KIND_VALUES:
+        if not isinstance(kind, str) or kind not in KIND_VALUES:
             raise SchemaError(f"rep.letters[{i}].kind: unknown kind {kind!r}")
         kinds.append(KIND_VALUES[kind])
         matrices[i] = decode_matrix(
@@ -222,7 +224,7 @@ def decode_group_word(alphabet: Alphabet, obj) -> GroupWord:
         except KeyError as exc:
             raise SchemaError(f"group[{i}].letter: unknown letter {exc.args[0]!r}") from exc
         kind = entry.get("kind", "exp")
-        if kind not in FACTOR_KIND_VALUES:
+        if not isinstance(kind, str) or kind not in FACTOR_KIND_VALUES:
             raise SchemaError(f"group[{i}].kind: expected 'exp' or 'torus'")
         param = decode_fraction(entry.get("param", "1"), f"group[{i}].param")
         try:

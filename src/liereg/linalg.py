@@ -1,50 +1,36 @@
-"""Exact rational linear algebra on small dense matrices.
+"""Exact rational linear algebra.
 
-Matrices are tuples of tuples of Fraction (row major), vectors are tuples
-of Fraction.  Everything here is deterministic: pivots are always the
-first nonzero entry scanning left to right, rows are processed in order.
+A matrix applied many times, as a module's letter is, is an
+:class:`Operator`: integer rows over one common denominator, built from
+the nonzero (column, value) pairs of its rows (``Operator.from_rows``
+clears rows of ints or Fractions once).  ``Operator.image`` gives
+denom * M v for an integer vector v, ``Operator.pull_back`` denom * phi M.
+An action clears its vector's denominators once with ``integral``, chains
+the integer products while it multiplies the denominators, and builds
+Fractions once, for the result, with ``over``; ``combine`` sums scaled
+integer vectors over one denominator and ``kron`` multiplies two matrices
+in the (column, value) form.
 
-Storage stays dense, but the kernels skip zero entries.  The modules the
-library works with (V_N(J), chains, their tensor products) have letter
-matrices that are almost all zero -- V_N(J) has at most one nonzero entry
-per column -- and a Fraction product costs far more than the truth test
-that skips it.  Keeping the dense rows means callers, the JSON and
-``RepSpec.matrices`` need not know about sparsity at all.
-
-A matrix applied many times, as a module's letter matrix is, becomes an
-:class:`Operator` once: ``RepSpec`` builds one per letter.  The operator
-holds integer rows over one common denominator and decides sparse or dense
-once, when it is built.  Its product, ``Operator.image``, takes an integer
-vector and runs integer dot products: it gives denom * M v.  A whole action
-(a word, a polynomial, a group word on a module) clears its vector's
-denominators once with ``integral``, chains ``image`` over its letters while
-it multiplies the denominators, and builds one Fraction per nonzero output
-entry once, at the end, with ``over``.  ``Operator.pull_back`` gives the
-row-vector product phi M on the same integer rows.
+An operator is sparse when at most a tenth of its entries are nonzero: it
+keeps its pairs and skips zeros.  A denser one keeps full integer rows and
+runs the plain loop, whose cost is fixed by the shapes; skipping its zeros
+would make the cost follow where a change of basis put them.  A letter of
+V_N(J) or of a chain has fewer nonzero entries than rows, so from dimension
+10 on it is sparse.  ``Operator`` alone makes this choice, once.
 
 Elimination is fraction-free.  :class:`Echelon` clears an input vector's
-denominators once and keeps each row as a primitive integer row: the
-reduced row times its pivot entry, with a positive pivot entry and gcd 1.
-Reduction and back-substitution cross-multiply and divide by the row gcd,
-in the manner of Bareiss (Math. Comp. 22, 1968), so no Fraction is built
-until ``basis()`` divides each row by its pivot entry.  The reduced row
-echelon form of a span is unique, so ``basis()``, ``rref``, ``rank`` and
-``solve`` give exactly what Gauss-Jordan elimination over the rationals
-gives.  For the same reason a span loop (``reps.submodule_generated``,
-``duals.in_shuffle_span``) may run on integer multiples of its vectors,
-from ``Operator.image`` to ``Echelon.rows`` and back: a span does not
-change when a vector is scaled, and neither does whether a functional
-vanishes on it.
+denominators once and keeps primitive integer rows: each reduced row times
+its positive pivot entry, with gcd 1.  Reduction and back-substitution
+cross-multiply and divide by the row gcd (Bareiss, Math. Comp. 22, 1968);
+``basis()`` divides by the pivot entries.  Pivots are the first nonzero
+entry from the left, rows are taken in order, and the reduced row echelon
+form of a span is unique, so ``basis()``, ``rref``, ``rank`` and ``solve``
+equal rational Gauss-Jordan elimination, and a span loop
+(``reps.submodule_generated``, ``duals.in_shuffle_span``) may run on
+integer multiples of its vectors: a span does not see their scale.
 
-An operator counts as sparse when at most a tenth of its entries are
-nonzero.  A letter matrix of V_N(J) or of a chain has fewer nonzero entries
-than rows, so from dimension 10 on it is always sparse.  Only a sparse
-operator has its zeros skipped; a denser one runs the plain dense loop,
-whose cost is fixed by the shapes.  Skipping its zeros would make the cost
-follow where a change of basis happened to put them: the same job on the
-same module, written in two random bases, could cost twice as much in one
-as in the other.  ``Operator`` is the only place that makes this choice;
-``mat_mul`` and the one-off ``mat_vec`` always skip zeros.
+The Kac-Moody modules keep their matrices as tuples of Fraction rows, for
+``mat_mul``, ``mat_vec``, ``transpose`` and ``zero_mat``.
 """
 from __future__ import annotations
 
@@ -53,7 +39,6 @@ from fractions import Fraction
 from operator import mul
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class CapError(RuntimeError):
@@ -70,39 +55,13 @@ def vec(entries) -> tuple:
     return tuple(frac(x) for x in entries)
 
 
-def mat(rows) -> tuple:
-    return tuple(vec(r) for r in rows)
-
-
-def zero_vec(n) -> tuple:
-    return (ZERO,) * n
-
-
 def zero_mat(n, m=None) -> tuple:
     m = n if m is None else m
     return tuple((ZERO,) * m for _ in range(n))
 
 
-def identity(n) -> tuple:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
 def is_zero_vec(v) -> bool:
     return not any(v)
-
-
-def is_zero_mat(m) -> bool:
-    return all(is_zero_vec(r) for r in m)
-
-
-def vec_add(u, v) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(c, v) -> tuple:
-    if not c:
-        return (ZERO,) * len(v)
-    return tuple(c * a if a else ZERO for a in v)
 
 
 def dot(u, v) -> Fraction:
@@ -128,27 +87,42 @@ def over(ints, d) -> tuple:
 class Operator:
     """A fixed matrix M as integer rows over one common denominator: M = rows / denom.
 
-    A sparse matrix (at most a tenth of its entries nonzero) keeps only the
-    (column, value) pairs of each row, a dense one its full integer rows; the
-    choice is made here, once.
+    Built from the nonzero (column, int value) pairs of each row, one per
+    column at most: a sparse matrix keeps them, a dense one full integer rows.
     """
 
     __slots__ = ("denom", "rows", "sparse", "width")
 
-    def __init__(self, m):
-        nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in m]
-        self.denom = denom = math.lcm(*{x.denominator for row in nonzero for _, x in row})
-        self.width = len(m[0]) if m else 0
-        self.sparse = 10 * sum(map(len, nonzero)) <= len(m) * self.width
+    def __init__(self, entries, denom, width):
+        self.denom = denom
+        self.width = width
+        self.sparse = 10 * sum(map(len, entries)) <= len(entries) * width
         if self.sparse:
-            self.rows = tuple(
-                tuple((j, x.numerator * (denom // x.denominator)) for j, x in row)
-                for row in nonzero
-            )
+            self.rows = tuple(map(tuple, entries))
         else:
-            self.rows = tuple(
-                tuple(x.numerator * (denom // x.denominator) for x in row) for row in m
-            )
+            self.rows = tuple(tuple(_dense(row, width)) for row in entries)
+
+    @classmethod
+    def from_rows(cls, m):
+        """The operator of a matrix given as rows of ints or Fractions."""
+        denom = math.lcm(*{x.denominator for row in m for x in row})
+        scaled = [[(j, x.numerator * (denom // x.denominator)) for j, x in enumerate(row) if x]
+                  for row in m]
+        return cls(scaled, denom, len(m[0]) if m else 0)
+
+    def entries(self):
+        """The nonzero (column, value) pairs of each row."""
+        if self.sparse:
+            return self.rows
+        return [[(j, x) for j, x in enumerate(row) if x] for row in self.rows]
+
+    def matrix(self) -> tuple:
+        """M as a tuple of rows of Fractions."""
+        return tuple(over(_dense(row, self.width), self.denom) for row in self.entries())
+
+    def diagonal(self) -> list:
+        """The diagonal entries of M as ints, for a matrix whose diagonal is integral."""
+        return [dict(row).get(i, 0) // self.denom for i, row in enumerate(self.entries())]
 
     def image(self, ints) -> list:
         """rows . ints, a list of ints: denom * M v for an integer vector v."""
@@ -156,18 +130,38 @@ class Operator:
             return [sum([ints[j] * a for j, a in row]) for row in self.rows]
         return [sum(map(mul, row, ints)) for row in self.rows]
 
-    def pull_back(self, phi) -> tuple:
-        """The row vector phi M, on the same integer rows."""
-        d, ints = integral(phi)
+    def pull_back(self, ints) -> list:
+        """ints . rows, a list of ints: denom * phi M for an integer row vector phi."""
         if self.sparse:
             sums = [0] * self.width
             for x, row in zip(ints, self.rows):
                 if x:
                     for j, a in row:
                         sums[j] += x * a
-        else:
-            sums = [sum(map(mul, ints, col)) for col in zip(*self.rows)]
-        return over(sums, d * self.denom)
+            return sums
+        return [sum(map(mul, ints, col)) for col in zip(*self.rows)]
+
+
+def _dense(pairs, width) -> list:
+    row = [0] * width
+    for j, x in pairs:
+        row[j] = x
+    return row
+
+
+def combine(terms, n):
+    """(D, ints) with ints / D the sum of c * u / d over the terms (c, d, u),
+    c rational and u n ints; D is the lcm of the c.denominator * d."""
+    den, acc = 1, [0] * n
+    for c, d, u in terms:
+        d *= c.denominator
+        common = math.lcm(den, d)
+        if common != den:
+            acc = [a * (common // den) for a in acc]
+            den = common
+        s = c.numerator * (common // d)
+        acc = [a + s * b for a, b in zip(acc, u)]
+    return den, acc
 
 
 def mat_mul(a, b) -> tuple:
@@ -184,23 +178,16 @@ def mat_mul(a, b) -> tuple:
     return tuple(out)
 
 
-def mat_add(a, b) -> tuple:
-    return tuple(vec_add(r, s) for r, s in zip(a, b))
-
-
 def transpose(m) -> tuple:
     if not m:
         return ()
     return tuple(zip(*m))
 
 
-def kron(a, b) -> tuple:
-    """Kronecker product, row-major block layout."""
-    if not a or not b:
-        return ()
-    return tuple(
-        tuple(x * y if x and y else ZERO for x in ra for y in rb) for ra in a for rb in b
-    )
+def kron(a, b, width) -> list:
+    """Kronecker product of two matrices given as rows of nonzero (column,
+    value) pairs, b of the given width: the same form, row-major block layout."""
+    return [[(j * width + k, x * y) for j, x in ra for k, y in rb] for ra in a for rb in b]
 
 
 def vec_kron(u, v) -> tuple:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from . import linalg, words
-from .linalg import Echelon, Operator, mat, mat_mul, vec, zero_mat
+from .linalg import Echelon, Operator, vec
 from .words import Alphabet, NcPoly, Word
 
 DEFAULT_DIM_CAP = 4096
@@ -28,26 +28,32 @@ class RepError(ValueError):
 class RepSpec:
     """One exact matrix per letter, plus the letter kinds.
 
-    `matrices` is the public dense form; `operators` holds each letter's
-    matrix as an :class:`~liereg.linalg.Operator`, built once here and used
-    for every product with a vector.  Both maps are read-only, so the two
-    forms cannot drift apart.  `labels` is optional human-readable metadata
-    for the basis; it never affects the algebra.
+    `operators` holds each letter's matrix, stored once, as an Operator: the
+    builders below emit them, and rows of ints or Fractions are cleared here.
+    `matrices` is a read-only Fraction view of them.  `labels` is optional
+    human-readable metadata for the basis.
     """
 
     def __init__(self, alphabet: Alphabet, dim: int, matrices, labels=None):
         self.alphabet = alphabet
         self.dim = dim
-        mats = {e: mat(m) for e, m in matrices.items()}
+        ops = {}
         for e in alphabet.letters():
-            if e not in mats:
-                mats[e] = zero_mat(dim)
-        for e, m in mats.items():
-            if len(m) != dim or any(len(r) != dim for r in m):
-                raise RepError(f"matrix for letter {alphabet.names[e]} is not {dim}x{dim}")
-        self.matrices = MappingProxyType(mats)
-        self.operators = MappingProxyType({e: Operator(m) for e, m in mats.items()})
+            m = matrices.get(e)
+            if m is None:
+                m = Operator([()] * dim, 1, dim)
+            elif not isinstance(m, Operator):
+                if len(m) != dim or any(len(r) != dim for r in m):
+                    raise RepError(f"matrix for letter {alphabet.names[e]} is not {dim}x{dim}")
+                m = Operator.from_rows(m)
+            ops[e] = m
+        self.operators = MappingProxyType(ops)
         self.labels = tuple(labels) if labels is not None else None
+
+    @property
+    def matrices(self):
+        """Each letter's matrix as a tuple of Fraction rows, computed from its operator."""
+        return MappingProxyType({e: op.matrix() for e, op in self.operators.items()})
 
     def kind(self, letter: int) -> str:
         return self.alphabet.kind(letter)
@@ -61,11 +67,7 @@ class RepSpec:
             raise RepError(f"{field}: has length {len(v)}, module dimension is {self.dim}")
 
     def image(self, w: Word, ints):
-        """(D, u) with w . ints = u / D, for an integer vector ints.
-
-        The letter operators run on ints in turn and their denominators
-        multiply up to D; no Fraction is built.
-        """
+        """(D, u) with w . ints = u / D, for an integer vector ints; no Fraction is built."""
         d = 1
         for e in reversed(w):
             op = self.operators[e]
@@ -73,27 +75,36 @@ class RepSpec:
             d *= op.denom
         return d, ints
 
-
-def _is_nilpotent(m, dim) -> bool:
-    # repeated squaring: index <= dim always suffices
-    power = m
-    steps = 1
-    while steps < dim:
-        if linalg.is_zero_mat(power):
-            return True
-        power = mat_mul(power, power)
-        steps *= 2
-    return linalg.is_zero_mat(power)
+    def pull_back(self, w: Word, ints):
+        """(D, p) with phi M_w1 ... M_wk = p / D, for an integer row vector phi = ints."""
+        d = 1
+        for e in w:
+            op = self.operators[e]
+            ints = op.pull_back(ints)
+            d *= op.denom
+        return d, ints
 
 
-def _is_integer_diagonal(m) -> bool:
-    for i, row in enumerate(m):
-        for j, x in enumerate(row):
-            if i != j and x != 0:
-                return False
-            if i == j and x.denominator != 1:
-                return False
+def _is_nilpotent(op: Operator) -> bool:
+    """Whether the ranks of M^k fall to 0: the row space of M^(k+1) lies in that
+    of M^k, so once two ranks agree the spaces do, and stay so."""
+    rows = [[0] * i + [1] + [0] * (op.width - i - 1) for i in range(op.width)]
+    while rows:
+        space = Echelon()
+        for row in rows:
+            row = op.pull_back(row)
+            if any(row):
+                space.add(row)
+        if space.rank == len(rows):
+            return False
+        rows = space.rows
     return True
+
+
+def _is_integer_diagonal(op: Operator) -> bool:
+    return all(
+        j == i and x % op.denom == 0 for i, row in enumerate(op.entries()) for j, x in row
+    )
 
 
 def validate_integrable(rep: RepSpec):
@@ -101,16 +112,15 @@ def validate_integrable(rep: RepSpec):
     violations = []
     for e in rep.alphabet.letters():
         name = rep.alphabet.names[e]
-        m = rep.matrices[e]
+        op = rep.operators[e]
         if rep.kind(e) == words.NILPOTENT:
-            if not _is_nilpotent(m, rep.dim):
+            if not _is_nilpotent(op):
                 violations.append(f"letter {name}: matrix is not nilpotent")
-        else:
-            if not _is_integer_diagonal(m):
-                violations.append(
-                    f"letter {name}: diagonalizable letters must be given as "
-                    "diagonal matrices with integer entries"
-                )
+        elif not _is_integer_diagonal(op):
+            violations.append(
+                f"letter {name}: diagonalizable letters must be given as "
+                "diagonal matrices with integer entries"
+            )
     return violations
 
 
@@ -118,8 +128,7 @@ def eigenvalues(rep: RepSpec, letter: int):
     """Diagonal entries of a diagonalizable letter, as a sorted set of ints."""
     if rep.kind(letter) != words.DIAGONAL:
         raise RepError("eigenvalues only defined for diagonalizable letters")
-    m = rep.matrices[letter]
-    return sorted({int(m[i][i]) for i in range(rep.dim)})
+    return sorted(set(rep.operators[letter].diagonal()))
 
 
 def act_word(rep: RepSpec, w: Word, v):
@@ -133,40 +142,34 @@ def act_poly(rep: RepSpec, x: NcPoly, v):
     """x . v, its terms summed in integers over one common denominator."""
     rep.check_length(v)
     d, ints = linalg.integral(v)
-    den, acc = 1, [0] * rep.dim
-    for w, c in x.terms.items():
-        dw, u = rep.image(w, ints)
-        dw *= c.denominator
-        common = math.lcm(den, dw)
-        if common != den:
-            acc = [a * (common // den) for a in acc]
-            den = common
-        s = c.numerator * (common // dw)
-        acc = [a + s * b for a, b in zip(acc, u)]
+    terms = ((c, *rep.image(w, ints)) for w, c in x.terms.items())
+    den, acc = linalg.combine(terms, rep.dim)
     return linalg.over(acc, d * den)
 
 
 def tensor(r1: RepSpec, r2: RepSpec) -> RepSpec:
-    """Tensor product module: letters act as x(x)1 + 1(x)x."""
+    """Tensor product module: letters act as x(x)1 + 1(x)x, summed from two
+    Kronecker products of integer rows over the lcm of the two denominators."""
     if r1.alphabet != r2.alphabet:
         raise RepError("tensor factors must share alphabet and kinds")
-    i1 = linalg.identity(r1.dim)
-    i2 = linalg.identity(r2.dim)
-    mats = {}
+    n1, n2 = r1.dim, r2.dim
+    ops = {}
     for e in r1.alphabet.letters():
-        mats[e] = linalg.mat_add(
-            linalg.kron(r1.matrices[e], i2), linalg.kron(i1, r2.matrices[e])
-        )
+        a, b = r1.operators[e], r2.operators[e]
+        d = math.lcm(a.denom, b.denom)
+        left = linalg.kron(a.entries(), [[(k, d // a.denom)] for k in range(n2)], n2)
+        right = linalg.kron([[(i, d // b.denom)] for i in range(n1)], b.entries(), n2)
+        rows = []
+        for left_row, right_row in zip(left, right):
+            merged = dict(left_row)
+            for j, y in right_row:
+                merged[j] = merged.get(j, 0) + y
+            rows.append([(j, x) for j, x in merged.items() if x])
+        ops[e] = Operator(rows, d, n1 * n2)
     labels = None
     if r1.labels is not None and r2.labels is not None:
         labels = tuple((a, b) for a in r1.labels for b in r2.labels)
-    return RepSpec(r1.alphabet, r1.dim * r2.dim, mats, labels)
-
-
-def dual_rep(rep: RepSpec) -> RepSpec:
-    """The dual module for g^op: transposed matrices, kinds preserved."""
-    mats = {e: linalg.transpose(m) for e, m in rep.matrices.items()}
-    return RepSpec(rep.alphabet, rep.dim, mats, rep.labels)
+    return RepSpec(r1.alphabet, n1 * n2, ops, labels)
 
 
 def submodule_generated(rep: RepSpec, v):
@@ -190,8 +193,10 @@ def submodule_generated(rep: RepSpec, v):
 
 def support(rep: RepSpec):
     """Letters acting by a nonzero matrix."""
+    # a sparse row holds nonzero (column, value) pairs, a dense one ints:
+    # either way any() finds a nonzero entry
     return frozenset(
-        e for e in rep.alphabet.letters() if not linalg.is_zero_mat(rep.matrices[e])
+        e for e in rep.alphabet.letters() if any(map(any, rep.operators[e].rows))
     )
 
 
@@ -217,15 +222,14 @@ def make_VNJ(alphabet: Alphabet, n: int, j_letters, dim_cap: int = DEFAULT_DIM_C
         )
     index = {w: i for i, w in enumerate(basis)}
     dim = len(basis)
-    mats = {}
+    ops = {}
     for e in j_letters:
-        rows = [[Fraction(0)] * dim for _ in range(dim)]
+        rows = [[] for _ in range(dim)]
         for w, i in index.items():
-            target = (e,) + w
-            if len(target) <= n:
-                rows[index[target]][i] = Fraction(1)
-        mats[e] = rows
-    return RepSpec(alphabet, dim, mats, labels=basis)
+            if len(w) < n:
+                rows[index[(e,) + w]].append((i, 1))
+        ops[e] = Operator(rows, 1, dim)
+    return RepSpec(alphabet, dim, ops, labels=basis)
 
 
 def make_chain(alphabet: Alphabet, seq) -> RepSpec:
@@ -240,12 +244,12 @@ def make_chain(alphabet: Alphabet, seq) -> RepSpec:
         if not alphabet.is_nilpotent(e):
             raise RepError("chain modules require locally nilpotent letters")
     dim = len(seq) + 1
-    mats = {}
+    rows = {}
     for stage, e in enumerate(seq):
-        rows = mats.setdefault(e, [[Fraction(0)] * dim for _ in range(dim)])
-        rows[stage + 1][stage] = Fraction(1)
+        rows.setdefault(e, [[] for _ in range(dim)])[stage + 1].append((stage, 1))
+    ops = {e: Operator(r, 1, dim) for e, r in rows.items()}
     labels = tuple(f"b{i}" for i in range(dim))
-    return RepSpec(alphabet, dim, mats, labels=labels)
+    return RepSpec(alphabet, dim, ops, labels=labels)
 
 
 def make_cyclic_pair(alphabet: Alphabet, e1: int, e2: int) -> RepSpec:
@@ -259,9 +263,8 @@ def make_cyclic_pair(alphabet: Alphabet, e1: int, e2: int) -> RepSpec:
     for e in (e1, e2):
         if not alphabet.is_nilpotent(e):
             raise RepError("cyclic pair module requires locally nilpotent letters")
-    z, o = Fraction(0), Fraction(1)
-    mats = {
-        e1: [[z, o], [z, z]],  # e1 b2 = b1
-        e2: [[z, z], [o, z]],  # e2 b1 = b2
+    ops = {
+        e1: Operator([[(1, 1)], []], 1, 2),  # e1 b2 = b1
+        e2: Operator([[], [(0, 1)]], 1, 2),  # e2 b1 = b2
     }
-    return RepSpec(alphabet, 2, mats, labels=("b1", "b2"))
+    return RepSpec(alphabet, 2, ops, labels=("b1", "b2"))

@@ -18,7 +18,6 @@ UNCALLED = (
     ("grp.torus_factor", "the torus factor s^d of a diagonalizable letter"),
     ("kacmoody.peter_weyl_rank", "the Peter-Weyl rank of matrix coefficients"),
     ("kacmoody.rootvector_is_zero", "whether a root vector acts by zero on L(Lambda)"),
-    ("reps.dual_rep", "the dual module, for the opposite algebra"),
     ("words.counit", "the counit of the Hopf algebra U(g)"),
 )
 

@@ -113,6 +113,24 @@ def test_act_rejects_a_vector_of_the_wrong_length(capsys, vector, action):
     assert err.startswith("error: vector: has length") and "Traceback" not in err
 
 
+NONSTRING_FIELDS = [
+    ('{"dim":2,"letters":[{"name":"e","kind":["x"],"matrix":[[0,1],[0,0]]}]}', None,
+     "rep.letters[0].kind"),
+    ('{"dim":2,"letters":[{"name":["e"],"matrix":[[0,1],[0,0]]}]}', None,
+     "rep.letters[0].name"),
+    ('{"dim":2,"letters":[{"name":"e","matrix":[[0,1],[0,0]]}]}',
+     '[{"letter":"e","param":"2","kind":["exp"]}]', "group[0].kind"),
+]
+
+
+@pytest.mark.parametrize("rep_json, group, field", NONSTRING_FIELDS)
+def test_act_rejects_a_field_that_is_not_a_string(capsys, rep_json, group, field):
+    action = ["--x", "e"] if group is None else ["--group", group]
+    code, out, err = run(capsys, "act", "--rep", rep_json, "--vector", "[1,0]", *action)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {field}: ") and "Traceback" not in err
+
+
 def test_membership_subcommand(capsys):
     code, out, _ = run(
         capsys, "membership", "--functional", "phi:e1.e2", "--bound", "2"

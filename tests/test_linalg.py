@@ -14,14 +14,14 @@ def test_frac_passthrough():
 
 
 def test_mat_vec():
-    m = linalg.mat([[1, 2], [3, 4]])
+    m = tuple(tuple(map(Fraction, row)) for row in ((1, 2), (3, 4)))
     assert linalg.mat_vec(m, (1, 1)) == (3, 7)
 
 
 def test_kron_shape_and_values():
-    a = linalg.mat([[1, 2]])
-    b = linalg.mat([[3], [4]])
-    assert linalg.kron(a, b) == ((3, 6), (4, 8))
+    a = [[(0, 1), (1, 2)]]  # the 1x2 matrix (1 2), as (column, value) pairs
+    b = [[(0, 3)], [(0, 4)]]  # the 2x1 matrix (3 4)^T
+    assert linalg.kron(a, b, 1) == [[(0, 3), (1, 6)], [(0, 4), (1, 8)]]
     assert linalg.vec_kron((1, 2), (3, 4)) == (3, 4, 6, 8)
 
 
@@ -180,6 +180,12 @@ def _apply(op, v):
     return linalg.over(op.image(ints), d * op.denom)
 
 
+def _pull(op, v):
+    """v M through the operator's integer pull-back."""
+    d, ints = linalg.integral(v)
+    return linalg.over(op.pull_back(ints), d * op.denom)
+
+
 @SHAPES
 @given(mat_and_vec(), st.booleans(), st.booleans())
 @example(((), ()), False, False)  # 0x0
@@ -191,7 +197,7 @@ def test_operator_matches_reference(mv, int_matrix, int_vector):
         m = tuple(tuple(x.numerator for x in row) for row in m)
     if int_vector:
         v = tuple(x.numerator for x in v)
-    out = _apply(linalg.Operator(m), v)
+    out = _apply(linalg.Operator.from_rows(m), v)
     assert out == ref_mat_vec(m, v)
     assert all(type(x) is Fraction for x in out)
 
@@ -226,7 +232,7 @@ def test_operator_pull_back_matches_reference(vm, int_matrix, int_vector):
         m = tuple(tuple(x.numerator for x in row) for row in m)
     if int_vector:
         v = tuple(x.numerator for x in v)
-    out = linalg.Operator(m).pull_back(v)
+    out = _pull(linalg.Operator.from_rows(m), v)
     assert out == ref_vec_mat(v, m)
     assert all(type(x) is Fraction for x in out)
 
@@ -238,12 +244,48 @@ def test_mat_mul_matches_reference(ab):
     assert linalg.mat_mul(a, b) == ref_mat_mul(a, b)
 
 
+def _pairs(m):
+    return [[(j, x) for j, x in enumerate(row) if x] for row in m]
+
+
+def _dense(pairs, width):
+    out = []
+    for row in pairs:
+        dense = [ZERO] * width
+        for j, x in row:
+            assert dense[j] == 0 and x  # one nonzero pair per column
+            dense[j] = x
+        out.append(tuple(dense))
+    return tuple(out)
+
+
 @SHAPES
-@given(matrices(), matrices())
-def test_kron_matches_reference(a, b):
-    assert linalg.kron(a, b) == ref_kron(a, b)
+@given(matrices(), matrices(), st.booleans())
+def test_kron_matches_reference(a, b, integer):
+    if integer:  # integer rows, as the tensor product passes them
+        a = tuple(tuple(Fraction(x.numerator) for x in row) for row in a)
+        b = tuple(tuple(Fraction(x.numerator) for x in row) for row in b)
+    wa, wb = (len(a[0]) if a else 0), (len(b[0]) if b else 0)
+    out = linalg.kron(_pairs(a), _pairs(b), wb)
+    assert _dense(out, wa * wb) == ref_kron(a, b)
     if a and b:
         assert linalg.vec_kron(a[0], b[0]) == ref_kron((a[0],), (b[0],))[0]
+
+
+@SHAPES
+@given(matrices(), st.booleans())
+@example(((Fraction(6), Fraction(1, 2)), (ZERO, Fraction(-4))), False)  # denom 2, integer diagonal
+def test_operator_round_trips_through_its_matrix(m, integer):
+    if integer:
+        m = tuple(tuple(x.numerator for x in row) for row in m)
+    op = linalg.Operator.from_rows(m)
+    assert op.matrix() == tuple(tuple(map(Fraction, row)) for row in m)
+    assert all(type(x) is Fraction for row in op.matrix() for x in row)
+    assert _dense(op.entries(), op.width) == tuple(
+        tuple(x * op.denom for x in row) for row in op.matrix()
+    )
+    if len(m) == op.width and all(Fraction(m[i][i]).denominator == 1 for i in range(len(m))):
+        assert op.diagonal() == [m[i][i] for i in range(len(m))]
 
 
 @SHAPES
@@ -332,10 +374,10 @@ def test_operator_is_sparse_up_to_a_tenth_nonzero():
     # sparse at exactly n^2/10 nonzero entries, dense from one more on
     for k, sparse in ((n * n // 10, True), (n * n // 10 + 1, False)):
         m = first_nonzero(k)
-        op = linalg.Operator(m)
+        op = linalg.Operator.from_rows(m)
         assert op.sparse is sparse
         assert _apply(op, v) == ref_mat_vec(m, v)
-        assert op.pull_back(v) == ref_vec_mat(v, m)
+        assert _pull(op, v) == ref_vec_mat(v, m)
 
 
 # ---------------------------------------------------------------------------

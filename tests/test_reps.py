@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liereg import linalg, reps, words
+from liereg import duals, linalg, reps, words
 from liereg.duals import MatrixCoefficient
 from liereg.linalg import CapError
 from liereg.reps import RepError, RepSpec
@@ -55,7 +55,7 @@ def test_letter_operators_are_built_once_and_run_on_integers(monkeypatch):
     calls = []  # one entry per Operator built, wherever it is built
     init = linalg.Operator.__init__
     monkeypatch.setattr(
-        linalg.Operator, "__init__", lambda self, m: calls.append(1) or init(self, m)
+        linalg.Operator, "__init__", lambda self, *args: calls.append(1) or init(self, *args)
     )
     abc = Alphabet(("e1", "e2", "e3"))
     vnj = reps.make_VNJ(abc, 4, (0, 1, 2))
@@ -88,7 +88,7 @@ def test_act_poly_linear():
     b0 = rep.basis_vector(0)
     x = NcPoly({(0, 1): 1, (1, 0): -1})
     # e1e2 kills b0, e2e1 sends it to b2
-    assert reps.act_poly(rep, x, b0) == linalg.vec_scale(Fraction(-1), rep.basis_vector(2))
+    assert reps.act_poly(rep, x, b0) == tuple(-y for y in rep.basis_vector(2))
     assert linalg.is_zero_vec(reps.act_poly(rep, NcPoly.zero(), b0))
     assert reps.act_poly(rep, NcPoly.one(), b0) == b0
 
@@ -119,9 +119,12 @@ def test_tensor_leibniz():
     w = (Fraction(0), Fraction(1), Fraction(3))
     for e in (0, 1):
         lhs = reps.act_word(t, (e,), linalg.vec_kron(v, w))
-        rhs = linalg.vec_add(
-            linalg.vec_kron(reps.act_word(r, (e,), v), w),
-            linalg.vec_kron(v, reps.act_word(r, (e,), w)),
+        rhs = tuple(
+            a + b
+            for a, b in zip(
+                linalg.vec_kron(reps.act_word(r, (e,), v), w),
+                linalg.vec_kron(v, reps.act_word(r, (e,), w)),
+            )
         )
         assert lhs == rhs
 
@@ -133,17 +136,10 @@ def test_tensor_diagonal_adds_eigenvalues():
     assert t.matrices[1] == ((3,),)
 
 
-def test_dual_rep_transposes():
-    rep = chain12()
-    d = reps.dual_rep(rep)
-    assert d.matrices[0] == linalg.transpose(rep.matrices[0])
-    assert reps.dual_rep(d).matrices[0] == rep.matrices[0]
-
-
 def test_submodule_generated():
     rep = chain12()
     assert len(reps.submodule_generated(rep, rep.basis_vector(0))) == 3
-    assert reps.submodule_generated(rep, linalg.zero_vec(3)) == []
+    assert reps.submodule_generated(rep, (Fraction(0),) * 3) == []
     assert len(reps.submodule_generated(rep, rep.basis_vector(2))) == 1
 
 
@@ -212,10 +208,10 @@ def _entries(draw, n, zero_pct):
 
 
 @st.composite
-def modules(draw):
-    """A module over NIL_DIAG: e1, e2 strictly upper triangular in a permuted
-    basis, from all zero to dense (so both sparse and dense operators), and d
-    diagonal with eigenvalues of both signs."""
+def module_matrices(draw):
+    """(dim, matrices) of a module over NIL_DIAG: e1, e2 strictly upper
+    triangular in a permuted basis, from all zero to dense (so both sparse and
+    dense operators), and d diagonal with eigenvalues of both signs."""
     dim = draw(st.integers(1, 9))
     perm = draw(st.permutations(range(dim)))
     mats = {}
@@ -228,7 +224,11 @@ def modules(draw):
         mats[e] = m
     mats[2] = [[Fraction(draw(st.integers(-3, 3))) if i == j else ZERO for j in range(dim)]
                for i in range(dim)]
-    return RepSpec(NIL_DIAG, dim, mats)
+    return dim, mats
+
+
+def modules():
+    return module_matrices().map(lambda dim_mats: RepSpec(NIL_DIAG, *dim_mats))
 
 
 @st.composite
@@ -288,6 +288,31 @@ def test_evaluate_word_matches_reference(data):
         assert type(value) is Fraction
 
 
+@ACTION
+@given(st.data())
+def test_translations_match_reference(data):
+    rep = data.draw(modules())
+    phi, v = data.draw(vectors(rep.dim)), data.draw(vectors(rep.dim))
+    h = MatrixCoefficient(rep, phi, v)
+    coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+    x = NcPoly(data.draw(st.dictionaries(NIL_WORDS, coeff, max_size=4)))
+    pulled = [ZERO] * rep.dim  # sum c phi M_u1 ... M_um, the textbook row-vector products
+    moved = [ZERO] * rep.dim  # sum c M_u1 ... M_um v
+    for u, c in x.terms.items():
+        p = [Fraction(y) for y in phi]
+        for e in u:
+            p = [sum((p[i] * rep.matrices[e][i][j] for i in range(rep.dim)), ZERO)
+                 for j in range(rep.dim)]
+        pulled = [a + c * b for a, b in zip(pulled, p)]
+        moved = [a + c * b for a, b in zip(moved, ref_act_word(rep, u, v))]
+    left, right = duals.left_translate(x, h), duals.right_translate(x, h)
+    assert left.phi == tuple(pulled) and left.v == h.v
+    assert right.v == tuple(moved) and right.phi == h.phi
+    for y in data.draw(st.lists(NIL_WORDS, max_size=3)):
+        assert left.evaluate_word(y) == sum((c * h.evaluate_word(u + y) for u, c in x.terms.items()), ZERO)
+        assert right.evaluate_word(y) == sum((c * h.evaluate_word(y + u) for u, c in x.terms.items()), ZERO)
+
+
 def test_actions_reject_a_vector_of_the_wrong_length():
     rep = chain12()
     for v in [(1, 0), (1, 0, 0, 0), ()]:
@@ -299,3 +324,141 @@ def test_actions_reject_a_vector_of_the_wrong_length():
             MatrixCoefficient(rep, (1, 0, 0), v)
         with pytest.raises(RepError, match="^phi: has length"):
             MatrixCoefficient(rep, v, (1, 0, 0))
+
+
+# ---------------------------------------------------------------------------
+# Modules are stored as integer operators only; these compare the builders,
+# the tensor product and validation with plain Fraction formulas.
+
+
+def ref_mat_mul(a, b):
+    return [[sum((row[k] * b[k][j] for k in range(len(b))), ZERO) for j in range(len(b[0]))]
+            for row in a]
+
+
+def ref_kron_sum(a, b):
+    """a (x) 1 + 1 (x) b, entry by entry."""
+    n1, n2 = len(a), len(b)
+    return tuple(
+        tuple(
+            (a[i][j] if k == l else ZERO) + (b[k][l] if i == j else ZERO)
+            for j in range(n1) for l in range(n2)
+        )
+        for i in range(n1) for k in range(n2)
+    )
+
+
+def as_tuples(m):
+    return tuple(tuple(Fraction(x) for x in row) for row in m)
+
+
+@ACTION
+@given(module_matrices())
+def test_matrices_view_round_trips(dim_mats):
+    dim, mats = dim_mats
+    rep = RepSpec(NIL_DIAG, dim, mats)
+    assert dict(rep.matrices) == {e: as_tuples(m) for e, m in mats.items()}
+    assert all(type(x) is Fraction for m in rep.matrices.values() for row in m for x in row)
+
+
+@ACTION
+@given(module_matrices(), module_matrices(), st.data())
+def test_tensor_matches_kronecker_sum(first, second, data):
+    (n1, m1), (n2, m2) = first, second
+    t = reps.tensor(RepSpec(NIL_DIAG, n1, m1), RepSpec(NIL_DIAG, n2, m2))
+    assert t.dim == n1 * n2
+    ref = {e: ref_kron_sum(m1[e], m2[e]) for e in (0, 1, 2)}
+    assert dict(t.matrices) == ref
+    assert all(x for op in t.operators.values() for row in op.entries() for _, x in row)
+    assert reps.support(t) == {e for e, m in ref.items() if any(map(any, m))}
+    assert reps.validate_integrable(t) == []
+    v = data.draw(vectors(t.dim))
+    for e in (0, 1, 2):
+        expected = tuple(sum((a * b for a, b in zip(row, v)), ZERO) for row in ref[e])
+        assert reps.act_word(t, (e,), v) == expected
+
+
+@st.composite
+def square_matrices(draw):
+    """A square matrix with a drawn share of zeros and mixed denominators:
+    strictly upper triangular in a permuted basis (nilpotent), perhaps with
+    one more entry, or diagonal, perhaps with one entry off the diagonal or
+    not an integer, or arbitrary."""
+    dim = draw(st.integers(1, 7))
+    zero_pct = draw(st.integers(0, 100))
+    shape = draw(st.sampled_from(("triangular", "diagonal", "arbitrary")))
+    m = [[ZERO] * dim for _ in range(dim)]
+    if shape == "arbitrary":
+        for i in range(dim):
+            m[i] = _entries(draw, dim, zero_pct)
+    elif shape == "triangular":
+        perm = draw(st.permutations(range(dim)))
+        for i in range(dim):
+            for j, x in enumerate(_entries(draw, dim - i - 1, zero_pct), i + 1):
+                m[perm[i]][perm[j]] = x
+    else:
+        for i in range(dim):
+            m[i][i] = Fraction(draw(st.integers(-3, 3)))
+    if shape != "arbitrary" and draw(st.booleans()):
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        m[i][j] = draw(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 3)))
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+def test_validate_integrable_matches_reference(m):
+    dim = len(m)
+    power = m
+    for _ in range(dim - 1):
+        power = ref_mat_mul(power, m)
+    nilpotent = not any(map(any, power))  # M^dim = 0
+    report = reps.validate_integrable(RepSpec(Alphabet(("e1",)), dim, {0: m}))
+    assert report == ([] if nilpotent else ["letter e1: matrix is not nilpotent"])
+    integer_diagonal = all(
+        x == 0 if i != j else x.denominator == 1 for i, row in enumerate(m) for j, x in enumerate(row)
+    )
+    report = reps.validate_integrable(RepSpec(MIXED, dim, {1: m}))
+    assert (report == []) is integer_diagonal
+    if integer_diagonal:
+        assert reps.eigenvalues(RepSpec(MIXED, dim, {1: m}), 1) == sorted({int(m[i][i]) for i in range(dim)})
+
+
+def test_modules_never_build_their_fraction_matrices(monkeypatch):
+    from liereg import grp
+
+    def run():
+        vnj = reps.make_VNJ(MIXED, 3, (0,))
+        chain = reps.make_chain(AB, (0, 1, 0))
+        cyclic = reps.make_cyclic_pair(AB, 0, 1)
+        given_rows = RepSpec(MIXED, 2, {0: [[0, Fraction(1, 2)], [0, 0]], 1: [[2, 0], [0, -3]]})
+        mixed = reps.tensor(given_rows, given_rows)
+        out = [reps.validate_integrable(r) for r in (vnj, chain, cyclic, given_rows, mixed)]
+        out.append(reps.validate_integrable(reps.tensor(chain, cyclic)))
+        out += [reps.support(mixed), reps.eigenvalues(mixed, 1)]
+        v = tuple(Fraction(i - 1, 3) for i in range(mixed.dim))
+        out.append(reps.act_word(mixed, (0, 1, 0), v))
+        out.append(reps.act_poly(mixed, NcPoly({(0,): 2, (1, 0): Fraction(-1, 2)}), v))
+        g = grp.GroupWord([grp.exp_factor(0, Fraction(2, 3)), grp.torus_factor(1, Fraction(-3, 2))])
+        out.append(grp.act_group(mixed, g, v))
+        h = MatrixCoefficient(mixed, v[::-1], v)
+        out.append(h.evaluate_word((0, 1)))
+        out.append(duals.expand_rho(h, (1, 0)).items())
+        out.append(duals.left_translate(NcPoly({(0,): 3}), h).phi)
+        out.append(duals.right_translate(NcPoly({(0, 1): 3}), h).v)
+        out.append(grp.derive_left(0, grp.RegularFunction(mixed, v[::-1], v)).phi)
+        out.append(duals.product(h, h).evaluate_word((0, 1, 0)))
+        out.append(duals.in_shuffle_span(h, 1))
+        out.append(reps.submodule_generated(chain, chain.basis_vector(0)))
+        return out
+
+    expected = run()
+
+    def refuse(*args):
+        raise AssertionError("a Fraction matrix was built")
+
+    monkeypatch.setattr(RepSpec, "matrices", property(refuse))
+    monkeypatch.setattr(linalg.Operator, "matrix", refuse)
+    assert run() == expected
+    assert expected[0] == [] and expected[3] == [] and expected[4] == []
+    assert expected[7] == [-6, -1, 4]  # eigenvalue sums of d on the tensor square
