@@ -249,6 +249,8 @@ def cmd_witness(args):
 
 
 def cmd_membership(args):
+    if args.bound is not None and args.bound < 0:
+        raise SchemaError("bound: must be nonnegative")
     alphabet, h = _functional_from_args(args)
     finite, dim = duals.membership_ffr(h, alphabet)
     out = {"translation-closure-finite": finite, "closure-dimension": dim}
@@ -365,6 +367,8 @@ def cmd_km_cone(args):
             raise SchemaError(
                 f"vector[{i}].coords: expected {mod.space(k, True).dim} coordinates"
             )
+        if k in parts:
+            raise SchemaError(f"vector[{i}].depth: depth {list(k)} is given twice")
         parts[k] = coords
     v = TruncVector(parts)
     _emit({"in-cone": kacmoody.kostant_cone_test(mod, v)})

@@ -32,9 +32,10 @@ class FiniteFunctional(TermMap):
         return self.coeff(w)
 
 
-class MatrixCoefficient:
-    """Rep-backed functional h(x) = phi(x . v): phi and v are stored as pairs
-    (d, ints) for ints / d, with read-only Fraction views `phi` and `v`."""
+class PhiV:
+    """A covector phi and a vector v of one module, the data of a matrix
+    coefficient: stored as pairs (d, ints) for ints / d, with read-only
+    Fraction views `phi` and `v`."""
 
     __slots__ = ("rep", "_phi", "_v")
 
@@ -52,6 +53,12 @@ class MatrixCoefficient:
     @property
     def v(self) -> tuple:
         return linalg.over(self._v[1], self._v[0])
+
+
+class MatrixCoefficient(PhiV):
+    """Rep-backed functional h(x) = phi(x . v)."""
+
+    __slots__ = ()
 
     def evaluate_word(self, w: Word) -> Fraction:
         """phi(w . v), paired in integers: one Fraction, built at the end."""
@@ -334,10 +341,11 @@ def membership_ffr(h, alphabet: Alphabet = None):
         return True, 0
 
     def as_vector(f: FiniteFunctional):
+        """f's coefficients on the prefixes, cleared to ints: a span does not see scale."""
         out = [Fraction(0)] * len(prefixes)
         for w, c in f.terms.items():
             out[index[w]] = c
-        return tuple(out)
+        return linalg.integral(out)[1]
 
     letters = sorted(alphabet.letters()) if alphabet else sorted(h.support_letters())
     ech = Echelon()

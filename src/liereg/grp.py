@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import duals, linalg, reps, words
 from .duals import (
@@ -19,7 +20,7 @@ from .duals import (
     expand_rho,
     realize_rep_backed,
 )
-from .linalg import dot, frac, vec
+from .linalg import frac
 from .reps import RepSpec, act_poly
 from .words import Alphabet, NcPoly, Word
 
@@ -98,14 +99,12 @@ def _factor_image(rep: RepSpec, factor: OneParamFactor, ints):
     return den, [x * scale[n] for x, n in zip(ints, eigs)]
 
 
-def act_group(rep: RepSpec, g: GroupWord, v):
-    """Apply a group word; the rightmost factor acts first.
+def _group_image(rep: RepSpec, g: GroupWord, d, ints):
+    """(D, u) with g . (ints / d) = u / D, for an integer vector ints.
 
     The vector stays a list of ints over one denominator from the first
     factor to the last, reduced by their gcd between factors.
     """
-    rep.check_length(v)
-    d, ints = linalg.integral(v)
     for factor in reversed(g):
         d_f, ints = _factor_image(rep, factor, ints)
         d *= d_f
@@ -113,27 +112,30 @@ def act_group(rep: RepSpec, g: GroupWord, v):
         if c != 1:
             d //= c
             ints = [x // c for x in ints]
+    return d, ints
+
+
+def act_group(rep: RepSpec, g: GroupWord, v):
+    """Apply a group word; the rightmost factor acts first."""
+    rep.check_length(v)
+    d, ints = _group_image(rep, g, *linalg.integral(v))
     return linalg.over(ints, d)
 
 
-class RegularFunction:
+class RegularFunction(duals.PhiV):
     """Matrix coefficient read as a function on group words: f(g) = phi(g.v)."""
 
-    __slots__ = ("rep", "phi", "v")
-
-    def __init__(self, rep: RepSpec, phi, v):
-        rep.check_length(phi, "phi")
-        rep.check_length(v)
-        self.rep = rep
-        self.phi = vec(phi)
-        self.v = vec(v)
+    __slots__ = ()
 
     def __call__(self, g: GroupWord) -> Fraction:
         return eval_regular(self, g)
 
 
 def eval_regular(f: RegularFunction, g: GroupWord) -> Fraction:
-    return dot(f.phi, act_group(f.rep, g, f.v))
+    """phi(g . v), paired in integers: one Fraction, built at the end."""
+    d_phi, phi = f._phi
+    d_v, v = _group_image(f.rep, g, *f._v)
+    return Fraction(sum(map(mul, phi, v)), d_phi * d_v)
 
 
 def phi_map(f: RegularFunction) -> MatrixCoefficient:

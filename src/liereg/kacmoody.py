@@ -703,7 +703,7 @@ def kostant_cone_test(m: IrrTrunc, v: TruncVector, m2: IrrTrunc = None) -> bool:
                 if tuple(a + b for a, b in zip(key[0], key[1])) == total_k
             }
             if relevant:
-                ech.add(_flatten_tensor(blocks, relevant))
+                ech.add(linalg.integral(_flatten_tensor(blocks, relevant))[1])
         if m2 is not None and ech.rank != m2.space(total_k, True).dim:
             raise AssertionError(total_k)
         spans[total_k] = (blocks, ech)
@@ -721,7 +721,7 @@ def kostant_cone_test(m: IrrTrunc, v: TruncVector, m2: IrrTrunc = None) -> bool:
         flat = _flatten_tensor(blocks, parts)
         if linalg.is_zero_vec(flat):
             continue
-        if not ech.contains(flat):
+        if not ech.contains(linalg.integral(flat)[1]):
             return False
     return True
 

@@ -1,7 +1,7 @@
 """Exact rational linear algebra.
 
 A matrix applied many times, as a module's letter is, is an
-:class:`Operator`: integer rows over one common denominator, built from
+:class:`Operator`: integer entries over one common denominator, built from
 the nonzero (column, value) pairs of its rows (``Operator.from_rows``
 clears rows of ints or Fractions once).  ``Operator.image`` gives
 denom * M v for an integer vector v, ``Operator.pull_back`` denom * phi M.
@@ -11,23 +11,31 @@ Fractions once, for the result, with ``over``; ``combine`` sums scaled
 integer vectors over one denominator and ``kron`` multiplies two matrices
 in the (column, value) form.
 
-An operator is sparse when at most a tenth of its entries are nonzero: it
-keeps its pairs and skips zeros.  A denser one keeps full integer rows and
-runs the plain loop, whose cost is fixed by the shapes; skipping its zeros
-would make the cost follow where a change of basis put them.  A letter of
-V_N(J) or of a chain has fewer nonzero entries than rows, so from dimension
-10 on it is sparse.  ``Operator`` alone makes this choice, once.
+An operator is sparse when at most a tenth of its entries are nonzero.  It
+then keeps only its nonzero columns, each as the (row, value) pairs of its
+nonzero entries, transposed once from the rows it is given.  ``image``
+scatters: each stored column whose vector entry is nonzero adds that entry
+times its pairs, so M v costs one product per nonzero entry of M met by a
+nonzero entry of v (Gustavson, ACM TOMS 4, 1978).  ``pull_back`` takes one
+integer dot product per stored column.  A denser operator keeps full
+integer rows and runs the plain loop, whose cost is fixed by the shapes;
+skipping its zeros would make the cost follow where a change of basis put
+them.  A letter of V_N(J) or of a chain has fewer nonzero entries than
+rows, so from dimension 10 on it is sparse.  ``Operator`` alone makes this
+choice, once.
 
-Elimination is fraction-free.  :class:`Echelon` clears an input vector's
-denominators once and keeps primitive integer rows: each reduced row times
+Elimination is fraction-free.  :class:`Echelon` takes integer vectors (a
+caller holding rationals clears them once with ``integral``; a Fraction
+raises TypeError) and keeps primitive integer rows: each reduced row times
 its positive pivot entry, with gcd 1.  Reduction and back-substitution
 cross-multiply and divide by the row gcd (Bareiss, Math. Comp. 22, 1968);
 ``basis()`` divides by the pivot entries.  Pivots are the first nonzero
 entry from the left, rows are taken in order, and the reduced row echelon
 form of a span is unique, so ``basis()``, ``rref``, ``rank`` and ``solve``
-equal rational Gauss-Jordan elimination, and a span loop
-(``reps.submodule_generated``, ``duals.in_shuffle_span``) may run on
-integer multiples of its vectors: a span does not see their scale.
+(which clear their rational rows) equal rational Gauss-Jordan elimination,
+and a span loop (``reps.submodule_generated``, ``duals.in_shuffle_span``)
+may run on integer multiples of its vectors: a span does not see their
+scale.
 
 The Kac-Moody modules keep their matrices as tuples of Fraction rows, for
 ``mat_mul``, ``mat_vec``, ``transpose`` and ``zero_mat``.
@@ -85,20 +93,28 @@ def over(ints, d) -> tuple:
 
 
 class Operator:
-    """A fixed matrix M as integer rows over one common denominator: M = rows / denom.
+    """A fixed matrix M as integer entries over one common denominator: M = entries / denom.
 
     Built from the nonzero (column, int value) pairs of each row, one per
-    column at most: a sparse matrix keeps them, a dense one full integer rows.
+    column at most.  A sparse matrix keeps `columns`, its nonzero columns as
+    (j, ((row, value), ...)) in increasing j; a dense one keeps `rows`, full
+    integer rows.  The other attribute is None.
     """
 
-    __slots__ = ("denom", "rows", "sparse", "width")
+    __slots__ = ("denom", "height", "width", "sparse", "columns", "rows")
 
     def __init__(self, entries, denom, width):
         self.denom = denom
+        self.height = len(entries)
         self.width = width
-        self.sparse = 10 * sum(map(len, entries)) <= len(entries) * width
+        self.sparse = 10 * sum(map(len, entries)) <= self.height * width
+        self.columns = self.rows = None
         if self.sparse:
-            self.rows = tuple(map(tuple, entries))
+            columns = {}
+            for i, row in enumerate(entries):
+                for j, x in row:
+                    columns.setdefault(j, []).append((i, x))
+            self.columns = tuple((j, tuple(columns[j])) for j in sorted(columns))
         else:
             self.rows = tuple(tuple(_dense(row, width)) for row in entries)
 
@@ -111,35 +127,52 @@ class Operator:
         return cls(scaled, denom, len(m[0]) if m else 0)
 
     def entries(self):
-        """The nonzero (column, value) pairs of each row."""
+        """The nonzero (column, value) pairs of each row, in increasing column."""
         if self.sparse:
-            return self.rows
+            rows = [[] for _ in range(self.height)]
+            for j, column in self.columns:
+                for i, x in column:
+                    rows[i].append((j, x))
+            return rows
         return [[(j, x) for j, x in enumerate(row) if x] for row in self.rows]
 
     def matrix(self) -> tuple:
         """M as a tuple of rows of Fractions."""
         return tuple(over(_dense(row, self.width), self.denom) for row in self.entries())
 
+    def is_zero(self) -> bool:
+        """Whether M = 0: a dense operator has more than a tenth of its entries nonzero."""
+        return self.sparse and not self.columns
+
     def diagonal(self) -> list:
         """The diagonal entries of M as ints, for a matrix whose diagonal is integral."""
-        return [dict(row).get(i, 0) // self.denom for i, row in enumerate(self.entries())]
+        if not self.sparse:
+            return [row[i] // self.denom for i, row in enumerate(self.rows)]
+        diag = [0] * self.height
+        for j, column in self.columns:
+            diag[j] = dict(column).get(j, 0) // self.denom
+        return diag
 
     def image(self, ints) -> list:
-        """rows . ints, a list of ints: denom * M v for an integer vector v."""
-        if self.sparse:
-            return [sum([ints[j] * a for j, a in row]) for row in self.rows]
-        return [sum(map(mul, row, ints)) for row in self.rows]
+        """denom * M v for an integer vector v = ints, a list of ints."""
+        if not self.sparse:
+            return [sum(map(mul, row, ints)) for row in self.rows]
+        out = [0] * self.height
+        for j, column in self.columns:
+            x = ints[j]
+            if x:
+                for i, a in column:
+                    out[i] += x * a
+        return out
 
     def pull_back(self, ints) -> list:
-        """ints . rows, a list of ints: denom * phi M for an integer row vector phi."""
-        if self.sparse:
-            sums = [0] * self.width
-            for x, row in zip(ints, self.rows):
-                if x:
-                    for j, a in row:
-                        sums[j] += x * a
-            return sums
-        return [sum(map(mul, ints, col)) for col in zip(*self.rows)]
+        """denom * phi M for an integer row vector phi = ints, a list of ints."""
+        if not self.sparse:
+            return [sum(map(mul, ints, col)) for col in zip(*self.rows)]
+        out = [0] * self.width
+        for j, column in self.columns:
+            out[j] = sum([ints[i] * a for i, a in column])
+        return out
 
 
 def _dense(pairs, width) -> list:
@@ -197,7 +230,7 @@ def vec_kron(u, v) -> tuple:
 class Echelon:
     """Incrementally maintained reduced row echelon basis of a subspace.
 
-    `rows` holds primitive integer rows: each is its reduced row times the
+    `add` and `contains` take integer vectors.  `rows` holds primitive integer rows: each is its reduced row times the
     row's pivot entry, so the pivot entry is positive and the entries have
     gcd 1.  `basis()` divides by the pivot entries.
     """
@@ -208,9 +241,10 @@ class Echelon:
         self._supports = []  # nonzero columns of each row, in order
 
     def _reduce(self, v):
-        """v reduced against every row, as a list of ints: a nonzero multiple of
-        the exact remainder, zero exactly when v lies in the span."""
-        v = integral(v)[1]
+        """The integer vector v reduced against every row, as a new list of ints:
+        a nonzero multiple of the exact remainder, zero exactly when v lies in
+        the span.  The copy matters: callers may pass a stored row."""
+        v = list(v)
         for row, p, support in zip(self.rows, self.pivots, self._supports):
             c = v[p]
             if c:
@@ -276,18 +310,21 @@ def _make_primitive(row, support, p) -> None:
             row[j] //= g
 
 
-def rank(rows) -> int:
+def _echelon(rows) -> Echelon:
+    """The Echelon of rows of ints or Fractions, each cleared once."""
     e = Echelon()
     for r in rows:
-        e.add(r)
-    return e.rank
+        e.add(integral(r)[1])
+    return e
+
+
+def rank(rows) -> int:
+    return _echelon(rows).rank
 
 
 def rref(rows):
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    e = Echelon()
-    for r in rows:
-        e.add(r)
+    e = _echelon(rows)
     return e.basis(), list(e.pivots)
 
 

@@ -86,18 +86,18 @@ class RepSpec:
 
 
 def _is_nilpotent(op: Operator) -> bool:
-    """Whether the ranks of M^k fall to 0: the row space of M^(k+1) lies in that
-    of M^k, so once two ranks agree the spaces do, and stay so."""
-    rows = [[0] * i + [1] + [0] * (op.width - i - 1) for i in range(op.width)]
-    while rows:
+    """Whether the ranks of M^k fall to 0: the column space of M^(k+1) lies in
+    that of M^k, so once two ranks agree the spaces do, and stay so."""
+    cols = [[0] * i + [1] + [0] * (op.width - i - 1) for i in range(op.width)]
+    while cols:
         space = Echelon()
-        for row in rows:
-            row = op.pull_back(row)
-            if any(row):
-                space.add(row)
-        if space.rank == len(rows):
+        for col in cols:
+            col = op.image(col)
+            if any(col):
+                space.add(col)
+        if space.rank == len(cols):
             return False
-        rows = space.rows
+        cols = space.rows
     return True
 
 
@@ -193,11 +193,7 @@ def submodule_generated(rep: RepSpec, v):
 
 def support(rep: RepSpec):
     """Letters acting by a nonzero matrix."""
-    # a sparse row holds nonzero (column, value) pairs, a dense one ints:
-    # either way any() finds a nonzero entry
-    return frozenset(
-        e for e in rep.alphabet.letters() if any(map(any, rep.operators[e].rows))
-    )
+    return frozenset(e for e in rep.alphabet.letters() if not rep.operators[e].is_zero())
 
 
 def make_VNJ(alphabet: Alphabet, n: int, j_letters, dim_cap: int = DEFAULT_DIM_CAP) -> RepSpec:

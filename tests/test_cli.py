@@ -283,6 +283,8 @@ def test_cap_errors_name_the_cap_and_its_variable(capsys, monkeypatch, env, argv
     ('[{"depth":[1],"coords":["1"]}]', "vector[0].depth"),
     ('[["x"]]', "vector[0]:"),
     ('[{"depth":[-1,1],"coords":["1"]}]', "vector[0].depth:"),
+    # a repeated depth: whichever entry won, the verdict would follow their order
+    ('[{"depth":[0,0],"coords":["1"]},{"depth":[0,0],"coords":["0"]}]', "vector[1].depth:"),
 ])
 def test_km_cone_rejects_malformed_vector(capsys, vector, field):
     code, _, err = run(
@@ -414,6 +416,7 @@ REP_1 = '{"dim":1,"letters":[{"name":"a"}]'
      "rep.labels:"),
     (["phi-map", "--rep", REP_1 + ',"labels":["x","y"]}', "--phi", '["1"]', "--vector", '["1"]'],
      "rep.labels:"),
+    (["membership", "--functional", "phi:e1.e2", "--bound", "-1"], "bound:"),
 ])
 def test_malformed_field_named(capsys, argv, field):
     code, _, err = run(capsys, *argv)

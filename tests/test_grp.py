@@ -236,9 +236,12 @@ def test_act_group_matches_reference(data):
     assert out == ref_act_group(rep, g, v)
     assert all(type(x) is Fraction for x in out)
     phi = data.draw(vectors(rep.dim))
-    assert RegularFunction(rep, phi, v)(g) == sum(
-        (a * b for a, b in zip(phi, out)), ZERO
-    )
+    f = RegularFunction(rep, phi, v)
+    expected = sum((Fraction(a) * b for a, b in zip(phi, ref_act_group(rep, g, v))), ZERO)
+    value = grp.eval_regular(f, g)
+    assert value == f(g) == expected and type(value) is Fraction
+    assert f.phi == tuple(map(Fraction, phi)) and f.v == tuple(map(Fraction, v))
+    assert grp.xi_map(grp.phi_map(f))(g) == expected
 
 
 def ref_expansion(rep, phi, v, letters):
@@ -310,9 +313,11 @@ def test_actions_run_without_fraction_arithmetic():
         exp_factor(1, CountingFraction(4, 3)),
     ])
     h = MatrixCoefficient(rep, v, v)
+    f = RegularFunction(rep, v, v)
     x = NcPoly({(0, 1): CountingFraction(1, 2), (1,): CountingFraction(-3)})
     CountingFraction.ops = 0
     grp.act_group(rep, g, v)
+    f(g)
     reps.act_word(rep, (0, 1, 0), v)
     reps.act_poly(rep, x, v)
     h.evaluate_word((1, 0))

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -363,6 +364,46 @@ def test_mat_mul_multiplies_only_nonzero_pairs():
     assert CountingFraction.products == pairs
 
 
+class CountingInt(int):
+    """An int that counts the products it takes part in."""
+
+    products = 0
+
+    def __mul__(self, other):
+        CountingInt.products += 1
+        return int.__mul__(self, other)
+
+    __rmul__ = __mul__
+
+
+def test_operator_image_multiplies_only_nonzero_pairs():
+    rep = reps.make_VNJ(Alphabet(("e1", "e2", "e3")), 4, (0, 1, 2))
+    assert rep.dim == 121
+    empty = rep.labels.index(())
+    b_empty = [CountingInt(int(i == empty)) for i in range(rep.dim)]
+    ones = [CountingInt(1)] * rep.dim
+    for e, op in rep.operators.items():
+        assert op.sparse
+        nnz = sum(map(len, op.entries()))
+        assert nnz == 40  # words of length <= 3 over three letters
+        CountingInt.products = 0
+        assert op.image(b_empty) == [int(w == (e,)) for w in rep.labels]
+        assert CountingInt.products == 1  # b_() has one nonzero entry, its column one pair
+        CountingInt.products = 0
+        op.image(ones)
+        assert CountingInt.products == nnz
+        CountingInt.products = 0
+        op.pull_back(ones)
+        assert CountingInt.products == nnz
+    n = 11
+    dense = linalg.Operator.from_rows([[i + j + 1 for j in range(n)] for i in range(n)])
+    assert not dense.sparse
+    for v in ([CountingInt(int(i == 0)) for i in range(n)], [CountingInt(1)] * n):
+        CountingInt.products = 0
+        dense.image(v)
+        assert CountingInt.products == n * n
+
+
 def test_operator_is_sparse_up_to_a_tenth_nonzero():
     n = 10
     v = tuple(Fraction(j - 4, j % 3 + 1) for j in range(n))
@@ -426,11 +467,12 @@ def test_echelon_matches_reference(steps):
     added = []
     for op, v in steps:
         grows = len(ref_rref(_as_fractions(added + [v]))[1]) > len(ref_rref(_as_fractions(added))[1])
+        ints = linalg.integral(v)[1]  # Echelon takes integer vectors
         if op == "add":
-            assert e.add(v) is grows
+            assert e.add(ints) is grows
             added.append(v)
         else:
-            assert e.contains(v) is not grows
+            assert e.contains(ints) is not grows
         basis, pivots = ref_rref(_as_fractions(added))
         assert e.rank == len(pivots)
         assert e.pivots == pivots
@@ -449,8 +491,13 @@ def test_echelon_negative_pivot_and_back_substitution_gcd():
     assert e.rows == [[1, 0, 1], [0, 1, -1]]
     assert e.pivots == [0, 1]
     assert e.basis() == [(1, 0, 1), (0, 1, -1)]
-    assert e.contains((Fraction(1, 3), Fraction(-5, 3), Fraction(2)))
+    assert e.contains(linalg.integral((Fraction(1, 3), Fraction(-5, 3), Fraction(2)))[1])
     assert not e.contains((0, 0, 1))
+
+
+def test_echelon_rejects_fractions():
+    with pytest.raises(TypeError):
+        Echelon().add((Fraction(1, 2), 1))
 
 
 class ArithmeticCountingFraction(Fraction):
@@ -483,8 +530,13 @@ def test_echelon_runs_without_fraction_arithmetic():
     ]
     assert sum(1 for x in vectors[0] if x) == 3  # the guard sees real work
     ArithmeticCountingFraction.calls = 0
+    # rref and rank clear each row once, with integral, then eliminate in ints
+    accepted = [rank(vectors[:i + 1]) > rank(vectors[:i]) for i in range(len(vectors))]
+    basis, pivots = rref(vectors)
     e = Echelon()
-    accepted = [e.add(v) for v in vectors]
-    held = [e.contains(v) for v in vectors]
+    for v in vectors:
+        e.add(linalg.integral(v)[1])
+    held = [e.contains(linalg.integral(v)[1]) for v in vectors]
     assert ArithmeticCountingFraction.calls == 0
     assert accepted == [True, True, False, True, True] and all(held)
+    assert (basis, pivots) == ref_rref(_as_fractions(vectors))
