@@ -33,8 +33,7 @@ def _depth_cap() -> int:
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2, sort_keys=False)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
 def _load_json(text: str, field: str):

@@ -46,6 +46,13 @@ class PhiV:
         self._phi = linalg.integral(vec(phi))
         self._v = linalg.integral(vec(v))
 
+    @classmethod
+    def of_pairs(cls, rep: RepSpec, phi, v):
+        """The instance of phi and v given as stored pairs (d, ints), shared as they are."""
+        h = object.__new__(cls)
+        h.rep, h._phi, h._v = rep, phi, v
+        return h
+
     @property
     def phi(self) -> tuple:
         return linalg.over(self._phi[1], self._phi[0])
@@ -69,13 +76,6 @@ class MatrixCoefficient(PhiV):
 
     def __repr__(self):
         return f"MatrixCoefficient(dim={self.rep.dim})"
-
-
-def _coefficient(rep: RepSpec, phi, v) -> MatrixCoefficient:
-    """The MatrixCoefficient of phi and v given as pairs (d, ints)."""
-    h = object.__new__(MatrixCoefficient)
-    h.rep, h._phi, h._v = rep, phi, v
-    return h
 
 
 Functional = (FiniteFunctional, MatrixCoefficient)
@@ -115,7 +115,7 @@ def right_translate(x, h):
         d_v, v = h._v
         terms = ((c, *h.rep.image(u, v)) for u, c in x.terms.items())
         den, moved = linalg.combine(terms, h.rep.dim)
-        return _coefficient(h.rep, h._phi, (d_v * den, moved))
+        return MatrixCoefficient.of_pairs(h.rep, h._phi, (d_v * den, moved))
     out = {}
     for u, cu in x.terms.items():
         if not u:
@@ -137,7 +137,7 @@ def left_translate(x, h):
         d_phi, phi = h._phi
         terms = ((c, *h.rep.pull_back(u, phi)) for u, c in x.terms.items())
         den, pulled = linalg.combine(terms, h.rep.dim)
-        return _coefficient(h.rep, (d_phi * den, pulled), h._v)
+        return MatrixCoefficient.of_pairs(h.rep, (d_phi * den, pulled), h._v)
     out = {}
     for u, cu in x.terms.items():
         for w, c in h.terms.items():
@@ -184,7 +184,7 @@ def product(h1, h2, alphabet: Alphabet = None):
     if isinstance(h2, FiniteFunctional):
         h2 = realize_rep_backed(h2, alphabet or h1.rep.alphabet)
     rep = reps.tensor(h1.rep, h2.rep)
-    return _coefficient(rep, _kron(h1._phi, h2._phi), _kron(h1._v, h2._v))
+    return MatrixCoefficient.of_pairs(rep, _kron(h1._phi, h2._phi), _kron(h1._v, h2._v))
 
 
 def _kron(a, b):

@@ -140,7 +140,7 @@ def eval_regular(f: RegularFunction, g: GroupWord) -> Fraction:
 
 def phi_map(f: RegularFunction) -> MatrixCoefficient:
     """Phi: regular function -> regular linear functional on U(g)."""
-    return MatrixCoefficient(f.rep, f.phi, f.v)
+    return MatrixCoefficient.of_pairs(f.rep, f._phi, f._v)
 
 
 def xi_map(
@@ -149,7 +149,7 @@ def xi_map(
     """Xi: regular linear functional -> regular function on the group."""
     if isinstance(h, FiniteFunctional):
         h = realize_rep_backed(h, alphabet, dim_cap)
-    return RegularFunction(h.rep, h.phi, h.v)
+    return RegularFunction.of_pairs(h.rep, h._phi, h._v)
 
 
 def taylor_expand(h, letters, alphabet: Alphabet = None) -> RhoExpansion:

@@ -8,10 +8,16 @@ submodule).  So each weight space is the image of its candidates under
 x -> (e_j x)_j, computed from the levels above it.  The Freudenthal recursion
 (with Peterson root multiplicities) provides an independent cross-check.
 
+Everything runs in integers: the matrices of f_i and e_i are linalg.Operators
+(integer entries over one denominator), a weight space is reduced from
+integer rows, and an action carries its vector as integers over one
+denominator, building Fractions once, for the result.
+
 Weights are tracked as depth vectors k with lambda = Lambda - sum k_i alpha_i.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,7 +25,7 @@ from fractions import Fraction
 from operator import add, mul, sub
 
 from . import linalg, words
-from .linalg import Echelon, frac
+from .linalg import Echelon, Operator, frac
 from .words import NcPoly
 
 DEFAULT_DEPTH_CAP = 24
@@ -95,27 +101,41 @@ def validate_gcm(a) -> GCM:
     if errors:
         raise GCMError("; ".join(errors))
 
-    # d_i a_ij = d_j a_ji, propagated along the nonzero pattern
-    d = [None] * n
+    # d_i a_ij = d_j a_ji, propagated along the nonzero pattern in integers:
+    # a component is rescaled whenever a new d_j would not be an integer, so
+    # its symmetrizer is d / d[start]
+    d = [0] * n
+    starts = []
     for start in range(n):
-        if d[start] is not None:
+        if d[start]:
             continue
-        d[start] = Fraction(1)
-        stack = [start]
+        d[start] = 1
+        component, stack = [start], [start]
         while stack:
             i = stack.pop()
             for j in range(n):
                 if i != j and a[i][j] != 0:
-                    required = d[i] * Fraction(a[i][j], a[j][i])
-                    if d[j] is None:
-                        d[j] = required
-                        stack.append(j)
-                    elif d[j] != required:
-                        raise GCMError("matrix is not symmetrizable")
-    # rescale to least positive integers (per connected component jointly)
-    d = [x * math.lcm(*(y.denominator for y in d)) for x in d]
-    g = math.gcd(*(x.numerator for x in d))
-    return GCM(a, [x / g for x in d])
+                    num, den = d[i] * a[i][j], a[j][i]  # d_j = num / den
+                    if d[j]:
+                        if d[j] * den != num:
+                            raise GCMError("matrix is not symmetrizable")
+                        continue
+                    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+                    num, den = num // g, den // g
+                    if den != 1:
+                        for c in component:
+                            d[c] *= den
+                    d[j] = num
+                    component.append(j)
+                    stack.append(j)
+        starts.append((component, d[start]))
+    # rescale to least positive integers (all components jointly)
+    common = math.lcm(*[top for _, top in starts])
+    for component, top in starts:
+        for c in component:
+            d[c] *= common // top
+    g = math.gcd(*d)
+    return GCM(a, [x // g for x in d])
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +290,7 @@ class WeightSpace:
 
 def _shift(k, i, step):
     """The depth vector k + step * e_i."""
-    return tuple(x + step if j == i else x for j, x in enumerate(k))
+    return k[:i] + (k[i] + step,) + k[i + 1:]
 
 
 class IrrTrunc:
@@ -278,10 +298,11 @@ class IrrTrunc:
 
     Weight spaces are built lazily, each from the ones one and two levels
     closer to the top, and cached with the matrices of f_i into them and of
-    e_i out of them.  `depth` is the declared truncation; operations that
-    escape it either raise or auto-extend up to `depth_cap`.  `dim_cap`
-    bounds the number of candidates reduced for one weight space.  An
-    instance takes no lock, so it is not meant to be shared between threads.
+    e_i out of them, each a `linalg.Operator` (integer entries over one
+    denominator, in lowest terms).  `depth` is the declared truncation;
+    operations that escape it either raise or auto-extend up to `depth_cap`.
+    `dim_cap` bounds the number of candidates reduced for one weight space.
+    An instance takes no lock, so it is not meant to be shared between threads.
     """
 
     def __init__(self, gcm: GCM, lam, depth: int,
@@ -301,27 +322,37 @@ class IrrTrunc:
         self.depth_cap = depth_cap
         self.dim_cap = dim_cap
         self._spaces: dict = {}
-        self._fmat: dict = {}  # (i, k) -> matrix of f_i from V_k to V_{k + e_i}
-        self._emat: dict = {}  # (i, k) -> matrix of e_i from V_k to V_{k - e_i}
+        self._fmat: dict = {}  # (i, k) -> Operator of f_i from V_k to V_{k + e_i}
+        self._emat: dict = {}  # (i, k) -> Operator of e_i from V_k to V_{k - e_i}
+        # alpha_j(h_i) = a_ij: lambda at k + e_j is lambda at k minus these
+        self._alpha = tuple(tuple(row[j] for row in gcm.a) for j in range(gcm.n))
 
     # -- construction ------------------------------------------------------
 
     def lam_of(self, k) -> tuple:
         """Weight coordinates lambda(h_i) at depth vector k."""
-        return tuple(
-            self.lam[i] - sum(kj * self.gcm.a[i][j] for j, kj in enumerate(k))
-            for i in range(self.gcm.n)
-        )
+        return tuple(x - sum(map(mul, row, k)) for x, row in zip(self.lam, self.gcm.a))
+
+    def _depth_vector(self, k, extend: bool) -> tuple:
+        """k as a tuple of ints, checked to lie within the truncation."""
+        k = tuple(map(int, k))
+        if min(k, default=0) < 0:
+            raise ValueError("depth vector must be componentwise nonnegative")
+        self._check_total(sum(k), extend)
+        return k
+
+    def _check_total(self, total: int, extend: bool) -> None:
+        if total > self.depth:
+            if not extend:
+                raise TruncationError(total, self.depth, declared=True)
+            if total > self.depth_cap:
+                raise TruncationError(total, self.depth_cap)
 
     def space(self, k, extend: bool = False) -> WeightSpace:
-        k = tuple(int(x) for x in k)
-        if any(x < 0 for x in k):
-            raise ValueError("depth vector must be componentwise nonnegative")
-        if sum(k) > self.depth:
-            if not extend:
-                raise TruncationError(sum(k), self.depth, declared=True)
-            if sum(k) > self.depth_cap:
-                raise TruncationError(sum(k), self.depth_cap)
+        return self._space(self._depth_vector(k, extend))
+
+    def _space(self, k) -> WeightSpace:
+        """V_k for a checked depth vector k, built on first use."""
         ws = self._spaces.get(k)
         if ws is None:
             ws = self._spaces[k] = self._build(k)
@@ -336,55 +367,83 @@ class IrrTrunc:
         their stacked images (e_j f_i b)_j, which come from the levels above
         by e_j f_i b = f_i (e_j b) + delta_ij lambda_{k - e_i}(h_i) b.  So the
         matrix whose columns are these images is made of blocks
-        F_ij E_j + delta_ij lambda(h_i) I, one matrix product each, with F_ij
-        the matrix of f_i into V_{k - e_j} and E_j that of e_j on V_{k - e_i}.
-        Its reduced row echelon form gives all of it: the pivot columns are
-        the first independent candidates, kept as the basis; column c holds
-        candidate c in that basis, which is the matrix of f_i; the images at
-        the pivots are the matrices of e_j.
+        F_ij E_j + delta_ij lambda(h_i) I, one integer matrix product each,
+        with F_ij the matrix of f_i into V_{k - e_j} and E_j that of e_j on
+        V_{k - e_i}.  The rows of the blocks for one j are cleared to one
+        denominator and the integer rows go to an Echelon, whose reduced row
+        echelon form gives all of it: the pivot columns are the first
+        independent candidates, kept as the basis; column c holds candidate
+        c in that basis, which is the matrix of f_i (each primitive row over
+        its pivot entry); the images at the pivots, over the denominator of
+        their j, are the matrices of e_j.
         """
         n = self.gcm.n
-        self._emat.update({(j, k): () for j in range(n) if not k[j]})
         if not any(k):
+            self._emat.update({(j, k): Operator([], 1, 1) for j in range(n)})
             return WeightSpace(k, ((),), self.lam)
-        above = {j: self.space(_shift(k, j, -1), True) for j in range(n) if k[j]}
-        count = sum(ws.dim for ws in above.values())
+        above = [(j, self._space(_shift(k, j, -1))) for j in range(n) if k[j]]
+        j, src = above[0]
+        lam = tuple(map(sub, src.lam, self._alpha[j]))
+        dims = [src.dim for _, src in above]
+        count = sum(dims)
         if not count:  # no candidates: V_k is zero, and so are its matrices
-            for i, src in above.items():
-                self._fmat[(i, src.depth)] = self._emat[(i, k)] = ()
-            return WeightSpace(k, (), self.lam_of(k))
+            zero = Operator([], 1, 0)
+            for i, src in above:
+                self._fmat[(i, src.depth)] = self._emat[(i, k)] = zero
+            self._emat.update({(j, k): zero for j in range(n) if not k[j]})
+            return WeightSpace(k, (), lam)
         if count > self.dim_cap:
             raise linalg.CapError(
                 f"weight space candidate set of size {count} exceeds the dimension "
                 f"cap {self.dim_cap}; raise it with LIEREG_DIM_CAP"
             )
-        images = []
-        for j, tgt in above.items():
-            blocks = []
-            for i, src in above.items():
+        images = []  # (denominator, integer rows) of the stacked e_j-images, per j
+        start = 0  # where f_j V_{k - e_j} starts among the candidates
+        for (j, tgt), dim in zip(above, dims):
+            blocks = []  # (denominator, integer rows or None for zero) per source space
+            for i, src in above:
                 e_j = self._emat[(j, src.depth)]
-                if e_j:
-                    block = linalg.mat_mul(self._fmat[(i, _shift(src.depth, j, -1))], e_j)
+                if e_j.height:
+                    f_i = self._fmat[(i, _shift(src.depth, j, -1))]
+                    block = linalg.mat_mul(f_i.int_rows(), e_j.int_rows())
+                    blocks.append((f_i.denom * e_j.denom, block))
                 else:
-                    block = linalg.zero_mat(tgt.dim, src.dim)
-                if i == j:
-                    block = [
-                        [x + src.lam[i] if r == c else x for c, x in enumerate(row)]
-                        for r, row in enumerate(block)
-                    ]
-                blocks.append(block)
-            images.extend([x for part in parts for x in part] for parts in zip(*blocks))
-        rows, pivots = linalg.rref(images)
+                    blocks.append((1, None))
+            den = math.lcm(*[d for d, _ in blocks])
+            rows = [[] for _ in range(dim)]
+            for (d, block), width in zip(blocks, dims):
+                if block is None:
+                    for row in rows:
+                        row.extend([0] * width)
+                    continue
+                scale = den // d
+                for row, part in zip(rows, block):
+                    row.extend(part if scale == 1 else [x * scale for x in part])
+            shift = tgt.lam[j] * den  # + lambda_{k - e_j}(h_j) I in the block of source j
+            for r, row in enumerate(rows, start):
+                row[r] += shift
+            images.append((den, rows))
+            start += dim
+        ech = Echelon()
+        for row in linalg.by_leading_column([row for _, rows in images for row in rows]):
+            ech.add(row)
+        pivots = ech.pivots
+        lead = math.lcm(*[row[p] for row, p in zip(ech.rows, pivots)])
+        reduced = [(lead // row[p], row) for row, p in zip(ech.rows, pivots)]
         start = 0  # where f_i V_{k - e_i} starts, in the columns and in the rows
-        for i, src in above.items():
-            self._fmat[(i, src.depth)] = tuple(row[start:start + src.dim] for row in rows)
-            self._emat[(i, k)] = tuple(
-                tuple(images[start + r][p] for p in pivots) for r in range(src.dim)
+        for (i, src), (den, rows) in zip(above, images):
+            stop = start + src.dim
+            self._fmat[(i, src.depth)] = Operator.from_int_rows(
+                [[s * x for x in row[start:stop]] for s, row in reduced], lead, src.dim
             )
-            start += src.dim
-        candidates = [(i,) + b for i, src in above.items() for b in src.basis]
+            self._emat[(i, k)] = Operator.from_int_rows(
+                [[row[p] for p in pivots] for row in rows], den, len(pivots)
+            )
+            start = stop
+        self._emat.update({(j, k): Operator([], 1, len(pivots)) for j in range(n) if not k[j]})
+        candidates = [(i,) + b for i, src in above for b in src.basis]
         basis = tuple(candidates[p] for p in pivots)
-        return WeightSpace(k, basis, self.lam_of(k))
+        return WeightSpace(k, basis, lam)
 
     def weight_multiplicity(self, k) -> int:
         return self.space(k).dim
@@ -394,23 +453,30 @@ class IrrTrunc:
         max_depth = self.depth if max_depth is None else max_depth
         out = {}
         for k in itertools.product(range(max_depth + 1), repeat=self.gcm.n):
-            if sum(k) <= max_depth:
-                d = self.space(k).dim
+            total = sum(k)
+            if total <= max_depth:
+                self._check_total(total, False)
+                d = self._space(k).dim
                 if d:
                     out[k] = d
         return out
 
     # -- generator actions on quotient coordinates --------------------------
 
-    def f_matrix(self, i: int, k, extend: bool = False):
-        """Matrix of f_i from weight k to weight k + e_i in quotient coordinates."""
-        k = self.space(k, extend).depth
-        self.space(_shift(k, i, 1), extend)
+    def f_matrix(self, i: int, k, extend: bool = False) -> Operator:
+        """The Operator of f_i from weight k to weight k + e_i in quotient
+        coordinates; its `matrix()` is the Fraction view."""
+        k = self._depth_vector(k, extend)
+        self._check_total(sum(k) + 1, extend)
+        self._space(_shift(k, i, 1))
         return self._fmat[(i, k)]
 
-    def e_matrix(self, i: int, k):
-        """Matrix of e_i from weight k to weight k - e_i in quotient coordinates."""
-        return self._emat[(i, self.space(k).depth)]
+    def e_matrix(self, i: int, k) -> Operator:
+        """The Operator of e_i from weight k to weight k - e_i in quotient
+        coordinates; its `matrix()` is the Fraction view."""
+        k = self._depth_vector(k, False)
+        self._space(k)
+        return self._emat[(i, k)]
 
     # -- vectors ------------------------------------------------------------
 
@@ -471,22 +537,78 @@ def _accumulate(out: dict, key, coords) -> None:
     out[key] = tuple(coords) if old is None else tuple(a + b for a, b in zip(old, coords))
 
 
-def _act(v: TruncVector, i: int, step: int, matrix) -> TruncVector:
-    """Apply the generator whose matrix at weight k is matrix(k); it moves k by step e_i."""
-    out = {}
-    for k, coords in v.parts.items():
-        mat = matrix(k)
-        if mat:
-            _accumulate(out, _shift(k, i, step), linalg.mat_vec(mat, coords))
-    return TruncVector(out)
+# An action carries its vector as (d, parts): one denominator d and, per
+# depth vector k, a list of ints, the vector being parts / d.  Zero parts are
+# left out, so the vector is zero exactly when parts is empty.  The integers
+# go through every factor of a word or a group word, and Fractions are built
+# once, for the result.
+
+
+def _integral(v: TruncVector):
+    """(d, parts) with v = parts / d, d the least common denominator of v."""
+    d = math.lcm(*{c.denominator for coords in v.parts.values() for c in coords})
+    return d, {
+        k: [c.numerator * (d // c.denominator) for c in coords] for k, coords in v.parts.items()
+    }
+
+
+def _vector(d, parts) -> TruncVector:
+    """The TruncVector parts / d."""
+    out = TruncVector()
+    out.parts = {k: linalg.over(ints, d) for k, ints in parts.items()}
+    return out
+
+
+def _image(d, parts, i: int, step: int, matrix):
+    """(D, parts') with the generator's image of parts / d equal to parts' / D:
+    matrix(i, k) is its Operator at weight k, which moves k by step e_i, so
+    each image part comes from one part."""
+    moved = []
+    for k, ints in parts.items():
+        op = matrix(i, k)
+        if op.height:
+            u = op.image(ints)
+            if any(u):
+                moved.append((_shift(k, i, step), op.denom, u))
+    den = math.lcm(*[e for _, e, _ in moved])
+    return d * den, {k: u if e == den else [x * (den // e) for x in u] for k, e, u in moved}
+
+
+def _combine(terms):
+    """(D, parts) with parts / D the sum of c * p / d over the terms (c, d, p),
+    c rational and p integer parts; zero parts are left out."""
+    den, acc = 1, {}
+    for c, d, parts in terms:
+        d *= c.denominator
+        common = math.lcm(den, d)
+        if common != den:
+            acc = {k: [a * (common // den) for a in u] for k, u in acc.items()}
+            den = common
+        s = c.numerator * (common // d)
+        for k, u in parts.items():
+            old = acc.get(k)
+            acc[k] = [s * x for x in u] if old is None else [a + s * x for a, x in zip(old, u)]
+    return den, {k: u for k, u in acc.items() if any(u)}
+
+
+def _e_poly(m: IrrTrunc, x: NcPoly, d, parts):
+    """The polynomial x of raising generators on parts / d, each word's first
+    letter outermost."""
+    terms = []
+    for w, c in x.terms.items():
+        d_w, image = d, parts
+        for i in reversed(w):
+            d_w, image = _image(d_w, image, i, -1, m.e_matrix)
+        terms.append((c, d_w, image))
+    return _combine(terms)
 
 
 def act_f(m: IrrTrunc, i: int, v: TruncVector, extend: bool = False) -> TruncVector:
-    return _act(v, i, 1, lambda k: m.f_matrix(i, k, extend))
+    return _vector(*_image(*_integral(v), i, 1, functools.partial(m.f_matrix, extend=extend)))
 
 
 def act_e(m: IrrTrunc, i: int, v: TruncVector) -> TruncVector:
-    return _act(v, i, -1, lambda k: m.e_matrix(i, k))
+    return _vector(*_image(*_integral(v), i, -1, m.e_matrix))
 
 
 def act_h(m: IrrTrunc, i: int, v: TruncVector) -> TruncVector:
@@ -498,19 +620,8 @@ def act_h(m: IrrTrunc, i: int, v: TruncVector) -> TruncVector:
     )
 
 
-def act_e_word(m: IrrTrunc, w, v: TruncVector) -> TruncVector:
-    """A word in the raising generators, first letter outermost."""
-    out = v
-    for i in reversed(tuple(w)):
-        out = act_e(m, i, out)
-    return out
-
-
 def act_e_poly(m: IrrTrunc, x: NcPoly, v: TruncVector) -> TruncVector:
-    out = m.zero_vector()
-    for w, c in x.terms.items():
-        out = out + c * act_e_word(m, w, v)
-    return out
+    return _vector(*_e_poly(m, x, *_integral(v)))
 
 
 # ---------------------------------------------------------------------------
@@ -554,44 +665,71 @@ def coweight_torus_factor(gcm: GCM, lam, coeffs, s) -> KMFactor:
 KMGroupWord = tuple  # of KMFactor, leftmost factor acts last
 
 
-def _exp_series(m: IrrTrunc, apply_once, t: Fraction, v: TruncVector) -> TruncVector:
-    out = v
-    term = v
-    k = 0
+def _exp_series(apply_once, t: Fraction, d, parts):
+    """exp(t X) on parts / d, with apply_once(d, parts) the image under X.
+
+    With t = p/q the k-th term t^k X^k v / k! is term_k / den_k (times 1/d):
+    if X term_(k-1) = u_k / D_k, then term_k = p u_k and
+    den_k = den_(k-1) q k D_k.  The partial sum is kept over the same
+    running denominator.
+    """
+    p, q = t.numerator, t.denominator
+    acc = term = parts
+    den = k = 1
     while True:
+        d_x, u = apply_once(1, term)
+        if not u or not p:
+            return d * den, acc
+        term = {key: [p * x for x in ints] for key, ints in u.items()}
+        scale = q * k * d_x
+        acc = {key: [a * scale for a in ints] for key, ints in acc.items()}
+        for key, ints in term.items():
+            old = acc.get(key)
+            acc[key] = ints if old is None else [a + x for a, x in zip(old, ints)]
+        acc = {key: ints for key, ints in acc.items() if any(ints)}
+        den *= scale
         k += 1
-        term = Fraction(t, k) * apply_once(term)
-        if term.is_zero():
-            return out
-        if term.max_depth() > m.depth_cap:
-            raise TruncationError(term.max_depth(), m.depth_cap)
-        out = out + term
 
 
-def exp_action(m: IrrTrunc, factor: KMFactor, v: TruncVector) -> TruncVector:
-    """Apply one factor; exp(t f_i) extends the truncation up to its depth cap."""
+def _factor_image(m: IrrTrunc, factor: KMFactor, d, parts):
+    """(D, parts') with factor . (parts / d) = parts' / D; exp(t f_i) extends
+    the truncation up to its depth cap."""
+    i = factor.data
     if factor.kind == "e":
-        return _exp_series(m, lambda u: act_e(m, factor.data, u), factor.param, v)
+        return _exp_series(lambda d, u: _image(d, u, i, -1, m.e_matrix), factor.param, d, parts)
     if factor.kind == "f":
-        return _exp_series(m, lambda u: act_f(m, factor.data, u, True), factor.param, v)
+        f_matrix = functools.partial(m.f_matrix, extend=True)
+        return _exp_series(lambda d, u: _image(d, u, i, 1, f_matrix), factor.param, d, parts)
     if factor.kind == "root":
         poly = words.multibracket(factor.data)
-        return _exp_series(m, lambda u: act_e_poly(m, poly, u), factor.param, v)
-    # torus
+        return _exp_series(lambda d, u: _e_poly(m, poly, d, u), factor.param, d, parts)
+    # torus: s^n on the weight with n = Lambda(h) - sum k_i alpha_i(h); with
+    # s = p/q, over q^top |p|^bottom every entry stays an integer
     lam_val, alpha_vals = factor.data
-    s = factor.param
-    out = {}
-    for k, coords in v.parts.items():
-        power = lam_val - sum(ki * av for ki, av in zip(k, alpha_vals))
-        out[k] = tuple(c * s ** int(power) for c in coords)
-    return TruncVector(out)
+    p, q = factor.param.numerator, factor.param.denominator
+    powers = {k: lam_val - sum(map(mul, k, alpha_vals)) for k in parts}
+    top, bottom = max([0, *powers.values()]), -min([0, *powers.values()])
+    den = q**top * abs(p) ** bottom
+    scale = {
+        n: den * p**n // q**n if n >= 0 else den * q**-n // p**-n for n in set(powers.values())
+    }
+    return d * den, {k: [x * scale[powers[k]] for x in ints] for k, ints in parts.items()}
+
+
+def _group_image(m: IrrTrunc, g, d, parts):
+    """(D, parts') with g . (parts / d) = parts' / D, the rightmost factor
+    acting first; reduced by the gcd of the entries between factors."""
+    for factor in reversed(tuple(g)):
+        d, parts = _factor_image(m, factor, d, parts)
+        c = math.gcd(d, *[x for ints in parts.values() for x in ints])
+        if c != 1:
+            d //= c
+            parts = {k: [x // c for x in ints] for k, ints in parts.items()}
+    return d, parts
 
 
 def act_km_group(m: IrrTrunc, g, v: TruncVector) -> TruncVector:
-    out = v
-    for factor in reversed(tuple(g)):
-        out = exp_action(m, factor, out)
-    return out
+    return _vector(*_group_image(m, g, *_integral(v)))
 
 
 def theta_eval(m: IrrTrunc, g) -> Fraction:
@@ -621,49 +759,49 @@ def rootvector_is_zero(m: IrrTrunc, poly: NcPoly, max_depth: int = None) -> bool
 
 
 def _tensor_blocks(m: IrrTrunc, total_k):
-    """Sorted (k1, k2) pairs with k1 + k2 = total_k and both spaces nonzero."""
+    """The (k1, k2) pairs with k1 + k2 = total_k and both spaces nonzero, in
+    increasing k1."""
+    m._check_total(sum(total_k), True)  # then every k1, k2 lies within the cap
     ranges = [range(t + 1) for t in total_k]
     blocks = []
     for k1 in itertools.product(*ranges):
-        k2 = tuple(t - a for t, a in zip(total_k, k1))
-        d1 = m.space(k1, True).dim
-        d2 = m.space(k2, True).dim
+        k2 = tuple(map(sub, total_k, k1))
+        d1 = m._space(k1).dim
+        d2 = m._space(k2).dim
         if d1 and d2:
             blocks.append((k1, k2, d1, d2))
-    blocks.sort(key=lambda b: (b[0], b[1]))
     return blocks
 
 
-def _flatten_tensor(blocks, tensor_parts):
+def _flatten_tensor(blocks, tensor_parts) -> list:
     out = []
     for k1, k2, d1, d2 in blocks:
         coords = tensor_parts.get((k1, k2))
-        if coords is None:
-            out.extend([Fraction(0)] * (d1 * d2))
-        else:
-            out.extend(coords)
-    return tuple(out)
+        out.extend([0] * (d1 * d2) if coords is None else coords)
+    return out
 
 
 def _tensor_f(m: IrrTrunc, i: int, parts: dict) -> dict:
-    """f_i (x) 1 + 1 (x) f_i on a tensor vector keyed by weight pairs.
+    """A positive multiple of f_i (x) 1 + 1 (x) f_i on an integer tensor
+    vector keyed by weight pairs: a span does not see the scale.
 
     The (k1, k2) block is a dim V_k1 x dim V_k2 matrix C flattened by rows;
-    f_i (x) 1 sends it to F C and 1 (x) f_i to C F^T.
+    f_i (x) 1 sends it to F C, column by column, and 1 (x) f_i to C F^T,
+    row by row.  The images are summed over the lcm of the denominators.
     """
-    out = {}
+    terms = []  # (1, denominator, {weight pair: flattened block})
     for (k1, k2), coords in parts.items():
-        d2 = m.space(k2, True).dim
-        rows = [coords[a:a + d2] for a in range(0, len(coords), d2)]
-        m1 = m.f_matrix(i, k1, True)
-        if m1:
-            new = linalg.mat_mul(m1, rows)
-            _accumulate(out, (_shift(k1, i, 1), k2), [x for row in new for x in row])
-        m2 = m.f_matrix(i, k2, True)
-        if m2:
-            new = linalg.mat_mul(rows, linalg.transpose(m2))
-            _accumulate(out, (k1, _shift(k2, i, 1)), [x for row in new for x in row])
-    return {k: v for k, v in out.items() if any(x != 0 for x in v)}
+        f1 = m.f_matrix(i, k1, True)
+        f2 = m.f_matrix(i, k2, True)
+        rows = [coords[a:a + f2.width] for a in range(0, len(coords), f2.width)]
+        if f1.height:
+            columns = [f1.image(column) for column in zip(*rows)]
+            flat = [x for row in zip(*columns) for x in row]
+            terms.append((1, f1.denom, {(_shift(k1, i, 1), k2): flat}))
+        if f2.height:
+            flat = [x for row in rows for x in f2.image(row)]
+            terms.append((1, f2.denom, {(k1, _shift(k2, i, 1)): flat}))
+    return _combine(terms)[1]
 
 
 def kostant_cone_test(m: IrrTrunc, v: TruncVector, m2: IrrTrunc = None) -> bool:
@@ -671,8 +809,10 @@ def kostant_cone_test(m: IrrTrunc, v: TruncVector, m2: IrrTrunc = None) -> bool:
 
     The isotypical component is generated from v_Lambda (x) v_Lambda by the
     lowering operators; membership is tested weight by weight with exact
-    rank computations.  If a truncation of L(2 Lambda) is supplied, its
-    multiplicities cross-check the dimensions of the component.
+    rank computations, in integers: every tensor vector is kept up to a
+    positive scale, which a span does not see.  If a truncation of
+    L(2 Lambda) is supplied, its multiplicities cross-check the dimensions
+    of the component.
     """
     if v.is_zero():
         return True
@@ -681,7 +821,7 @@ def kostant_cone_test(m: IrrTrunc, v: TruncVector, m2: IrrTrunc = None) -> bool:
 
     # generate the highest component level by level
     top_key = ((0,) * n, (0,) * n)
-    level_vectors = {0: [{top_key: (Fraction(1),)}]}
+    level_vectors = {0: [{top_key: [1]}]}
     spans = {}
     for depth in range(1, max_total + 1):
         vecs = []
@@ -703,25 +843,24 @@ def kostant_cone_test(m: IrrTrunc, v: TruncVector, m2: IrrTrunc = None) -> bool:
                 if tuple(a + b for a, b in zip(key[0], key[1])) == total_k
             }
             if relevant:
-                ech.add(linalg.integral(_flatten_tensor(blocks, relevant))[1])
+                ech.add(_flatten_tensor(blocks, relevant))
         if m2 is not None and ech.rank != m2.space(total_k, True).dim:
             raise AssertionError(total_k)
         spans[total_k] = (blocks, ech)
         return spans[total_k]
 
-    # components of v (x) v by total weight
+    # components of v (x) v by total weight, over the square of v's denominator
+    _, ints = _integral(v)
     by_total = {}
-    for k1, c1 in v.parts.items():
-        for k2, c2 in v.parts.items():
+    for k1, c1 in ints.items():
+        for k2, c2 in ints.items():
             total = tuple(a + b for a, b in zip(k1, k2))
             by_total.setdefault(total, {})[(k1, k2)] = linalg.vec_kron(c1, c2)
 
     for total_k, parts in by_total.items():
         blocks, ech = span_at(total_k)
         flat = _flatten_tensor(blocks, parts)
-        if linalg.is_zero_vec(flat):
-            continue
-        if not ech.contains(linalg.integral(flat)[1]):
+        if any(flat) and not ech.contains(flat):
             return False
     return True
 

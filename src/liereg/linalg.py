@@ -3,7 +3,9 @@
 A matrix applied many times, as a module's letter is, is an
 :class:`Operator`: integer entries over one common denominator, built from
 the nonzero (column, value) pairs of its rows (``Operator.from_rows``
-clears rows of ints or Fractions once).  ``Operator.image`` gives
+clears rows of ints or Fractions once, ``Operator.from_int_rows`` takes
+full integer rows over a denominator and keeps them in lowest terms).
+``Operator.image`` gives
 denom * M v for an integer vector v, ``Operator.pull_back`` denom * phi M.
 An action clears its vector's denominators once with ``integral``, chains
 the integer products while it multiplies the denominators, and builds
@@ -30,18 +32,24 @@ raises TypeError) and keeps primitive integer rows: each reduced row times
 its positive pivot entry, with gcd 1.  Reduction and back-substitution
 cross-multiply and divide by the row gcd (Bareiss, Math. Comp. 22, 1968);
 ``basis()`` divides by the pivot entries.  Pivots are the first nonzero
-entry from the left, rows are taken in order, and the reduced row echelon
-form of a span is unique, so ``basis()``, ``rref``, ``rank`` and ``solve``
-(which clear their rational rows) equal rational Gauss-Jordan elimination,
-and a span loop (``reps.submodule_generated``, ``duals.in_shuffle_span``)
+entry from the left, and the reduced row echelon form of a span is unique,
+so ``basis()``, ``rref``, ``rank`` and ``solve`` (which clear their rational
+rows) equal rational Gauss-Jordan elimination whatever the order of the
+rows, and a span loop (``reps.submodule_generated``, ``duals.in_shuffle_span``)
 may run on integer multiples of its vectors: a span does not see their
-scale.
+scale.  ``rref``, ``rank`` and ``solve`` add their rows in order of
+decreasing leading column (``by_leading_column``): a row whose leading
+column lies left of every pivot so far has a zero there in every stored
+row, so it needs no back-substitution.
 
-The Kac-Moody modules keep their matrices as tuples of Fraction rows, for
-``mat_mul``, ``mat_vec``, ``transpose`` and ``zero_mat``.
+The Kac-Moody modules keep their f_i and e_i matrices as Operators too.
+A weight space is built from integer block products (``mat_mul`` on the
+``Operator.int_rows`` of two operators; its accumulators start at int 0)
+whose rows go to an Echelon in the same order.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from operator import mul
@@ -61,11 +69,6 @@ def frac(x) -> Fraction:
 
 def vec(entries) -> tuple:
     return tuple(frac(x) for x in entries)
-
-
-def zero_mat(n, m=None) -> tuple:
-    m = n if m is None else m
-    return tuple((ZERO,) * m for _ in range(n))
 
 
 def is_zero_vec(v) -> bool:
@@ -122,9 +125,24 @@ class Operator:
     def from_rows(cls, m):
         """The operator of a matrix given as rows of ints or Fractions."""
         denom = math.lcm(*{x.denominator for row in m for x in row})
-        scaled = [[(j, x.numerator * (denom // x.denominator)) for j, x in enumerate(row) if x]
-                  for row in m]
-        return cls(scaled, denom, len(m[0]) if m else 0)
+        scaled = [[x.numerator * (denom // x.denominator) for x in row] for row in m]
+        return cls.from_int_rows(scaled, denom, len(m[0]) if m else 0)
+
+    @classmethod
+    def from_int_rows(cls, rows, denom, width):
+        """The operator of rows / denom, for rows of `width` ints each, in
+        lowest terms.  A dense one keeps the rows themselves, as tuples."""
+        if denom != 1:
+            g = math.gcd(denom, *itertools.chain.from_iterable(rows))
+            if g != 1:
+                rows = [[x // g for x in row] for row in rows]
+                denom //= g
+        if 10 * sum([width - row.count(0) for row in rows]) <= len(rows) * width:
+            return cls([[(j, x) for j, x in enumerate(row) if x] for row in rows], denom, width)
+        op = cls.__new__(cls)
+        op.denom, op.height, op.width, op.sparse = denom, len(rows), width, False
+        op.columns, op.rows = None, tuple(map(tuple, rows))
+        return op
 
     def entries(self):
         """The nonzero (column, value) pairs of each row, in increasing column."""
@@ -136,9 +154,15 @@ class Operator:
             return rows
         return [[(j, x) for j, x in enumerate(row) if x] for row in self.rows]
 
+    def int_rows(self):
+        """denom * M as full rows of ints."""
+        if self.sparse:
+            return [_dense(row, self.width) for row in self.entries()]
+        return self.rows
+
     def matrix(self) -> tuple:
         """M as a tuple of rows of Fractions."""
-        return tuple(over(_dense(row, self.width), self.denom) for row in self.entries())
+        return tuple(over(row, self.denom) for row in self.int_rows())
 
     def is_zero(self) -> bool:
         """Whether M = 0: a dense operator has more than a tenth of its entries nonzero."""
@@ -202,19 +226,13 @@ def mat_mul(a, b) -> tuple:
     b_nz = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
     for row in a:
-        acc = [ZERO] * n
+        acc = [0] * n
         for k, x in enumerate(row):
             if x:
                 for j, y in b_nz[k]:
                     acc[j] += x * y
         out.append(tuple(acc))
     return tuple(out)
-
-
-def transpose(m) -> tuple:
-    if not m:
-        return ()
-    return tuple(zip(*m))
 
 
 def kron(a, b, width) -> list:
@@ -224,7 +242,7 @@ def kron(a, b, width) -> list:
 
 
 def vec_kron(u, v) -> tuple:
-    return tuple(a * b if a and b else ZERO for a in u for b in v)
+    return tuple(a * b for a in u for b in v)
 
 
 class Echelon:
@@ -313,9 +331,22 @@ def _make_primitive(row, support, p) -> None:
 def _echelon(rows) -> Echelon:
     """The Echelon of rows of ints or Fractions, each cleared once."""
     e = Echelon()
-    for r in rows:
-        e.add(integral(r)[1])
+    for r in by_leading_column([integral(r)[1] for r in rows]):
+        e.add(r)
     return e
+
+
+def by_leading_column(rows) -> list:
+    """The integer rows in order of decreasing leading column (zero rows last),
+    the order in which Echelon.add does no back-substitution while each new
+    leading column is a new pivot."""
+    return sorted(rows, key=_minus_leading_column)
+
+
+def _minus_leading_column(row) -> int:
+    """Minus the index of the first nonzero entry of row; 1 for a zero row."""
+    x = next(filter(None, row), 0)
+    return -row.index(x) if x else 1
 
 
 def rank(rows) -> int:

@@ -169,6 +169,63 @@ def test_witness_subcommand(capsys):
     assert json.loads(out)["moved"][-1] == "35"
 
 
+KM_BUILD_B2 = """{
+  "symmetrizer": [
+    "2",
+    "1"
+  ],
+  "weights": [
+    {
+      "depth": [
+        0,
+        0
+      ],
+      "lambda": [
+        1,
+        0
+      ],
+      "multiplicity": 1
+    },
+    {
+      "depth": [
+        1,
+        0
+      ],
+      "lambda": [
+        -1,
+        2
+      ],
+      "multiplicity": 1
+    },
+    {
+      "depth": [
+        1,
+        1
+      ],
+      "lambda": [
+        0,
+        0
+      ],
+      "multiplicity": 1
+    }
+  ],
+  "total-dimension": 3
+}
+"""
+
+
+def test_km_build_output_is_pinned_byte_for_byte(capsys):
+    code, out, err = run(
+        capsys,
+        "km-build",
+        "--matrix", '{"matrix": [[2, -1], [-2, 2]]}',
+        "--weight", "[1, 0]",
+        "--depth", "2",
+    )
+    assert (code, err) == (0, "")
+    assert out == KM_BUILD_B2
+
+
 def test_km_subcommands(capsys):
     code, out, _ = run(
         capsys,

@@ -19,8 +19,8 @@ from liereg.kacmoody import (
     act_e,
     act_f,
     act_h,
+    act_km_group,
     coweight_torus_factor,
-    exp_action,
     freudenthal_multiplicity,
     kostant_cone_test,
     peter_weyl_rank,
@@ -182,17 +182,17 @@ def test_out_of_truncation_errors():
 def test_exp_action_sl2():
     mod = IrrTrunc(SL2, (1,), depth=1)
     v = mod.highest_weight_vector()
-    out = exp_action(mod, KMFactor("f", 0, Fraction(3)), v)
+    out = act_km_group(mod, (KMFactor("f", 0, Fraction(3)),), v)
     assert out.coefficient((0,)) == 1
     assert out.coefficient((1,)) == 3
-    assert exp_action(mod, KMFactor("e", 0, Fraction(0)), out) == out
+    assert act_km_group(mod, (KMFactor("e", 0, Fraction(0)),), out) == out
 
 
 def test_torus_factor():
     mod = IrrTrunc(SL2, (2,), depth=2)
     factor = coweight_torus_factor(SL2, mod.lam, (1,), Fraction(3))
     v = TruncVector({(0,): (1,), (1,): (1,), (2,): (1,)})
-    out = exp_action(mod, factor, v)
+    out = act_km_group(mod, (factor,), v)
     # weights 2, 0, -2 under h
     assert out.coefficient((0,)) == 9
     assert out.coefficient((1,)) == 1
@@ -207,7 +207,7 @@ def test_torus_exp_conjugation():
     v = TruncVector({(0,): (1,), (1,): (Fraction(1, 2),)})
     lhs = kacmoody.act_km_group(mod, (h, KMFactor("f", 0, t), h_inv), v)
     # s^h exp(t f) s^-h = exp(t s^-alpha(h) f)
-    rhs = exp_action(mod, KMFactor("f", 0, t * s ** -2), v)
+    rhs = act_km_group(mod, (KMFactor("f", 0, t * s ** -2),), v)
     assert lhs == rhs
 
 
@@ -471,7 +471,7 @@ def test_exp_rootvector_action():
     v = act_f(mod, 0, act_f(mod, 1, hw))  # the Verma monomial f_0 f_1 v
     xv = kacmoody.act_e_poly(mod, x, v)
     assert not xv.is_zero() and set(xv.parts) == {(0, 0)}
-    out = exp_action(mod, KMFactor("root", (0, 1), Fraction(1)), v)
+    out = act_km_group(mod, (KMFactor("root", (0, 1), Fraction(1)),), v)
     assert out == v + xv  # the series stops once the top weight is reached
 
 
@@ -552,20 +552,20 @@ def test_inductive_build_matches_gram_oracle(gcm, lam):
             if k[i]:
                 down = oracle[_shift(k, i, -1)]
                 expected = [down.coords(checks.verma_e(gcm, lam, i, w)) for w in gram.basis]
-                assert _columns(mod.e_matrix(i, k), ws.dim) == expected, (i, k)
+                assert _columns(mod.e_matrix(i, k).matrix(), ws.dim) == expected, (i, k)
             if sum(k) < depth:
                 up = oracle[_shift(k, i, 1)]
                 expected = [up.coords({(i,) + w: 1}) for w in gram.basis]
-                assert _columns(mod.f_matrix(i, k), ws.dim) == expected, (i, k)
+                assert _columns(mod.f_matrix(i, k).matrix(), ws.dim) == expected, (i, k)
 
 
 def test_matrices_of_zero_spaces_keep_their_shape():
     mod = IrrTrunc(SL2, (1,), depth=3)
     assert mod.space((2,)).dim == 0
-    assert mod.f_matrix(0, (1,)) == ()  # into a zero space: no rows
-    assert mod.f_matrix(0, (2,)) == ()
-    assert mod.e_matrix(0, (2,)) == ((),)  # out of a zero space: empty rows
-    assert mod.e_matrix(0, (0,)) == ()
+    assert mod.f_matrix(0, (1,)).matrix() == ()  # into a zero space: no rows
+    assert mod.f_matrix(0, (2,)).matrix() == ()
+    assert mod.e_matrix(0, (2,)).matrix() == ((),)  # out of a zero space: empty rows
+    assert mod.e_matrix(0, (0,)).matrix() == ()
 
 
 def test_dim_cap_bounds_the_candidates():
@@ -591,21 +591,22 @@ def test_a2_weyl_dimension_2_1():
 def test_depth_extension_is_lazy_and_cached():
     mod = IrrTrunc(SL2, (6,), depth=1, depth_cap=10)
     assert (3,) not in mod._spaces
-    out = exp_action(mod, KMFactor("f", 0, Fraction(1)), mod.highest_weight_vector())
+    out = act_km_group(mod, (KMFactor("f", 0, Fraction(1)),), mod.highest_weight_vector())
     assert out.coefficient((6,)) == Fraction(1, 720)
     assert (6,) in mod._spaces
 
 
 def _build_digest(mod):
     """sha256 prefix of every weight-space basis and every f/e matrix entry,
-    each entry written as type:value, so that a change of value or of type shows."""
+    read through the Fraction view of each stored operator and written as
+    type:value, so that a change of value or of type shows."""
     h = hashlib.sha256()
     for k in sorted(mod._spaces):
         h.update(f"{k}:{mod._spaces[k].basis}\n".encode())
     for name, table in (("f", mod._fmat), ("e", mod._emat)):
         for key in sorted(table):
             h.update(f"{name}{key}:".encode())
-            for row in table[key]:
+            for row in table[key].matrix():
                 h.update((",".join(f"{type(x).__name__}:{x}" for x in row) + ";").encode())
             h.update(b"\n")
     return h.hexdigest()[:16]
@@ -618,9 +619,294 @@ def _build_digest(mod):
         (AFFINE, (1, 0), 12, 70, "78b68e96759ebbcd"),
         (validate_gcm([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]), (1, 0, 0), 6, 22,
          "c9161ecf2b3667de"),
+        # larger systems: the blocks of depth 12 have up to 26 candidates
+        (HYPERBOLIC, (1, 0), 12, 867, "94eac4842d10eca5"),
     ],
 )
 def test_weight_space_bases_and_matrices_are_pinned(gcm, lam, depth, dim, digest):
     mod = IrrTrunc(gcm, lam, depth)
     assert sum(mod.dimensions().values()) == dim
     assert _build_digest(mod) == digest
+
+
+@pytest.mark.parametrize(
+    "gcm,lam,depth",
+    [(HYPERBOLIC, (1, 0), 9), (AFFINE, (1, 0), 12), (AFFINE_A2, (1, 0, 0), 6)],
+)
+def test_weight_spaces_are_built_without_fractions(monkeypatch, gcm, lam, depth):
+    """The build runs in integers: not one Fraction is made while it runs."""
+    mod = IrrTrunc(gcm, lam, depth)
+    made = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    dims = mod.dimensions()
+    monkeypatch.undo()
+    assert made == []
+    assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)  # restored
+    assert dims and mod._fmat and mod._emat
+
+
+@st.composite
+def symmetrizable_rank_two(draw):
+    """[[2, -p], [-q, 2]] with p q <= 9, p = q = 0 included; p != q gives a
+    non-symmetric matrix (finite, affine and hyperbolic types all occur)."""
+    if draw(st.integers(0, 9)) == 0:
+        return [[2, 0], [0, 2]]
+    p = draw(st.integers(1, 9))
+    q = draw(st.integers(1, 9 // p))
+    return [[2, -p], [-q, 2]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    symmetrizable_rank_two(),
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.integers(0, 6),
+    st.fractions(-3, 3, max_denominator=5),
+    st.fractions(-3, 3, max_denominator=5),
+)
+@example([[2, -1], [-9, 2]], (2, 1), 6, Fraction(1, 2), Fraction(-4, 3))
+@example([[2, -3], [-3, 2]], (1, 1), 6, Fraction(2), Fraction(-1, 2))
+def test_rank_two_modules_match_freudenthal_and_the_sl2_theta(a, lam, depth, x, y):
+    gcm = validate_gcm(a)
+    mod = IrrTrunc(gcm, lam, depth)
+    cache = {}
+    for k in _weights(2, depth):
+        assert mod.weight_multiplicity(k) == freudenthal_multiplicity(gcm, lam, k, cache), k
+    # e_i, f_i, h_i span an sl2 acting on the string through v_Lambda:
+    # theta(exp(b e_i) exp(a f_i)) = (1 + a b)^Lambda_i, on a module that
+    # holds the string (exp(a f_i) extends it, exp(b e_i) may not)
+    for i in range(2):
+        g = (KMFactor("e", i, y), KMFactor("f", i, x))
+        assert theta_eval(IrrTrunc(gcm, lam, lam[i]), g) == (1 + x * y) ** lam[i]
+
+
+# Plain-Fraction references for the integer actions: every generator is read
+# through the Fraction view of its stored operator, so these check the
+# arithmetic of the actions (denominators, series, scales), not the build.
+
+REFERENCE_MODULES = [
+    (A2, (1, 1)), (B2, (1, 1)), (G2, (1, 0)), (AFFINE, (2, 1)), (HYPERBOLIC, (1, 1)),
+]
+
+
+def _ref_apply(matrix, coords):
+    return [sum((a * b for a, b in zip(row, coords)), Fraction(0)) for row in matrix]
+
+
+def _ref_act(mod, i, step, parts, extend=True):
+    out = {}
+    for k, coords in parts.items():
+        op = mod.f_matrix(i, k, extend) if step == 1 else mod.e_matrix(i, k)
+        key = _shift(k, i, step)
+        image = _ref_apply(op.matrix(), coords)
+        out[key] = [a + b for a, b in zip(out[key], image)] if key in out else image
+    return {k: c for k, c in out.items() if any(c)}
+
+
+def _ref_add(parts, other, scale=1):
+    out = {k: list(c) for k, c in parts.items()}
+    for k, c in other.items():
+        out[k] = [a + scale * b for a, b in zip(out[k], c)] if k in out else [scale * b for b in c]
+    return {k: c for k, c in out.items() if any(c)}
+
+
+def _ref_poly(mod, x, parts):
+    out = {}
+    for w, c in x.terms.items():
+        image = parts
+        for i in reversed(w):
+            image = _ref_act(mod, i, -1, image)
+        out = _ref_add(out, image, c)
+    return out
+
+
+def _ref_factor(mod, factor, parts):
+    if factor.kind == "torus":
+        lam_val, alpha_vals = factor.data
+        return {
+            k: [c * factor.param ** (lam_val - sum(map(int.__mul__, k, alpha_vals))) for c in coords]
+            for k, coords in parts.items()
+        }
+    def apply(p):
+        if factor.kind == "root":
+            return _ref_poly(mod, words.multibracket(factor.data), p)
+        return _ref_act(mod, factor.data, 1 if factor.kind == "f" else -1, p)
+
+    out, term, n = parts, parts, 0
+    while term:
+        n += 1
+        term = {k: [factor.param * c / n for c in coords] for k, coords in apply(term).items()}
+        term = {k: c for k, c in term.items() if any(c)}
+        out = _ref_add(out, term)
+    return out
+
+
+def _as_parts(v):
+    return {k: list(c) for k, c in v.parts.items()}
+
+
+@st.composite
+def module_vectors(draw, max_depth=2):
+    """A module of REFERENCE_MODULES and a vector with a few rational parts
+    (no weight space up to depth 2 there is more than 3-dimensional)."""
+    gcm, lam = draw(st.sampled_from(REFERENCE_MODULES))
+    weights = st.sampled_from(_weights(gcm.n, max_depth))
+    coords = st.lists(st.fractions(-4, 4, max_denominator=6), min_size=3, max_size=3)
+    parts = draw(st.dictionaries(weights, coords, max_size=4))
+    mod = IrrTrunc(gcm, lam, depth=4, depth_cap=8)
+    return mod, TruncVector({k: c[:mod.space(k).dim] for k, c in parts.items()})
+
+
+@settings(max_examples=40, deadline=None)
+@given(module_vectors(), st.lists(st.tuples(
+    st.sampled_from(["e", "f", "torus", "root"]), st.integers(0, 1),
+    st.fractions(-3, 3, max_denominator=4).filter(bool),
+), max_size=3))
+# f_0 on V_(1,1) of this module has denominator 2, on V_(0,1) denominator 1
+@example((IrrTrunc(A2, (1, 1), depth=4, depth_cap=8),
+          TruncVector({(1, 1): (1, Fraction(-1, 3)), (0, 1): (2,)})), [("f", 0, Fraction(1, 2))])
+def test_actions_match_the_fraction_reference(mv, spec):
+    mod, v = mv
+    parts = _as_parts(v)
+    for i in range(mod.gcm.n):
+        assert _as_parts(act_f(mod, i, v, True)) == _ref_act(mod, i, 1, parts)
+        assert _as_parts(act_e(mod, i, v)) == _ref_act(mod, i, -1, parts)
+    # the term with a denominator first, so that later terms are rescaled
+    x = words.NcPoly({(1,): Fraction(2, 3), (0, 1): 1, (1, 0): -1})
+    assert _as_parts(kacmoody.act_e_poly(mod, x, v)) == _ref_poly(mod, x, parts)
+    g = []
+    for kind, i, t in spec:
+        if kind == "torus":
+            g.append(coweight_torus_factor(mod.gcm, mod.lam, (i, 1 - 2 * i), t))
+        else:
+            g.append(KMFactor(kind, (0, 1) if kind == "root" else i, t))
+    try:
+        expected = parts
+        for factor in reversed(g):
+            expected = _ref_factor(mod, factor, expected)
+    except TruncationError:  # exp(t f_i) went past the declared depth, then an e_j or x
+        with pytest.raises(TruncationError):
+            act_km_group(mod, tuple(g), v)
+    else:
+        assert _as_parts(act_km_group(mod, tuple(g), v)) == expected
+
+
+def _ref_rank(rows):
+    rows = [list(r) for r in rows if any(r)]
+    rank, col = 0, 0
+    width = len(rows[0]) if rows else 0
+    while rank < len(rows) and col < width:
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            col += 1
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            c = rows[r][col] / rows[rank][col]
+            rows[r] = [a - c * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def _ref_cone(mod, v):
+    """v (x) v in the span, weight by weight, of the f-words applied to
+    v_Lambda (x) v_Lambda, all on Fraction blocks C (f (x) 1: F C, 1 (x) f: C F^T)."""
+    n = mod.gcm.n
+    top = (0,) * n
+    level = [{(top, top): [[Fraction(1)]]}]
+    vectors = list(level)
+    for _ in range(2 * v.max_depth()):
+        nxt = []
+        for vec in level:
+            for i in range(n):
+                out = {}
+                for (k1, k2), c in vec.items():
+                    f1 = mod.f_matrix(i, k1, True).matrix()
+                    f2 = mod.f_matrix(i, k2, True).matrix()
+                    columns = [_ref_apply(f1, column) for column in zip(*c)]
+                    for key, m in (((_shift(k1, i, 1), k2), [list(r) for r in zip(*columns)]),
+                                   ((k1, _shift(k2, i, 1)), [_ref_apply(f2, row) for row in c])):
+                        if key in out:
+                            m = [[a + b for a, b in zip(r, s)] for r, s in zip(out[key], m)]
+                        out[key] = m
+                out = {k: m for k, m in out.items() if any(x for r in m for x in r)}
+                if out:
+                    nxt.append(out)
+        level = nxt
+        vectors += nxt
+    square = {}
+    for k1, c1 in v.parts.items():
+        for k2, c2 in v.parts.items():
+            square[(k1, k2)] = [[a * b for b in c2] for a in c1]
+    totals = {tuple(map(int.__add__, *key)) for key in square}
+    for total in totals:
+        keys = sorted({key for vec in vectors + [square] for key in vec
+                       if tuple(map(int.__add__, *key)) == total})
+        dims = {key: (mod.space(key[0], True).dim, mod.space(key[1], True).dim) for key in keys}
+
+        def flat(vec):
+            return [x for key in keys
+                    for r in vec.get(key, [[Fraction(0)] * dims[key][1]] * dims[key][0])
+                    for x in r]
+
+        span = [flat(vec) for vec in vectors]
+        if _ref_rank(span + [flat(square)]) != _ref_rank(span):
+            return False
+    return True
+
+
+@settings(max_examples=30, deadline=None)
+@given(module_vectors(max_depth=1))
+@example((IrrTrunc(A2, (1, 1), depth=4, depth_cap=8),
+          TruncVector({(0, 0): (1,), (1, 1): (2, -1)})))
+@example((IrrTrunc(HYPERBOLIC, (1, 1), depth=4, depth_cap=8),
+          TruncVector({(1, 1): (Fraction(1, 2), 3)})))
+def test_kostant_cone_matches_the_fraction_reference(mv):
+    mod, v = mv
+    assert kostant_cone_test(mod, v) == _ref_cone(mod, v)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([(A2, (1, 1)), (A2, (1, 0)), (B2, (1, 0))]), st.lists(st.tuples(
+    st.sampled_from(["e", "f"]), st.integers(0, 1), st.fractions(-3, 3, max_denominator=4),
+), min_size=1, max_size=3))
+@example((A2, (1, 1)), [("f", 0, Fraction(1)), ("f", 1, Fraction(1))])
+@example((A2, (1, 1)), [("f", 1, Fraction(2)), ("f", 0, Fraction(3)), ("f", 1, Fraction(-1, 2))])
+def test_kostant_cone_holds_on_the_orbit_of_the_highest_weight_vector(module, spec):
+    """G v_Lambda lies in the cone (Kostant), so both tests answer yes; these
+    finite modules end by depth 4, so the squares stay within the cap."""
+    gcm, lam = module
+    mod = IrrTrunc(gcm, lam, depth=8, depth_cap=8)
+    g = tuple(KMFactor(kind, i, t) for kind, i, t in spec)
+    v = act_km_group(mod, g, mod.highest_weight_vector())
+    assert kostant_cone_test(mod, v)
+    assert _ref_cone(mod, v)
+
+
+def test_cone_square_beyond_the_cap_is_refused():
+    """L(Lambda_1) of A2 ends at depth 2, so no f image reaches the cap; the
+    square of a depth-2 vector still needs depth 4."""
+    mod = IrrTrunc(A2, (1, 0), depth=2, depth_cap=3)
+    with pytest.raises(TruncationError, match="depth 4, the depth cap is 3"):
+        kostant_cone_test(mod, TruncVector({(1, 1): (1,)}))
+
+
+def test_f_beyond_the_declared_depth_is_refused():
+    mod = IrrTrunc(A2, (1, 1), depth=2, depth_cap=8)
+    v = TruncVector({(1, 1): (1, 0)})
+    with pytest.raises(TruncationError, match="depth 3, the module is truncated at depth 2"):
+        act_f(mod, 0, v)
+    assert act_f(mod, 0, v, extend=True).max_depth() == 3
+    string = IrrTrunc(SL2, (9,), depth=2, depth_cap=8)
+    with pytest.raises(TruncationError, match="depth 9, the depth cap is 8"):
+        act_f(string, 0, TruncVector({(8,): (1,)}), extend=True)
+    # exp(0 f) stops after one application: f v reaches the cap, f f v is not asked for
+    v = TruncVector({(7,): (1,)})
+    assert act_km_group(string, (KMFactor("f", 0, Fraction(0)),), v) == v

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -287,6 +288,21 @@ def test_operator_round_trips_through_its_matrix(m, integer):
     )
     if len(m) == op.width and all(Fraction(m[i][i]).denominator == 1 for i in range(len(m))):
         assert op.diagonal() == [m[i][i] for i in range(len(m))]
+
+
+@SHAPES
+@given(matrices(), st.integers(1, 12))
+@example(((Fraction(4), Fraction(6)), (ZERO, Fraction(-2))), 4)  # gcd 2 with the denominator
+@example(((ZERO, ZERO), (ZERO, ZERO)), 6)
+def test_operator_from_int_rows_is_in_lowest_terms(m, denom):
+    rows = [[x.numerator for x in row] for row in m]  # integer rows, then over denom
+    width = len(m[0]) if m else 0
+    op = linalg.Operator.from_int_rows(rows, denom, width)
+    expected = tuple(tuple(Fraction(x, denom) for x in row) for row in rows)
+    assert op.matrix() == expected and (op.height, op.width) == (len(rows), width)
+    assert op.denom == math.lcm(*{x.denominator for row in expected for x in row})
+    assert op.sparse == linalg.Operator.from_rows(expected).sparse
+    assert op.int_rows() == linalg.Operator.from_rows(expected).int_rows()
 
 
 @SHAPES

@@ -78,7 +78,7 @@ def test_letter_operators_are_built_once_and_run_on_integers(monkeypatch):
         assert CountingFraction.products == 0
     assert len(calls) == 6  # not once per product
     with pytest.raises(TypeError):
-        rep.matrices[0] = linalg.zero_mat(rep.dim)
+        rep.matrices[0] = ((Fraction(0),) * rep.dim,) * rep.dim
     with pytest.raises(TypeError):
         rep.operators[0] = None
 
