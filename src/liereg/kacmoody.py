@@ -101,41 +101,27 @@ def validate_gcm(a) -> GCM:
     if errors:
         raise GCMError("; ".join(errors))
 
-    # d_i a_ij = d_j a_ji, propagated along the nonzero pattern in integers:
-    # a component is rescaled whenever a new d_j would not be an integer, so
-    # its symmetrizer is d / d[start]
-    d = [0] * n
-    starts = []
+    # d_i a_ij = d_j a_ji, propagated along the nonzero pattern
+    d = [None] * n
     for start in range(n):
-        if d[start]:
+        if d[start] is not None:
             continue
-        d[start] = 1
-        component, stack = [start], [start]
+        d[start] = Fraction(1)
+        stack = [start]
         while stack:
             i = stack.pop()
             for j in range(n):
                 if i != j and a[i][j] != 0:
-                    num, den = d[i] * a[i][j], a[j][i]  # d_j = num / den
-                    if d[j]:
-                        if d[j] * den != num:
-                            raise GCMError("matrix is not symmetrizable")
-                        continue
-                    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
-                    num, den = num // g, den // g
-                    if den != 1:
-                        for c in component:
-                            d[c] *= den
-                    d[j] = num
-                    component.append(j)
-                    stack.append(j)
-        starts.append((component, d[start]))
-    # rescale to least positive integers (all components jointly)
-    common = math.lcm(*[top for _, top in starts])
-    for component, top in starts:
-        for c in component:
-            d[c] *= common // top
-    g = math.gcd(*d)
-    return GCM(a, [x // g for x in d])
+                    required = d[i] * Fraction(a[i][j], a[j][i])
+                    if d[j] is None:
+                        d[j] = required
+                        stack.append(j)
+                    elif d[j] != required:
+                        raise GCMError("matrix is not symmetrizable")
+    # rescale to least positive integers (per connected component jointly)
+    d = [x * math.lcm(*(y.denominator for y in d)) for x in d]
+    g = math.gcd(*(x.numerator for x in d))
+    return GCM(a, [x / g for x in d])
 
 
 # ---------------------------------------------------------------------------
@@ -681,13 +667,8 @@ def _exp_series(apply_once, t: Fraction, d, parts):
         if not u or not p:
             return d * den, acc
         term = {key: [p * x for x in ints] for key, ints in u.items()}
-        scale = q * k * d_x
-        acc = {key: [a * scale for a in ints] for key, ints in acc.items()}
-        for key, ints in term.items():
-            old = acc.get(key)
-            acc[key] = ints if old is None else [a + x for a, x in zip(old, ints)]
-        acc = {key: ints for key, ints in acc.items() if any(ints)}
-        den *= scale
+        s, acc = _combine([(1, 1, acc), (1, q * k * d_x, term)])
+        den *= s
         k += 1
 
 

@@ -125,24 +125,19 @@ class Operator:
     def from_rows(cls, m):
         """The operator of a matrix given as rows of ints or Fractions."""
         denom = math.lcm(*{x.denominator for row in m for x in row})
-        scaled = [[x.numerator * (denom // x.denominator) for x in row] for row in m]
-        return cls.from_int_rows(scaled, denom, len(m[0]) if m else 0)
+        scaled = [[(j, x.numerator * (denom // x.denominator)) for j, x in enumerate(row) if x]
+                  for row in m]
+        return cls(scaled, denom, len(m[0]) if m else 0)
 
     @classmethod
     def from_int_rows(cls, rows, denom, width):
-        """The operator of rows / denom, for rows of `width` ints each, in
-        lowest terms.  A dense one keeps the rows themselves, as tuples."""
+        """The operator of rows / denom, for rows of `width` ints each, in lowest terms."""
         if denom != 1:
             g = math.gcd(denom, *itertools.chain.from_iterable(rows))
             if g != 1:
                 rows = [[x // g for x in row] for row in rows]
                 denom //= g
-        if 10 * sum([width - row.count(0) for row in rows]) <= len(rows) * width:
-            return cls([[(j, x) for j, x in enumerate(row) if x] for row in rows], denom, width)
-        op = cls.__new__(cls)
-        op.denom, op.height, op.width, op.sparse = denom, len(rows), width, False
-        op.columns, op.rows = None, tuple(map(tuple, rows))
-        return op
+        return cls([[(j, x) for j, x in enumerate(row) if x] for row in rows], denom, width)
 
     def entries(self):
         """The nonzero (column, value) pairs of each row, in increasing column."""
