@@ -8,6 +8,16 @@ submodule).  So each weight space is the image of its candidates under
 x -> (e_j x)_j, computed from the levels above it.  The Freudenthal recursion
 (with Peterson root multiplicities) provides an independent cross-check.
 
+Most weight spaces in a truncation box are zero, and most of those are
+decided before anything is built.  Weight multiplicities are invariant under
+the Weyl group (Kac, Infinite-dimensional Lie algebras, Prop. 3.7): while
+lambda(h_i) = -m < 0, the reflection s_i moves lambda to depth k - m e_i with
+the same multiplicity, and a weight that is not <= Lambda has none.  So a
+walk of simple reflections that leaves the cone below Lambda proves V_k = 0;
+one that ends at a dominant weight leaves the question to the elimination.
+A zero space is built without its parents and stores no matrices: the f_i
+and e_i matrices to or from it are empty Operators of the right shape.
+
 Everything runs in integers: the matrices of f_i and e_i are linalg.Operators
 (integer entries over one denominator), a weight space is reduced from
 integer rows, and an action carries its vector as integers over one
@@ -282,13 +292,18 @@ def _shift(k, i, step):
 class IrrTrunc:
     """Depth-truncated integrable irreducible highest-weight module L(Lambda).
 
-    Weight spaces are built lazily, each from the ones one and two levels
-    closer to the top, and cached with the matrices of f_i into them and of
-    e_i out of them, each a `linalg.Operator` (integer entries over one
-    denominator, in lowest terms).  `depth` is the declared truncation;
-    operations that escape it either raise or auto-extend up to `depth_cap`.
-    `dim_cap` bounds the number of candidates reduced for one weight space.
-    An instance takes no lock, so it is not meant to be shared between threads.
+    Weight spaces are built lazily, each from the nonzero ones one and two
+    levels closer to the top, and cached with the matrices of f_i into them
+    and of e_i out of them, each a `linalg.Operator` (integer entries over
+    one denominator, in lowest terms).  A weight space that the reflection
+    walk of `_reflects_to_zero` proves zero is cached alone, without its
+    parents and without matrices; `f_matrix` and `e_matrix` give the empty
+    Operator of the right shape for it, and for a nonzero space next to it.
+    `depth` is the declared truncation; operations that escape it either
+    raise or auto-extend up to `depth_cap`.  `dim_cap` bounds the number of
+    candidates reduced for one weight space, so it never applies to a space
+    that the walk proves zero: such a space reduces none.  An instance takes
+    no lock, so it is not meant to be shared between threads.
     """
 
     def __init__(self, gcm: GCM, lam, depth: int,
@@ -308,9 +323,10 @@ class IrrTrunc:
         self.depth_cap = depth_cap
         self.dim_cap = dim_cap
         self._spaces: dict = {}
+        # matrices between two nonzero spaces only
         self._fmat: dict = {}  # (i, k) -> Operator of f_i from V_k to V_{k + e_i}
         self._emat: dict = {}  # (i, k) -> Operator of e_i from V_k to V_{k - e_i}
-        # alpha_j(h_i) = a_ij: lambda at k + e_j is lambda at k minus these
+        # alpha_j(h_i) = a_ij: the weight coordinates of alpha_j
         self._alpha = tuple(tuple(row[j] for row in gcm.a) for j in range(gcm.n))
 
     # -- construction ------------------------------------------------------
@@ -344,40 +360,59 @@ class IrrTrunc:
             ws = self._spaces[k] = self._build(k)
         return ws
 
+    def _reflects_to_zero(self, k, lam) -> bool:
+        """Whether simple reflections take the weight lambda = `lam` at depth k
+        past Lambda, which proves V_k = 0.
+
+        While some lambda(h_i) = -m < 0, s_i lambda = lambda + m alpha_i sits
+        at depth k - m e_i; multiplicities are W-invariant (Kac,
+        Infinite-dimensional Lie algebras, Prop. 3.7), and a weight that is
+        not <= Lambda has none, so a negative coordinate means V_k = 0.  Each
+        step lowers the height, so the walk stops; one that ends at a dominant
+        weight gives no verdict.
+        """
+        k, lam = list(k), list(lam)
+        while True:
+            i = next((i for i, x in enumerate(lam) if x < 0), None)
+            if i is None:
+                return False
+            m = -lam[i]
+            k[i] -= m
+            if k[i] < 0:
+                return True
+            lam = [x + m * a for x, a in zip(lam, self._alpha[i])]
+
     def _build(self, k) -> WeightSpace:
         """V_k, and the matrices of f_i into it and of e_i out of it.
 
-        The candidates are f_i b for each i with k_i > 0 and each basis
-        vector b of V_{k - e_i}, in that order.  Below the top a vector that
-        every e_j kills is zero, so the candidates' relations are those of
-        their stacked images (e_j f_i b)_j, which come from the levels above
-        by e_j f_i b = f_i (e_j b) + delta_ij lambda_{k - e_i}(h_i) b.  So the
+        A weight space that the reflection walk proves zero is returned at
+        once, without its parents.  Otherwise the candidates are f_i b for
+        each i with V_{k - e_i} nonzero and each basis vector b of
+        V_{k - e_i}, in that order.  Below the top a vector that every e_j
+        kills is zero, so the candidates' relations are those of their
+        stacked images (e_j f_i b)_j, which come from the levels above by
+        e_j f_i b = f_i (e_j b) + delta_ij lambda_{k - e_i}(h_i) b.  So the
         matrix whose columns are these images is made of blocks
         F_ij E_j + delta_ij lambda(h_i) I, one integer matrix product each,
         with F_ij the matrix of f_i into V_{k - e_j} and E_j that of e_j on
-        V_{k - e_i}.  The rows of the blocks for one j are cleared to one
-        denominator and the integer rows go to an Echelon, whose reduced row
-        echelon form gives all of it: the pivot columns are the first
-        independent candidates, kept as the basis; column c holds candidate
-        c in that basis, which is the matrix of f_i (each primitive row over
-        its pivot entry); the images at the pivots, over the denominator of
-        their j, are the matrices of e_j.
+        V_{k - e_i} (the block is zero when V_{k - e_i - e_j} is).  The rows
+        of the blocks for one j are cleared to one denominator and the
+        integer rows go to an Echelon, whose reduced row echelon form gives
+        all of it: the pivot columns are the first independent candidates,
+        kept as the basis; column c holds candidate c in that basis, which is
+        the matrix of f_i (each primitive row over its pivot entry); the
+        images at the pivots, over the denominator of their j, are the
+        matrices of e_j.  Only matrices between two nonzero spaces are stored.
         """
-        n = self.gcm.n
         if not any(k):
-            self._emat.update({(j, k): Operator([], 1, 1) for j in range(n)})
             return WeightSpace(k, ((),), self.lam)
-        above = [(j, self._space(_shift(k, j, -1))) for j in range(n) if k[j]]
-        j, src = above[0]
-        lam = tuple(map(sub, src.lam, self._alpha[j]))
+        lam = self.lam_of(k)
+        if self._reflects_to_zero(k, lam):
+            return WeightSpace(k, (), lam)
+        parents = [(j, self._space(_shift(k, j, -1))) for j in range(self.gcm.n) if k[j]]
+        above = [(j, src) for j, src in parents if src.dim]
         dims = [src.dim for _, src in above]
         count = sum(dims)
-        if not count:  # no candidates: V_k is zero, and so are its matrices
-            zero = Operator([], 1, 0)
-            for i, src in above:
-                self._fmat[(i, src.depth)] = self._emat[(i, k)] = zero
-            self._emat.update({(j, k): zero for j in range(n) if not k[j]})
-            return WeightSpace(k, (), lam)
         if count > self.dim_cap:
             raise linalg.CapError(
                 f"weight space candidate set of size {count} exceeds the dimension "
@@ -388,8 +423,8 @@ class IrrTrunc:
         for (j, tgt), dim in zip(above, dims):
             blocks = []  # (denominator, integer rows or None for zero) per source space
             for i, src in above:
-                e_j = self._emat[(j, src.depth)]
-                if e_j.height:
+                e_j = self._emat.get((j, src.depth))
+                if e_j is not None:
                     f_i = self._fmat[(i, _shift(src.depth, j, -1))]
                     block = linalg.mat_mul(f_i.int_rows(), e_j.int_rows())
                     blocks.append((f_i.denom * e_j.denom, block))
@@ -414,6 +449,8 @@ class IrrTrunc:
         for row in linalg.by_leading_column([row for _, rows in images for row in rows]):
             ech.add(row)
         pivots = ech.pivots
+        if not pivots:
+            return WeightSpace(k, (), lam)
         lead = math.lcm(*[row[p] for row, p in zip(ech.rows, pivots)])
         reduced = [(lead // row[p], row) for row, p in zip(ech.rows, pivots)]
         start = 0  # where f_i V_{k - e_i} starts, in the columns and in the rows
@@ -426,7 +463,6 @@ class IrrTrunc:
                 [[row[p] for p in pivots] for row in rows], den, len(pivots)
             )
             start = stop
-        self._emat.update({(j, k): Operator([], 1, len(pivots)) for j in range(n) if not k[j]})
         candidates = [(i,) + b for i, src in above for b in src.basis]
         basis = tuple(candidates[p] for p in pivots)
         return WeightSpace(k, basis, lam)
@@ -454,15 +490,24 @@ class IrrTrunc:
         coordinates; its `matrix()` is the Fraction view."""
         k = self._depth_vector(k, extend)
         self._check_total(sum(k) + 1, extend)
-        self._space(_shift(k, i, 1))
-        return self._fmat[(i, k)]
+        target = self._space(_shift(k, i, 1))
+        op = self._fmat.get((i, k))
+        if op is not None:
+            return op
+        # not stored: V_k or V_{k + e_i} is zero
+        return Operator([[]] * target.dim, 1, self._space(k).dim)
 
     def e_matrix(self, i: int, k) -> Operator:
         """The Operator of e_i from weight k to weight k - e_i in quotient
         coordinates; its `matrix()` is the Fraction view."""
         k = self._depth_vector(k, False)
-        self._space(k)
-        return self._emat[(i, k)]
+        source = self._space(k)
+        op = self._emat.get((i, k))
+        if op is not None:
+            return op
+        # not stored: V_k or V_{k - e_i} is zero, or k - e_i is no weight
+        height = self._space(_shift(k, i, -1)).dim if k[i] else 0
+        return Operator([[]] * height, 1, source.dim)
 
     # -- vectors ------------------------------------------------------------
 

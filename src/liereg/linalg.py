@@ -19,7 +19,8 @@ nonzero entries, transposed once from the rows it is given.  ``image``
 scatters: each stored column whose vector entry is nonzero adds that entry
 times its pairs, so M v costs one product per nonzero entry of M met by a
 nonzero entry of v (Gustavson, ACM TOMS 4, 1978).  ``pull_back`` takes one
-integer dot product per stored column.  A denser operator keeps full
+integer dot product per stored column, over the pairs whose row meets a
+nonzero entry of phi.  A denser operator keeps full
 integer rows and runs the plain loop, whose cost is fixed by the shapes;
 skipping its zeros would make the cost follow where a change of basis put
 them.  A letter of V_N(J) or of a chain has fewer nonzero entries than
@@ -190,7 +191,12 @@ class Operator:
             return [sum(map(mul, ints, col)) for col in zip(*self.rows)]
         out = [0] * self.width
         for j, column in self.columns:
-            out[j] = sum([ints[i] * a for i, a in column])
+            total = 0
+            for i, a in column:
+                x = ints[i]
+                if x:
+                    total += x * a
+            out[j] = total
         return out
 
 

@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -333,6 +337,38 @@ def test_cap_errors_name_the_cap_and_its_variable(capsys, monkeypatch, env, argv
     monkeypatch.setenv(needs[-1], "99" if "DEPTH" in needs[-1] else "15")
     code, _, err = run(capsys, *argv)
     assert code == 0, err
+
+
+@pytest.mark.parametrize("k, code, multiplicity", [
+    # lambda(h_1) = -4: s_1 takes the weight to depth (1,-1), above Lambda,
+    # so no candidate is reduced and the cap does not apply
+    ("[1,3]", 0, 0),
+    # dominant: the elimination decides, over f_0 V_(0,1) and f_1 V_(1,0)
+    ("[1,1]", 2, None),
+])
+def test_dim_cap_applies_only_to_weights_the_reflections_leave_open(
+        capsys, monkeypatch, k, code, multiplicity):
+    monkeypatch.setenv("LIEREG_DIM_CAP", "1")
+    got, out, err = run(
+        capsys, "km-mult", "--matrix", '{"matrix":[[2,-1],[-1,2]]}', "--weight", "[1,1]", "--k", k
+    )
+    assert got == code, err
+    if code:
+        assert "candidate set of size 2" in err
+    else:
+        assert json.loads(out)["multiplicity"] == multiplicity
+
+
+def test_python_dash_m_liereg_runs_the_command():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "liereg", "km-mult", "--matrix", AFFINE_A1,
+         "--weight", "[1,0]", "--k", "[3,2]"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["multiplicity"] == 2
 
 
 @pytest.mark.parametrize("vector, field", [

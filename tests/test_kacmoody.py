@@ -566,6 +566,60 @@ def test_matrices_of_zero_spaces_keep_their_shape():
     assert mod.f_matrix(0, (2,)).matrix() == ()
     assert mod.e_matrix(0, (2,)).matrix() == ((),)  # out of a zero space: empty rows
     assert mod.e_matrix(0, (0,)).matrix() == ()
+    # B2, Lambda = (1,1): V_(2,2) and V_(1,2) have dimension 2, their
+    # neighbours V_(3,2) and V_(0,2) are zero.  (height, width, matrix()) as
+    # a build that stored a matrix for every pair of neighbours gave them;
+    # no space is built before the matrices are asked for.
+    mod = IrrTrunc(B2, (1, 1), depth=6)
+    cases = [
+        (mod.f_matrix(0, (2, 2)), (0, 2, ())),  # into a zero space: no rows
+        (mod.e_matrix(0, (3, 2)), (2, 0, ((), ()))),  # out of a zero space: empty rows
+        (mod.f_matrix(0, (0, 2)), (2, 0, ((), ()))),
+        (mod.e_matrix(0, (1, 2)), (0, 2, ())),
+        (mod.e_matrix(1, (3, 3)), (0, 1, ())),
+        (mod.e_matrix(0, (3, 1)), (1, 0, ((),))),
+        (mod.e_matrix(1, (2, 0)), (0, 0, ())),  # k_1 = 0: no weight below
+    ]
+    for op, expected in cases:
+        assert (op.height, op.width, op.matrix()) == expected
+
+
+def test_a_zero_weight_builds_only_itself():
+    # lambda(h_1) = -18 at k = (0,9): s_1 takes it to depth (0,-9), above Lambda
+    mod = IrrTrunc(AFFINE, (1, 0), 9)
+    assert mod.weight_multiplicity((0, 9)) == 0
+    assert list(mod._spaces) == [(0, 9)]
+
+
+def test_the_trivial_affine_module_stores_nothing():
+    # Lambda = 0: the walk leaves the dominant weights k delta open, and the
+    # elimination finds them zero, with no candidates
+    mod = IrrTrunc(AFFINE, (0, 0), 6)
+    assert mod.dimensions() == {(0, 0): 1}
+    assert not mod._fmat and not mod._emat
+    assert mod.e_matrix(0, (1, 1)).matrix() == ()
+    assert mod.f_matrix(1, (1, 0)).matrix() == ()
+
+
+@pytest.mark.parametrize("gcm,lam,depth", [
+    (HYPERBOLIC, (1, 0), 9), (AFFINE, (1, 0), 12), (AFFINE_A2, (1, 0, 0), 6),
+    (HYPERBOLIC, (1, 0), 12), (A2, (2, 1), 10),
+])
+def test_only_nonzero_spaces_run_an_elimination(monkeypatch, gcm, lam, depth):
+    made = []
+
+    class Counting(linalg.Echelon):
+        def __init__(self):
+            made.append(1)
+            super().__init__()
+
+    monkeypatch.setattr(kacmoody, "Echelon", Counting)
+    mod = IrrTrunc(gcm, lam, depth)
+    dims = mod.dimensions()
+    assert len(mod._spaces) > len(dims)  # some spaces in the box are zero
+    assert len(made) == len(dims) - 1  # one per nonzero space below the top
+    # matrices are stored only between two nonzero spaces
+    assert all(op.height and op.width for op in [*mod._fmat.values(), *mod._emat.values()])
 
 
 def test_dim_cap_bounds_the_candidates():
@@ -597,16 +651,21 @@ def test_depth_extension_is_lazy_and_cached():
 
 
 def _build_digest(mod):
-    """sha256 prefix of every weight-space basis and every f/e matrix entry,
-    read through the Fraction view of each stored operator and written as
-    type:value, so that a change of value or of type shows."""
+    """sha256 prefix of every built weight-space basis and of the f/e
+    matrices around it, read through `f_matrix`/`e_matrix` and their Fraction
+    view and written as type:value, so that a change of value or of type
+    shows.  The keys are f_i into every built k with k_i > 0 and e_j out of
+    every built k, in sorted order."""
     h = hashlib.sha256()
-    for k in sorted(mod._spaces):
+    built = sorted(mod._spaces)
+    for k in built:
         h.update(f"{k}:{mod._spaces[k].basis}\n".encode())
-    for name, table in (("f", mod._fmat), ("e", mod._emat)):
-        for key in sorted(table):
+    f_keys = sorted((i, _shift(k, i, -1)) for k in built for i in range(mod.gcm.n) if k[i])
+    e_keys = sorted((j, k) for k in built for j in range(mod.gcm.n))
+    for name, keys, matrix in (("f", f_keys, mod.f_matrix), ("e", e_keys, mod.e_matrix)):
+        for key in keys:
             h.update(f"{name}{key}:".encode())
-            for row in table[key].matrix():
+            for row in matrix(*key).matrix():
                 h.update((",".join(f"{type(x).__name__}:{x}" for x in row) + ";").encode())
             h.update(b"\n")
     return h.hexdigest()[:16]
@@ -686,8 +745,29 @@ def test_rank_two_modules_match_freudenthal_and_the_sl2_theta(a, lam, depth, x, 
         assert theta_eval(IrrTrunc(gcm, lam, lam[i]), g) == (1 + x * y) ** lam[i]
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(symmetrizable_rank_two(), st.sampled_from([AFFINE_A2.a, HYPERBOLIC.a])),
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+    st.integers(0, 6),
+)
+@example(AFFINE_A2.a, (1, 0, 0), 6)
+@example(AFFINE_A2.a, (0, 2, 1), 6)
+@example(HYPERBOLIC.a, (1, 0, 0), 6)
+def test_the_reflection_walk_marks_only_zero_weights(a, lam, depth):
+    """Multiplicities are W-invariant, so a weight that the walk reflects
+    past Lambda has Freudenthal multiplicity 0."""
+    gcm = validate_gcm(a)
+    lam = lam[:gcm.n]
+    mod = IrrTrunc(gcm, lam, depth)
+    cache = {}
+    for k in _weights(gcm.n, depth):
+        if any(k) and mod._reflects_to_zero(k, mod.lam_of(k)):
+            assert freudenthal_multiplicity(gcm, lam, k, cache) == 0, k
+
+
 # Plain-Fraction references for the integer actions: every generator is read
-# through the Fraction view of its stored operator, so these check the
+# through the Fraction view of its operator, so these check the
 # arithmetic of the actions (denominators, series, scales), not the build.
 
 REFERENCE_MODULES = [

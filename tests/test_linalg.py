@@ -411,6 +411,13 @@ def test_operator_image_multiplies_only_nonzero_pairs():
         CountingInt.products = 0
         op.pull_back(ones)
         assert CountingInt.products == nnz
+        # a one-hot covector multiplies only the pairs of its row
+        entries = op.entries()
+        for row in {empty, max(range(rep.dim), key=lambda r: len(entries[r]))}:
+            one_hot = [CountingInt(int(i == row)) for i in range(rep.dim)]
+            CountingInt.products = 0
+            assert op.pull_back(one_hot) == [dict(entries[row]).get(j, 0) for j in range(rep.dim)]
+            assert CountingInt.products == len(entries[row])
     n = 11
     dense = linalg.Operator.from_rows([[i + j + 1 for j in range(n)] for i in range(n)])
     assert not dense.sparse
