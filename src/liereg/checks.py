@@ -579,13 +579,6 @@ SUITES = (
 SUITE_NAMES = tuple(name for name, _fn in SUITES)
 
 
-def run_suite(name: str, seed: int = 0):
-    for suite_name, fn in SUITES:
-        if suite_name == name:
-            return fn(seed)
-    raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-
-
 def run_all(seed: int = 0, names=None):
     """Run the selected suites; returns a list of (name, ok, detail, seconds)."""
     results = []

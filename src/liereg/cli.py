@@ -362,10 +362,9 @@ def cmd_km_cone(args):
             raise SchemaError(f"vector[{i}]: expected {{depth, coords}}")
         k = _nonnegative_ints(entry.get("depth"), f"vector[{i}].depth", mod.gcm.n)
         coords = jsonio.decode_vector(entry.get("coords"), f"vector[{i}].coords")
-        if len(coords) != mod.space(k, extend=True).dim:
-            raise SchemaError(
-                f"vector[{i}].coords: expected {mod.space(k, True).dim} coordinates"
-            )
+        dim = mod.space(k).dim
+        if len(coords) != dim:
+            raise SchemaError(f"vector[{i}].coords: expected {dim} coordinates")
         if k in parts:
             raise SchemaError(f"vector[{i}].depth: depth {list(k)} is given twice")
         parts[k] = coords

@@ -27,7 +27,6 @@ Weights are tracked as depth vectors k with lambda = Lambda - sum k_i alpha_i.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -47,18 +46,13 @@ class GCMError(ValueError):
 
 
 class TruncationError(linalg.CapError):
-    """Raised when an operation needs depth beyond the depth cap, or beyond
-    the module's declared depth where it may not extend."""
+    """Raised when an operation needs depth beyond the depth cap."""
 
-    def __init__(self, required_depth, cap, declared: bool = False):
-        bound = (
-            f"the module is truncated at depth {cap}"
-            if declared
-            else f"the depth cap is {cap}; raise it with LIEREG_DEPTH_CAP"
+    def __init__(self, required_depth, cap):
+        super().__init__(
+            f"operation requires truncation depth {required_depth}, "
+            f"the depth cap is {cap}; raise it with LIEREG_DEPTH_CAP"
         )
-        super().__init__(f"operation requires truncation depth {required_depth}, {bound}")
-        self.required_depth = required_depth
-        self.cap = cap
 
 
 class GCM:
@@ -299,8 +293,10 @@ class IrrTrunc:
     walk of `_reflects_to_zero` proves zero is cached alone, without its
     parents and without matrices; `f_matrix` and `e_matrix` give the empty
     Operator of the right shape for it, and for a nonzero space next to it.
-    `depth` is the declared truncation; operations that escape it either
-    raise or auto-extend up to `depth_cap`.  `dim_cap` bounds the number of
+    Every weight space is exact at any depth, so there is one bound: any
+    operation builds the spaces it needs up to depth `depth_cap`, and
+    refuses beyond it.  `depth` only sets the range that `dimensions()`
+    lists, and must itself lie within the cap.  `dim_cap` bounds the number of
     candidates reduced for one weight space, so it never applies to a space
     that the walk proves zero: such a space reduces none.  An instance takes
     no lock, so it is not meant to be shared between threads.
@@ -335,23 +331,20 @@ class IrrTrunc:
         """Weight coordinates lambda(h_i) at depth vector k."""
         return tuple(x - sum(map(mul, row, k)) for x, row in zip(self.lam, self.gcm.a))
 
-    def _depth_vector(self, k, extend: bool) -> tuple:
-        """k as a tuple of ints, checked to lie within the truncation."""
+    def _depth_vector(self, k) -> tuple:
+        """k as a tuple of ints, checked to lie within the depth cap."""
         k = tuple(map(int, k))
         if min(k, default=0) < 0:
             raise ValueError("depth vector must be componentwise nonnegative")
-        self._check_total(sum(k), extend)
+        self._check_total(sum(k))
         return k
 
-    def _check_total(self, total: int, extend: bool) -> None:
-        if total > self.depth:
-            if not extend:
-                raise TruncationError(total, self.depth, declared=True)
-            if total > self.depth_cap:
-                raise TruncationError(total, self.depth_cap)
+    def _check_total(self, total: int) -> None:
+        if total > self.depth_cap:
+            raise TruncationError(total, self.depth_cap)
 
-    def space(self, k, extend: bool = False) -> WeightSpace:
-        return self._space(self._depth_vector(k, extend))
+    def space(self, k) -> WeightSpace:
+        return self._space(self._depth_vector(k))
 
     def _space(self, k) -> WeightSpace:
         """V_k for a checked depth vector k, built on first use."""
@@ -470,14 +463,11 @@ class IrrTrunc:
     def weight_multiplicity(self, k) -> int:
         return self.space(k).dim
 
-    def dimensions(self, max_depth: int = None) -> dict:
-        """Nonzero weight multiplicities for all depth vectors within the truncation."""
-        max_depth = self.depth if max_depth is None else max_depth
+    def dimensions(self) -> dict:
+        """Nonzero weight multiplicities for all depth vectors of total at most `depth`."""
         out = {}
-        for k in itertools.product(range(max_depth + 1), repeat=self.gcm.n):
-            total = sum(k)
-            if total <= max_depth:
-                self._check_total(total, False)
+        for k in itertools.product(range(self.depth + 1), repeat=self.gcm.n):
+            if sum(k) <= self.depth:
                 d = self._space(k).dim
                 if d:
                     out[k] = d
@@ -485,11 +475,11 @@ class IrrTrunc:
 
     # -- generator actions on quotient coordinates --------------------------
 
-    def f_matrix(self, i: int, k, extend: bool = False) -> Operator:
+    def f_matrix(self, i: int, k) -> Operator:
         """The Operator of f_i from weight k to weight k + e_i in quotient
         coordinates; its `matrix()` is the Fraction view."""
-        k = self._depth_vector(k, extend)
-        self._check_total(sum(k) + 1, extend)
+        k = self._depth_vector(k)
+        self._check_total(sum(k) + 1)
         target = self._space(_shift(k, i, 1))
         op = self._fmat.get((i, k))
         if op is not None:
@@ -500,7 +490,7 @@ class IrrTrunc:
     def e_matrix(self, i: int, k) -> Operator:
         """The Operator of e_i from weight k to weight k - e_i in quotient
         coordinates; its `matrix()` is the Fraction view."""
-        k = self._depth_vector(k, False)
+        k = self._depth_vector(k)
         source = self._space(k)
         op = self._emat.get((i, k))
         if op is not None:
@@ -554,9 +544,6 @@ class TruncVector:
     def coefficient(self, k, idx: int = 0) -> Fraction:
         part = self.parts.get(tuple(k))
         return part[idx] if part is not None else Fraction(0)
-
-    def max_depth(self) -> int:
-        return max((sum(k) for k in self.parts), default=0)
 
     def __repr__(self):
         return f"TruncVector({self.parts})"
@@ -634,8 +621,8 @@ def _e_poly(m: IrrTrunc, x: NcPoly, d, parts):
     return _combine(terms)
 
 
-def act_f(m: IrrTrunc, i: int, v: TruncVector, extend: bool = False) -> TruncVector:
-    return _vector(*_image(*_integral(v), i, 1, functools.partial(m.f_matrix, extend=extend)))
+def act_f(m: IrrTrunc, i: int, v: TruncVector) -> TruncVector:
+    return _vector(*_image(*_integral(v), i, 1, m.f_matrix))
 
 
 def act_e(m: IrrTrunc, i: int, v: TruncVector) -> TruncVector:
@@ -718,14 +705,12 @@ def _exp_series(apply_once, t: Fraction, d, parts):
 
 
 def _factor_image(m: IrrTrunc, factor: KMFactor, d, parts):
-    """(D, parts') with factor . (parts / d) = parts' / D; exp(t f_i) extends
-    the truncation up to its depth cap."""
+    """(D, parts') with factor . (parts / d) = parts' / D."""
     i = factor.data
     if factor.kind == "e":
         return _exp_series(lambda d, u: _image(d, u, i, -1, m.e_matrix), factor.param, d, parts)
     if factor.kind == "f":
-        f_matrix = functools.partial(m.f_matrix, extend=True)
-        return _exp_series(lambda d, u: _image(d, u, i, 1, f_matrix), factor.param, d, parts)
+        return _exp_series(lambda d, u: _image(d, u, i, 1, m.f_matrix), factor.param, d, parts)
     if factor.kind == "root":
         poly = words.multibracket(factor.data)
         return _exp_series(lambda d, u: _e_poly(m, poly, d, u), factor.param, d, parts)
@@ -787,7 +772,7 @@ def rootvector_is_zero(m: IrrTrunc, poly: NcPoly, max_depth: int = None) -> bool
 def _tensor_blocks(m: IrrTrunc, total_k):
     """The (k1, k2) pairs with k1 + k2 = total_k and both spaces nonzero, in
     increasing k1."""
-    m._check_total(sum(total_k), True)  # then every k1, k2 lies within the cap
+    m._check_total(sum(total_k))  # then every k1, k2 lies within the cap
     ranges = [range(t + 1) for t in total_k]
     blocks = []
     for k1 in itertools.product(*ranges):
@@ -807,6 +792,17 @@ def _flatten_tensor(blocks, tensor_parts) -> list:
     return out
 
 
+def _unflatten_tensor(blocks, flat) -> dict:
+    """The inverse of _flatten_tensor, leaving out the zero blocks."""
+    parts, start = {}, 0
+    for k1, k2, d1, d2 in blocks:
+        coords = flat[start:start + d1 * d2]
+        if any(coords):
+            parts[(k1, k2)] = coords
+        start += d1 * d2
+    return parts
+
+
 def _tensor_f(m: IrrTrunc, i: int, parts: dict) -> dict:
     """A positive multiple of f_i (x) 1 + 1 (x) f_i on an integer tensor
     vector keyed by weight pairs: a span does not see the scale.
@@ -817,8 +813,8 @@ def _tensor_f(m: IrrTrunc, i: int, parts: dict) -> dict:
     """
     terms = []  # (1, denominator, {weight pair: flattened block})
     for (k1, k2), coords in parts.items():
-        f1 = m.f_matrix(i, k1, True)
-        f2 = m.f_matrix(i, k2, True)
+        f1 = m.f_matrix(i, k1)
+        f2 = m.f_matrix(i, k2)
         rows = [coords[a:a + f2.width] for a in range(0, len(coords), f2.width)]
         if f1.height:
             columns = [f1.image(column) for column in zip(*rows)]
@@ -834,43 +830,38 @@ def kostant_cone_test(m: IrrTrunc, v: TruncVector, m2: IrrTrunc = None) -> bool:
     """Is v (x) v inside the L(2 Lambda)-isotypical part of the tensor square?
 
     The isotypical component is generated from v_Lambda (x) v_Lambda by the
-    lowering operators; membership is tested weight by weight with exact
-    rank computations, in integers: every tensor vector is kept up to a
-    positive scale, which a span does not see.  If a truncation of
-    L(2 Lambda) is supplied, its multiplicities cross-check the dimensions
-    of the component.
+    lowering operators, so its weight space at total depth kappa is the sum
+    over i of f_i applied to its weight space at kappa - e_i.  `span_at`
+    builds each of these spans once, as an Echelon of the f_i-images of the
+    rows of the spans one level up, and only at the weights below those of
+    v (x) v; the work is bounded by the multiplicities, not by the number of
+    f-words.  Membership is then an exact rank test per weight, in integers:
+    every tensor vector is kept up to a positive scale, which a span does
+    not see.  The weights of v (x) v are tested in order of total depth, so
+    the test raises TruncationError only when every weight within the depth
+    cap passes and one lies past it.  If a truncation of L(2 Lambda) is
+    supplied, its multiplicities cross-check the dimensions of the
+    component.
     """
     if v.is_zero():
         return True
-    n = m.gcm.n
-    max_total = 2 * v.max_depth()
-
-    # generate the highest component level by level
-    top_key = ((0,) * n, (0,) * n)
-    level_vectors = {0: [{top_key: [1]}]}
     spans = {}
-    for depth in range(1, max_total + 1):
-        vecs = []
-        for parts in level_vectors[depth - 1]:
-            for i in range(n):
-                img = _tensor_f(m, i, parts)
-                if img:
-                    vecs.append(img)
-        level_vectors[depth] = vecs
 
     def span_at(total_k):
         if total_k in spans:
             return spans[total_k]
         blocks = _tensor_blocks(m, total_k)
         ech = Echelon()
-        for parts in level_vectors.get(sum(total_k), []):
-            relevant = {
-                key: coords for key, coords in parts.items()
-                if tuple(a + b for a, b in zip(key[0], key[1])) == total_k
-            }
-            if relevant:
-                ech.add(_flatten_tensor(blocks, relevant))
-        if m2 is not None and ech.rank != m2.space(total_k, True).dim:
+        if not any(total_k):
+            ech.add([1])
+        for i, t in enumerate(total_k):
+            if t:
+                blocks_above, span_above = span_at(_shift(total_k, i, -1))
+                for row in span_above.rows:
+                    image = _tensor_f(m, i, _unflatten_tensor(blocks_above, row))
+                    if image:
+                        ech.add(_flatten_tensor(blocks, image))
+        if m2 is not None and ech.rank != m2.space(total_k).dim:
             raise AssertionError(total_k)
         spans[total_k] = (blocks, ech)
         return spans[total_k]
@@ -883,7 +874,9 @@ def kostant_cone_test(m: IrrTrunc, v: TruncVector, m2: IrrTrunc = None) -> bool:
             total = tuple(a + b for a, b in zip(k1, k2))
             by_total.setdefault(total, {})[(k1, k2)] = linalg.vec_kron(c1, c2)
 
-    for total_k, parts in by_total.items():
+    # shallowest first: a weight within the cap that rules v (x) v out
+    # answers before any weight past the cap is refused
+    for total_k, parts in sorted(by_total.items(), key=lambda item: sum(item[0])):
         blocks, ech = span_at(total_k)
         flat = _flatten_tensor(blocks, parts)
         if any(flat) and not ech.contains(flat):

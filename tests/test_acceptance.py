@@ -22,7 +22,7 @@ TIME_BUDGETS = {
 
 def _run(name):
     start = time.monotonic()
-    ok, detail = checks.run_suite(name, SEED)
+    ((_, ok, detail, _),) = checks.run_all(SEED, [name])
     elapsed = time.monotonic() - start
     status = "PASS" if ok else "FAIL"
     print(f"[{status}] {name}: {detail} ({elapsed:.2f}s)")

@@ -10,7 +10,7 @@ SRC = Path(liereg.__file__).parent
 
 # public functions and methods that nothing in the package calls, kept on purpose
 UNCALLED = (
-    ("checks.run_suite", "runs one acceptance suite by name, for callers that want one"),
+    ("checks.GramSpace.coords", "the tests' oracle for the f_i and e_i matrices"),
     ("duals.is_regular", "the paper's regularity criterion, with its certificate"),
     ("grp.derive_left", "the right invariant derivation e <| f, a paper concept"),
     ("grp.derive_right", "the left invariant derivation e |> f, a paper concept"),
@@ -23,15 +23,18 @@ UNCALLED = (
 
 
 def _uses(node, module, owner, used):
+    """Record each name and each attribute read in node, keyed by
+    ("name", id) or ("attr", attr)."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            used.setdefault(sub.id, set()).add((module, owner))
+            used.setdefault(("name", sub.id), set()).add((module, owner))
         elif isinstance(sub, ast.Attribute):
-            used.setdefault(sub.attr, set()).add((module, owner))
+            used.setdefault(("attr", sub.attr), set()).add((module, owner))
 
 
 def _uncalled():
-    defined, used = {}, {}  # defined: qualified name -> (name, module, owner)
+    # defined: qualified name -> (name, module, owner, is a method)
+    defined, used = {}, {}
     for path in sorted(SRC.glob("*.py")):
         module = path.stem
         for node in ast.parse(path.read_text()).body:
@@ -39,19 +42,26 @@ def _uncalled():
                 for item in node.body:
                     owner = f"{node.name}.{getattr(item, 'name', '')}"
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        defined[f"{module}.{owner}"] = (item.name, module, owner)
+                        defined[f"{module}.{owner}"] = (item.name, module, owner, True)
                     _uses(item, module, owner, used)
                 continue
             owner = getattr(node, "name", None)
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                defined[f"{module}.{owner}"] = (node.name, module, owner)
+                defined[f"{module}.{owner}"] = (node.name, module, owner, False)
             _uses(node, module, owner, used)
     # a use inside the function's own body (recursion) is not a caller; a
-    # method counts as called wherever an attribute of its name is read
+    # method counts as called wherever an attribute of its name is read, and
+    # only there: a local variable of the same name does not call it
+    def callers(name, method):
+        found = set(used.get(("attr", name), ()))
+        if not method:
+            found |= used.get(("name", name), set())
+        return found
+
     return {
         qualified
-        for qualified, (name, module, owner) in defined.items()
-        if not used.get(name, set()) - {(module, owner)}
+        for qualified, (name, module, owner, method) in defined.items()
+        if not callers(name, method) - {(module, owner)}
     }
 
 

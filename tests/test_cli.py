@@ -271,6 +271,21 @@ def test_km_subcommands(capsys):
     assert json.loads(out)["theta"] == "4"
 
 
+def test_km_theta_acts_past_the_declared_depth(capsys):
+    """exp(f) reaches depth 2 from a module declared at depth 0, and exp(e)
+    comes back from there: --depth bounds only km-build's listing."""
+    code, out, err = run(
+        capsys,
+        "km-theta",
+        "--matrix", '{"matrix":[[2]]}',
+        "--weight", "[2]",
+        "--depth", "0",
+        "--group", '[{"kind":"e","index":0,"param":"1"},{"kind":"f","index":0,"param":"1"}]',
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["theta"] == "4"
+
+
 def test_km_mult_oracle_past_a_zero_peterson_denominator(capsys):
     # (beta|beta-2rho) = 0 at beta = (2,2) for A2
     code, out, _ = run(
@@ -376,6 +391,9 @@ def test_python_dash_m_liereg_runs_the_command():
     ('[{"depth":[1],"coords":["1"]}]', "vector[0].depth"),
     ('[["x"]]', "vector[0]:"),
     ('[{"depth":[-1,1],"coords":["1"]}]', "vector[0].depth:"),
+    ('[{"depth":[1,0],"coords":["1","2"]}]', "vector[0].coords: expected 1 coordinates"),
+    ('[{"depth":[0,0],"coords":["1"]},{"depth":[1,1],"coords":[]}]',
+     "vector[1].coords: expected 1 coordinates"),
     # a repeated depth: whichever entry won, the verdict would follow their order
     ('[{"depth":[0,0],"coords":["1"]},{"depth":[0,0],"coords":["0"]}]', "vector[1].depth:"),
 ])

@@ -49,6 +49,10 @@ def _shift(k, i, step):
     return tuple(x + step * (j == i) for j, x in enumerate(k))
 
 
+def _max_depth(v):
+    return max((sum(k) for k in v.parts), default=0)
+
+
 def _unit(dim, idx):
     return tuple(Fraction(int(i == idx)) for i in range(dim))
 
@@ -169,12 +173,9 @@ def test_hyperbolic_module_matches_freudenthal_and_commutators():
 
 def test_out_of_truncation_errors():
     mod = IrrTrunc(SL2, (4,), depth=1, depth_cap=2)
-    with pytest.raises(TruncationError):
-        mod.space((2,))
-    v = TruncVector({(2,): (1,)})  # legal once extended
-    assert mod.space((2,), extend=True).dim == 1
-    with pytest.raises(TruncationError):
-        mod.space((3,), extend=True)
+    assert mod.space((2,)).dim == 1  # past the declared depth, within the cap
+    with pytest.raises(TruncationError, match="depth 3, the depth cap is 2"):
+        mod.space((3,))
     with pytest.raises(TruncationError):
         IrrTrunc(SL2, (1,), depth=9, depth_cap=4)
 
@@ -519,7 +520,6 @@ def test_truncvector_algebra():
     s = a + b
     assert s.parts == {(0,): (Fraction(1),), (2,): (Fraction(3),)}
     assert (Fraction(0) * a).is_zero()
-    assert a.max_depth() == 1
     assert a.coefficient((1,)) == 2
     assert a.coefficient((5,)) == 0
 
@@ -738,11 +738,12 @@ def test_rank_two_modules_match_freudenthal_and_the_sl2_theta(a, lam, depth, x, 
     for k in _weights(2, depth):
         assert mod.weight_multiplicity(k) == freudenthal_multiplicity(gcm, lam, k, cache), k
     # e_i, f_i, h_i span an sl2 acting on the string through v_Lambda:
-    # theta(exp(b e_i) exp(a f_i)) = (1 + a b)^Lambda_i, on a module that
-    # holds the string (exp(a f_i) extends it, exp(b e_i) may not)
+    # theta(exp(b e_i) exp(a f_i)) = (1 + a b)^Lambda_i, whether or not the
+    # declared depth holds the string
     for i in range(2):
         g = (KMFactor("e", i, y), KMFactor("f", i, x))
-        assert theta_eval(IrrTrunc(gcm, lam, lam[i]), g) == (1 + x * y) ** lam[i]
+        for declared in (lam[i], 0):
+            assert theta_eval(IrrTrunc(gcm, lam, declared), g) == (1 + x * y) ** lam[i]
 
 
 @settings(max_examples=40, deadline=None)
@@ -779,10 +780,10 @@ def _ref_apply(matrix, coords):
     return [sum((a * b for a, b in zip(row, coords)), Fraction(0)) for row in matrix]
 
 
-def _ref_act(mod, i, step, parts, extend=True):
+def _ref_act(mod, i, step, parts):
     out = {}
     for k, coords in parts.items():
-        op = mod.f_matrix(i, k, extend) if step == 1 else mod.e_matrix(i, k)
+        op = mod.f_matrix(i, k) if step == 1 else mod.e_matrix(i, k)
         key = _shift(k, i, step)
         image = _ref_apply(op.matrix(), coords)
         out[key] = [a + b for a, b in zip(out[key], image)] if key in out else image
@@ -855,7 +856,7 @@ def test_actions_match_the_fraction_reference(mv, spec):
     mod, v = mv
     parts = _as_parts(v)
     for i in range(mod.gcm.n):
-        assert _as_parts(act_f(mod, i, v, True)) == _ref_act(mod, i, 1, parts)
+        assert _as_parts(act_f(mod, i, v)) == _ref_act(mod, i, 1, parts)
         assert _as_parts(act_e(mod, i, v)) == _ref_act(mod, i, -1, parts)
     # the term with a denominator first, so that later terms are rescaled
     x = words.NcPoly({(1,): Fraction(2, 3), (0, 1): 1, (1, 0): -1})
@@ -870,7 +871,7 @@ def test_actions_match_the_fraction_reference(mv, spec):
         expected = parts
         for factor in reversed(g):
             expected = _ref_factor(mod, factor, expected)
-    except TruncationError:  # exp(t f_i) went past the declared depth, then an e_j or x
+    except TruncationError:  # exp(t f_i) went past the depth cap
         with pytest.raises(TruncationError):
             act_km_group(mod, tuple(g), v)
     else:
@@ -902,14 +903,14 @@ def _ref_cone(mod, v):
     top = (0,) * n
     level = [{(top, top): [[Fraction(1)]]}]
     vectors = list(level)
-    for _ in range(2 * v.max_depth()):
+    for _ in range(2 * _max_depth(v)):
         nxt = []
         for vec in level:
             for i in range(n):
                 out = {}
                 for (k1, k2), c in vec.items():
-                    f1 = mod.f_matrix(i, k1, True).matrix()
-                    f2 = mod.f_matrix(i, k2, True).matrix()
+                    f1 = mod.f_matrix(i, k1).matrix()
+                    f2 = mod.f_matrix(i, k2).matrix()
                     columns = [_ref_apply(f1, column) for column in zip(*c)]
                     for key, m in (((_shift(k1, i, 1), k2), [list(r) for r in zip(*columns)]),
                                    ((k1, _shift(k2, i, 1)), [_ref_apply(f2, row) for row in c])):
@@ -929,7 +930,7 @@ def _ref_cone(mod, v):
     for total in totals:
         keys = sorted({key for vec in vectors + [square] for key in vec
                        if tuple(map(int.__add__, *key)) == total})
-        dims = {key: (mod.space(key[0], True).dim, mod.space(key[1], True).dim) for key in keys}
+        dims = {key: (mod.space(key[0]).dim, mod.space(key[1]).dim) for key in keys}
 
         def flat(vec):
             return [x for key in keys
@@ -978,15 +979,43 @@ def test_cone_square_beyond_the_cap_is_refused():
         kostant_cone_test(mod, TruncVector({(1, 1): (1,)}))
 
 
-def test_f_beyond_the_declared_depth_is_refused():
+def test_cone_answers_within_the_cap_whatever_the_order_of_the_parts():
+    """v (x) v fails at total depth 2 and reaches depth 6: the answer is
+    False in either order of v's parts, never the refusal of depth 6."""
+    mod = IrrTrunc(A2, (1, 1), depth=3, depth_cap=3)
+    parts = {(0, 0): (Fraction(3, 2),), (1, 1): (2, Fraction(2, 3)), (2, 1): (Fraction(-2, 3),)}
+    for keys in (list(parts), list(reversed(parts))):
+        assert not kostant_cone_test(mod, TruncVector({k: parts[k] for k in keys}))
+    assert not _ref_cone(IrrTrunc(A2, (1, 1), depth=3, depth_cap=6), TruncVector(parts))
+
+
+def test_f_past_the_declared_depth_stops_only_at_the_cap():
     mod = IrrTrunc(A2, (1, 1), depth=2, depth_cap=8)
     v = TruncVector({(1, 1): (1, 0)})
-    with pytest.raises(TruncationError, match="depth 3, the module is truncated at depth 2"):
-        act_f(mod, 0, v)
-    assert act_f(mod, 0, v, extend=True).max_depth() == 3
+    assert _max_depth(act_f(mod, 0, v)) == 3
     string = IrrTrunc(SL2, (9,), depth=2, depth_cap=8)
     with pytest.raises(TruncationError, match="depth 9, the depth cap is 8"):
-        act_f(string, 0, TruncVector({(8,): (1,)}), extend=True)
+        act_f(string, 0, TruncVector({(8,): (1,)}))
     # exp(0 f) stops after one application: f v reaches the cap, f f v is not asked for
     v = TruncVector({(7,): (1,)})
     assert act_km_group(string, (KMFactor("f", 0, Fraction(0)),), v) == v
+
+
+def test_the_cone_test_spans_grow_with_the_multiplicities(monkeypatch):
+    """Orbit vectors of depth 6 and 8 in the basic module of A2^(1): the
+    component's spans are built weight by weight, so the number of f-images
+    follows the multiplicities, not the 3^d f-words of length d."""
+    calls = []
+    tensor_f = kacmoody._tensor_f
+    monkeypatch.setattr(kacmoody, "_tensor_f", lambda *args: calls.append(1) or tensor_f(*args))
+    mod = IrrTrunc(AFFINE_A2, (1, 0, 0), depth=0, depth_cap=24)
+    # exp(f_0) exp(f_1 / 2) exp(f_2 / 3) ... v_Lambda; applying every f-word
+    # takes 44,361 calls at depth 6
+    for letters, depth in (((0, 1, 2, 0), 6), ((0, 1, 2, 1, 0, 2, 0), 8)):
+        g = tuple(KMFactor("f", i, Fraction(1, 1 + j)) for j, i in enumerate(letters))
+        v = act_km_group(mod, g, mod.highest_weight_vector())
+        assert _max_depth(v) == depth
+        calls.clear()
+        assert kostant_cone_test(mod, v)
+        if depth == 6:
+            assert len(calls) < 1000
