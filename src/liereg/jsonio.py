@@ -7,9 +7,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import words
+from . import grp, words
 from .duals import FiniteFunctional, MatrixCoefficient, RhoExpansion
-from .grp import GroupWord, OneParamFactor
+from .grp import GroupWord
 from .reps import RepSpec
 from .words import Alphabet, NcPoly, TermMap
 
@@ -49,10 +49,6 @@ def decode_fraction(s, field: str = "coeff") -> Fraction:
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"{field}: {s!r} is not a rational 'p/q'") from exc
-
-
-KIND_NAMES = {words.NILPOTENT: "locally-nilpotent", words.DIAGONAL: "diagonalizable-integer"}
-KIND_VALUES = {v: k for k, v in KIND_NAMES.items()}
 
 
 def decode_word(alphabet: Alphabet, text, field: str = "word"):
@@ -114,7 +110,7 @@ def encode_rep(rep: RepSpec) -> dict:
         "letters": [
             {
                 "name": rep.alphabet.names[e],
-                "kind": KIND_NAMES[rep.kind(e)],
+                "kind": rep.kind(e),
                 "matrix": encode_matrix(m),
             }
             for e, m in rep.matrices.items()
@@ -153,10 +149,10 @@ def decode_rep(obj) -> RepSpec:
         if not isinstance(entry["name"], str):
             raise SchemaError(f"rep.letters[{i}].name: expected a string")
         names.append(entry["name"])
-        kind = entry.get("kind", "locally-nilpotent")
-        if not isinstance(kind, str) or kind not in KIND_VALUES:
+        kind = entry.get("kind", words.NILPOTENT)
+        if not isinstance(kind, str) or kind not in words.KINDS:
             raise SchemaError(f"rep.letters[{i}].kind: unknown kind {kind!r}")
-        kinds.append(KIND_VALUES[kind])
+        kinds.append(kind)
         matrices[i] = decode_matrix(
             entry.get("matrix", [[0] * dim for _ in range(dim)]),
             f"rep.letters[{i}].matrix",
@@ -209,9 +205,6 @@ def decode_functional(obj, alphabet: Alphabet = None):
     raise SchemaError(f"functional.kind: unknown kind {kind!r}")
 
 
-FACTOR_KIND_VALUES = {"exp": words.NILPOTENT, "torus": words.DIAGONAL}
-
-
 def decode_group_word(alphabet: Alphabet, obj) -> GroupWord:
     if not isinstance(obj, list):
         raise SchemaError("group: expected a list of factors")
@@ -224,11 +217,12 @@ def decode_group_word(alphabet: Alphabet, obj) -> GroupWord:
         except KeyError as exc:
             raise SchemaError(f"group[{i}].letter: unknown letter {exc.args[0]!r}") from exc
         kind = entry.get("kind", "exp")
-        if not isinstance(kind, str) or kind not in FACTOR_KIND_VALUES:
+        if kind not in ("exp", "torus"):
             raise SchemaError(f"group[{i}].kind: expected 'exp' or 'torus'")
         param = decode_fraction(entry.get("param", "1"), f"group[{i}].param")
+        factor = grp.exp_factor if kind == "exp" else grp.torus_factor
         try:
-            factors.append(OneParamFactor(letter, FACTOR_KIND_VALUES[kind], param))
+            factors.append(factor(letter, param))
         except ValueError as exc:
             raise SchemaError(f"group[{i}]: {exc}") from exc
     return GroupWord(factors)

@@ -16,12 +16,16 @@ the same multiplicity, and a weight that is not <= Lambda has none.  So a
 walk of simple reflections that leaves the cone below Lambda proves V_k = 0;
 one that ends at a dominant weight leaves the question to the elimination.
 A zero space is built without its parents and stores no matrices: the f_i
-and e_i matrices to or from it are empty Operators of the right shape.
+and e_i matrices to or from it are empty Operators of the right shape.  The
+walk runs before the depth cap is checked, so a weight past the cap that it
+proves zero is answered, and only a space that must be reduced is refused.
 
 Everything runs in integers: the matrices of f_i and e_i are linalg.Operators
-(integer entries over one denominator), a weight space is reduced from
-integer rows, and an action carries its vector as integers over one
-denominator, building Fractions once, for the result.
+(integer entries over one denominator), kept on the weight space they lead
+into (f_i) or out of (e_i); a weight space is reduced from integer rows; and
+a TruncVector is stored once, as one denominator and integer coordinates in
+lowest terms, the form every action reads and returns.  Fractions are built
+only where a caller reads them (`TruncVector.parts`, `coefficient`).
 
 Weights are tracked as depth vectors k with lambda = Lambda - sum k_i alpha_i.
 """
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul, sub
 
@@ -263,15 +267,20 @@ def _freudenthal(beta, roots, lam_rho, gcm: GCM, cache) -> int:
 
 @dataclass(frozen=True)
 class WeightSpace:
-    """One weight space of L(Lambda) with its basis of Verma monomials.
+    """One weight space V_k of L(Lambda) with its basis of Verma monomials.
 
     The word w stands for f_{w[0]} ... f_{w[-1]} v_Lambda; the basis is the
     lexicographically first linearly independent set of such monomials.
+    `f[i]` is the Operator of f_i from V_{k - e_i} into V_k and `e[i]` that
+    of e_i from V_k to V_{k - e_i}; each is None where either space is zero
+    (or k_i = 0).
     """
 
     depth: tuple
     basis: tuple
     lam: tuple  # weight coordinates lambda(h_i)
+    f: tuple = field(compare=False, repr=False)
+    e: tuple = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -287,19 +296,21 @@ class IrrTrunc:
     """Depth-truncated integrable irreducible highest-weight module L(Lambda).
 
     Weight spaces are built lazily, each from the nonzero ones one and two
-    levels closer to the top, and cached with the matrices of f_i into them
-    and of e_i out of them, each a `linalg.Operator` (integer entries over
-    one denominator, in lowest terms).  A weight space that the reflection
-    walk of `_reflects_to_zero` proves zero is cached alone, without its
-    parents and without matrices; `f_matrix` and `e_matrix` give the empty
-    Operator of the right shape for it, and for a nonzero space next to it.
-    Every weight space is exact at any depth, so there is one bound: any
-    operation builds the spaces it needs up to depth `depth_cap`, and
-    refuses beyond it.  `depth` only sets the range that `dimensions()`
-    lists, and must itself lie within the cap.  `dim_cap` bounds the number of
-    candidates reduced for one weight space, so it never applies to a space
-    that the walk proves zero: such a space reduces none.  An instance takes
-    no lock, so it is not meant to be shared between threads.
+    levels closer to the top, and cached; each keeps the matrices of f_i
+    into it and of e_i out of it (`WeightSpace.f`, `WeightSpace.e`), each a
+    `linalg.Operator` (integer entries over one denominator, in lowest
+    terms).  A weight space that the reflection walk of `_reflects_to_zero`
+    proves zero is cached alone, without its parents and without matrices;
+    `f_matrix` and `e_matrix` give the empty Operator of the right shape for
+    it, and for a nonzero space next to it.  Every weight space is exact at
+    any depth, so there is one bound, checked in one place, `_build`, after
+    the walk: any operation builds the spaces it needs up to depth
+    `depth_cap`, and refuses a space beyond it unless the walk proves it
+    zero.  `depth` only sets the range that `dimensions()` lists, and must
+    itself lie within the cap.  `dim_cap` bounds the number of candidates
+    reduced for one weight space, so it never applies to a space that the
+    walk proves zero: such a space reduces none.  An instance takes no lock,
+    so it is not meant to be shared between threads.
     """
 
     def __init__(self, gcm: GCM, lam, depth: int,
@@ -319,9 +330,6 @@ class IrrTrunc:
         self.depth_cap = depth_cap
         self.dim_cap = dim_cap
         self._spaces: dict = {}
-        # matrices between two nonzero spaces only
-        self._fmat: dict = {}  # (i, k) -> Operator of f_i from V_k to V_{k + e_i}
-        self._emat: dict = {}  # (i, k) -> Operator of e_i from V_k to V_{k - e_i}
         # alpha_j(h_i) = a_ij: the weight coordinates of alpha_j
         self._alpha = tuple(tuple(row[j] for row in gcm.a) for j in range(gcm.n))
 
@@ -332,11 +340,10 @@ class IrrTrunc:
         return tuple(x - sum(map(mul, row, k)) for x, row in zip(self.lam, self.gcm.a))
 
     def _depth_vector(self, k) -> tuple:
-        """k as a tuple of ints, checked to lie within the depth cap."""
+        """k as a tuple of ints, checked to be componentwise nonnegative."""
         k = tuple(map(int, k))
         if min(k, default=0) < 0:
             raise ValueError("depth vector must be componentwise nonnegative")
-        self._check_total(sum(k))
         return k
 
     def _check_total(self, total: int) -> None:
@@ -376,10 +383,11 @@ class IrrTrunc:
             lam = [x + m * a for x, a in zip(lam, self._alpha[i])]
 
     def _build(self, k) -> WeightSpace:
-        """V_k, and the matrices of f_i into it and of e_i out of it.
+        """V_k, with the matrices of f_i into it and of e_i out of it.
 
         A weight space that the reflection walk proves zero is returned at
-        once, without its parents.  Otherwise the candidates are f_i b for
+        once, without its parents, at any depth; any other space past the
+        depth cap is refused.  Otherwise the candidates are f_i b for
         each i with V_{k - e_i} nonzero and each basis vector b of
         V_{k - e_i}, in that order.  Below the top a vector that every e_j
         kills is zero, so the candidates' relations are those of their
@@ -397,11 +405,13 @@ class IrrTrunc:
         images at the pivots, over the denominator of their j, are the
         matrices of e_j.  Only matrices between two nonzero spaces are stored.
         """
+        none = (None,) * self.gcm.n
         if not any(k):
-            return WeightSpace(k, ((),), self.lam)
+            return WeightSpace(k, ((),), self.lam, none, none)
         lam = self.lam_of(k)
         if self._reflects_to_zero(k, lam):
-            return WeightSpace(k, (), lam)
+            return WeightSpace(k, (), lam, none, none)
+        self._check_total(sum(k))
         parents = [(j, self._space(_shift(k, j, -1))) for j in range(self.gcm.n) if k[j]]
         above = [(j, src) for j, src in parents if src.dim]
         dims = [src.dim for _, src in above]
@@ -416,9 +426,9 @@ class IrrTrunc:
         for (j, tgt), dim in zip(above, dims):
             blocks = []  # (denominator, integer rows or None for zero) per source space
             for i, src in above:
-                e_j = self._emat.get((j, src.depth))
+                e_j = src.e[j]
                 if e_j is not None:
-                    f_i = self._fmat[(i, _shift(src.depth, j, -1))]
+                    f_i = tgt.f[i]
                     block = linalg.mat_mul(f_i.int_rows(), e_j.int_rows())
                     blocks.append((f_i.denom * e_j.denom, block))
                 else:
@@ -443,22 +453,23 @@ class IrrTrunc:
             ech.add(row)
         pivots = ech.pivots
         if not pivots:
-            return WeightSpace(k, (), lam)
+            return WeightSpace(k, (), lam, none, none)
         lead = math.lcm(*[row[p] for row, p in zip(ech.rows, pivots)])
         reduced = [(lead // row[p], row) for row, p in zip(ech.rows, pivots)]
+        f, e = list(none), list(none)
         start = 0  # where f_i V_{k - e_i} starts, in the columns and in the rows
         for (i, src), (den, rows) in zip(above, images):
             stop = start + src.dim
-            self._fmat[(i, src.depth)] = Operator.from_int_rows(
+            f[i] = Operator.from_int_rows(
                 [[s * x for x in row[start:stop]] for s, row in reduced], lead, src.dim
             )
-            self._emat[(i, k)] = Operator.from_int_rows(
+            e[i] = Operator.from_int_rows(
                 [[row[p] for p in pivots] for row in rows], den, len(pivots)
             )
             start = stop
         candidates = [(i,) + b for i, src in above for b in src.basis]
         basis = tuple(candidates[p] for p in pivots)
-        return WeightSpace(k, basis, lam)
+        return WeightSpace(k, basis, lam, tuple(f), tuple(e))
 
     def weight_multiplicity(self, k) -> int:
         return self.space(k).dim
@@ -479,9 +490,8 @@ class IrrTrunc:
         """The Operator of f_i from weight k to weight k + e_i in quotient
         coordinates; its `matrix()` is the Fraction view."""
         k = self._depth_vector(k)
-        self._check_total(sum(k) + 1)
         target = self._space(_shift(k, i, 1))
-        op = self._fmat.get((i, k))
+        op = target.f[i]
         if op is not None:
             return op
         # not stored: V_k or V_{k + e_i} is zero
@@ -492,7 +502,7 @@ class IrrTrunc:
         coordinates; its `matrix()` is the Fraction view."""
         k = self._depth_vector(k)
         source = self._space(k)
-        op = self._emat.get((i, k))
+        op = source.e[i]
         if op is not None:
             return op
         # not stored: V_k or V_{k - e_i} is zero, or k - e_i is no weight
@@ -502,79 +512,75 @@ class IrrTrunc:
     # -- vectors ------------------------------------------------------------
 
     def highest_weight_vector(self) -> "TruncVector":
-        zero = (0,) * self.gcm.n
-        return TruncVector({zero: (Fraction(1),)})
+        return TruncVector._of(1, {(0,) * self.gcm.n: [1]})
 
     def zero_vector(self) -> "TruncVector":
-        return TruncVector({})
+        return TruncVector._of(1, {})
 
 
 class TruncVector:
-    """Element of a truncated module: depth vector -> quotient coordinates."""
+    """Element of a truncated module: depth vector -> quotient coordinates.
 
-    __slots__ = ("parts",)
+    Stored once, in the form the actions carry: a positive denominator `d`
+    and `ints`, {depth vector: list of ints}, the vector being ints / d, in
+    lowest terms (gcd(d, every entry) = 1) with zero parts left out, so that
+    (d, ints) is canonical.  `parts` is the read-only Fraction view.  An
+    instance is never changed once made, so results may share its lists.
+    """
+
+    __slots__ = ("d", "ints")
 
     def __init__(self, parts=None):
-        clean = {}
-        if parts:
-            for k, coords in parts.items():
-                coords = tuple(frac(c) for c in coords)
-                if any(c != 0 for c in coords):
-                    clean[tuple(k)] = coords
-        self.parts = clean
+        parts = {tuple(k): [frac(c) for c in coords] for k, coords in (parts or {}).items()}
+        d = math.lcm(*{c.denominator for coords in parts.values() for c in coords})
+        self.d, self.ints = _lowest(d, {
+            k: [c.numerator * (d // c.denominator) for c in coords]
+            for k, coords in parts.items() if any(coords)
+        })
+
+    @classmethod
+    def _of(cls, d, ints):
+        """The vector ints / d, for d > 0 and ints with no zero part."""
+        v = object.__new__(cls)
+        v.d, v.ints = _lowest(d, ints)
+        return v
+
+    @property
+    def parts(self) -> dict:
+        return {k: linalg.over(u, self.d) for k, u in self.ints.items()}
 
     def is_zero(self) -> bool:
-        return not self.parts
+        return not self.ints
 
     def __eq__(self, other):
-        return isinstance(other, TruncVector) and self.parts == other.parts
+        return isinstance(other, TruncVector) and (self.d, self.ints) == (other.d, other.ints)
 
     def __add__(self, other):
-        out = dict(self.parts)
-        for k, coords in other.parts.items():
-            _accumulate(out, k, coords)
-        return TruncVector(out)
+        return TruncVector._of(*_combine([(1, self.d, self.ints), (1, other.d, other.ints)]))
 
     def __rmul__(self, scalar):
-        scalar = frac(scalar)
-        return TruncVector(
-            {k: tuple(scalar * c for c in coords) for k, coords in self.parts.items()}
-        )
+        return TruncVector._of(*_combine([(frac(scalar), self.d, self.ints)]))
 
     def coefficient(self, k, idx: int = 0) -> Fraction:
-        part = self.parts.get(tuple(k))
-        return part[idx] if part is not None else Fraction(0)
+        part = self.ints.get(tuple(k))
+        return Fraction(part[idx] if part is not None else 0, self.d)
 
     def __repr__(self):
         return f"TruncVector({self.parts})"
 
 
-def _accumulate(out: dict, key, coords) -> None:
-    """out[key] += coords, for coordinate tuples kept in a dict."""
-    old = out.get(key)
-    out[key] = tuple(coords) if old is None else tuple(a + b for a, b in zip(old, coords))
-
-
 # An action carries its vector as (d, parts): one denominator d and, per
-# depth vector k, a list of ints, the vector being parts / d.  Zero parts are
-# left out, so the vector is zero exactly when parts is empty.  The integers
-# go through every factor of a word or a group word, and Fractions are built
-# once, for the result.
+# depth vector k, a list of ints, the vector being parts / d, as a
+# TruncVector stores it.  Zero parts are left out, so the vector is zero
+# exactly when parts is empty.
 
 
-def _integral(v: TruncVector):
-    """(d, parts) with v = parts / d, d the least common denominator of v."""
-    d = math.lcm(*{c.denominator for coords in v.parts.values() for c in coords})
-    return d, {
-        k: [c.numerator * (d // c.denominator) for c in coords] for k, coords in v.parts.items()
-    }
-
-
-def _vector(d, parts) -> TruncVector:
-    """The TruncVector parts / d."""
-    out = TruncVector()
-    out.parts = {k: linalg.over(ints, d) for k, ints in parts.items()}
-    return out
+def _lowest(d, parts):
+    """(d, parts) divided by the gcd of d and every entry."""
+    c = math.gcd(d, *[x for ints in parts.values() for x in ints])
+    if c == 1:
+        return d, parts
+    return d // c, {k: [x // c for x in ints] for k, ints in parts.items()}
 
 
 def _image(d, parts, i: int, step: int, matrix):
@@ -622,24 +628,24 @@ def _e_poly(m: IrrTrunc, x: NcPoly, d, parts):
 
 
 def act_f(m: IrrTrunc, i: int, v: TruncVector) -> TruncVector:
-    return _vector(*_image(*_integral(v), i, 1, m.f_matrix))
+    return TruncVector._of(*_image(v.d, v.ints, i, 1, m.f_matrix))
 
 
 def act_e(m: IrrTrunc, i: int, v: TruncVector) -> TruncVector:
-    return _vector(*_image(*_integral(v), i, -1, m.e_matrix))
+    return TruncVector._of(*_image(v.d, v.ints, i, -1, m.e_matrix))
 
 
 def act_h(m: IrrTrunc, i: int, v: TruncVector) -> TruncVector:
-    return TruncVector(
-        {
-            k: tuple(m.lam_of(k)[i] * c for c in coords)
-            for k, coords in v.parts.items()
-        }
-    )
+    scaled = {}
+    for k, ints in v.ints.items():
+        c = m.lam_of(k)[i]
+        if c:
+            scaled[k] = [c * x for x in ints]
+    return TruncVector._of(v.d, scaled)
 
 
 def act_e_poly(m: IrrTrunc, x: NcPoly, v: TruncVector) -> TruncVector:
-    return _vector(*_e_poly(m, x, *_integral(v)))
+    return TruncVector._of(*_e_poly(m, x, v.d, v.ints))
 
 
 # ---------------------------------------------------------------------------
@@ -731,16 +737,12 @@ def _group_image(m: IrrTrunc, g, d, parts):
     """(D, parts') with g . (parts / d) = parts' / D, the rightmost factor
     acting first; reduced by the gcd of the entries between factors."""
     for factor in reversed(tuple(g)):
-        d, parts = _factor_image(m, factor, d, parts)
-        c = math.gcd(d, *[x for ints in parts.values() for x in ints])
-        if c != 1:
-            d //= c
-            parts = {k: [x // c for x in ints] for k, ints in parts.items()}
+        d, parts = _lowest(*_factor_image(m, factor, d, parts))
     return d, parts
 
 
 def act_km_group(m: IrrTrunc, g, v: TruncVector) -> TruncVector:
-    return _vector(*_group_image(m, g, *_integral(v)))
+    return TruncVector._of(*_group_image(m, g, v.d, v.ints))
 
 
 def theta_eval(m: IrrTrunc, g) -> Fraction:
@@ -749,18 +751,13 @@ def theta_eval(m: IrrTrunc, g) -> Fraction:
     return v.coefficient((0,) * m.gcm.n)
 
 
-def rootvector_is_zero(m: IrrTrunc, poly: NcPoly, max_depth: int = None) -> bool:
-    """Does the bracket act by zero on every basis vector within the truncation?"""
-    max_depth = m.depth if max_depth is None else max_depth
-    for k in itertools.product(range(max_depth + 1), repeat=m.gcm.n):
-        if sum(k) > max_depth:
-            continue
-        ws = m.space(k)
-        for b in range(ws.dim):
-            coords = tuple(
-                Fraction(1) if j == b else Fraction(0) for j in range(ws.dim)
-            )
-            if not act_e_poly(m, poly, TruncVector({k: coords})).is_zero():
+def rootvector_is_zero(m: IrrTrunc, poly: NcPoly) -> bool:
+    """Does the polynomial of raising generators act by zero on every basis
+    vector of depth at most `m.depth`?"""
+    for k, dim in m.dimensions().items():
+        for b in range(dim):
+            unit = TruncVector._of(1, {k: [int(j == b) for j in range(dim)]})
+            if not act_e_poly(m, poly, unit).is_zero():
                 return False
     return True
 
@@ -867,10 +864,9 @@ def kostant_cone_test(m: IrrTrunc, v: TruncVector, m2: IrrTrunc = None) -> bool:
         return spans[total_k]
 
     # components of v (x) v by total weight, over the square of v's denominator
-    _, ints = _integral(v)
     by_total = {}
-    for k1, c1 in ints.items():
-        for k2, c2 in ints.items():
+    for k1, c1 in v.ints.items():
+        for k2, c2 in v.ints.items():
             total = tuple(a + b for a, b in zip(k1, k2))
             by_total.setdefault(total, {})[(k1, k2)] = linalg.vec_kron(c1, c2)
 

@@ -72,10 +72,6 @@ def vec(entries) -> tuple:
     return tuple(frac(x) for x in entries)
 
 
-def is_zero_vec(v) -> bool:
-    return not any(v)
-
-
 def dot(u, v) -> Fraction:
     return sum((a * b for a, b in zip(u, v) if a and b), ZERO)
 

@@ -1,6 +1,7 @@
 """Every public top-level function and every public method of a top-level
 class of liereg has a caller inside the package, or is listed below with the
-reason it stays without one."""
+reason it stays without one; and every module-level import of liereg is
+used."""
 import ast
 from pathlib import Path
 
@@ -15,10 +16,7 @@ UNCALLED = (
     ("grp.derive_left", "the right invariant derivation e <| f, a paper concept"),
     ("grp.derive_right", "the left invariant derivation e |> f, a paper concept"),
     ("grp.f_w", "the coordinate functions f_w of the group, a paper concept"),
-    ("grp.torus_factor", "the torus factor s^d of a diagonalizable letter"),
     ("kacmoody.peter_weyl_rank", "the Peter-Weyl rank of matrix coefficients"),
-    ("kacmoody.rootvector_is_zero", "whether a root vector acts by zero on L(Lambda)"),
-    ("words.counit", "the counit of the Hopf algebra U(g)"),
 )
 
 
@@ -72,3 +70,26 @@ def test_every_public_function_has_a_caller_or_a_reason():
     assert uncalled - set(kept) == set(), "public functions with no caller in liereg"
     assert set(kept) - uncalled == set(), "listed as uncalled, but now called or gone"
     assert all(reason for reason in kept.values())
+
+
+def _unused_imports(path):
+    """The names that module-level imports of the file bind and that its
+    code never reads; a name listed in __all__ counts as read."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= set(ast.literal_eval(node.value))
+    return {f"{path.stem}:{line} {name}" for name, line in bound.items() if name not in read}
+
+
+def test_every_module_level_import_is_used():
+    unused = set().union(*(_unused_imports(path) for path in sorted(SRC.glob("*.py"))))
+    assert unused == set()

@@ -374,6 +374,25 @@ def test_dim_cap_applies_only_to_weights_the_reflections_leave_open(
         assert json.loads(out)["multiplicity"] == multiplicity
 
 
+@pytest.mark.parametrize("cap, argv, code, out_or_err", [
+    # exp(f) exp(2f) v_Lambda: f f v_Lambda lies at depth 2, past the cap,
+    # where the reflection walk proves the weight zero
+    ("1", ["km-theta", "--matrix", '{"matrix":[[2]]}', "--weight", "[1]", "--depth", "0",
+      "--group", '[{"kind":"f","index":0,"param":"2"},{"kind":"f","index":0,"param":"1"}]'],
+     0, '"theta": "1"'),
+    # L(Lambda_1) of A2 is zero at depth (3,0): it has no coordinates
+    ("2", ["km-cone", "--matrix", '{"matrix":[[2,-1],[-1,2]]}', "--weight", "[1,0]", "--depth", "1",
+      "--vector", '[{"depth":[0,0],"coords":["1"]},{"depth":[3,0],"coords":["1"]}]'],
+     1, "vector[1].coords: expected 0 coordinates"),
+], ids=["km-theta", "km-cone"])
+def test_a_zero_weight_past_the_depth_cap_is_answered(
+        capsys, monkeypatch, cap, argv, code, out_or_err):
+    monkeypatch.setenv("LIEREG_DEPTH_CAP", cap)
+    got, out, err = run(capsys, *argv)
+    assert got == code, err
+    assert out_or_err in (out if code == 0 else err)
+
+
 def test_python_dash_m_liereg_runs_the_command():
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
     proc = subprocess.run(

@@ -53,6 +53,11 @@ def _max_depth(v):
     return max((sum(k) for k in v.parts), default=0)
 
 
+def _stored(mod):
+    """The f_i and e_i Operators that the built weight spaces keep."""
+    return [op for ws in mod._spaces.values() for op in ws.f + ws.e if op is not None]
+
+
 def _unit(dim, idx):
     return tuple(Fraction(int(i == idx)) for i in range(dim))
 
@@ -455,12 +460,12 @@ def test_integrability_f_nilpotent_on_vectors():
 
 
 def test_multibracket_rootvector_a2():
-    mod = IrrTrunc(A2, (1, 1), depth=3)
+    mod = IrrTrunc(A2, (1, 1), depth=2)
     x = words.multibracket((0, 1))
-    assert not rootvector_is_zero(mod, x, max_depth=2)
+    assert not rootvector_is_zero(mod, x)
     zero = words.multibracket((0, 0))
     assert zero.is_zero()
-    assert rootvector_is_zero(mod, zero, max_depth=2)
+    assert rootvector_is_zero(mod, zero)
     e0 = words.multibracket((0,))
     assert e0.terms == {(0,): 1}
 
@@ -522,6 +527,52 @@ def test_truncvector_algebra():
     assert (Fraction(0) * a).is_zero()
     assert a.coefficient((1,)) == 2
     assert a.coefficient((5,)) == 0
+
+
+FRACTIONS = st.fractions(-4, 4, max_denominator=6)
+# depth vector -> dimension: every vector drawn below has a part of this length there
+TRUNC_DIMS = {k: 1 + sum(k) % 3 for k in _weights(2, 3)}
+
+
+@st.composite
+def trunc_parts(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(TRUNC_DIMS)), unique=True, max_size=4))
+    return {k: draw(st.lists(FRACTIONS, min_size=TRUNC_DIMS[k], max_size=TRUNC_DIMS[k]))
+            for k in keys}
+
+
+def _ref_vector(parts):
+    return {k: tuple(c) for k, c in parts.items() if any(c)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(trunc_parts(), trunc_parts(), FRACTIONS)
+@example({(0, 0): [Fraction(1, 2)]}, {(0, 0): [Fraction(-1, 2)]}, Fraction(0))
+@example({(1, 0): [4, 6]}, {(1, 0): [Fraction(2), Fraction(3)]}, Fraction(1, 2))
+@example({(0, 0): [Fraction(1, 2)]}, {(0, 0): [Fraction(1, 3)]}, Fraction(1))  # same ints, other d
+def test_truncvector_matches_a_fraction_reference(a, b, c):
+    """`+`, scalar `*`, `==`, `coefficient` and `parts` of the stored
+    integer form agree with plain Fraction coordinates."""
+    u, v = TruncVector(a), TruncVector(b)
+    ref_u, ref_v = _ref_vector(a), _ref_vector(b)
+    total = {k: list(x) for k, x in ref_u.items()}
+    for k, x in ref_v.items():
+        total[k] = [s + t for s, t in zip(total[k], x)] if k in total else list(x)
+    ref_sum = _ref_vector(total)
+    ref_scaled = _ref_vector({k: [c * s for s in x] for k, x in ref_u.items()})
+    assert u.parts == ref_u
+    assert (u + v).parts == ref_sum
+    assert (c * u).parts == ref_scaled
+    assert (u == v) == (ref_u == ref_v)
+    assert (u + v == TruncVector(ref_sum)) and (c * u == TruncVector(ref_scaled))
+    assert u.is_zero() == (not ref_u)
+    for k, dim in TRUNC_DIMS.items():
+        for idx in range(dim):
+            assert u.coefficient(k, idx) == ref_u.get(k, (0,) * dim)[idx]
+    # the stored form: lowest terms over a positive denominator, no zero part
+    for w in (u, v, u + v, c * u):
+        assert w.d > 0 and all(any(x) for x in w.ints.values())
+        assert math.gcd(w.d, *itertools.chain(*w.ints.values())) == 1
 
 
 def test_weight_space_coords_consistency():
@@ -596,7 +647,7 @@ def test_the_trivial_affine_module_stores_nothing():
     # elimination finds them zero, with no candidates
     mod = IrrTrunc(AFFINE, (0, 0), 6)
     assert mod.dimensions() == {(0, 0): 1}
-    assert not mod._fmat and not mod._emat
+    assert not _stored(mod)
     assert mod.e_matrix(0, (1, 1)).matrix() == ()
     assert mod.f_matrix(1, (1, 0)).matrix() == ()
 
@@ -619,7 +670,7 @@ def test_only_nonzero_spaces_run_an_elimination(monkeypatch, gcm, lam, depth):
     assert len(mod._spaces) > len(dims)  # some spaces in the box are zero
     assert len(made) == len(dims) - 1  # one per nonzero space below the top
     # matrices are stored only between two nonzero spaces
-    assert all(op.height and op.width for op in [*mod._fmat.values(), *mod._emat.values()])
+    assert all(op.height and op.width for op in _stored(mod))
 
 
 def test_dim_cap_bounds_the_candidates():
@@ -707,7 +758,7 @@ def test_weight_spaces_are_built_without_fractions(monkeypatch, gcm, lam, depth)
     monkeypatch.undo()
     assert made == []
     assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)  # restored
-    assert dims and mod._fmat and mod._emat
+    assert dims and _stored(mod)
 
 
 @st.composite
@@ -999,6 +1050,48 @@ def test_f_past_the_declared_depth_stops_only_at_the_cap():
     # exp(0 f) stops after one application: f v reaches the cap, f f v is not asked for
     v = TruncVector({(7,): (1,)})
     assert act_km_group(string, (KMFactor("f", 0, Fraction(0)),), v) == v
+
+
+def test_f_into_a_zero_space_past_the_cap_is_answered():
+    """L(Lambda_2) of A2 ends at depth (1,1); f_0 from there lands at depth
+    3, past the cap, on a weight the reflection walk proves zero."""
+    mod = IrrTrunc(A2, (0, 1), depth=2, depth_cap=2)
+    v = TruncVector({(1, 1): (1,)})
+    assert act_f(mod, 0, v).is_zero()
+    op = mod.f_matrix(0, (1, 1))
+    assert (op.height, op.width) == (0, 1)
+    assert mod.space((2, 1)).dim == 0
+    # a space past the cap that the walk leaves open is still refused
+    with pytest.raises(TruncationError, match="depth 3, the depth cap is 2"):
+        IrrTrunc(A2, (1, 1), depth=2, depth_cap=2).space((2, 1))
+
+
+def test_actions_build_no_fractions(monkeypatch):
+    """The actions and the cone test read and return the stored integer
+    form: no Fraction is made while they run, and theta_eval makes one, its
+    value.  (A root factor is left out: its multibracket is an NcPoly, whose
+    coefficients are Fractions.)"""
+    mod = IrrTrunc(A2, (1, 1), depth=4, depth_cap=8)
+    v = TruncVector({(0, 0): (Fraction(2, 3),), (1, 1): (Fraction(-1, 2), 5)})
+    g = (KMFactor("e", 1, Fraction(3, 4)), coweight_torus_factor(A2, mod.lam, (1, -1), Fraction(-2, 5)),
+         KMFactor("f", 0, Fraction(-3, 2)), KMFactor("f", 1, Fraction(1, 3)))
+    made = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    results = [act_f(mod, 0, v), act_e(mod, 1, v), act_km_group(mod, g, v)]
+    in_cone = kostant_cone_test(mod, v)
+    counts = [len(made)]
+    theta = theta_eval(mod, g)
+    counts.append(len(made))
+    monkeypatch.undo()
+    assert counts == [0, 1]
+    assert not in_cone and theta != 0
+    assert all(not w.is_zero() for w in results)
 
 
 def test_the_cone_test_spans_grow_with_the_multiplicities(monkeypatch):
