@@ -505,3 +505,7 @@ def main(argv=None) -> int:
     except (SchemaError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -305,8 +305,8 @@ class IrrTrunc:
     it, and for a nonzero space next to it.  Every weight space is exact at
     any depth, so there is one bound, checked in one place, `_build`, after
     the walk: any operation builds the spaces it needs up to depth
-    `depth_cap`, and refuses a space beyond it unless the walk proves it
-    zero.  `depth` only sets the range that `dimensions()` lists, and must
+    `depth_cap`, and refuses a space beyond it unless the walk, which takes
+    at most `depth_cap + 1` steps, proves it zero.  `depth` only sets the range that `dimensions()` lists, and must
     itself lie within the cap.  `dim_cap` bounds the number of candidates
     reduced for one weight space, so it never applies to a space that the
     walk proves zero: such a space reduces none.  An instance takes no lock,
@@ -368,11 +368,15 @@ class IrrTrunc:
         at depth k - m e_i; multiplicities are W-invariant (Kac,
         Infinite-dimensional Lie algebras, Prop. 3.7), and a weight that is
         not <= Lambda has none, so a negative coordinate means V_k = 0.  Each
-        step lowers the height, so the walk stops; one that ends at a dominant
-        weight gives no verdict.
+        step lowers the height by at least 1, so the walk stops; one that ends
+        at a dominant weight gives no verdict.  The walk takes at most
+        depth_cap + 1 steps, so the work a depth vector causes is bounded by
+        the cap, not by its size; every k with sum(k) <= depth_cap + 1, the
+        most an action reaches from a space within the cap, gets the full
+        walk's verdict.
         """
         k, lam = list(k), list(lam)
-        while True:
+        for _ in range(self.depth_cap + 1):
             i = next((i for i, x in enumerate(lam) if x < 0), None)
             if i is None:
                 return False
@@ -381,13 +385,14 @@ class IrrTrunc:
             if k[i] < 0:
                 return True
             lam = [x + m * a for x, a in zip(lam, self._alpha[i])]
+        return False
 
     def _build(self, k) -> WeightSpace:
         """V_k, with the matrices of f_i into it and of e_i out of it.
 
         A weight space that the reflection walk proves zero is returned at
-        once, without its parents, at any depth; any other space past the
-        depth cap is refused.  Otherwise the candidates are f_i b for
+        once, without its parents; any other space past the depth cap is
+        refused.  Otherwise the candidates are f_i b for
         each i with V_{k - e_i} nonzero and each basis vector b of
         V_{k - e_i}, in that order.  Below the top a vector that every e_j
         kills is zero, so the candidates' relations are those of their

@@ -393,6 +393,18 @@ def test_a_zero_weight_past_the_depth_cap_is_answered(
     assert out_or_err in (out if code == 0 else err)
 
 
+def test_km_cone_refuses_a_huge_depth_vector_at_once(capsys):
+    """The reflection walk is bounded by the depth cap, not by the size of
+    the depth: unbounded, this one runs about 2e9 steps before it ends at a
+    dominant weight."""
+    vector = '[{"depth":[10000000001000000000,10000000000000000000],"coords":[]}]'
+    code, out, err = run(capsys, "km-cone", "--matrix", AFFINE_A1, "--weight", "[1,0]",
+                         "--depth", "1", "--vector", vector)
+    assert code == cli.EXIT_CAP
+    assert out == ""
+    assert "LIEREG_DEPTH_CAP" in err
+
+
 def test_python_dash_m_liereg_runs_the_command():
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
     proc = subprocess.run(
@@ -402,6 +414,17 @@ def test_python_dash_m_liereg_runs_the_command():
     )
     assert proc.returncode == 0
     assert proc.stderr == ""
+    assert json.loads(proc.stdout)["multiplicity"] == 2
+
+
+def test_python_dash_m_liereg_cli_still_runs_the_command():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "liereg.cli", "km-mult", "--matrix", AFFINE_A1,
+         "--weight", "[1,0]", "--k", "[3,2]"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
     assert json.loads(proc.stdout)["multiplicity"] == 2
 
 

@@ -1066,6 +1066,19 @@ def test_f_into_a_zero_space_past_the_cap_is_answered():
         IrrTrunc(A2, (1, 1), depth=2, depth_cap=2).space((2, 1))
 
 
+def test_the_reflection_walk_is_bounded_by_the_cap():
+    """The walk takes at most depth_cap + 1 steps.  On A1^(1), Lambda = (1,0),
+    the weight at depth (8, 11) takes five steps to prove zero: answered at
+    cap 4, refused at cap 3.  A huge depth vector whose walk runs about 2e9
+    steps before it reaches a dominant weight is refused at once."""
+    assert IrrTrunc(AFFINE, (1, 0), depth=0, depth_cap=4).space((8, 11)).dim == 0
+    with pytest.raises(TruncationError, match="depth 19, the depth cap is 3"):
+        IrrTrunc(AFFINE, (1, 0), depth=0, depth_cap=3).space((8, 11))
+    b = 10 ** 19
+    with pytest.raises(TruncationError, match="the depth cap is 24"):
+        IrrTrunc(AFFINE, (1, 0), depth=0).space((b + 10 ** 9, b))
+
+
 def test_actions_build_no_fractions(monkeypatch):
     """The actions and the cone test read and return the stored integer
     form: no Fraction is made while they run, and theta_eval makes one, its
