@@ -508,4 +508,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit("error: run the liereg command as python -m liereg")

@@ -12,7 +12,7 @@ from fractions import Fraction
 from operator import mul
 
 from . import linalg, reps, words
-from .linalg import Echelon, frac, vec
+from .linalg import Echelon, Operator, frac, vec
 from .reps import RepSpec
 from .words import Alphabet, NcPoly, TermMap, Word, word_key
 
@@ -327,38 +327,31 @@ def membership_ffr(h, alphabet: Alphabet = None):
     """Finite-dimensionality of the right-translation closure U(g) |> h.
 
     Returns (True, dimension certificate); finiteness always holds for the
-    representable functionals this artifact manipulates.  For a matrix
-    coefficient it is dim U(g) . v, only an upper bound on dim U(g) |> h.
+    representable functionals this artifact manipulates.  Both kinds run the
+    integer closure walk reps.submodule_generated.  For a matrix coefficient
+    it walks U(g) . v, so the certificate is dim U(g) . v, only an upper
+    bound on dim U(g) |> h.  A finite functional walks the span of the
+    prefixes of its words, which its translates never leave: there e |> h is
+    the 0/1 operator b_{p e} -> b_p, for the alphabet's letters (h's own
+    letters without an alphabet).
     """
     if isinstance(h, MatrixCoefficient):
-        basis = reps.submodule_generated(h.rep, h.v)
-        return True, len(basis)
-    prefixes = sorted(
-        {p for w in h.terms for p in r_cut(w)}, key=word_key
-    )
+        ops = [h.rep.operators[e] for e in sorted(h.rep.alphabet.letters())]
+        return True, reps.submodule_generated(ops, h._v[1]).rank
+    prefixes = sorted({p for w in h.terms for p in r_cut(w)}, key=word_key)
     index = {p: i for i, p in enumerate(prefixes)}
-    if not prefixes:
-        return True, 0
-
-    def as_vector(f: FiniteFunctional):
-        """f's coefficients on the prefixes, cleared to ints: a span does not see scale."""
-        out = [Fraction(0)] * len(prefixes)
-        for w, c in f.terms.items():
-            out[index[w]] = c
-        return linalg.integral(out)[1]
-
-    letters = sorted(alphabet.letters()) if alphabet else sorted(h.support_letters())
-    ech = Echelon()
-    queue = []
-    if ech.add(as_vector(h)):
-        queue.append(h)
-    while queue:
-        f = queue.pop(0)
-        for e in letters:
-            g = right_translate(NcPoly.letter(e), f)
-            if ech.add(as_vector(g)):
-                queue.append(g)
-    return True, ech.rank
+    letters = alphabet.letters() if alphabet else h.support_letters()
+    rows = {}  # a letter that ends no prefix acts by zero, and is left out
+    for p, i in index.items():
+        if p and p[-1] in letters:
+            rows.setdefault(p[-1], [[] for _ in prefixes])[index[p[:-1]]].append((i, 1))
+    ops = [Operator(rows[e], 1, len(prefixes)) for e in sorted(rows)]
+    # h's coefficients on the prefixes, cleared to ints once
+    d = math.lcm(*(c.denominator for c in h.terms.values()))
+    ints = [0] * len(prefixes)
+    for w, c in h.terms.items():
+        ints[index[w]] = c.numerator * (d // c.denominator)
+    return True, reps.submodule_generated(ops, ints).rank
 
 
 def in_shuffle_span(h, length_bound: int) -> bool:

@@ -109,27 +109,34 @@ def validate_gcm(a) -> GCM:
     if errors:
         raise GCMError("; ".join(errors))
 
-    # d_i a_ij = d_j a_ji, propagated along the nonzero pattern
-    d = [None] * n
+    # d_i a_ij = d_j a_ji, propagated along the nonzero pattern: d_i = d[i] / den,
+    # integer numerators over one common denominator, which grows as needed
+    a = [[int(x) for x in row] for row in a]
+    d, den = [0] * n, 1
     for start in range(n):
-        if d[start] is not None:
+        if d[start]:
             continue
-        d[start] = Fraction(1)
+        d[start] = den
         stack = [start]
         while stack:
             i = stack.pop()
             for j in range(n):
                 if i != j and a[i][j] != 0:
-                    required = d[i] * Fraction(a[i][j], a[j][i])
-                    if d[j] is None:
-                        d[j] = required
-                        stack.append(j)
-                    elif d[j] != required:
-                        raise GCMError("matrix is not symmetrizable")
-    # rescale to least positive integers (per connected component jointly)
-    d = [x * math.lcm(*(y.denominator for y in d)) for x in d]
-    g = math.gcd(*(x.numerator for x in d))
-    return GCM(a, [x / g for x in d])
+                    num, q = d[i] * a[i][j], a[j][i]  # d[j] = num / q
+                    if d[j]:
+                        if d[j] * q != num:
+                            raise GCMError("matrix is not symmetrizable")
+                        continue
+                    s = abs(q) // math.gcd(num, q)
+                    if s != 1:
+                        d = [x * s for x in d]
+                        den *= s
+                        num *= s
+                    d[j] = num // q
+                    stack.append(j)
+    # the least positive integers proportional to d (over all components jointly)
+    g = math.gcd(*d)
+    return GCM(a, [x // g for x in d])
 
 
 # ---------------------------------------------------------------------------

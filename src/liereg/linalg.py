@@ -36,12 +36,12 @@ cross-multiply and divide by the row gcd (Bareiss, Math. Comp. 22, 1968);
 entry from the left, and the reduced row echelon form of a span is unique,
 so ``basis()``, ``rref``, ``rank`` and ``solve`` (which clear their rational
 rows) equal rational Gauss-Jordan elimination whatever the order of the
-rows, and a span loop (``reps.submodule_generated``, ``duals.in_shuffle_span``)
-may run on integer multiples of its vectors: a span does not see their
-scale.  ``rref``, ``rank`` and ``solve`` add their rows in order of
-decreasing leading column (``by_leading_column``): a row whose leading
-column lies left of every pivot so far has a zero there in every stored
-row, so it needs no back-substitution.
+rows, and a span loop (the closure walk ``reps.submodule_generated``,
+``duals.in_shuffle_span``) may run on integer multiples of its vectors: a
+span does not see their scale.  ``rref``, ``rank`` and ``solve`` add their
+rows in order of decreasing leading column (``by_leading_column``): a row
+whose leading column lies left of every pivot so far has a zero there in
+every stored row, so it needs no back-substitution.
 
 The Kac-Moody modules keep their f_i and e_i matrices as Operators too.
 A weight space is built from integer block products (``mat_mul`` on the

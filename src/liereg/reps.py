@@ -15,7 +15,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from . import linalg, words
-from .linalg import Echelon, Operator, vec
+from .linalg import Echelon, Operator
 from .words import Alphabet, NcPoly, Word
 
 DEFAULT_DIM_CAP = 4096
@@ -172,23 +172,24 @@ def tensor(r1: RepSpec, r2: RepSpec) -> RepSpec:
     return RepSpec(r1.alphabet, n1 * n2, ops, labels)
 
 
-def submodule_generated(rep: RepSpec, v):
-    """Exact basis of the smallest subspace containing v closed under all letters.
+def submodule_generated(ops, ints) -> Echelon:
+    """The Echelon of the smallest subspace containing the integer vector ints
+    and closed under the Operators ops, read off breadth first.
 
     The walk runs on integer multiples of the vectors (a span does not see
-    scale); only the returned reduced basis is built of Fractions.
+    scale), and it stops once the rank is len(ints): the whole space is closed.
     """
-    ops = [rep.operators[e] for e in sorted(rep.alphabet.letters())]
+    dim = len(ints)
     ech = Echelon()
-    u = linalg.integral(vec(v))[1]
-    queue = [u] if ech.add(u) else []
-    while queue:
-        u = queue.pop(0)
+    queue = [ints] if ech.add(ints) else []
+    for u in queue:  # the queue grows while it is read
         for op in ops:
+            if ech.rank == dim:
+                return ech
             w = op.image(u)
             if ech.add(w):
                 queue.append(w)
-    return ech.basis()
+    return ech
 
 
 def support(rep: RepSpec):

@@ -417,15 +417,16 @@ def test_python_dash_m_liereg_runs_the_command():
     assert json.loads(proc.stdout)["multiplicity"] == 2
 
 
-def test_python_dash_m_liereg_cli_still_runs_the_command():
+def test_python_dash_m_liereg_cli_exits_nonzero_and_points_to_python_dash_m_liereg():
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
     proc = subprocess.run(
         [sys.executable, "-m", "liereg.cli", "km-mult", "--matrix", AFFINE_A1,
          "--weight", "[1,0]", "--k", "[3,2]"],
         capture_output=True, text=True, env=env, timeout=60,
     )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["multiplicity"] == 2
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.endswith("error: run the liereg command as python -m liereg\n")
 
 
 @pytest.mark.parametrize("vector, field", [

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liereg import duals, reps, words
+from liereg import duals, linalg, reps, words
 from liereg.duals import FiniteFunctional, MatrixCoefficient
 from liereg.words import Alphabet, NcPoly
 
@@ -256,6 +256,114 @@ def partly_new_layer():
 @example(partly_new_layer(), 0)
 def test_in_shuffle_span_matches_brute_force(h, bound):
     assert duals.in_shuffle_span(h, bound) == inside_by_brute_force(h, bound)
+
+
+ABC = Alphabet(("e1", "e2", "e3"))
+
+
+def fraction_rank(rows):
+    """Rank by plain Gaussian elimination in Fractions."""
+    rows = [list(map(Fraction, r)) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        p = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
+                f = rows[i][col] / rows[rank][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def hankel_rank(h, letters):
+    """dim U(g) |> h as the rank of [h(y x)] over words x, y of length at most
+    h's longest word: x |> h is y -> h(y x), and it vanishes on longer y."""
+    n = h.max_length()
+    ws = [w for k in range(n + 1) for w in itertools.product(letters, repeat=k)]
+    return fraction_rank([[h.coeff(y + x) for y in ws] for x in ws])
+
+
+def closure_dim_by_fractions(rep, v):
+    """dim U(g) . v by a breadth-first closure in Fractions: a vector joins
+    when it raises the rank, and then its images under every letter queue."""
+    mats = [rep.matrices[e] for e in sorted(rep.matrices)]
+    found, queue = [], [list(v)]
+    while queue:
+        u = queue.pop(0)
+        if fraction_rank(found + [u]) > len(found):
+            found.append(u)
+            queue += [[sum(a * b for a, b in zip(row, u)) for row in m] for m in mats]
+    return len(found)
+
+
+@st.composite
+def finite_functionals(draw):
+    """Up to four terms on words of length up to 3 over e1, e2 and sometimes
+    e3, so that a letter of the alphabet often lies outside h's support."""
+    letters = [0, 1, 2] if draw(st.booleans()) else [0, 1]
+    word = st.lists(st.sampled_from(letters), max_size=3).map(tuple)
+    coeff = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 4))
+    return FiniteFunctional(draw(st.dictionaries(word, coeff, max_size=4)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(finite_functionals())
+@example(FiniteFunctional({}))
+@example(duals.phi(()))
+@example(FiniteFunctional({(0, 1): Fraction(1, 3), (1, 1): Fraction(-2, 5), (): 7}))
+def test_membership_of_a_finite_functional_is_its_hankel_rank(h):
+    expected = hankel_rank(h, sorted(ABC.letters()))
+    assert duals.membership_ffr(h, ABC) == (True, expected)
+    assert duals.membership_ffr(h) == (True, expected)
+
+
+def vnj_from_the_empty_word(n=3):
+    """b_()*(x . b_()) on V_n({e1, e2}): b_() generates the whole module."""
+    rep = reps.make_VNJ(AB, n, (0, 1))
+    return MatrixCoefficient(rep, rep.basis_vector(0), rep.basis_vector(0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_coefficients())
+@example(cyclic_functional())
+@example(chain_functional(6))
+@example(vnj_from_the_empty_word())
+def test_membership_of_a_matrix_coefficient_is_dim_u_v(h):
+    assert duals.membership_ffr(h) == (True, closure_dim_by_fractions(h.rep, h.v))
+
+
+def test_membership_builds_no_fraction_and_stops_at_full_rank(monkeypatch):
+    finite = FiniteFunctional({(0, 1): Fraction(1, 3), (1, 1, 0): Fraction(-2, 5), (): 7})
+    full = vnj_from_the_empty_word()
+    made, ranks, late = [], [], []
+    new, add, image = Fraction.__new__, linalg.Echelon.add, linalg.Operator.image
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    def recording_add(self, v):
+        grew = add(self, v)
+        ranks.append(self.rank)
+        return grew
+
+    def recording_image(self, ints):
+        if ranks and ranks[-1] == len(ints):
+            late.append(ints)
+        return image(self, ints)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    monkeypatch.setattr(linalg.Echelon, "add", recording_add)
+    monkeypatch.setattr(linalg.Operator, "image", recording_image)
+    results = [duals.membership_ffr(finite, AB), duals.membership_ffr(full)]
+    monkeypatch.undo()
+    assert made == []
+    assert late == []
+    assert results == [(True, 5), (True, 15)]
+    assert ranks[-1] == 15
 
 
 def test_z_monoid():

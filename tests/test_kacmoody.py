@@ -118,6 +118,71 @@ def test_validate_gcm_rejections():
         validate_gcm([[2, -1, -1], [-1, 2, -1], [-1, -2, 2]])
 
 
+def ref_symmetrizer(a):
+    """d_i a_ij = d_j a_ji propagated in Fractions, each component from
+    d = 1, then scaled to the least positive integers over all components
+    jointly; None when the matrix is not symmetrizable."""
+    n = len(a)
+    d = [None] * n
+    for start in range(n):
+        if d[start] is not None:
+            continue
+        d[start] = Fraction(1)
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if i != j and a[i][j]:
+                    required = d[i] * Fraction(a[i][j], a[j][i])
+                    if d[j] is None:
+                        d[j] = required
+                        stack.append(j)
+                    elif d[j] != required:
+                        return None
+    ints = [x * math.lcm(*(y.denominator for y in d)) for x in d]
+    g = math.gcd(*(x.numerator for x in ints))
+    return tuple(x.numerator // g for x in ints)
+
+
+@st.composite
+def cartan_patterns(draw):
+    """A GCM of rank 1 to 4: either symmetrizable by construction (a_ij =
+    b_ij / d_i for a symmetric b), or with each off-diagonal pair drawn on its
+    own, both zero or both negative, which is often not symmetrizable."""
+    n = draw(st.integers(1, 4))
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    d = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    by_construction = draw(st.booleans())
+    for i, j in itertools.combinations(range(n), 2):
+        if draw(st.booleans()):
+            continue
+        if by_construction:
+            b_ij = -draw(st.integers(1, 2)) * math.lcm(d[i], d[j])
+            a[i][j], a[j][i] = b_ij // d[i], b_ij // d[j]
+        else:
+            a[i][j], a[j][i] = draw(st.integers(-4, -1)), draw(st.integers(-4, -1))
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(cartan_patterns())
+@example([[2]])
+@example([[2, -1, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -1], [0, 0, -3, 2]])  # disconnected
+@example([[2, 0, 0], [0, 2, -4], [0, -2, 2]])  # disconnected, one point alone
+@example([[2, -1, -1], [-1, 2, -1], [-1, -2, 2]])  # not symmetrizable
+@example([[2, -2, 0, -1], [-3, 2, -1, 0], [0, -2, 2, -1], [-4, 0, -1, 2]])
+def test_validate_gcm_matches_the_fraction_symmetrizer(a):
+    expected = ref_symmetrizer(a)
+    if expected is None:
+        with pytest.raises(GCMError) as exc:
+            validate_gcm(a)
+        assert str(exc.value) == "matrix is not symmetrizable"
+        return
+    gcm = validate_gcm(a)
+    assert gcm.d == expected
+    assert all(gcm.b[i][j] == gcm.b[j][i] for i in range(len(a)) for j in range(len(a)))
+
+
 def test_sl2_string_dimensions():
     for m in range(5):
         mod = IrrTrunc(SL2, (m,), depth=m + 2)
