@@ -380,18 +380,6 @@ class GramSpace:
         self.basis = tuple(self.monomials[p] for p in self.pivots)
         self.dim = len(self.basis)
 
-    def coords(self, combo: dict) -> tuple:
-        """Quotient coordinates of a combination {word: coefficient} of monomials.
-
-        Solves G[:, B] c = G u, which is consistent because the pairings of a
-        module element with the monomials lie in the column space of G.
-        """
-        if not self.dim:
-            return ()
-        u = [Fraction(combo.get(w, 0)) for w in self.monomials]
-        rows = [[row[p] for p in self.pivots] for row in self.gram]
-        return linalg.solve(rows, linalg.mat_vec(self.gram, u))
-
 
 def weyl_dim_a2(p: int, q: int) -> int:
     """Weyl dimension formula for A2: (p+1)(q+1)(p+q+2)/2."""

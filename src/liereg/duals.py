@@ -378,6 +378,7 @@ def in_shuffle_span(h, length_bound: int) -> bool:
         for op in ops:
             for u in layer:
                 span.add(op.image(u))
+        span.reduce()  # reduced rows are mostly cheaper to push forward
         layer = span.rows
         if k > length_bound:
             if any(sum(map(mul, phi, u)) for u in layer):

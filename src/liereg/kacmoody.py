@@ -62,8 +62,9 @@ class TruncationError(linalg.CapError):
 class GCM:
     """Symmetrizable generalized Cartan matrix with a fixed least symmetrizer.
 
-    `d` holds the least positive integers with d_i a_ij = d_j a_ji, and `b`
-    the symmetrized matrix b_ij = d_i a_ij, so the invariant form on the root
+    `d` holds the least positive integers with d_i a_ij = d_j a_ji on each
+    connected component of the matrix, and `b` the symmetrized matrix
+    b_ij = d_i a_ij, so the invariant form on the root
     lattice, (beta|gamma) = sum_ij beta_i b_ij gamma_j, is integral and
     every pairing below is an int.
     """
@@ -86,7 +87,8 @@ class GCM:
 
 
 def validate_gcm(a) -> GCM:
-    """Check the GCM axioms and compute the least positive integer symmetrizer."""
+    """Check the GCM axioms and compute the least positive integer symmetrizer
+    of each connected component."""
     a = [list(row) for row in a]
     n = len(a)
     errors = []
@@ -109,17 +111,17 @@ def validate_gcm(a) -> GCM:
     if errors:
         raise GCMError("; ".join(errors))
 
-    # d_i a_ij = d_j a_ji, propagated along the nonzero pattern: d_i = d[i] / den,
-    # integer numerators over one common denominator, which grows as needed
+    # d_i a_ij = d_j a_ji, propagated along the nonzero pattern one connected
+    # component at a time, from d = 1 at its first index, in integers: the
+    # component read so far is scaled up when a division is not exact
     a = [[int(x) for x in row] for row in a]
-    d, den = [0] * n, 1
+    d = [0] * n
     for start in range(n):
         if d[start]:
             continue
-        d[start] = den
-        stack = [start]
-        while stack:
-            i = stack.pop()
+        d[start] = 1
+        component = [start]
+        for i in component:  # the component grows while it is read
             for j in range(n):
                 if i != j and a[i][j] != 0:
                     num, q = d[i] * a[i][j], a[j][i]  # d[j] = num / q
@@ -129,14 +131,16 @@ def validate_gcm(a) -> GCM:
                         continue
                     s = abs(q) // math.gcd(num, q)
                     if s != 1:
-                        d = [x * s for x in d]
-                        den *= s
+                        for k in component:
+                            d[k] *= s
                         num *= s
                     d[j] = num // q
-                    stack.append(j)
-    # the least positive integers proportional to d (over all components jointly)
-    g = math.gcd(*d)
-    return GCM(a, [x // g for x in d])
+                    component.append(j)
+        # the least positive integers proportional to d on the component
+        g = math.gcd(*[d[k] for k in component])
+        for k in component:
+            d[k] //= g
+    return GCM(a, d)
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +467,7 @@ class IrrTrunc:
         ech = Echelon()
         for row in linalg.by_leading_column([row for _, rows in images for row in rows]):
             ech.add(row)
+        ech.reduce()
         pivots = ech.pivots
         if not pivots:
             return WeightSpace(k, (), lam, none, none)

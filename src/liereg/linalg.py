@@ -29,27 +29,33 @@ choice, once.
 
 Elimination is fraction-free.  :class:`Echelon` takes integer vectors (a
 caller holding rationals clears them once with ``integral``; a Fraction
-raises TypeError) and keeps primitive integer rows: each reduced row times
-its positive pivot entry, with gcd 1.  Reduction and back-substitution
-cross-multiply and divide by the row gcd (Bareiss, Math. Comp. 22, 1968);
-``basis()`` divides by the pivot entries.  Pivots are the first nonzero
-entry from the left, and the reduced row echelon form of a span is unique,
-so ``basis()``, ``rref``, ``rank`` and ``solve`` (which clear their rational
-rows) equal rational Gauss-Jordan elimination whatever the order of the
-rows, and a span loop (the closure walk ``reps.submodule_generated``,
-``duals.in_shuffle_span``) may run on integer multiples of its vectors: a
-span does not see their scale.  ``rref``, ``rank`` and ``solve`` add their
-rows in order of decreasing leading column (``by_leading_column``): a row
-whose leading column lies left of every pivot so far has a zero there in
-every stored row, so it needs no back-substitution.
+raises TypeError) and keeps primitive integer rows in row echelon form:
+``add`` reduces a vector against the rows in pivot order, cross-multiplying
+and dividing by the row gcd (Bareiss, Math. Comp. 22, 1968), inserts a
+nonzero remainder, and changes no stored row.  ``contains`` and ``rank``
+read this form.  ``reduce()`` brings the rows to the reduced row echelon
+form, each reduced row times its positive pivot entry, by one
+back-substitution, bottom row first; ``basis()`` reduces and divides by the
+pivot entries.  Pivots are the first nonzero entry from the left, and the
+reduced row echelon form of a span is unique, so ``basis()``, ``rref``,
+``rank`` and ``solve`` (which clear their rational rows) equal rational
+Gauss-Jordan elimination whatever the order of the rows, and a span loop
+(the closure walk ``reps.submodule_generated``, ``duals.in_shuffle_span``)
+may run on integer multiples of its vectors: a span does not see their
+scale.  ``rref``, ``rank`` and ``solve`` add their rows in order of
+decreasing leading column (``by_leading_column``): a row whose leading
+column lies left of every pivot so far has a zero there in every stored
+row, so it leaves ``reduce()`` nothing to clear.
 
 The Kac-Moody modules keep their f_i and e_i matrices as Operators too.
 A weight space is built from integer block products (``mat_mul`` on the
 ``Operator.int_rows`` of two operators; its accumulators start at int 0)
-whose rows go to an Echelon in the same order.
+whose rows go to an Echelon in the same order and are reduced once, after
+the last of them.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -243,17 +249,22 @@ def vec_kron(u, v) -> tuple:
 
 
 class Echelon:
-    """Incrementally maintained reduced row echelon basis of a subspace.
+    """Incrementally maintained row echelon basis of a subspace.
 
-    `add` and `contains` take integer vectors.  `rows` holds primitive integer rows: each is its reduced row times the
-    row's pivot entry, so the pivot entry is positive and the entries have
-    gcd 1.  `basis()` divides by the pivot entries.
+    `add` and `contains` take integer vectors.  `rows` holds primitive
+    integer rows in increasing pivot column: each row is zero left of its
+    pivot and at the pivots of the rows stored before it, its pivot entry is
+    positive and its entries have gcd 1.  `add` inserts a row and changes no
+    stored row.  `reduce()` brings the rows, in place, to the reduced row
+    echelon form times the pivot entries; `basis()` reduces and divides by
+    the pivot entries.
     """
 
     def __init__(self):
         self.rows = []
         self.pivots = []
         self._supports = []  # nonzero columns of each row, in order
+        self._reduced = True  # every pivot column is zero outside its own row
 
     def _reduce(self, v):
         """The integer vector v reduced against every row, as a new list of ints:
@@ -280,28 +291,41 @@ class Echelon:
             return False
         p = support[0]
         _make_primitive(v, support, p)
-        a = v[p]
-        # back-substitute into existing rows: cross-multiply, clear column p
-        for i, row in enumerate(self.rows):
-            c = row[p]
-            if c:
-                g = math.gcd(a, c)
-                s, c = a // g, c // g
-                if s != 1:
-                    for j in self._supports[i]:
-                        row[j] *= s
-                for j in support:
-                    row[j] -= c * v[j]
-                # only columns where row or v was nonzero can be nonzero now
-                self._supports[i] = row_support = [
-                    j for j in sorted({*self._supports[i], *support}) if row[j]
-                ]
-                _make_primitive(row, row_support, self.pivots[i])
-        idx = next((i for i, q in enumerate(self.pivots) if q > p), len(self.pivots))
+        idx = bisect.bisect(self.pivots, p)
+        if self._reduced and any(row[p] for row in self.rows[:idx]):
+            self._reduced = False
         self.rows.insert(idx, v)
         self.pivots.insert(idx, p)
         self._supports.insert(idx, support)
         return True
+
+    def reduce(self) -> None:
+        """Clear each pivot column above its pivot, bottom row first, in place;
+        nothing to do when no row above a pivot is nonzero in its column."""
+        if self._reduced:
+            return
+        rows, supports = self.rows, self._supports
+        for i in range(len(rows) - 1, 0, -1):
+            v, p, support = rows[i], self.pivots[i], supports[i]
+            a = v[p]
+            # cross-multiply each row above, clear column p, divide by the row gcd
+            for k in range(i):
+                row = rows[k]
+                c = row[p]
+                if c:
+                    g = math.gcd(a, c)
+                    s, c = a // g, c // g
+                    if s != 1:
+                        for j in supports[k]:
+                            row[j] *= s
+                    for j in support:
+                        row[j] -= c * v[j]
+                    # only columns where row or v was nonzero can be nonzero now
+                    supports[k] = row_support = [
+                        j for j in sorted({*supports[k], *support}) if row[j]
+                    ]
+                    _make_primitive(row, row_support, self.pivots[k])
+        self._reduced = True
 
     def contains(self, v) -> bool:
         return not any(self._reduce(v))
@@ -312,6 +336,7 @@ class Echelon:
 
     def basis(self):
         """The reduced rows, as tuples of Fraction."""
+        self.reduce()
         return [over(row, row[p]) for row, p in zip(self.rows, self.pivots)]
 
 
@@ -335,7 +360,7 @@ def _echelon(rows) -> Echelon:
 
 def by_leading_column(rows) -> list:
     """The integer rows in order of decreasing leading column (zero rows last),
-    the order in which Echelon.add does no back-substitution while each new
+    the order in which Echelon.reduce() has nothing to clear while each new
     leading column is a new pivot."""
     return sorted(rows, key=_minus_leading_column)
 

@@ -11,12 +11,13 @@ SRC = Path(liereg.__file__).parent
 
 # public functions and methods that nothing in the package calls, kept on purpose
 UNCALLED = (
-    ("checks.GramSpace.coords", "the tests' oracle for the f_i and e_i matrices"),
     ("duals.is_regular", "the paper's regularity criterion, with its certificate"),
     ("grp.derive_left", "the right invariant derivation e <| f, a paper concept"),
     ("grp.derive_right", "the left invariant derivation e |> f, a paper concept"),
     ("grp.f_w", "the coordinate functions f_w of the group, a paper concept"),
     ("kacmoody.peter_weyl_rank", "the Peter-Weyl rank of matrix coefficients"),
+    ("linalg.mat_vec", "named by the benchmark's per-layer metrics"),
+    ("linalg.solve", "named by the benchmark's per-layer metrics"),
 )
 
 

@@ -1,5 +1,7 @@
+import importlib
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -454,16 +456,16 @@ def _as_fractions(rows):
 
 
 @st.composite
-def echelon_steps(draw):
+def echelon_steps(draw, max_width=6, max_steps=10):
     """add/contains calls on int, Fraction and mixed vectors of one width,
     some repeating or combining earlier ones."""
-    n = draw(st.integers(0, 6))
+    n = draw(st.integers(0, max_width))
     zero_pct = draw(st.integers(0, 100))
     entry = st.one_of(
         st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
     )
     steps, seen = [], []
-    for _ in range(draw(st.integers(0, 10))):
+    for _ in range(draw(st.integers(0, max_steps))):
         how = draw(st.sampled_from(("fresh", "repeat", "combine"))) if seen else "fresh"
         if how == "fresh":
             v = [0 if draw(st.integers(0, 99)) < zero_pct else draw(entry) for _ in range(n)]
@@ -503,6 +505,78 @@ def test_echelon_matches_reference(steps):
         assert all(type(x) is Fraction for row in e.basis() for x in row)
 
 
+@SHAPES
+@given(echelon_steps(max_width=16, max_steps=24), st.integers(0, 24))
+@example([("add", (2, 1, 1)), ("add", (0, -3, 3)), ("add", (0, 0, 1))], 2)
+def test_echelon_reduces_only_when_the_reduced_form_is_read(steps, cut):
+    """add, contains, rank and pivots run on the unreduced rows and agree
+    with Gauss-Jordan elimination; basis() is read at step `cut`, with more
+    steps after it, and at the end."""
+    e = Echelon()
+    basis, pivots = [], []  # the reference RREF of the vectors added so far
+    for i, (op, v) in enumerate(steps):
+        if i == cut:
+            assert e.basis() == basis
+        grown = ref_rref(basis + _as_fractions([v]))
+        grows = len(grown[1]) > len(pivots)
+        ints = linalg.integral(v)[1]
+        if op == "add":
+            assert e.add(ints) is grows
+            basis, pivots = grown
+        else:
+            assert e.contains(ints) is not grows
+        assert e.rank == len(pivots)
+        assert e.pivots == pivots
+        # primitive rows, zero left of a positive pivot entry, spanning the same space
+        for row, p in zip(e.rows, e.pivots):
+            assert not any(row[:p]) and row[p] > 0 and math.gcd(*row) == 1
+        assert ref_rref(_as_fractions(e.rows)) == (basis, pivots)
+    assert e.basis() == basis
+
+
+def test_echelon_add_changes_no_stored_row():
+    # each vector's pivot column is nonzero in a row stored before it, which
+    # a kept-up reduced form would have to clear
+    vectors = [(1, 1, 0, 0), (0, 2, 1, 0), (3, 0, 0, 1), (0, 0, 1, 1), (1, 2, 3, 4)]
+    e = Echelon()
+    for v in vectors:
+        stored = [(row, list(row)) for row in e.rows]
+        e.add(v)
+        assert all(any(row is r for r in e.rows) and row == value for row, value in stored)
+    assert e.rows == [[1, 1, 0, 0], [0, 2, 1, 0], [0, 0, 3, 2], [0, 0, 0, 1]]
+    e.reduce()
+    assert e.rows == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+
+
+def test_free_span_jobs_make_no_back_substitution(monkeypatch):
+    """One pass over the benchmark's seed-201 free-span job list: 2,325
+    Echelon.add calls, 1,299 of them accepted, and at most 20 stored rows
+    updated (each update, like each new row, ends in one _make_primitive
+    call).  An Echelon that kept its reduced form up to date on every add
+    updated 1,017 rows here.  The counts pin that job list."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workload = importlib.import_module("workloads").build("free-span", 201)
+    counts = {"add": 0, "accepted": 0, "primitive": 0}
+    add, make_primitive = Echelon.add, linalg._make_primitive
+
+    def counting_add(self, v):
+        counts["add"] += 1
+        grew = add(self, v)
+        counts["accepted"] += grew
+        return grew
+
+    def counting_make_primitive(*args):
+        counts["primitive"] += 1
+        make_primitive(*args)
+
+    monkeypatch.setattr(Echelon, "add", counting_add)
+    monkeypatch.setattr(linalg, "_make_primitive", counting_make_primitive)
+    for job in workload.jobs:
+        job.call()
+    assert (counts["add"], counts["accepted"]) == (2325, 1299)
+    assert counts["primitive"] - counts["accepted"] <= 20
+
+
 def test_echelon_negative_pivot_and_back_substitution_gcd():
     e = Echelon()
     assert e.add((2, 1, 1))
@@ -510,7 +584,9 @@ def test_echelon_negative_pivot_and_back_substitution_gcd():
     assert e.basis() == [(1, Fraction(1, 2), Fraction(1, 2))]
     # first entry -3: divided by -3, so the pivot entry turns positive
     assert e.add((0, -3, 3))
+    assert e.rows == [[2, 1, 1], [0, 1, -1]]  # add changes no stored row
     # (2, 1, 1) - (0, 1, -1) = (2, 0, 2), divided by its gcd 2
+    e.reduce()
     assert e.rows == [[1, 0, 1], [0, 1, -1]]
     assert e.pivots == [0, 1]
     assert e.basis() == [(1, 0, 1), (0, 1, -1)]
