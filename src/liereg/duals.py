@@ -16,8 +16,6 @@ from .linalg import Echelon, Operator, frac, vec
 from .reps import RepSpec
 from .words import Alphabet, NcPoly, TermMap, Word, word_key
 
-DEFAULT_TUPLE_LEN = 3
-
 
 class FiniteFunctional(TermMap):
     """Finitely supported functional: canonical map word -> Fraction."""
@@ -230,9 +228,6 @@ class RhoExpansion:
             and self.coeffs == other.coeffs
         )
 
-    def max_degree(self) -> int:
-        return max((sum(abs(k) for k in ks) for ks in self.coeffs), default=0)
-
     def __repr__(self):
         return f"RhoExpansion({self.letters}, {dict(self.items())})"
 
@@ -298,25 +293,6 @@ def expand_rho(h, letters, alphabet: Alphabet = None) -> RhoExpansion:
     return RhoExpansion(letters, coeffs)
 
 
-def is_regular(h, alphabet: Alphabet, max_tuple_len: int = DEFAULT_TUPLE_LEN):
-    """Regularity with a certificate of per-tuple expansion bounds.
-
-    Every finite functional and every matrix coefficient over a valid
-    RepSpec is regular; the certificate lists the maximal index degree of
-    the finite development for each tuple up to the configured length.
-    """
-    cert = {}
-    for p in range(1, max_tuple_len + 1):
-        for tup in itertools.product(alphabet.letters(), repeat=p):
-            if isinstance(h, FiniteFunctional) and any(
-                not alphabet.is_nilpotent(e) for e in tup
-            ):
-                continue
-            exp = expand_rho(h, tup, alphabet)
-            cert[tup] = exp.max_degree()
-    return True, cert
-
-
 def r_cut(w: Word):
     """All prefixes of w, from the empty word to w itself."""
     w = tuple(w)
@@ -378,7 +354,6 @@ def in_shuffle_span(h, length_bound: int) -> bool:
         for op in ops:
             for u in layer:
                 span.add(op.image(u))
-        span.reduce()  # reduced rows are mostly cheaper to push forward
         layer = span.rows
         if k > length_bound:
             if any(sum(map(mul, phi, u)) for u in layer):

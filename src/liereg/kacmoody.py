@@ -445,7 +445,7 @@ class IrrTrunc:
                 e_j = src.e[j]
                 if e_j is not None:
                     f_i = tgt.f[i]
-                    block = linalg.mat_mul(f_i.int_rows(), e_j.int_rows())
+                    block = linalg.mat_mul(f_i.entries(), e_j.entries(), e_j.width)
                     blocks.append((f_i.denom * e_j.denom, block))
                 else:
                     blocks.append((1, None))

@@ -10,22 +10,17 @@ denom * M v for an integer vector v, ``Operator.pull_back`` denom * phi M.
 An action clears its vector's denominators once with ``integral``, chains
 the integer products while it multiplies the denominators, and builds
 Fractions once, for the result, with ``over``; ``combine`` sums scaled
-integer vectors over one denominator and ``kron`` multiplies two matrices
-in the (column, value) form.
+integer vectors over one denominator, and ``mat_mul`` and ``kron``
+multiply two matrices given as rows of nonzero (column, value) pairs.
 
-An operator is sparse when at most a tenth of its entries are nonzero.  It
-then keeps only its nonzero columns, each as the (row, value) pairs of its
-nonzero entries, transposed once from the rows it is given.  ``image``
-scatters: each stored column whose vector entry is nonzero adds that entry
-times its pairs, so M v costs one product per nonzero entry of M met by a
-nonzero entry of v (Gustavson, ACM TOMS 4, 1978).  ``pull_back`` takes one
-integer dot product per stored column, over the pairs whose row meets a
-nonzero entry of phi.  A denser operator keeps full
-integer rows and runs the plain loop, whose cost is fixed by the shapes;
-skipping its zeros would make the cost follow where a change of basis put
-them.  A letter of V_N(J) or of a chain has fewer nonzero entries than
-rows, so from dimension 10 on it is sparse.  ``Operator`` alone makes this
-choice, once.
+An operator keeps only its nonzero columns, each as the (row, value) pairs
+of its nonzero entries, transposed once from the rows it is given.
+``image`` scatters: each stored column whose vector entry is nonzero adds
+that entry times its pairs, so M v costs one product per nonzero entry of M
+met by a nonzero entry of v (Gustavson, ACM TOMS 4, 1978).  ``pull_back``
+takes one integer dot product per stored column, over the pairs whose row
+meets a nonzero entry of phi.  ``mat_mul`` runs the same scatter once per
+row of its left factor.
 
 Elimination is fraction-free.  :class:`Echelon` takes integer vectors (a
 caller holding rationals clears them once with ``integral``; a Fraction
@@ -35,8 +30,9 @@ and dividing by the row gcd (Bareiss, Math. Comp. 22, 1968), inserts a
 nonzero remainder, and changes no stored row.  ``contains`` and ``rank``
 read this form.  ``reduce()`` brings the rows to the reduced row echelon
 form, each reduced row times its positive pivot entry, by one
-back-substitution, bottom row first; ``basis()`` reduces and divides by the
-pivot entries.  Pivots are the first nonzero entry from the left, and the
+back-substitution, bottom row first; it has two callers, ``basis()``, which
+then divides by the pivot entries, and the Kac-Moody weight-space build.
+Pivots are the first nonzero entry from the left, and the
 reduced row echelon form of a span is unique, so ``basis()``, ``rref``,
 ``rank`` and ``solve`` (which clear their rational rows) equal rational
 Gauss-Jordan elimination whatever the order of the rows, and a span loop
@@ -49,7 +45,7 @@ row, so it leaves ``reduce()`` nothing to clear.
 
 The Kac-Moody modules keep their f_i and e_i matrices as Operators too.
 A weight space is built from integer block products (``mat_mul`` on the
-``Operator.int_rows`` of two operators; its accumulators start at int 0)
+``Operator.entries`` of two operators; its accumulators start at int 0)
 whose rows go to an Echelon in the same order and are reduced once, after
 the last of them.
 """
@@ -59,7 +55,6 @@ import bisect
 import itertools
 import math
 from fractions import Fraction
-from operator import mul
 
 ZERO = Fraction(0)
 
@@ -102,27 +97,21 @@ class Operator:
     """A fixed matrix M as integer entries over one common denominator: M = entries / denom.
 
     Built from the nonzero (column, int value) pairs of each row, one per
-    column at most.  A sparse matrix keeps `columns`, its nonzero columns as
-    (j, ((row, value), ...)) in increasing j; a dense one keeps `rows`, full
-    integer rows.  The other attribute is None.
+    column at most, and kept as `columns`: its nonzero columns as
+    (j, ((row, value), ...)) in increasing j, each in increasing row.
     """
 
-    __slots__ = ("denom", "height", "width", "sparse", "columns", "rows")
+    __slots__ = ("denom", "height", "width", "columns")
 
     def __init__(self, entries, denom, width):
         self.denom = denom
         self.height = len(entries)
         self.width = width
-        self.sparse = 10 * sum(map(len, entries)) <= self.height * width
-        self.columns = self.rows = None
-        if self.sparse:
-            columns = {}
-            for i, row in enumerate(entries):
-                for j, x in row:
-                    columns.setdefault(j, []).append((i, x))
-            self.columns = tuple((j, tuple(columns[j])) for j in sorted(columns))
-        else:
-            self.rows = tuple(tuple(_dense(row, width)) for row in entries)
+        columns = [[] for _ in range(width)]
+        for i, row in enumerate(entries):
+            for j, x in row:
+                columns[j].append((i, x))
+        self.columns = tuple([(j, tuple(column)) for j, column in enumerate(columns) if column])
 
     @classmethod
     def from_rows(cls, m):
@@ -144,32 +133,26 @@ class Operator:
 
     def entries(self):
         """The nonzero (column, value) pairs of each row, in increasing column."""
-        if self.sparse:
-            rows = [[] for _ in range(self.height)]
-            for j, column in self.columns:
-                for i, x in column:
-                    rows[i].append((j, x))
-            return rows
-        return [[(j, x) for j, x in enumerate(row) if x] for row in self.rows]
-
-    def int_rows(self):
-        """denom * M as full rows of ints."""
-        if self.sparse:
-            return [_dense(row, self.width) for row in self.entries()]
-        return self.rows
+        rows = [[] for _ in range(self.height)]
+        for j, column in self.columns:
+            for i, x in column:
+                rows[i].append((j, x))
+        return rows
 
     def matrix(self) -> tuple:
         """M as a tuple of rows of Fractions."""
-        return tuple(over(row, self.denom) for row in self.int_rows())
+        rows = [[0] * self.width for _ in range(self.height)]
+        for j, column in self.columns:
+            for i, x in column:
+                rows[i][j] = x
+        return tuple(over(row, self.denom) for row in rows)
 
     def is_zero(self) -> bool:
-        """Whether M = 0: a dense operator has more than a tenth of its entries nonzero."""
-        return self.sparse and not self.columns
+        """Whether M = 0."""
+        return not self.columns
 
     def diagonal(self) -> list:
         """The diagonal entries of M as ints, for a matrix whose diagonal is integral."""
-        if not self.sparse:
-            return [row[i] // self.denom for i, row in enumerate(self.rows)]
         diag = [0] * self.height
         for j, column in self.columns:
             diag[j] = dict(column).get(j, 0) // self.denom
@@ -177,8 +160,6 @@ class Operator:
 
     def image(self, ints) -> list:
         """denom * M v for an integer vector v = ints, a list of ints."""
-        if not self.sparse:
-            return [sum(map(mul, row, ints)) for row in self.rows]
         out = [0] * self.height
         for j, column in self.columns:
             x = ints[j]
@@ -189,8 +170,6 @@ class Operator:
 
     def pull_back(self, ints) -> list:
         """denom * phi M for an integer row vector phi = ints, a list of ints."""
-        if not self.sparse:
-            return [sum(map(mul, ints, col)) for col in zip(*self.rows)]
         out = [0] * self.width
         for j, column in self.columns:
             total = 0
@@ -200,13 +179,6 @@ class Operator:
                     total += x * a
             out[j] = total
         return out
-
-
-def _dense(pairs, width) -> list:
-    row = [0] * width
-    for j, x in pairs:
-        row[j] = x
-    return row
 
 
 def combine(terms, n):
@@ -224,18 +196,17 @@ def combine(terms, n):
     return den, acc
 
 
-def mat_mul(a, b) -> tuple:
-    n = len(b[0]) if b else 0
-    b_nz = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+def mat_mul(a, b, width) -> list:
+    """The product of two matrices given as rows of nonzero (column, value)
+    pairs, b of the given width, as full rows: one product per nonzero pair."""
     out = []
     for row in a:
-        acc = [0] * n
-        for k, x in enumerate(row):
-            if x:
-                for j, y in b_nz[k]:
-                    acc[j] += x * y
-        out.append(tuple(acc))
-    return tuple(out)
+        acc = [0] * width
+        for k, x in row:
+            for j, y in b[k]:
+                acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def kron(a, b, width) -> list:

@@ -11,7 +11,6 @@ SRC = Path(liereg.__file__).parent
 
 # public functions and methods that nothing in the package calls, kept on purpose
 UNCALLED = (
-    ("duals.is_regular", "the paper's regularity criterion, with its certificate"),
     ("grp.derive_left", "the right invariant derivation e <| f, a paper concept"),
     ("grp.derive_right", "the left invariant derivation e |> f, a paper concept"),
     ("grp.f_w", "the coordinate functions f_w of the group, a paper concept"),

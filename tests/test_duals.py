@@ -154,15 +154,6 @@ def test_expand_rho_diagonalizable():
         duals.expand_rho(duals.phi((0,)), (1,), mixed)
 
 
-def test_is_regular_certificate():
-    ok, cert = duals.is_regular(duals.phi((0, 1)), AB, max_tuple_len=2)
-    assert ok
-    assert cert[(0, 1)] == 2
-    ok2, cert2 = duals.is_regular(cyclic_functional(), AB, max_tuple_len=2)
-    assert ok2
-    assert all(bound <= 2 for bound in cert2.values())
-
-
 def test_r_cut():
     assert duals.r_cut((0, 1)) == [(), (0,), (0, 1)]
     assert duals.r_cut(()) == [()]

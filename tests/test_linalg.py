@@ -70,9 +70,8 @@ def test_solve_underdetermined_free_vars_zero():
 
 
 # ---------------------------------------------------------------------------
-# The kernels skip zero entries (the matrix-vector products only in sparse
-# matrices); these compare them with the plain textbook formulas on matrices
-# from all-zero to fully dense, including empty shapes.
+# The kernels skip zero entries; these compare them with the plain textbook
+# formulas on matrices from all-zero to fully dense, including empty shapes.
 
 ZERO = Fraction(0)
 SHAPES = settings(max_examples=60, deadline=None)
@@ -245,11 +244,17 @@ def test_operator_pull_back_matches_reference(vm, int_matrix, int_vector):
 @given(composable())
 def test_mat_mul_matches_reference(ab):
     a, b = ab
-    assert linalg.mat_mul(a, b) == ref_mat_mul(a, b)
+    assert _mat_mul(a, b) == ref_mat_mul(a, b)
 
 
 def _pairs(m):
     return [[(j, x) for j, x in enumerate(row) if x] for row in m]
+
+
+def _mat_mul(a, b):
+    """linalg.mat_mul on two matrices of full rows, fed as (column, value) pair rows."""
+    width = len(b[0]) if b else 0
+    return tuple(map(tuple, linalg.mat_mul(_pairs(a), _pairs(b), width)))
 
 
 def _dense(pairs, width):
@@ -303,8 +308,7 @@ def test_operator_from_int_rows_is_in_lowest_terms(m, denom):
     expected = tuple(tuple(Fraction(x, denom) for x in row) for row in rows)
     assert op.matrix() == expected and (op.height, op.width) == (len(rows), width)
     assert op.denom == math.lcm(*{x.denominator for row in expected for x in row})
-    assert op.sparse == linalg.Operator.from_rows(expected).sparse
-    assert op.int_rows() == linalg.Operator.from_rows(expected).int_rows()
+    assert op.entries() == linalg.Operator.from_rows(expected).entries()
 
 
 @SHAPES
@@ -378,7 +382,7 @@ def test_mat_mul_multiplies_only_nonzero_pairs():
         1 for row in a for k, x in enumerate(row) if x for y in b[k] if y
     )
     CountingFraction.products = 0
-    linalg.mat_mul(a, b)
+    _mat_mul(a, b)
     assert CountingFraction.products == pairs
 
 
@@ -401,7 +405,6 @@ def test_operator_image_multiplies_only_nonzero_pairs():
     b_empty = [CountingInt(int(i == empty)) for i in range(rep.dim)]
     ones = [CountingInt(1)] * rep.dim
     for e, op in rep.operators.items():
-        assert op.sparse
         nnz = sum(map(len, op.entries()))
         assert nnz == 40  # words of length <= 3 over three letters
         CountingInt.products = 0
@@ -420,30 +423,14 @@ def test_operator_image_multiplies_only_nonzero_pairs():
             CountingInt.products = 0
             assert op.pull_back(one_hot) == [dict(entries[row]).get(j, 0) for j in range(rep.dim)]
             assert CountingInt.products == len(entries[row])
+    # an operator with no zero entry takes one product per pair it meets too
     n = 11
-    dense = linalg.Operator.from_rows([[i + j + 1 for j in range(n)] for i in range(n)])
-    assert not dense.sparse
-    for v in ([CountingInt(int(i == 0)) for i in range(n)], [CountingInt(1)] * n):
+    full = linalg.Operator.from_rows([[i + j + 1 for j in range(n)] for i in range(n)])
+    for v, products in (([CountingInt(int(i == 0)) for i in range(n)], n),
+                        ([CountingInt(1)] * n, n * n)):
         CountingInt.products = 0
-        dense.image(v)
-        assert CountingInt.products == n * n
-
-
-def test_operator_is_sparse_up_to_a_tenth_nonzero():
-    n = 10
-    v = tuple(Fraction(j - 4, j % 3 + 1) for j in range(n))
-
-    def first_nonzero(k):  # the first k entries, row by row, nonzero, the rest 0
-        flat = [Fraction(i + 1, 2) if i < k else ZERO for i in range(n * n)]
-        return tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
-
-    # sparse at exactly n^2/10 nonzero entries, dense from one more on
-    for k, sparse in ((n * n // 10, True), (n * n // 10 + 1, False)):
-        m = first_nonzero(k)
-        op = linalg.Operator.from_rows(m)
-        assert op.sparse is sparse
-        assert _apply(op, v) == ref_mat_vec(m, v)
-        assert _pull(op, v) == ref_vec_mat(v, m)
+        full.image(v)
+        assert CountingInt.products == products
 
 
 # ---------------------------------------------------------------------------

@@ -214,8 +214,8 @@ def _entries(draw, n, zero_pct):
 @st.composite
 def module_matrices(draw):
     """(dim, matrices) of a module over NIL_DIAG: e1, e2 strictly upper
-    triangular in a permuted basis, from all zero to dense (so both sparse and
-    dense operators), and d diagonal with eigenvalues of both signs."""
+    triangular in a permuted basis, from all zero to dense, and d diagonal
+    with eigenvalues of both signs."""
     dim = draw(st.integers(1, 9))
     perm = draw(st.permutations(range(dim)))
     mats = {}
