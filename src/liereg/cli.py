@@ -24,12 +24,25 @@ EXIT_INVALID = 1
 EXIT_CAP = 2
 
 
+def _env_cap(name: str, default: int) -> int:
+    """The cap that the environment variable `name` sets, else `default`; a
+    SchemaError naming the variable unless it is a nonnegative integer."""
+    text = os.environ.get(name, str(default))
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise SchemaError(f"{name}: expected a nonnegative integer, got {text!r}")
+    return cap
+
+
 def _dim_cap() -> int:
-    return int(os.environ.get("LIEREG_DIM_CAP", reps.DEFAULT_DIM_CAP))
+    return _env_cap("LIEREG_DIM_CAP", linalg.DEFAULT_DIM_CAP)
 
 
 def _depth_cap() -> int:
-    return int(os.environ.get("LIEREG_DEPTH_CAP", kacmoody.DEFAULT_DEPTH_CAP))
+    return _env_cap("LIEREG_DEPTH_CAP", kacmoody.DEFAULT_DEPTH_CAP)
 
 
 def _emit(obj) -> None:
@@ -40,8 +53,13 @@ def _load_json(text: str, field: str):
     if text == "-":
         text = sys.stdin.read()
     elif text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            text = fh.read()
+        path = text[1:]
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            why = exc.strerror if isinstance(exc, OSError) else f"not UTF-8: {exc.reason}"
+            raise SchemaError(f"{field}: cannot read {path!r} ({why})") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

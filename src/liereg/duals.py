@@ -146,7 +146,7 @@ def left_translate(x, h):
 
 
 def realize_rep_backed(
-    h: FiniteFunctional, alphabet: Alphabet, dim_cap: int = reps.DEFAULT_DIM_CAP
+    h: FiniteFunctional, alphabet: Alphabet, dim_cap: int = linalg.DEFAULT_DIM_CAP
 ) -> MatrixCoefficient:
     """Realize a finite functional as a matrix coefficient on V_N(J).
 
@@ -317,11 +317,11 @@ def membership_ffr(h, alphabet: Alphabet = None):
     prefixes = sorted({p for w in h.terms for p in r_cut(w)}, key=word_key)
     index = {p: i for i, p in enumerate(prefixes)}
     letters = alphabet.letters() if alphabet else h.support_letters()
-    rows = {}  # a letter that ends no prefix acts by zero, and is left out
+    columns = {}  # a letter that ends no prefix acts by zero, and is left out
     for p, i in index.items():
         if p and p[-1] in letters:
-            rows.setdefault(p[-1], [[] for _ in prefixes])[index[p[:-1]]].append((i, 1))
-    ops = [Operator(rows[e], 1, len(prefixes)) for e in sorted(rows)]
+            columns.setdefault(p[-1], []).append((i, ((index[p[:-1]], 1),)))
+    ops = [Operator(tuple(columns[e]), 1, len(prefixes), len(prefixes)) for e in sorted(columns)]
     # h's coefficients on the prefixes, cleared to ints once
     d = math.lcm(*(c.denominator for c in h.terms.values()))
     ints = [0] * len(prefixes)

@@ -144,7 +144,7 @@ def phi_map(f: RegularFunction) -> MatrixCoefficient:
 
 
 def xi_map(
-    h, alphabet: Alphabet = None, dim_cap: int = reps.DEFAULT_DIM_CAP
+    h, alphabet: Alphabet = None, dim_cap: int = linalg.DEFAULT_DIM_CAP
 ) -> RegularFunction:
     """Xi: regular linear functional -> regular function on the group."""
     if isinstance(h, FiniteFunctional):
@@ -208,7 +208,7 @@ def derive_left(e: int, f: RegularFunction) -> RegularFunction:
     return xi_map(duals.left_translate((e,), phi_map(f)))
 
 
-def faithfulness_witness(x: NcPoly, alphabet: Alphabet, dim_cap: int = reps.DEFAULT_DIM_CAP):
+def faithfulness_witness(x: NcPoly, alphabet: Alphabet, dim_cap: int = linalg.DEFAULT_DIM_CAP):
     """(V_N(J), b_empty, x.b_empty) with the image reproducing x's coefficients."""
     if x.is_zero():
         raise ValueError("faithfulness witness needs a nonzero polynomial")

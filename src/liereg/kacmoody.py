@@ -42,7 +42,6 @@ from .linalg import Echelon, Operator, frac
 from .words import NcPoly
 
 DEFAULT_DEPTH_CAP = 24
-DEFAULT_DIM_CAP = 4096
 
 
 class GCMError(ValueError):
@@ -326,7 +325,7 @@ class IrrTrunc:
 
     def __init__(self, gcm: GCM, lam, depth: int,
                  depth_cap: int = DEFAULT_DEPTH_CAP,
-                 dim_cap: int = DEFAULT_DIM_CAP):
+                 dim_cap: int = linalg.DEFAULT_DIM_CAP):
         self.gcm = gcm
         self.lam = tuple(int(x) for x in lam)
         if len(self.lam) != gcm.n:
@@ -440,23 +439,13 @@ class IrrTrunc:
         images = []  # (denominator, integer rows) of the stacked e_j-images, per j
         start = 0  # where f_j V_{k - e_j} starts among the candidates
         for (j, tgt), dim in zip(above, dims):
-            blocks = []  # (denominator, integer rows or None for zero) per source space
-            for i, src in above:
-                e_j = src.e[j]
-                if e_j is not None:
-                    f_i = tgt.f[i]
-                    block = linalg.mat_mul(f_i.entries(), e_j.entries(), e_j.width)
-                    blocks.append((f_i.denom * e_j.denom, block))
-                else:
-                    blocks.append((1, None))
-            den = math.lcm(*[d for d, _ in blocks])
+            # (F_ij, E_j) per source space i, both None where V_{k - e_i - e_j} is zero
+            pairs = [(tgt.f[i], src.e[j]) for i, src in above]
+            den = math.lcm(*[f.denom * e.denom for f, e in pairs if e is not None])
             rows = [[] for _ in range(dim)]
-            for (d, block), width in zip(blocks, dims):
-                if block is None:
-                    for row in rows:
-                        row.extend([0] * width)
-                    continue
-                scale = den // d
+            for (f_i, e_j), width in zip(pairs, dims):
+                block = [(0,) * width] * dim if e_j is None else linalg.mat_mul(f_i, e_j)
+                scale = 1 if e_j is None else den // (f_i.denom * e_j.denom)
                 for row, part in zip(rows, block):
                     row.extend(part if scale == 1 else [x * scale for x in part])
             shift = tgt.lam[j] * den  # + lambda_{k - e_j}(h_j) I in the block of source j
@@ -512,7 +501,7 @@ class IrrTrunc:
         if op is not None:
             return op
         # not stored: V_k or V_{k + e_i} is zero
-        return Operator([[]] * target.dim, 1, self._space(k).dim)
+        return Operator((), 1, target.dim, self._space(k).dim)
 
     def e_matrix(self, i: int, k) -> Operator:
         """The Operator of e_i from weight k to weight k - e_i in quotient
@@ -524,7 +513,7 @@ class IrrTrunc:
             return op
         # not stored: V_k or V_{k - e_i} is zero, or k - e_i is no weight
         height = self._space(_shift(k, i, -1)).dim if k[i] else 0
-        return Operator([[]] * height, 1, source.dim)
+        return Operator((), 1, height, source.dim)
 
     # -- vectors ------------------------------------------------------------
 
@@ -798,46 +787,36 @@ def _tensor_blocks(m: IrrTrunc, total_k):
     return blocks
 
 
-def _flatten_tensor(blocks, tensor_parts) -> list:
-    out = []
-    for k1, k2, d1, d2 in blocks:
-        coords = tensor_parts.get((k1, k2))
-        out.extend([0] * (d1 * d2) if coords is None else coords)
-    return out
+def _tensor_f(m: IrrTrunc, i: int, blocks_above, blocks) -> Operator:
+    """f_i (x) 1 + 1 (x) f_i from the flattened tensor vectors on the weight
+    pairs `blocks_above` to those on `blocks`, one total depth further down.
 
-
-def _unflatten_tensor(blocks, flat) -> dict:
-    """The inverse of _flatten_tensor, leaving out the zero blocks."""
-    parts, start = {}, 0
-    for k1, k2, d1, d2 in blocks:
-        coords = flat[start:start + d1 * d2]
-        if any(coords):
-            parts[(k1, k2)] = coords
-        start += d1 * d2
-    return parts
-
-
-def _tensor_f(m: IrrTrunc, i: int, parts: dict) -> dict:
-    """A positive multiple of f_i (x) 1 + 1 (x) f_i on an integer tensor
-    vector keyed by weight pairs: a span does not see the scale.
-
-    The (k1, k2) block is a dim V_k1 x dim V_k2 matrix C flattened by rows;
-    f_i (x) 1 sends it to F C, column by column, and 1 (x) f_i to C F^T,
-    row by row.  The images are summed over the lcm of the denominators.
+    The (k1, k2) block flattens b_a (x) b_b, a basis vector of V_k1 and b one
+    of V_k2, to a * dim V_k2 + b; f_i (x) 1 sends it into the block
+    (k1 + e_i, k2) and 1 (x) f_i into (k1, k2 + e_i), which comes first.
+    Both are summed over the lcm of the denominators.
     """
-    terms = []  # (1, denominator, {weight pair: flattened block})
-    for (k1, k2), coords in parts.items():
-        f1 = m.f_matrix(i, k1)
-        f2 = m.f_matrix(i, k2)
-        rows = [coords[a:a + f2.width] for a in range(0, len(coords), f2.width)]
-        if f1.height:
-            columns = [f1.image(column) for column in zip(*rows)]
-            flat = [x for row in zip(*columns) for x in row]
-            terms.append((1, f1.denom, {(_shift(k1, i, 1), k2): flat}))
-        if f2.height:
-            flat = [x for row in rows for x in f2.image(row)]
-            terms.append((1, f2.denom, {(k1, _shift(k2, i, 1)): flat}))
-    return _combine(terms)[1]
+    offsets, start = {}, 0
+    for k1, k2, d1, d2 in blocks:
+        offsets[(k1, k2)] = start
+        start += d1 * d2
+    height = start
+    fs = [(m.f_matrix(i, k1), m.f_matrix(i, k2)) for k1, k2, _, _ in blocks_above]
+    den = math.lcm(*[f.denom for pair in fs for f in pair])
+    columns, start = [], 0
+    for (k1, k2, d1, d2), (f1, f2) in zip(blocks_above, fs):
+        down1 = offsets.get((_shift(k1, i, 1), k2))
+        down2 = offsets.get((k1, _shift(k2, i, 1)))
+        s1, s2 = den // f1.denom, den // f2.denom
+        c1, c2 = dict(f1.columns), dict(f2.columns)
+        for a in range(d1):
+            for b in range(d2):
+                column = [(down2 + a * f2.height + c, s2 * y) for c, y in c2.get(b, ())]
+                column += [(down1 + r * d2 + b, s1 * x) for r, x in c1.get(a, ())]
+                if column:
+                    columns.append((start + a * d2 + b, tuple(column)))
+        start += d1 * d2
+    return Operator(tuple(columns), den, height, start)
 
 
 def kostant_cone_test(m: IrrTrunc, v: TruncVector, m2: IrrTrunc = None) -> bool:
@@ -846,16 +825,17 @@ def kostant_cone_test(m: IrrTrunc, v: TruncVector, m2: IrrTrunc = None) -> bool:
     The isotypical component is generated from v_Lambda (x) v_Lambda by the
     lowering operators, so its weight space at total depth kappa is the sum
     over i of f_i applied to its weight space at kappa - e_i.  `span_at`
-    builds each of these spans once, as an Echelon of the f_i-images of the
-    rows of the spans one level up, and only at the weights below those of
-    v (x) v; the work is bounded by the multiplicities, not by the number of
-    f-words.  Membership is then an exact rank test per weight, in integers:
-    every tensor vector is kept up to a positive scale, which a span does
-    not see.  The weights of v (x) v are tested in order of total depth, so
-    the test raises TruncationError only when every weight within the depth
-    cap passes and one lies past it.  If a truncation of L(2 Lambda) is
-    supplied, its multiplicities cross-check the dimensions of the
-    component.
+    builds each of these spans once, and only at the weights below those of
+    v (x) v: per letter i it builds f_i (x) 1 + 1 (x) f_i once, as one
+    Operator on the flattened weight-pair blocks (`_tensor_f`), and adds its
+    `image` of each row of the span one level up to an Echelon.  The work is
+    bounded by the multiplicities, not by the number of f-words.  Membership
+    is then an exact rank test per weight, in integers: every tensor vector
+    is kept up to a positive scale, which a span does not see.  The weights
+    of v (x) v are tested in order of total depth, so the test raises
+    TruncationError only when every weight within the depth cap passes and
+    one lies past it.  If a truncation of L(2 Lambda) is supplied, its
+    multiplicities cross-check the dimensions of the component.
     """
     if v.is_zero():
         return True
@@ -871,27 +851,23 @@ def kostant_cone_test(m: IrrTrunc, v: TruncVector, m2: IrrTrunc = None) -> bool:
         for i, t in enumerate(total_k):
             if t:
                 blocks_above, span_above = span_at(_shift(total_k, i, -1))
+                op = _tensor_f(m, i, blocks_above, blocks)
                 for row in span_above.rows:
-                    image = _tensor_f(m, i, _unflatten_tensor(blocks_above, row))
-                    if image:
-                        ech.add(_flatten_tensor(blocks, image))
+                    ech.add(op.image(row))
         if m2 is not None and ech.rank != m2.space(total_k).dim:
             raise AssertionError(total_k)
         spans[total_k] = (blocks, ech)
         return spans[total_k]
 
-    # components of v (x) v by total weight, over the square of v's denominator
-    by_total = {}
-    for k1, c1 in v.ints.items():
-        for k2, c2 in v.ints.items():
-            total = tuple(a + b for a, b in zip(k1, k2))
-            by_total.setdefault(total, {})[(k1, k2)] = linalg.vec_kron(c1, c2)
-
-    # shallowest first: a weight within the cap that rules v (x) v out
-    # answers before any weight past the cap is refused
-    for total_k, parts in sorted(by_total.items(), key=lambda item: sum(item[0])):
+    # the total weights of v (x) v, shallowest first: a weight within the cap
+    # that rules v (x) v out answers before any weight past the cap is refused
+    totals = dict.fromkeys(tuple(map(add, k1, k2)) for k1 in v.ints for k2 in v.ints)
+    for total_k in sorted(totals, key=sum):
         blocks, ech = span_at(total_k)
-        flat = _flatten_tensor(blocks, parts)
+        flat = []  # v (x) v at total_k, over the square of v's denominator
+        for k1, k2, d1, d2 in blocks:
+            c1, c2 = v.ints.get(k1), v.ints.get(k2)
+            flat += linalg.vec_kron(c1, c2) if c1 and c2 else [0] * (d1 * d2)
         if any(flat) and not ech.contains(flat):
             return False
     return True

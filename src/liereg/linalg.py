@@ -1,26 +1,29 @@
 """Exact rational linear algebra.
 
 A matrix applied many times, as a module's letter is, is an
-:class:`Operator`: integer entries over one common denominator, built from
-the nonzero (column, value) pairs of its rows (``Operator.from_rows``
-clears rows of ints or Fractions once, ``Operator.from_int_rows`` takes
-full integer rows over a denominator and keeps them in lowest terms).
-``Operator.image`` gives
-denom * M v for an integer vector v, ``Operator.pull_back`` denom * phi M.
-An action clears its vector's denominators once with ``integral``, chains
-the integer products while it multiplies the denominators, and builds
-Fractions once, for the result, with ``over``; ``combine`` sums scaled
-integer vectors over one denominator, and ``mat_mul`` and ``kron``
-multiply two matrices given as rows of nonzero (column, value) pairs.
+:class:`Operator`: integer entries over one common denominator, kept as its
+nonzero columns, each the (row, value) pairs of its nonzero entries.  The
+constructor stores the columns it is given, so a builder whose map sends
+basis vector j somewhere writes column j directly; a matrix that arrives as
+rows is turned into columns in one place, ``Operator.from_rows`` (rows of
+ints or Fractions, cleared once) or ``Operator.from_int_rows`` (full
+integer rows over a denominator, kept in lowest terms), which touch only
+the nonzero entries.  ``matrix()``, the Fraction view, is the only way back
+to rows.  ``Operator.image`` gives denom * M v for an integer vector v,
+``Operator.pull_back`` denom * phi M.  An action clears its vector's
+denominators once with ``integral``, chains the integer products while it
+multiplies the denominators, and builds Fractions once, for the result,
+with ``over``; ``combine`` sums scaled integer vectors over one
+denominator.  ``mat_mul`` multiplies two Operators, and ``kron`` takes and
+returns nonzero columns.
 
-An operator keeps only its nonzero columns, each as the (row, value) pairs
-of its nonzero entries, transposed once from the rows it is given.
 ``image`` scatters: each stored column whose vector entry is nonzero adds
 that entry times its pairs, so M v costs one product per nonzero entry of M
 met by a nonzero entry of v (Gustavson, ACM TOMS 4, 1978).  ``pull_back``
 takes one integer dot product per stored column, over the pairs whose row
 meets a nonzero entry of phi.  ``mat_mul`` runs the same scatter once per
-row of its left factor.
+nonzero column of its right factor: column j of A B is A times column j of
+B.
 
 Elimination is fraction-free.  :class:`Echelon` takes integer vectors (a
 caller holding rationals clears them once with ``integral``; a Fraction
@@ -44,19 +47,20 @@ column lies left of every pivot so far has a zero there in every stored
 row, so it leaves ``reduce()`` nothing to clear.
 
 The Kac-Moody modules keep their f_i and e_i matrices as Operators too.
-A weight space is built from integer block products (``mat_mul`` on the
-``Operator.entries`` of two operators; its accumulators start at int 0)
-whose rows go to an Echelon in the same order and are reduced once, after
-the last of them.
+A weight space is built from integer block products (``mat_mul`` of two
+operators; its accumulators start at int 0) whose rows go to an Echelon in
+the same order and are reduced once, after the last of them.
 """
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from fractions import Fraction
 
 ZERO = Fraction(0)
+
+# the one default of LIEREG_DIM_CAP, for the free and the Kac-Moody half
+DEFAULT_DIM_CAP = 4096
 
 
 class CapError(RuntimeError):
@@ -96,48 +100,41 @@ def over(ints, d) -> tuple:
 class Operator:
     """A fixed matrix M as integer entries over one common denominator: M = entries / denom.
 
-    Built from the nonzero (column, int value) pairs of each row, one per
-    column at most, and kept as `columns`: its nonzero columns as
-    (j, ((row, value), ...)) in increasing j, each in increasing row.
+    Kept as `columns`, its nonzero columns as (j, ((row, value), ...)) in
+    increasing j, each in increasing row with no zero value, and stored as
+    given: a builder writes them directly, and a matrix that arrives as rows
+    goes through `from_rows` or `from_int_rows`.
     """
 
-    __slots__ = ("denom", "height", "width", "columns")
+    __slots__ = ("columns", "denom", "height", "width")
 
-    def __init__(self, entries, denom, width):
+    def __init__(self, columns, denom, height, width):
+        self.columns = columns
         self.denom = denom
-        self.height = len(entries)
+        self.height = height
         self.width = width
-        columns = [[] for _ in range(width)]
-        for i, row in enumerate(entries):
-            for j, x in row:
-                columns[j].append((i, x))
-        self.columns = tuple([(j, tuple(column)) for j, column in enumerate(columns) if column])
 
     @classmethod
     def from_rows(cls, m):
         """The operator of a matrix given as rows of ints or Fractions."""
-        denom = math.lcm(*{x.denominator for row in m for x in row})
-        scaled = [[(j, x.numerator * (denom // x.denominator)) for j, x in enumerate(row) if x]
-                  for row in m]
-        return cls(scaled, denom, len(m[0]) if m else 0)
+        columns = _nonzero_columns(m)
+        denom = math.lcm(*{x.denominator for _, column in columns for _, x in column})
+        columns = tuple([
+            (j, tuple([(i, x.numerator * (denom // x.denominator)) for i, x in column]))
+            for j, column in columns
+        ])
+        return cls(columns, denom, len(m), len(m[0]) if m else 0)
 
     @classmethod
     def from_int_rows(cls, rows, denom, width):
         """The operator of rows / denom, for rows of `width` ints each, in lowest terms."""
+        columns = _nonzero_columns(rows)
         if denom != 1:
-            g = math.gcd(denom, *itertools.chain.from_iterable(rows))
+            g = math.gcd(denom, *[x for _, column in columns for _, x in column])
             if g != 1:
-                rows = [[x // g for x in row] for row in rows]
+                columns = [(j, [(i, x // g) for i, x in column]) for j, column in columns]
                 denom //= g
-        return cls([[(j, x) for j, x in enumerate(row) if x] for row in rows], denom, width)
-
-    def entries(self):
-        """The nonzero (column, value) pairs of each row, in increasing column."""
-        rows = [[] for _ in range(self.height)]
-        for j, column in self.columns:
-            for i, x in column:
-                rows[i].append((j, x))
-        return rows
+        return cls(tuple([(j, tuple(column)) for j, column in columns]), denom, len(rows), width)
 
     def matrix(self) -> tuple:
         """M as a tuple of rows of Fractions."""
@@ -181,6 +178,14 @@ class Operator:
         return out
 
 
+def _nonzero_columns(rows) -> list:
+    """The nonzero columns of full rows, as (j, [(row, value), ...]) in increasing j."""
+    columns = (
+        (j, [(i, x) for i, x in enumerate(column) if x]) for j, column in enumerate(zip(*rows))
+    )
+    return [(j, column) for j, column in columns if column]
+
+
 def combine(terms, n):
     """(D, ints) with ints / D the sum of c * u / d over the terms (c, d, u),
     c rational and u n ints; D is the lcm of the c.denominator * d."""
@@ -196,23 +201,27 @@ def combine(terms, n):
     return den, acc
 
 
-def mat_mul(a, b, width) -> list:
-    """The product of two matrices given as rows of nonzero (column, value)
-    pairs, b of the given width, as full rows: one product per nonzero pair."""
-    out = []
-    for row in a:
-        acc = [0] * width
-        for k, x in row:
-            for j, y in b[k]:
-                acc[j] += x * y
-        out.append(acc)
-    return out
+def mat_mul(a, b) -> list:
+    """denom(a) denom(b) A B for two Operators, as full rows of ints: column j
+    of A B is A times column j of B, one product per nonzero pair."""
+    a_columns = dict(a.columns)
+    columns = [(0,) * a.height] * b.width
+    for j, column in b.columns:
+        acc = [0] * a.height
+        for k, y in column:
+            for i, x in a_columns.get(k, ()):
+                acc[i] += x * y
+        columns[j] = acc
+    return list(zip(*columns)) if b.width else [()] * a.height
 
 
-def kron(a, b, width) -> list:
-    """Kronecker product of two matrices given as rows of nonzero (column,
-    value) pairs, b of the given width: the same form, row-major block layout."""
-    return [[(j * width + k, x * y) for j, x in ra for k, y in rb] for ra in a for rb in b]
+def kron(a, b, height, width) -> tuple:
+    """Kronecker product of two matrices given as nonzero columns, b of the
+    given height and width: the same form, in row-major block layout."""
+    return tuple(
+        (j * width + k, tuple((i * height + r, x * y) for i, x in ca for r, y in cb))
+        for j, ca in a for k, cb in b
+    )
 
 
 def vec_kron(u, v) -> tuple:

@@ -18,8 +18,6 @@ from . import linalg, words
 from .linalg import Echelon, Operator
 from .words import Alphabet, NcPoly, Word
 
-DEFAULT_DIM_CAP = 4096
-
 
 class RepError(ValueError):
     pass
@@ -41,7 +39,7 @@ class RepSpec:
         for e in alphabet.letters():
             m = matrices.get(e)
             if m is None:
-                m = Operator([()] * dim, 1, dim)
+                m = Operator((), 1, dim, dim)
             elif not isinstance(m, Operator):
                 if len(m) != dim or any(len(r) != dim for r in m):
                     raise RepError(f"matrix for letter {alphabet.names[e]} is not {dim}x{dim}")
@@ -102,9 +100,7 @@ def _is_nilpotent(op: Operator) -> bool:
 
 
 def _is_integer_diagonal(op: Operator) -> bool:
-    return all(
-        j == i and x % op.denom == 0 for i, row in enumerate(op.entries()) for j, x in row
-    )
+    return all(i == j and x % op.denom == 0 for j, column in op.columns for i, x in column)
 
 
 def validate_integrable(rep: RepSpec):
@@ -148,8 +144,9 @@ def act_poly(rep: RepSpec, x: NcPoly, v):
 
 
 def tensor(r1: RepSpec, r2: RepSpec) -> RepSpec:
-    """Tensor product module: letters act as x(x)1 + 1(x)x, summed from two
-    Kronecker products of integer rows over the lcm of the two denominators."""
+    """Tensor product module: letters act as x(x)1 + 1(x)x, summed column by
+    column from two Kronecker products of integer columns over the lcm of the
+    two denominators."""
     if r1.alphabet != r2.alphabet:
         raise RepError("tensor factors must share alphabet and kinds")
     n1, n2 = r1.dim, r2.dim
@@ -157,15 +154,16 @@ def tensor(r1: RepSpec, r2: RepSpec) -> RepSpec:
     for e in r1.alphabet.letters():
         a, b = r1.operators[e], r2.operators[e]
         d = math.lcm(a.denom, b.denom)
-        left = linalg.kron(a.entries(), [[(k, d // a.denom)] for k in range(n2)], n2)
-        right = linalg.kron([[(i, d // b.denom)] for i in range(n1)], b.entries(), n2)
-        rows = []
-        for left_row, right_row in zip(left, right):
-            merged = dict(left_row)
-            for j, y in right_row:
-                merged[j] = merged.get(j, 0) + y
-            rows.append([(j, x) for j, x in merged.items() if x])
-        ops[e] = Operator(rows, d, n1 * n2)
+        left = linalg.kron(a.columns, [(k, ((k, d // a.denom),)) for k in range(n2)], n2, n2)
+        right = linalg.kron([(i, ((i, d // b.denom),)) for i in range(n1)], b.columns, n2, n2)
+        sums = {}  # column -> {row: value}
+        for j, column in (*left, *right):
+            acc = sums.setdefault(j, {})
+            for i, x in column:
+                acc[i] = acc.get(i, 0) + x
+        columns = [(j, tuple(sorted((i, x) for i, x in acc.items() if x)))
+                   for j, acc in sorted(sums.items())]
+        ops[e] = Operator(tuple([c for c in columns if c[1]]), d, n1 * n2, n1 * n2)
     labels = None
     if r1.labels is not None and r2.labels is not None:
         labels = tuple((a, b) for a in r1.labels for b in r2.labels)
@@ -197,7 +195,8 @@ def support(rep: RepSpec):
     return frozenset(e for e in rep.alphabet.letters() if not rep.operators[e].is_zero())
 
 
-def make_VNJ(alphabet: Alphabet, n: int, j_letters, dim_cap: int = DEFAULT_DIM_CAP) -> RepSpec:
+def make_VNJ(alphabet: Alphabet, n: int, j_letters,
+             dim_cap: int = linalg.DEFAULT_DIM_CAP) -> RepSpec:
     """The module with basis b_w for words of length <= n over J.
 
     A letter e sends b_w to b_{e w} when the result stays within the length
@@ -221,11 +220,8 @@ def make_VNJ(alphabet: Alphabet, n: int, j_letters, dim_cap: int = DEFAULT_DIM_C
     dim = len(basis)
     ops = {}
     for e in j_letters:
-        rows = [[] for _ in range(dim)]
-        for w, i in index.items():
-            if len(w) < n:
-                rows[index[(e,) + w]].append((i, 1))
-        ops[e] = Operator(rows, 1, dim)
+        columns = tuple((i, ((index[(e,) + w], 1),)) for w, i in index.items() if len(w) < n)
+        ops[e] = Operator(columns, 1, dim, dim)
     return RepSpec(alphabet, dim, ops, labels=basis)
 
 
@@ -241,10 +237,10 @@ def make_chain(alphabet: Alphabet, seq) -> RepSpec:
         if not alphabet.is_nilpotent(e):
             raise RepError("chain modules require locally nilpotent letters")
     dim = len(seq) + 1
-    rows = {}
+    columns = {}  # e b_stage = b_(stage + 1)
     for stage, e in enumerate(seq):
-        rows.setdefault(e, [[] for _ in range(dim)])[stage + 1].append((stage, 1))
-    ops = {e: Operator(r, 1, dim) for e, r in rows.items()}
+        columns.setdefault(e, []).append((stage, ((stage + 1, 1),)))
+    ops = {e: Operator(tuple(c), 1, dim, dim) for e, c in columns.items()}
     labels = tuple(f"b{i}" for i in range(dim))
     return RepSpec(alphabet, dim, ops, labels=labels)
 
@@ -261,7 +257,7 @@ def make_cyclic_pair(alphabet: Alphabet, e1: int, e2: int) -> RepSpec:
         if not alphabet.is_nilpotent(e):
             raise RepError("cyclic pair module requires locally nilpotent letters")
     ops = {
-        e1: Operator([[(1, 1)], []], 1, 2),  # e1 b2 = b1
-        e2: Operator([[], [(0, 1)]], 1, 2),  # e2 b1 = b2
+        e1: Operator(((1, ((0, 1),)),), 1, 2, 2),  # e1 b2 = b1
+        e2: Operator(((0, ((1, 1),)),), 1, 2, 2),  # e2 b1 = b2
     }
     return RepSpec(alphabet, 2, ops, labels=("b1", "b2"))

@@ -354,6 +354,38 @@ def test_cap_errors_name_the_cap_and_its_variable(capsys, monkeypatch, env, argv
     assert code == 0, err
 
 
+@pytest.mark.parametrize("name, value", [
+    ("LIEREG_DIM_CAP", "abc"),
+    ("LIEREG_DIM_CAP", "-1"),
+    ("LIEREG_DEPTH_CAP", "-3"),
+    ("LIEREG_DEPTH_CAP", "2.5"),
+])
+def test_a_cap_variable_must_be_a_nonnegative_integer(capsys, monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, "km-build", "--matrix", '{"matrix":[[2]]}', "--weight", "[1]",
+                         "--depth", "1")
+    assert code == 1 and out == ""
+    assert err == f"error: {name}: expected a nonnegative integer, got {value!r}\n"
+
+
+@pytest.mark.parametrize("option, field, argv", [
+    ("--functional", "functional", ["eval", "--x", "e1"]),
+    ("--rep", "rep", ["act", "--vector", "[1]", "--x", "e1"]),
+    ("--matrix", "gcm", ["km-build", "--weight", "[1]", "--depth", "1"]),
+])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf-8"])
+def test_an_unreadable_at_file_names_the_field_and_the_path(
+        capsys, tmp_path, option, field, argv, kind):
+    path = {"missing": tmp_path / "missing.json", "directory": tmp_path,
+            "not-utf-8": tmp_path / "latin-1.json"}[kind]
+    if kind == "not-utf-8":
+        path.write_bytes(b'{"matrix": [[2]], "note": "\xff"}')
+    code, out, err = run(capsys, argv[0], option, f"@{path}", *argv[1:])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {field}: ") and repr(str(path)) in err, err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("k, code, multiplicity", [
     # lambda(h_1) = -4: s_1 takes the weight to depth (1,-1), above Lambda,
     # so no candidate is reduced and the cap does not apply

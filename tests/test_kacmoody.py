@@ -1233,17 +1233,80 @@ def test_the_cone_test_spans_grow_with_the_multiplicities(monkeypatch):
     """Orbit vectors of depth 6 and 8 in the basic module of A2^(1): the
     component's spans are built weight by weight, so the number of f-images
     follows the multiplicities, not the 3^d f-words of length d."""
-    calls = []
-    tensor_f = kacmoody._tensor_f
-    monkeypatch.setattr(kacmoody, "_tensor_f", lambda *args: calls.append(1) or tensor_f(*args))
+    ops, keys, calls = [], [], []  # the cone's Operators, their (letter, blocks), image calls
+    tensor_f, image = kacmoody._tensor_f, linalg.Operator.image
+
+    def recording_tensor_f(m, i, blocks_above, blocks):
+        keys.append((i, tuple(blocks)))
+        ops.append(tensor_f(m, i, blocks_above, blocks))
+        return ops[-1]
+
+    def recording_image(op, ints):
+        calls.append(any(op is cone for cone in ops))
+        return image(op, ints)
+
+    monkeypatch.setattr(kacmoody, "_tensor_f", recording_tensor_f)
+    monkeypatch.setattr(linalg.Operator, "image", recording_image)
     mod = IrrTrunc(AFFINE_A2, (1, 0, 0), depth=0, depth_cap=24)
     # exp(f_0) exp(f_1 / 2) exp(f_2 / 3) ... v_Lambda; applying every f-word
-    # takes 44,361 calls at depth 6
+    # takes 44,361 images at depth 6
     for letters, depth in (((0, 1, 2, 0), 6), ((0, 1, 2, 1, 0, 2, 0), 8)):
         g = tuple(KMFactor("f", i, Fraction(1, 1 + j)) for j, i in enumerate(letters))
         v = act_km_group(mod, g, mod.highest_weight_vector())
         assert _max_depth(v) == depth
-        calls.clear()
+        ops.clear(), keys.clear(), calls.clear()
         assert kostant_cone_test(mod, v)
+        assert all(calls)  # every image is one of the cone's Operators
+        # one Operator per (total weight, letter), whatever the rows above it
+        nonempty = [key for key in keys if key[1]]
+        assert len(set(nonempty)) == len(nonempty)
         if depth == 6:
             assert len(calls) < 1000
+
+
+def _ref_tensor_f(m, i, blocks_above, blocks):
+    """f_i (x) 1 + 1 (x) f_i from the (k1, k2) blocks of blocks_above to
+    those of blocks, as Fraction rows: a block Kronecker product of f_i's
+    Fraction matrix with an identity where the target is (k1 + e_i, k2) or
+    (k1, k2 + e_i), zero elsewhere."""
+    def identity(n):
+        return [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+
+    def kron(a, b):
+        return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+    rows = []
+    for t1, t2, e1, e2 in blocks:
+        band = [[] for _ in range(e1 * e2)]
+        for k1, k2, d1, d2 in blocks_above:
+            if (t1, t2) == (_shift(k1, i, 1), k2):
+                block = kron(m.f_matrix(i, k1).matrix(), identity(d2))
+            elif (t1, t2) == (k1, _shift(k2, i, 1)):
+                block = kron(identity(d1), m.f_matrix(i, k2).matrix())
+            else:
+                block = [[Fraction(0)] * (d1 * d2)] * (e1 * e2)
+            for row, part in zip(band, block):
+                row.extend(part)
+        rows.extend(band)
+    return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("gcm, lam, depth", [
+    (AFFINE_A2, (1, 0, 0), 6),
+    (HYPERBOLIC, (1, 0), 8),
+])
+def test_the_cone_operators_are_the_fraction_tensor_action(gcm, lam, depth):
+    mod = IrrTrunc(gcm, lam, depth=depth)
+    for total in _weights(gcm.n, depth):
+        blocks = kacmoody._tensor_blocks(mod, total)
+        for i in range(gcm.n):
+            if not total[i]:
+                continue
+            above = kacmoody._tensor_blocks(mod, _shift(total, i, -1))
+            op = kacmoody._tensor_f(mod, i, above, blocks)
+            assert (op.height, op.width) == (
+                sum(d1 * d2 for *_, d1, d2 in blocks), sum(d1 * d2 for *_, d1, d2 in above)
+            )
+            assert op.matrix() == _ref_tensor_f(mod, i, above, blocks)
+            ints = [[x * op.denom for x in row] for row in op.matrix()]
+            assert op.columns == linalg.Operator.from_rows(ints).columns

@@ -23,9 +23,9 @@ def test_mat_vec():
 
 
 def test_kron_shape_and_values():
-    a = [[(0, 1), (1, 2)]]  # the 1x2 matrix (1 2), as (column, value) pairs
-    b = [[(0, 3)], [(0, 4)]]  # the 2x1 matrix (3 4)^T
-    assert linalg.kron(a, b, 1) == [[(0, 3), (1, 6)], [(0, 4), (1, 8)]]
+    a = ((0, ((0, 1),)), (1, ((0, 2),)))  # the 1x2 matrix (1 2), as nonzero columns
+    b = ((0, ((0, 3), (1, 4))),)  # the 2x1 matrix (3 4)^T
+    assert linalg.kron(a, b, 2, 1) == ((0, ((0, 3), (1, 4))), (1, ((0, 6), (1, 8))))
     assert linalg.vec_kron((1, 2), (3, 4)) == (3, 4, 6, 8)
 
 
@@ -244,28 +244,31 @@ def test_operator_pull_back_matches_reference(vm, int_matrix, int_vector):
 @given(composable())
 def test_mat_mul_matches_reference(ab):
     a, b = ab
-    assert _mat_mul(a, b) == ref_mat_mul(a, b)
+    op_a, op_b = linalg.Operator.from_rows(a), linalg.Operator.from_rows(b)
+    out = linalg.mat_mul(op_a, op_b)
+    assert all(type(x) is int for row in out for x in row)
+    assert tuple(linalg.over(row, op_a.denom * op_b.denom) for row in out) == ref_mat_mul(a, b)
 
 
-def _pairs(m):
-    return [[(j, x) for j, x in enumerate(row) if x] for row in m]
+def _is_canonical(columns) -> bool:
+    """Whether nonzero columns are in increasing j, each in increasing row,
+    with no empty column and no zero value."""
+    js = [j for j, _ in columns]
+    return js == sorted(set(js)) and all(
+        column and all(x for _, x in column) and rows == sorted(set(rows))
+        for _, column in columns
+        for rows in [[i for i, _ in column]]
+    )
 
 
-def _mat_mul(a, b):
-    """linalg.mat_mul on two matrices of full rows, fed as (column, value) pair rows."""
-    width = len(b[0]) if b else 0
-    return tuple(map(tuple, linalg.mat_mul(_pairs(a), _pairs(b), width)))
-
-
-def _dense(pairs, width):
-    out = []
-    for row in pairs:
-        dense = [ZERO] * width
-        for j, x in row:
-            assert dense[j] == 0 and x  # one nonzero pair per column
-            dense[j] = x
-        out.append(tuple(dense))
-    return tuple(out)
+def _dense(columns, height, width):
+    """The full rows of a matrix given as canonical nonzero columns."""
+    assert _is_canonical(columns)
+    out = [[ZERO] * width for _ in range(height)]
+    for j, column in columns:
+        for i, x in column:
+            out[i][j] = x
+    return tuple(map(tuple, out))
 
 
 @SHAPES
@@ -274,9 +277,11 @@ def test_kron_matches_reference(a, b, integer):
     if integer:  # integer rows, as the tensor product passes them
         a = tuple(tuple(Fraction(x.numerator) for x in row) for row in a)
         b = tuple(tuple(Fraction(x.numerator) for x in row) for row in b)
-    wa, wb = (len(a[0]) if a else 0), (len(b[0]) if b else 0)
-    out = linalg.kron(_pairs(a), _pairs(b), wb)
-    assert _dense(out, wa * wb) == ref_kron(a, b)
+    op_a, op_b = linalg.Operator.from_rows(a), linalg.Operator.from_rows(b)
+    out = linalg.kron(op_a.columns, op_b.columns, op_b.height, op_b.width)
+    dense = _dense(out, op_a.height * op_b.height, op_a.width * op_b.width)
+    scale = op_a.denom * op_b.denom
+    assert tuple(tuple(Fraction(x, scale) for x in row) for row in dense) == ref_kron(a, b)
     if a and b:
         assert linalg.vec_kron(a[0], b[0]) == ref_kron((a[0],), (b[0],))[0]
 
@@ -290,7 +295,7 @@ def test_operator_round_trips_through_its_matrix(m, integer):
     op = linalg.Operator.from_rows(m)
     assert op.matrix() == tuple(tuple(map(Fraction, row)) for row in m)
     assert all(type(x) is Fraction for row in op.matrix() for x in row)
-    assert _dense(op.entries(), op.width) == tuple(
+    assert _dense(op.columns, op.height, op.width) == tuple(
         tuple(x * op.denom for x in row) for row in op.matrix()
     )
     if len(m) == op.width and all(Fraction(m[i][i]).denominator == 1 for i in range(len(m))):
@@ -308,7 +313,7 @@ def test_operator_from_int_rows_is_in_lowest_terms(m, denom):
     expected = tuple(tuple(Fraction(x, denom) for x in row) for row in rows)
     assert op.matrix() == expected and (op.height, op.width) == (len(rows), width)
     assert op.denom == math.lcm(*{x.denominator for row in expected for x in row})
-    assert op.entries() == linalg.Operator.from_rows(expected).entries()
+    assert op.columns == linalg.Operator.from_rows(expected).columns
 
 
 @SHAPES
@@ -376,14 +381,13 @@ def test_mat_vec_multiplies_only_nonzero_pairs():
 
 def test_mat_mul_multiplies_only_nonzero_pairs():
     rep = reps.make_VNJ(Alphabet(("e1", "e2", "e3")), 4, (0, 1, 2))
-    a = _counting(rep.matrices[0])
-    b = _counting(rep.matrices[1])
-    pairs = sum(
-        1 for row in a for k, x in enumerate(row) if x for y in b[k] if y
-    )
-    CountingFraction.products = 0
-    _mat_mul(a, b)
-    assert CountingFraction.products == pairs
+    a, b = (_counting_operator(rep.operators[e]) for e in (0, 1))
+    ma, mb = rep.matrices[0], rep.matrices[1]
+    pairs = sum(1 for row in ma for k, x in enumerate(row) if x for y in mb[k] if y)
+    assert pairs == 13  # e1 e2 b_w for the words w of length <= 2 over three letters
+    CountingInt.products = 0
+    assert linalg.mat_mul(a, b) == [tuple(x.numerator for x in row) for row in ref_mat_mul(ma, mb)]
+    assert CountingInt.products == pairs
 
 
 class CountingInt(int):
@@ -398,6 +402,12 @@ class CountingInt(int):
     __rmul__ = __mul__
 
 
+def _counting_operator(op):
+    """op with CountingInt values."""
+    columns = tuple((j, tuple((i, CountingInt(x)) for i, x in column)) for j, column in op.columns)
+    return linalg.Operator(columns, op.denom, op.height, op.width)
+
+
 def test_operator_image_multiplies_only_nonzero_pairs():
     rep = reps.make_VNJ(Alphabet(("e1", "e2", "e3")), 4, (0, 1, 2))
     assert rep.dim == 121
@@ -405,7 +415,7 @@ def test_operator_image_multiplies_only_nonzero_pairs():
     b_empty = [CountingInt(int(i == empty)) for i in range(rep.dim)]
     ones = [CountingInt(1)] * rep.dim
     for e, op in rep.operators.items():
-        nnz = sum(map(len, op.entries()))
+        nnz = sum(len(column) for _, column in op.columns)
         assert nnz == 40  # words of length <= 3 over three letters
         CountingInt.products = 0
         assert op.image(b_empty) == [int(w == (e,)) for w in rep.labels]
@@ -417,12 +427,12 @@ def test_operator_image_multiplies_only_nonzero_pairs():
         op.pull_back(ones)
         assert CountingInt.products == nnz
         # a one-hot covector multiplies only the pairs of its row
-        entries = op.entries()
-        for row in {empty, max(range(rep.dim), key=lambda r: len(entries[r]))}:
+        m = op.matrix()
+        for row in {empty, max(range(rep.dim), key=lambda r: sum(map(bool, m[r])))}:
             one_hot = [CountingInt(int(i == row)) for i in range(rep.dim)]
             CountingInt.products = 0
-            assert op.pull_back(one_hot) == [dict(entries[row]).get(j, 0) for j in range(rep.dim)]
-            assert CountingInt.products == len(entries[row])
+            assert op.pull_back(one_hot) == list(m[row])
+            assert CountingInt.products == sum(map(bool, m[row]))
     # an operator with no zero entry takes one product per pair it meets too
     n = 11
     full = linalg.Operator.from_rows([[i + j + 1 for j in range(n)] for i in range(n)])

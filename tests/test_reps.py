@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -373,13 +375,69 @@ def test_tensor_matches_kronecker_sum(first, second, data):
     assert t.dim == n1 * n2
     ref = {e: ref_kron_sum(m1[e], m2[e]) for e in (0, 1, 2)}
     assert dict(t.matrices) == ref
-    assert all(x for op in t.operators.values() for row in op.entries() for _, x in row)
+    assert all(x for op in t.operators.values() for _, column in op.columns for _, x in column)
     assert reps.support(t) == {e for e, m in ref.items() if any(map(any, m))}
     assert reps.validate_integrable(t) == []
     v = data.draw(vectors(t.dim))
     for e in (0, 1, 2):
         expected = tuple(sum((a * b for a, b in zip(row, v)), ZERO) for row in ref[e])
         assert reps.act_word(t, (e,), v) == expected
+
+
+ABC = Alphabet(("e1", "e2", "e3"))
+
+
+@st.composite
+def builders(draw):
+    """A call of one builder that writes an Operator's columns itself, with
+    drawn input: V_N(J), a chain, the cyclic pair, a tensor module (with a
+    diagonal letter, or of two built modules), or the prefix operators of
+    membership_ffr."""
+    n, j = draw(st.integers(0, 3)), draw(st.sets(st.integers(0, 2), min_size=1))
+    vnj = partial(reps.make_VNJ, ABC, n, j)
+    seq = [draw(st.integers(0, 2))]
+    for step in draw(st.lists(st.integers(1, 2), max_size=6)):
+        seq.append((seq[-1] + step) % 3)  # adjacent letters differ
+    chain = partial(reps.make_chain, ABC, seq)
+    e1, e2, _ = draw(st.permutations(range(3)))
+    (n1, m1), (n2, m2) = draw(module_matrices()), draw(module_matrices())
+    ws = draw(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=4).map(tuple),
+                       min_size=1, max_size=5))
+    h = duals.FiniteFunctional({w: Fraction(i + 1, 2) for i, w in enumerate(ws)})
+    return draw(st.sampled_from((
+        vnj,
+        chain,
+        partial(reps.make_cyclic_pair, ABC, e1, e2),
+        partial(reps.tensor, RepSpec(NIL_DIAG, n1, m1), RepSpec(NIL_DIAG, n2, m2)),
+        partial(_tensor_of, vnj, chain),
+        partial(duals.membership_ffr, h, draw(st.sampled_from((ABC, None)))),
+    )))
+
+
+def _tensor_of(build1, build2):
+    return reps.tensor(build1(), build2())
+
+
+@ACTION
+@given(builders())
+def test_every_builder_writes_canonical_columns(build):
+    """Each Operator a builder makes has the columns that from_rows writes
+    for its integer matrix: increasing j, each in increasing row, no empty
+    column and no zero value."""
+    built = []
+    init = linalg.Operator.__init__
+
+    def record(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    with mock.patch.object(linalg.Operator, "__init__", record):
+        build()
+    assert built
+    for op in built:
+        ints = [[x * op.denom for x in row] for row in op.matrix()]
+        assert op.columns == linalg.Operator.from_rows(ints).columns
+        assert all(type(x) is int for _, column in op.columns for _, x in column)
 
 
 @st.composite
