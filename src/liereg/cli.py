@@ -340,25 +340,25 @@ def _decode_km_group(gcm, lam, obj):
         if not isinstance(entry, dict) or "kind" not in entry:
             raise SchemaError(f"group[{i}]: expected {{kind, ...}}")
         kind = entry["kind"]
+        if kind not in ("e", "f", "root", "torus"):
+            raise SchemaError(f"group[{i}].kind: unknown kind {kind!r}")
         try:
+            param = decode_fraction(entry["param"], f"group[{i}].param")
             if kind in ("e", "f"):
                 (index,) = decode_int_list([entry["index"]], f"group[{i}].index", 1, gcm.n)
-                factors.append(KMFactor(kind, index, decode_fraction(entry["param"])))
+                factors.append(KMFactor(kind, index, param))
             elif kind == "root":
                 indices = decode_int_list(entry["indices"], f"group[{i}].indices", below=gcm.n)
-                factors.append(KMFactor("root", indices, decode_fraction(entry["param"])))
-            elif kind == "torus":
-                coweight = decode_int_list(entry["coweight"], f"group[{i}].coweight", gcm.n)
-                factor = kacmoody.coweight_torus_factor(
-                    gcm, lam, coweight, decode_fraction(entry["param"])
-                )
-                factors.append(factor)
+                if not indices:
+                    raise SchemaError(f"group[{i}].indices: expected at least one index")
+                factors.append(KMFactor("root", indices, param))
             else:
-                raise SchemaError(f"group[{i}].kind: unknown kind {kind!r}")
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, SchemaError):
-                raise
-            raise SchemaError(f"group[{i}]: {exc}") from exc
+                coweight = decode_int_list(entry["coweight"], f"group[{i}].coweight", gcm.n)
+                if not param:
+                    raise SchemaError(f"group[{i}].param: a torus factor needs a nonzero parameter")
+                factors.append(kacmoody.coweight_torus_factor(gcm, lam, coweight, param))
+        except KeyError as exc:
+            raise SchemaError(f"group[{i}].{exc.args[0]}: missing") from exc
     return tuple(factors)
 
 

@@ -772,103 +772,105 @@ def rootvector_is_zero(m: IrrTrunc, poly: NcPoly) -> bool:
 # Tensor squares, the Kostant cone, and Peter-Weyl rank.
 
 
-def _tensor_blocks(m: IrrTrunc, total_k):
-    """The (k1, k2) pairs with k1 + k2 = total_k and both spaces nonzero, in
-    increasing k1."""
-    m._check_total(sum(total_k))  # then every k1, k2 lies within the cap
-    ranges = [range(t + 1) for t in total_k]
-    blocks = []
-    for k1 in itertools.product(*ranges):
-        k2 = tuple(map(sub, total_k, k1))
-        d1 = m._space(k1).dim
-        d2 = m._space(k2).dim
-        if d1 and d2:
-            blocks.append((k1, k2, d1, d2))
-    return blocks
+class _SquareComponent:
+    """The L(2 Lambda) component of the tensor square L(Lambda) (x) L(Lambda),
+    built one total depth kappa at a time, each layer once and on first use.
 
-
-def _tensor_f(m: IrrTrunc, i: int, blocks_above, blocks) -> Operator:
-    """f_i (x) 1 + 1 (x) f_i from the flattened tensor vectors on the weight
-    pairs `blocks_above` to those on `blocks`, one total depth further down.
-
-    The (k1, k2) block flattens b_a (x) b_b, a basis vector of V_k1 and b one
-    of V_k2, to a * dim V_k2 + b; f_i (x) 1 sends it into the block
-    (k1 + e_i, k2) and 1 (x) f_i into (k1, k2 + e_i), which comes first.
-    Both are summed over the lcm of the denominators.
+    A tensor vector at kappa is flattened over its weight pairs (k1, k2),
+    k1 + k2 = kappa with both spaces nonzero, in increasing k1: the block of
+    (k1, k2) starts at its offset and holds b_a (x) b_b, a basis vector of
+    V_k1 and b one of V_k2, at a * dim V_k2 + b (`blocks`).  The component
+    is generated from v_Lambda (x) v_Lambda by the lowering operators, so its
+    weight space at kappa, `span`, is the sum over i of the images of the
+    span at kappa - e_i under f_i (x) 1 + 1 (x) f_i (`f`, one Operator per
+    weight and letter).  Every vector is kept in integers, up to a positive
+    scale, which a span does not see.
     """
-    offsets, start = {}, 0
-    for k1, k2, d1, d2 in blocks:
-        offsets[(k1, k2)] = start
-        start += d1 * d2
-    height = start
-    fs = [(m.f_matrix(i, k1), m.f_matrix(i, k2)) for k1, k2, _, _ in blocks_above]
-    den = math.lcm(*[f.denom for pair in fs for f in pair])
-    columns, start = [], 0
-    for (k1, k2, d1, d2), (f1, f2) in zip(blocks_above, fs):
-        down1 = offsets.get((_shift(k1, i, 1), k2))
-        down2 = offsets.get((k1, _shift(k2, i, 1)))
-        s1, s2 = den // f1.denom, den // f2.denom
-        c1, c2 = dict(f1.columns), dict(f2.columns)
-        for a in range(d1):
-            for b in range(d2):
-                column = [(down2 + a * f2.height + c, s2 * y) for c, y in c2.get(b, ())]
-                column += [(down1 + r * d2 + b, s1 * x) for r, x in c1.get(a, ())]
-                if column:
-                    columns.append((start + a * d2 + b, tuple(column)))
-        start += d1 * d2
-    return Operator(tuple(columns), den, height, start)
+
+    def __init__(self, m: IrrTrunc):
+        self.m = m
+        self._blocks: dict = {}  # kappa -> ({(k1, k2): offset}, size)
+        self._spans: dict = {}  # kappa -> Echelon of the component at kappa
+
+    def blocks(self, total_k):
+        """({(k1, k2): offset}, size) of the flattened layer at total_k."""
+        if total_k not in self._blocks:
+            self.m._check_total(sum(total_k))  # then every k1, k2 lies within the cap
+            offsets, size = {}, 0
+            for k1 in itertools.product(*[range(t + 1) for t in total_k]):
+                k2 = tuple(map(sub, total_k, k1))
+                d1, d2 = self.m._space(k1).dim, self.m._space(k2).dim
+                if d1 and d2:
+                    offsets[(k1, k2)] = size
+                    size += d1 * d2
+            self._blocks[total_k] = (offsets, size)
+        return self._blocks[total_k]
+
+    def f(self, i: int, total_k) -> Operator:
+        """f_i (x) 1 + 1 (x) f_i from the layer at total_k - e_i to that at
+        total_k: f_i (x) 1 sends the block (k1, k2) into (k1 + e_i, k2) and
+        1 (x) f_i into (k1, k2 + e_i), which comes first; both are summed
+        over the lcm of the denominators."""
+        offsets, height = self.blocks(total_k)
+        above, width = self.blocks(_shift(total_k, i, -1))
+        fs = [(self.m.f_matrix(i, k1), self.m.f_matrix(i, k2)) for k1, k2 in above]
+        den = math.lcm(*[f.denom for pair in fs for f in pair])
+        columns = []
+        for ((k1, k2), start), (f1, f2) in zip(above.items(), fs):
+            down1 = offsets.get((_shift(k1, i, 1), k2))
+            down2 = offsets.get((k1, _shift(k2, i, 1)))
+            s1, s2 = den // f1.denom, den // f2.denom
+            c1, c2 = dict(f1.columns), dict(f2.columns)
+            d2 = f2.width  # dim V_k2
+            for a in range(f1.width):
+                for b in range(d2):
+                    column = [(down2 + a * f2.height + c, s2 * y) for c, y in c2.get(b, ())]
+                    column += [(down1 + r * d2 + b, s1 * x) for r, x in c1.get(a, ())]
+                    if column:
+                        columns.append((start + a * d2 + b, tuple(column)))
+        return Operator(tuple(columns), den, height, width)
+
+    def span(self, total_k) -> Echelon:
+        """The component's weight space at total_k, as an Echelon of flattened rows."""
+        if total_k not in self._spans:
+            ech = Echelon()
+            if not any(total_k):
+                ech.add([1])
+            for i, t in enumerate(total_k):
+                if t:
+                    op = self.f(i, total_k)
+                    for row in self.span(_shift(total_k, i, -1)).rows:
+                        ech.add(op.image(row))
+            self._spans[total_k] = ech
+        return self._spans[total_k]
+
+    def flatten(self, v: TruncVector, total_k) -> list:
+        """v (x) v at total_k, flattened, over the square of v's denominator."""
+        offsets, size = self.blocks(total_k)
+        flat = [0] * size
+        for (k1, k2), start in offsets.items():
+            c1, c2 = v.ints.get(k1), v.ints.get(k2)
+            if c1 and c2:
+                flat[start:start + len(c1) * len(c2)] = linalg.vec_kron(c1, c2)
+        return flat
 
 
-def kostant_cone_test(m: IrrTrunc, v: TruncVector, m2: IrrTrunc = None) -> bool:
+def kostant_cone_test(m: IrrTrunc, v: TruncVector) -> bool:
     """Is v (x) v inside the L(2 Lambda)-isotypical part of the tensor square?
 
-    The isotypical component is generated from v_Lambda (x) v_Lambda by the
-    lowering operators, so its weight space at total depth kappa is the sum
-    over i of f_i applied to its weight space at kappa - e_i.  `span_at`
-    builds each of these spans once, and only at the weights below those of
-    v (x) v: per letter i it builds f_i (x) 1 + 1 (x) f_i once, as one
-    Operator on the flattened weight-pair blocks (`_tensor_f`), and adds its
-    `image` of each row of the span one level up to an Echelon.  The work is
-    bounded by the multiplicities, not by the number of f-words.  Membership
-    is then an exact rank test per weight, in integers: every tensor vector
-    is kept up to a positive scale, which a span does not see.  The weights
-    of v (x) v are tested in order of total depth, so the test raises
-    TruncationError only when every weight within the depth cap passes and
-    one lies past it.  If a truncation of L(2 Lambda) is supplied, its
-    multiplicities cross-check the dimensions of the component.
+    Each weight of v (x) v is an exact rank test in integers against the
+    component's span there (`_SquareComponent`), which is built only at the
+    weights below those of v (x) v, so the work is bounded by the
+    multiplicities, not by the number of f-words.  The weights are tested in
+    order of total depth, so the test raises TruncationError only when every
+    weight within the depth cap passes and one lies past it.
     """
-    if v.is_zero():
-        return True
-    spans = {}
-
-    def span_at(total_k):
-        if total_k in spans:
-            return spans[total_k]
-        blocks = _tensor_blocks(m, total_k)
-        ech = Echelon()
-        if not any(total_k):
-            ech.add([1])
-        for i, t in enumerate(total_k):
-            if t:
-                blocks_above, span_above = span_at(_shift(total_k, i, -1))
-                op = _tensor_f(m, i, blocks_above, blocks)
-                for row in span_above.rows:
-                    ech.add(op.image(row))
-        if m2 is not None and ech.rank != m2.space(total_k).dim:
-            raise AssertionError(total_k)
-        spans[total_k] = (blocks, ech)
-        return spans[total_k]
-
+    component = _SquareComponent(m)
     # the total weights of v (x) v, shallowest first: a weight within the cap
     # that rules v (x) v out answers before any weight past the cap is refused
     totals = dict.fromkeys(tuple(map(add, k1, k2)) for k1 in v.ints for k2 in v.ints)
     for total_k in sorted(totals, key=sum):
-        blocks, ech = span_at(total_k)
-        flat = []  # v (x) v at total_k, over the square of v's denominator
-        for k1, k2, d1, d2 in blocks:
-            c1, c2 = v.ints.get(k1), v.ints.get(k2)
-            flat += linalg.vec_kron(c1, c2) if c1 and c2 else [0] * (d1 * d2)
-        if any(flat) and not ech.contains(flat):
+        if not component.span(total_k).contains(component.flatten(v, total_k)):
             return False
     return True
 

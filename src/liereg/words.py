@@ -87,10 +87,10 @@ def word_key(w: Word):
     return (len(w), w)
 
 
-def all_words(letters, max_len: int, min_len: int = 0):
-    """All words over the given letters with min_len <= length <= max_len."""
+def all_words(letters, max_len: int):
+    """All words over the given letters of length at most max_len."""
     letters = tuple(letters)
-    for n in range(min_len, max_len + 1):
+    for n in range(max_len + 1):
         yield from itertools.product(letters, repeat=n)
 
 
@@ -186,12 +186,12 @@ class NcPoly(TermMap):
         return cls({EMPTY_WORD: 1})
 
     @classmethod
-    def word(cls, w: Word, coeff=1):
-        return cls({tuple(w): coeff})
+    def word(cls, w: Word):
+        return cls({tuple(w): 1})
 
     @classmethod
-    def letter(cls, i: int, coeff=1):
-        return cls({(i,): coeff})
+    def letter(cls, i: int):
+        return cls({(i,): 1})
 
     def __bool__(self):
         return bool(self.terms)

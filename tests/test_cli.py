@@ -518,6 +518,22 @@ def test_km_integer_fields_rejected(capsys, argv, field):
     assert err.startswith(f"error: {field}") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("group, field", [
+    ('[{"kind":"e","index":0,"param":[1]}]', "group[0].param:"),
+    ('[{"kind":"f","index":0,"param":"1/0"}]', "group[0].param:"),
+    ('[{"kind":"e","index":0}]', "group[0].param:"),
+    ('[{"kind":"f","index":0,"param":"1"},{"kind":"torus","coweight":[1,0]}]',
+     "group[1].param:"),
+    ('[{"kind":"torus","coweight":[1,0],"param":"0"}]', "group[0].param:"),
+    ('[{"kind":"root","indices":[],"param":"1"}]', "group[0].indices:"),
+    ('[{"kind":"root","param":"1"}]', "group[0].indices:"),
+])
+def test_km_theta_names_the_bad_param_or_indices(capsys, group, field):
+    code, _, err = run(capsys, *A2_THETA, group)
+    assert code == 1
+    assert err.startswith(f"error: {field}") and "Traceback" not in err
+
+
 # arbitrary JSON, and lists of near-integers, for the integer fields of km-*
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),

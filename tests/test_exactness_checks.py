@@ -8,7 +8,7 @@ import pytest
 
 import liereg
 from liereg import kacmoody
-from liereg.kacmoody import IrrTrunc, TruncVector, validate_gcm
+from liereg.kacmoody import validate_gcm
 
 SRC = Path(liereg.__file__).parent
 
@@ -32,12 +32,3 @@ def test_peterson_raises_on_an_inexact_division(monkeypatch):
     with pytest.raises(AssertionError) as info:
         kacmoody.root_multiplicities(gcm, 3)
     assert info.traceback[-1].name == "root_multiplicities"
-
-
-def test_cone_test_raises_on_a_rank_mismatch():
-    # L(Lambda) instead of L(2 Lambda) as the cross-check: dimensions differ
-    sl2 = validate_gcm([[2]])
-    mod = IrrTrunc(sl2, (1,), depth=1)
-    v = TruncVector({(0,): (1,), (1,): (1,)})
-    with pytest.raises(AssertionError):
-        kacmoody.kostant_cone_test(mod, v, m2=IrrTrunc(sl2, (1,), depth=2))

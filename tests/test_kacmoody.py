@@ -566,11 +566,41 @@ def test_kostant_cone_sl2():
     assert kostant_cone_test(mod2, mod2.zero_vector())
 
 
-def test_kostant_cone_cross_checked_multiplicities():
-    mod = IrrTrunc(SL2, (1,), depth=1, depth_cap=4)
-    mod2 = IrrTrunc(SL2, (2,), depth=2, depth_cap=4)
-    v = TruncVector({(0,): (1,), (1,): (5,)})
-    assert kostant_cone_test(mod, v, m2=mod2)
+def _orbit_vector(mod, letters):
+    """exp(f_{l_0}) exp(f_{l_1} / 2) exp(f_{l_2} / 3) ... v_Lambda."""
+    g = tuple(KMFactor("f", i, Fraction(1, 1 + j)) for j, i in enumerate(letters))
+    return act_km_group(mod, g, mod.highest_weight_vector())
+
+
+@pytest.mark.parametrize("gcm, lam, vector, in_cone, layers", [
+    (AFFINE_A2, (1, 0, 0), (0, 1, 2, 1, 0, 2, 0), True, 225),
+    (G2, (1, 0), (0, 1, 0, 1, 0), True, 117),
+    (SL2, (1,), {(0,): (1,), (1,): (5,)}, True, 3),
+    (SL2, (2,), {(0,): (1,), (1,): (1,), (2,): (Fraction(1, 2),)}, True, 5),
+    (SL2, (2,), {(0,): (1,), (2,): (1,)}, False, 3),
+], ids=["A2-affine-orbit", "G2-orbit", "sl2-L1", "sl2-L2-orbit", "sl2-L2-off-cone"])
+def test_every_span_of_the_square_has_the_multiplicity_of_2_lambda(
+        monkeypatch, gcm, lam, vector, in_cone, layers):
+    """The spans are the weight spaces of the L(2 Lambda) component, so each
+    one the cone test builds has the rank that the build and Freudenthal
+    give L(2 Lambda) at its weight.  (The orbit vectors have depth 8 and 10.)"""
+    built = []
+
+    class Recording(kacmoody._SquareComponent):
+        def __init__(self, m):
+            super().__init__(m)
+            built.append(self)
+
+    monkeypatch.setattr(kacmoody, "_SquareComponent", Recording)
+    mod = IrrTrunc(gcm, lam, depth=0, depth_cap=24)
+    v = TruncVector(vector) if isinstance(vector, dict) else _orbit_vector(mod, vector)
+    assert kostant_cone_test(mod, v) == in_cone
+    (component,) = built
+    assert len(component._spans) == layers
+    double = tuple(2 * x for x in lam)
+    square = IrrTrunc(gcm, double, depth=0, depth_cap=24)
+    for total, span in component._spans.items():
+        assert span.rank == square.space(total).dim == freudenthal_multiplicity(gcm, double, total)
 
 
 def test_peter_weyl_rank():
@@ -1233,33 +1263,30 @@ def test_the_cone_test_spans_grow_with_the_multiplicities(monkeypatch):
     """Orbit vectors of depth 6 and 8 in the basic module of A2^(1): the
     component's spans are built weight by weight, so the number of f-images
     follows the multiplicities, not the 3^d f-words of length d."""
-    ops, keys, calls = [], [], []  # the cone's Operators, their (letter, blocks), image calls
-    tensor_f, image = kacmoody._tensor_f, linalg.Operator.image
+    ops, keys, calls = [], [], []  # the cone's Operators, their (letter, total weight), image calls
+    tensor_f, image = kacmoody._SquareComponent.f, linalg.Operator.image
 
-    def recording_tensor_f(m, i, blocks_above, blocks):
-        keys.append((i, tuple(blocks)))
-        ops.append(tensor_f(m, i, blocks_above, blocks))
+    def recording_f(component, i, total_k):
+        keys.append((i, total_k))
+        ops.append(tensor_f(component, i, total_k))
         return ops[-1]
 
     def recording_image(op, ints):
         calls.append(any(op is cone for cone in ops))
         return image(op, ints)
 
-    monkeypatch.setattr(kacmoody, "_tensor_f", recording_tensor_f)
+    monkeypatch.setattr(kacmoody._SquareComponent, "f", recording_f)
     monkeypatch.setattr(linalg.Operator, "image", recording_image)
     mod = IrrTrunc(AFFINE_A2, (1, 0, 0), depth=0, depth_cap=24)
-    # exp(f_0) exp(f_1 / 2) exp(f_2 / 3) ... v_Lambda; applying every f-word
-    # takes 44,361 images at depth 6
+    # applying every f-word takes 44,361 images at depth 6
     for letters, depth in (((0, 1, 2, 0), 6), ((0, 1, 2, 1, 0, 2, 0), 8)):
-        g = tuple(KMFactor("f", i, Fraction(1, 1 + j)) for j, i in enumerate(letters))
-        v = act_km_group(mod, g, mod.highest_weight_vector())
+        v = _orbit_vector(mod, letters)
         assert _max_depth(v) == depth
         ops.clear(), keys.clear(), calls.clear()
         assert kostant_cone_test(mod, v)
         assert all(calls)  # every image is one of the cone's Operators
         # one Operator per (total weight, letter), whatever the rows above it
-        nonempty = [key for key in keys if key[1]]
-        assert len(set(nonempty)) == len(nonempty)
+        assert len(set(keys)) == len(keys)
         if depth == 6:
             assert len(calls) < 1000
 
@@ -1297,13 +1324,24 @@ def _ref_tensor_f(m, i, blocks_above, blocks):
 ])
 def test_the_cone_operators_are_the_fraction_tensor_action(gcm, lam, depth):
     mod = IrrTrunc(gcm, lam, depth=depth)
+    component = kacmoody._SquareComponent(mod)
+
+    def layer(total):
+        """The (k1, k2, dim V_k1, dim V_k2) blocks of the component's layout
+        at total, each starting where the one before it ends."""
+        offsets, size = component.blocks(total)
+        blocks = [(k1, k2, mod.space(k1).dim, mod.space(k2).dim) for k1, k2 in offsets]
+        starts = [0, *itertools.accumulate(d1 * d2 for *_, d1, d2 in blocks)]
+        assert list(offsets.values()) == starts[:-1] and size == starts[-1]
+        return blocks
+
     for total in _weights(gcm.n, depth):
-        blocks = kacmoody._tensor_blocks(mod, total)
+        blocks = layer(total)
         for i in range(gcm.n):
             if not total[i]:
                 continue
-            above = kacmoody._tensor_blocks(mod, _shift(total, i, -1))
-            op = kacmoody._tensor_f(mod, i, above, blocks)
+            above = layer(_shift(total, i, -1))
+            op = component.f(i, total)
             assert (op.height, op.width) == (
                 sum(d1 * d2 for *_, d1, d2 in blocks), sum(d1 * d2 for *_, d1, d2 in above)
             )
