@@ -239,7 +239,7 @@ def cmd_phi_map(args):
 
 def cmd_xi_map(args):
     alphabet, h = _functional_from_args(args)
-    f = grp.xi_map(h, alphabet, _dim_cap())
+    f = grp.xi_map(h, alphabet)
     out = jsonio.encode_functional(grp.phi_map(f))
     out["kind"] = "regular-function"
     _emit(out)

@@ -145,27 +145,23 @@ def left_translate(x, h):
     return FiniteFunctional(out)
 
 
-def realize_rep_backed(
-    h: FiniteFunctional, alphabet: Alphabet, dim_cap: int = linalg.DEFAULT_DIM_CAP
-) -> MatrixCoefficient:
-    """Realize a finite functional as a matrix coefficient on V_N(J).
+def realize_rep_backed(h: FiniteFunctional, alphabet: Alphabet = None) -> MatrixCoefficient:
+    """Realize a finite functional as a matrix coefficient phi(. v) on the
+    word module of the suffixes of its words (reps.word_module).
 
-    The covector collects the coefficients on the labeled basis b_w, the
-    vector is b_empty; evaluation agrees with h on every word.
+    phi takes h's coefficients on the basis b_u, and v = b_empty: w . b_empty
+    is b_w when w is a suffix and zero otherwise, so phi(w . v) = h(w) on every
+    word.  The module has at most 1 + sum |w| dimensions over h's words w.
+    Without an alphabet, the letters 0 .. max of h are read as locally
+    nilpotent.
     """
+    if alphabet is None:
+        alphabet = Alphabet(range(1 + max(h.support_letters(), default=0)))
     for e in h.support_letters():
         if not alphabet.is_nilpotent(e):
             raise ValueError("finite functionals realize rep-backed only over nilpotent letters")
-    n = h.max_length()
-    j = sorted(h.support_letters()) or [0]
-    if not alphabet.is_nilpotent(j[0]):
-        j = [e for e in alphabet.letters() if alphabet.is_nilpotent(e)][:1]
-        if not j:
-            raise ValueError("alphabet has no locally nilpotent letter")
-    rep = reps.make_VNJ(alphabet, n, j, dim_cap)
-    phi_vec = [h.coeff(w) for w in rep.labels]
-    v = rep.basis_vector(rep.labels.index(()))
-    return MatrixCoefficient(rep, phi_vec, v)
+    rep = reps.word_module(alphabet, {w[i:] for w in h.terms for i in range(len(w) + 1)} | {()})
+    return MatrixCoefficient(rep, [h.coeff(u) for u in rep.labels], rep.basis_vector(0))
 
 
 def product(h1, h2, alphabet: Alphabet = None):
@@ -265,32 +261,25 @@ def _expand_mc(rep: RepSpec, phi, v, den, letters):
 
 
 def expand_rho(h, letters, alphabet: Alphabet = None) -> RhoExpansion:
-    """Development of h along rho_(e1..ep), one position at a time."""
+    """Development of h along rho_(e1..ep), one position at a time.
+
+    A finite functional is developed through its realization on the suffixes
+    of its words (realize_rep_backed), along locally nilpotent letters only;
+    without an alphabet, its letters and those of the development are all
+    read as locally nilpotent.
+    """
     letters = tuple(letters)
-    if isinstance(h, MatrixCoefficient):
-        (d_phi, phi), (d_v, v) = h._phi, h._v
-        coeffs = _expand_mc(h.rep, phi, v, d_phi * d_v, letters)
-        return RhoExpansion(letters, coeffs)
-    if alphabet is not None:
-        for e in letters:
-            if not alphabet.is_nilpotent(e):
-                raise ValueError(
-                    "a finite functional has no finite development along a "
-                    "diagonalizable letter"
-                )
-    bound = h.max_length()
-    coeffs = {}
-    for ks in itertools.product(range(bound + 1), repeat=len(letters)):
-        if sum(ks) > bound:
-            continue
-        monomial = tuple(e for e, k in zip(letters, ks) for _ in range(k))
-        c = h.coeff(monomial)
-        if c != 0:
-            denom = 1
-            for k in ks:
-                denom *= math.factorial(k)
-            coeffs[ks] = c / denom
-    return RhoExpansion(letters, coeffs)
+    if isinstance(h, FiniteFunctional):
+        if alphabet is None:
+            alphabet = Alphabet(range(1 + max((*letters, *h.support_letters()), default=0)))
+        elif not all(map(alphabet.is_nilpotent, letters)):
+            raise ValueError(
+                "a finite functional has no finite development along a "
+                "diagonalizable letter"
+            )
+        h = realize_rep_backed(h, alphabet)
+    (d_phi, phi), (d_v, v) = h._phi, h._v
+    return RhoExpansion(letters, _expand_mc(h.rep, phi, v, d_phi * d_v, letters))
 
 
 def r_cut(w: Word):

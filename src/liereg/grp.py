@@ -143,12 +143,14 @@ def phi_map(f: RegularFunction) -> MatrixCoefficient:
     return MatrixCoefficient.of_pairs(f.rep, f._phi, f._v)
 
 
-def xi_map(
-    h, alphabet: Alphabet = None, dim_cap: int = linalg.DEFAULT_DIM_CAP
-) -> RegularFunction:
-    """Xi: regular linear functional -> regular function on the group."""
+def xi_map(h, alphabet: Alphabet = None) -> RegularFunction:
+    """Xi: regular linear functional -> regular function on the group.
+
+    A finite functional is first realized on the suffixes of its words
+    (duals.realize_rep_backed), over the alphabet when one is given.
+    """
     if isinstance(h, FiniteFunctional):
-        h = realize_rep_backed(h, alphabet, dim_cap)
+        h = realize_rep_backed(h, alphabet)
     return RegularFunction.of_pairs(h.rep, h._phi, h._v)
 
 

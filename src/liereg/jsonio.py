@@ -220,11 +220,12 @@ def decode_group_word(alphabet: Alphabet, obj) -> GroupWord:
         if kind not in ("exp", "torus"):
             raise SchemaError(f"group[{i}].kind: expected 'exp' or 'torus'")
         param = decode_fraction(entry.get("param", "1"), f"group[{i}].param")
-        factor = grp.exp_factor if kind == "exp" else grp.torus_factor
-        try:
-            factors.append(factor(letter, param))
-        except ValueError as exc:
-            raise SchemaError(f"group[{i}]: {exc}") from exc
+        if kind == "exp":
+            factors.append(grp.exp_factor(letter, param))
+        elif param:
+            factors.append(grp.torus_factor(letter, param))
+        else:
+            raise SchemaError(f"group[{i}].param: a torus factor needs a nonzero parameter")
     return GroupWord(factors)
 
 

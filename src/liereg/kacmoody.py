@@ -220,7 +220,13 @@ def root_multiplicities(gcm: GCM, max_height: int) -> dict:
 
 
 def freudenthal_multiplicity(gcm: GCM, lam, beta, _cache=None) -> int:
-    """Weight multiplicity of L(lam) at lam - beta by the Freudenthal recursion."""
+    """Weight multiplicity of L(lam) at lam - beta by the Freudenthal recursion.
+
+    `_cache`, one dict per (gcm, lam), keeps the multiplicities found and,
+    under the key None, the root table with its height: Peterson's recurrence
+    runs again only for a beta taller than the table.  Roots taller than beta
+    never fit into it, so a taller table gives the same sums.
+    """
     lam = tuple(int(x) for x in lam)
     beta = tuple(int(x) for x in beta)
     if _cache is None:
@@ -228,11 +234,15 @@ def freudenthal_multiplicity(gcm: GCM, lam, beta, _cache=None) -> int:
     if beta in _cache:
         return _cache[beta]
     lam_pairs = tuple(map(mul, gcm.d, lam))  # (alpha_i|Lambda) = d_i Lambda(h_i)
-    roots = []  # (alpha, mult, B alpha, (Lambda|alpha), (alpha|alpha)), up to beta's height
-    for alpha, mult_a in sorted(root_multiplicities(gcm, sum(beta)).items()):
-        pair = gcm.pair_vector(alpha)
-        roots.append((alpha, mult_a, pair, sum(map(mul, alpha, lam_pairs)),
-                      sum(map(mul, pair, alpha))))
+    height, roots = _cache.get(None, (0, ()))
+    if sum(beta) > height:
+        height = sum(beta)
+        roots = []  # (alpha, mult, B alpha, (Lambda|alpha), (alpha|alpha)), up to the height
+        for alpha, mult_a in sorted(root_multiplicities(gcm, height).items()):
+            pair = gcm.pair_vector(alpha)
+            roots.append((alpha, mult_a, pair, sum(map(mul, alpha, lam_pairs)),
+                          sum(map(mul, pair, alpha))))
+        _cache[None] = height, roots
     lam_rho = tuple(map(add, lam_pairs, gcm.d))  # (alpha_i|Lambda + rho)
     return _freudenthal(beta, roots, lam_rho, gcm, _cache)
 

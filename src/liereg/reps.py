@@ -195,13 +195,29 @@ def support(rep: RepSpec):
     return frozenset(e for e in rep.alphabet.letters() if not rep.operators[e].is_zero())
 
 
+def word_module(alphabet: Alphabet, basis) -> RepSpec:
+    """The module with basis b_w for the words w of basis, distinct words
+    closed under taking suffixes.
+
+    A letter e sends b_w to b_{e w} when e w is in the set, and to zero
+    otherwise; a letter that begins no word of the set acts by zero.  The
+    basis is ordered by words.word_key and labeled by the words.
+    """
+    basis = sorted(basis, key=words.word_key)
+    index = {w: i for i, w in enumerate(basis)}
+    columns = {}  # e b_u = b_(e u): in basis order, the columns u increase
+    for w, i in index.items():
+        if w:
+            columns.setdefault(w[0], []).append((index[w[1:]], ((i, 1),)))
+    dim = len(basis)
+    ops = {e: Operator(tuple(c), 1, dim, dim) for e, c in columns.items()}
+    return RepSpec(alphabet, dim, ops, labels=basis)
+
+
 def make_VNJ(alphabet: Alphabet, n: int, j_letters,
              dim_cap: int = linalg.DEFAULT_DIM_CAP) -> RepSpec:
-    """The module with basis b_w for words of length <= n over J.
-
-    A letter e sends b_w to b_{e w} when the result stays within the length
-    bound, and to zero otherwise.  Letters outside J act by zero.
-    """
+    """The word module on all words of length <= n over J: letters outside J
+    act by zero, and e b_w = 0 once e w is longer than n."""
     j_letters = sorted(set(j_letters))
     if n < 0:
         raise RepError("length bound must be nonnegative")
@@ -210,19 +226,13 @@ def make_VNJ(alphabet: Alphabet, n: int, j_letters,
     for e in j_letters:
         if not alphabet.is_nilpotent(e):
             raise RepError("V_N(J) requires locally nilpotent letters")
-    basis = sorted(words.all_words(j_letters, n), key=words.word_key)
+    basis = list(words.all_words(j_letters, n))
     if len(basis) > dim_cap:
         raise linalg.CapError(
             f"V_N(J) dimension {len(basis)} exceeds the dimension cap {dim_cap}; "
             "raise it with LIEREG_DIM_CAP"
         )
-    index = {w: i for i, w in enumerate(basis)}
-    dim = len(basis)
-    ops = {}
-    for e in j_letters:
-        columns = tuple((i, ((index[(e,) + w], 1),)) for w, i in index.items() if len(w) < n)
-        ops[e] = Operator(columns, 1, dim, dim)
-    return RepSpec(alphabet, dim, ops, labels=basis)
+    return word_module(alphabet, basis)
 
 
 def make_chain(alphabet: Alphabet, seq) -> RepSpec:

@@ -135,6 +135,27 @@ def test_act_rejects_a_field_that_is_not_a_string(capsys, rep_json, group, field
     assert err.startswith(f"error: {field}: ") and "Traceback" not in err
 
 
+def test_act_names_the_param_of_a_zero_torus_factor(capsys):
+    rep_json = ('{"dim":2,"letters":[{"name":"d","kind":"diagonalizable-integer",'
+                '"matrix":[[1,0],[0,-1]]}]}')
+    group = '[{"letter":"d","kind":"torus","param":"0"}]'
+    code, out, err = run(capsys, "act", "--rep", rep_json, "--vector", "[1,1]", "--group", group)
+    assert (code, out) == (1, "")
+    assert err == "error: group[0].param: a torus factor needs a nonzero parameter\n"
+
+
+def test_xi_map_realizes_a_word_on_its_suffixes_under_a_small_cap(capsys, monkeypatch):
+    """The realization has one dimension per suffix, ignoring the cap: V_8
+    over three letters would have 9,841."""
+    monkeypatch.setenv("LIEREG_DIM_CAP", "14")
+    code, out, _ = run(capsys, "xi-map", "--functional", "phi:e1.e2.e3.e1.e2.e3.e1.e2")
+    assert code == 0
+    realized = json.loads(out)
+    assert realized["rep"]["dim"] == 9
+    assert realized["rep"]["labels"][-1] == "e1.e2.e3.e1.e2.e3.e1.e2"
+    assert realized["phi"] == ["0"] * 8 + ["1"] and realized["v"] == ["1"] + ["0"] * 8
+
+
 def test_membership_subcommand(capsys):
     code, out, _ = run(
         capsys, "membership", "--functional", "phi:e1.e2", "--bound", "2"
@@ -337,8 +358,6 @@ AFFINE_A1 = '{"matrix":[[2,-2],[-2,2]]}'
      ["km-mult", "--matrix", AFFINE_A1, "--weight", "[1,0]", "--k", "[2,2]"],
      ["candidate set of size 2", "dimension cap 1", "LIEREG_DIM_CAP"]),
     ({"LIEREG_DIM_CAP": "14"}, ["witness", "--x", "e1.e2.e1"],
-     ["V_N(J) dimension 15", "dimension cap 14", "LIEREG_DIM_CAP"]),
-    ({"LIEREG_DIM_CAP": "14"}, ["xi-map", "--functional", "phi:e1.e2.e1"],
      ["V_N(J) dimension 15", "dimension cap 14", "LIEREG_DIM_CAP"]),
 ])
 def test_cap_errors_name_the_cap_and_its_variable(capsys, monkeypatch, env, argv, needs):

@@ -1,12 +1,12 @@
 import itertools
-
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liereg import duals, linalg, reps, words
+from liereg import duals, grp, linalg, reps, words
 from liereg.duals import FiniteFunctional, MatrixCoefficient
 from liereg.words import Alphabet, NcPoly
 
@@ -309,6 +309,72 @@ def test_membership_of_a_finite_functional_is_its_hankel_rank(h):
     expected = hankel_rank(h, sorted(ABC.letters()))
     assert duals.membership_ffr(h, ABC) == (True, expected)
     assert duals.membership_ffr(h) == (True, expected)
+
+
+@st.composite
+def long_finite_functionals(draw):
+    """Up to five terms on words of length up to 5 over two or three letters;
+    one draw in ten is a multiple of phi_() alone."""
+    letters = [0, 1, 2] if draw(st.booleans()) else [0, 1]
+    coeff = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 4))
+    if draw(st.integers(0, 9)) == 0:
+        return FiniteFunctional({(): draw(coeff)})
+    word = st.lists(st.sampled_from(letters), max_size=5).map(tuple)
+    return FiniteFunctional(draw(st.dictionaries(word, coeff, max_size=5)))
+
+
+def suffixes(h):
+    return {w[i:] for w in h.terms for i in range(len(w) + 1)} | {()}
+
+
+def vnj_realization(h, alphabet):
+    """h as phi(. b_()) on V_N(J), N its longest word and J its letters (e1
+    when it has none)."""
+    rep = reps.make_VNJ(alphabet, h.max_length(), sorted(h.support_letters()) or [0])
+    return grp.RegularFunction(rep, [h.coeff(w) for w in rep.labels], rep.basis_vector(0))
+
+
+EXP_FACTORS = st.builds(
+    grp.exp_factor, st.integers(0, 2), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+)
+EXP_WORDS = st.lists(st.lists(EXP_FACTORS, max_size=5).map(grp.GroupWord), min_size=1, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_finite_functionals(), EXP_WORDS)
+@example(FiniteFunctional({}), [grp.GroupWord([grp.exp_factor(0, 3)])])
+@example(FiniteFunctional({(): Fraction(-5, 2)}), [grp.GroupWord([grp.exp_factor(2, 1)])])
+@example(FiniteFunctional({(0, 1): 1, (0, 2): 1}), [grp.GroupWord([grp.exp_factor(2, 1),
+                                                                   grp.exp_factor(0, 2)])])
+def test_a_finite_functional_is_realized_on_its_suffixes(h, gs):
+    mc = duals.realize_rep_backed(h, ABC)
+    assert mc.rep.dim == len(suffixes(h))
+    assert reps.validate_integrable(mc.rep) == []
+    for w in words.all_words(ABC.letters(), h.max_length() + 1):
+        assert mc.evaluate_word(w) == h.coeff(w)
+    xi, reference = grp.xi_map(h, ABC), vnj_realization(h, ABC)
+    assert [xi(g) for g in gs] == [reference(g) for g in gs]
+    # without an alphabet, h's letters 0 .. max are read as locally nilpotent
+    bare = grp.xi_map(h)
+    inside = [g for g in gs if all(f.letter < len(bare.rep.alphabet) for f in g)]
+    assert [bare(g) for g in inside] == [reference(g) for g in inside]
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_finite_functionals(), st.lists(st.integers(0, 3), max_size=4).map(tuple),
+       st.booleans())
+@example(FiniteFunctional({}), (0, 3), False)
+@example(FiniteFunctional({(): 2}), (1, 0, 1), True)
+def test_expand_rho_of_a_finite_functional_is_its_values_over_factorials(h, letters, named):
+    """The coefficient at k is h(e1^k1 ... ep^kp) / (k1! ... kp!), with an
+    alphabet and without one."""
+    alphabet = Alphabet(("e1", "e2", "e3", "e4")) if named else None
+    expected = {}
+    for ks in itertools.product(range(h.max_length() + 1), repeat=len(letters)):
+        c = h.coeff(tuple(e for e, k in zip(letters, ks) for _ in range(k)))
+        if c:
+            expected[ks] = c / math.prod(map(math.factorial, ks))
+    assert duals.expand_rho(h, letters, alphabet).coeffs == expected
 
 
 def vnj_from_the_empty_word(n=3):

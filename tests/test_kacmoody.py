@@ -599,8 +599,10 @@ def test_every_span_of_the_square_has_the_multiplicity_of_2_lambda(
     assert len(component._spans) == layers
     double = tuple(2 * x for x in lam)
     square = IrrTrunc(gcm, double, depth=0, depth_cap=24)
+    cache = {}
     for total, span in component._spans.items():
-        assert span.rank == square.space(total).dim == freudenthal_multiplicity(gcm, double, total)
+        assert span.rank == square.space(total).dim == freudenthal_multiplicity(
+            gcm, double, total, cache)
 
 
 def test_peter_weyl_rank():

@@ -411,6 +411,7 @@ def builders(draw):
         partial(reps.tensor, RepSpec(NIL_DIAG, n1, m1), RepSpec(NIL_DIAG, n2, m2)),
         partial(_tensor_of, vnj, chain),
         partial(duals.membership_ffr, h, draw(st.sampled_from((ABC, None)))),
+        partial(duals.realize_rep_backed, h, draw(st.sampled_from((ABC, None)))),
     )))
 
 
