@@ -68,8 +68,10 @@ def _load_json(text: str, field: str):
 
 def _alphabet_from_args(args, *word_texts) -> Alphabet:
     if getattr(args, "letters", None):
-        names = [n for n in args.letters.split(",") if n]
-        return Alphabet(names)
+        try:
+            return Alphabet([n for n in args.letters.split(",") if n])
+        except ValueError as exc:
+            raise SchemaError(f"letters: {exc}") from exc
     seen = []
     for text in word_texts:
         if not text or text == "1":
@@ -102,10 +104,12 @@ def _decode_poly_arg(alphabet: Alphabet, text: str) -> NcPoly:
 
 
 def _functional_from_args(args, *word_texts) -> tuple:
-    """Returns (alphabet or None, functional).
+    """Returns (alphabet, functional).
 
-    The letters of a phi:w functional and of word_texts, the other words of
-    the command, make up the alphabet when --letters does not give one.
+    A matrix coefficient brings its module's alphabet, and a finite JSON
+    functional needs the one --letters gives.  For a phi:w functional, the
+    letters of w and of word_texts, the other words of the command, make up
+    the alphabet when --letters does not give one.
     """
     text = args.functional
     if text.startswith("phi:"):
@@ -188,8 +192,6 @@ def cmd_act(args):
 
 def cmd_eval(args):
     alphabet, h = _functional_from_args(args, *_bare_words(args.x))
-    if alphabet is None:
-        alphabet = _alphabet_from_args(args, args.x)
     x = _decode_poly_arg(alphabet, args.x)
     _emit({"value": encode_fraction(duals.evaluate(h, x))})
     return EXIT_OK
@@ -213,8 +215,6 @@ def _pretty_taylor(poly: duals.RhoExpansion) -> str:
 def cmd_taylor(args):
     tuple_names = [n for n in args.tuple.split(",") if n]
     alphabet, h = _functional_from_args(args, ".".join(tuple_names))
-    if alphabet is None:
-        alphabet = Alphabet(sorted(set(tuple_names)))
     try:
         letters = [alphabet.index(n) for n in tuple_names]
     except KeyError as exc:

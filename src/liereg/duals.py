@@ -12,9 +12,9 @@ from fractions import Fraction
 from operator import mul
 
 from . import linalg, reps, words
-from .linalg import Echelon, Operator, frac, vec
+from .linalg import Echelon, frac, vec
 from .reps import RepSpec
-from .words import Alphabet, NcPoly, TermMap, Word, word_key
+from .words import Alphabet, NcPoly, TermMap, Word
 
 
 class FiniteFunctional(TermMap):
@@ -145,23 +145,35 @@ def left_translate(x, h):
     return FiniteFunctional(out)
 
 
-def realize_rep_backed(h: FiniteFunctional, alphabet: Alphabet = None) -> MatrixCoefficient:
-    """Realize a finite functional as a matrix coefficient phi(. v) on the
-    word module of the suffixes of its words (reps.word_module).
+def _suffix_module(h: FiniteFunctional, alphabet: Alphabet = None):
+    """(rep, phi, v) with h = phi(. v) on the word module of the suffixes of
+    h's words (reps.word_module), phi and v as pairs (d, ints).
 
     phi takes h's coefficients on the basis b_u, and v = b_empty: w . b_empty
     is b_w when w is a suffix and zero otherwise, so phi(w . v) = h(w) on every
     word.  The module has at most 1 + sum |w| dimensions over h's words w.
     Without an alphabet, the letters 0 .. max of h are read as locally
-    nilpotent.
+    nilpotent.  Every letter acts nilpotently here, whatever its kind.
     """
     if alphabet is None:
         alphabet = Alphabet(range(1 + max(h.support_letters(), default=0)))
-    for e in h.support_letters():
-        if not alphabet.is_nilpotent(e):
-            raise ValueError("finite functionals realize rep-backed only over nilpotent letters")
     rep = reps.word_module(alphabet, {w[i:] for w in h.terms for i in range(len(w) + 1)} | {()})
-    return MatrixCoefficient(rep, [h.coeff(u) for u in rep.labels], rep.basis_vector(0))
+    phi = linalg.integral([h.terms.get(u, 0) for u in rep.labels])
+    return rep, phi, (1, [1] + [0] * (rep.dim - 1))
+
+
+def realize_rep_backed(h: FiniteFunctional, alphabet: Alphabet = None) -> MatrixCoefficient:
+    """Realize a finite functional as a matrix coefficient phi(. v) on the
+    word module of the suffixes of its words (_suffix_module), over locally
+    nilpotent letters only.
+
+    Its right translates x |> h are the vectors x . v and its left translates
+    h <| x the covectors phi M_x: the columns and the rows of the Hankel
+    matrix (h(x y)) (Fliess, J. Math. Pures Appl. 53, 1974).
+    """
+    if alphabet is not None and not all(map(alphabet.is_nilpotent, h.support_letters())):
+        raise ValueError("finite functionals realize rep-backed only over nilpotent letters")
+    return MatrixCoefficient.of_pairs(*_suffix_module(h, alphabet))
 
 
 def product(h1, h2, alphabet: Alphabet = None):
@@ -282,41 +294,25 @@ def expand_rho(h, letters, alphabet: Alphabet = None) -> RhoExpansion:
     return RhoExpansion(letters, _expand_mc(h.rep, phi, v, d_phi * d_v, letters))
 
 
-def r_cut(w: Word):
-    """All prefixes of w, from the empty word to w itself."""
-    w = tuple(w)
-    return [w[:i] for i in range(len(w) + 1)]
-
-
 def membership_ffr(h, alphabet: Alphabet = None):
     """Finite-dimensionality of the right-translation closure U(g) |> h.
 
     Returns (True, dimension certificate); finiteness always holds for the
     representable functionals this artifact manipulates.  Both kinds run the
-    integer closure walk reps.submodule_generated.  For a matrix coefficient
-    it walks U(g) . v, so the certificate is dim U(g) . v, only an upper
-    bound on dim U(g) |> h.  A finite functional walks the span of the
-    prefixes of its words, which its translates never leave: there e |> h is
-    the 0/1 operator b_{p e} -> b_p, for the alphabet's letters (h's own
-    letters without an alphabet).
+    one closure walk reps.submodule_generated.  For a matrix coefficient it
+    walks U(g) . v under the letters' images, so the certificate is
+    dim U(g) . v, only an upper bound on dim U(g) |> h.  A finite functional
+    walks phi under the pull_backs of its suffix module's letters (the
+    alphabet's, or h's own without one), whatever their kinds: the covectors
+    phi M_x are its left translates h <| x, the rows of the Hankel matrix
+    (h(x y)), whose columns span U(g) |> h; row and column rank agree.
     """
     if isinstance(h, MatrixCoefficient):
-        ops = [h.rep.operators[e] for e in sorted(h.rep.alphabet.letters())]
-        return True, reps.submodule_generated(ops, h._v[1]).rank
-    prefixes = sorted({p for w in h.terms for p in r_cut(w)}, key=word_key)
-    index = {p: i for i, p in enumerate(prefixes)}
-    letters = alphabet.letters() if alphabet else h.support_letters()
-    columns = {}  # a letter that ends no prefix acts by zero, and is left out
-    for p, i in index.items():
-        if p and p[-1] in letters:
-            columns.setdefault(p[-1], []).append((i, ((index[p[:-1]], 1),)))
-    ops = [Operator(tuple(columns[e]), 1, len(prefixes), len(prefixes)) for e in sorted(columns)]
-    # h's coefficients on the prefixes, cleared to ints once
-    d = math.lcm(*(c.denominator for c in h.terms.values()))
-    ints = [0] * len(prefixes)
-    for w, c in h.terms.items():
-        ints[index[w]] = c.numerator * (d // c.denominator)
-    return True, reps.submodule_generated(ops, ints).rank
+        maps = [op.image for op in h.rep.operators.values()]
+        return True, reps.submodule_generated(maps, h._v[1]).rank
+    rep, (_, phi), _ = _suffix_module(h, alphabet)
+    maps = [op.pull_back for op in rep.operators.values()]
+    return True, reps.submodule_generated(maps, phi).rank
 
 
 def in_shuffle_span(h, length_bound: int) -> bool:

@@ -200,9 +200,11 @@ def derive_right(e: int, f: RegularFunction) -> RegularFunction:
 
     For both factor kinds the derivative lands on the vector slot: the
     nilpotent derivative at t=0 and the torus derivative at s=1 both give
-    e acting on v.
+    e acting on v, moved in integers as duals.right_translate moves it.
     """
-    return RegularFunction(f.rep, f.phi, reps.act_word(f.rep, (e,), f.v))
+    d_v, v = f._v
+    d_e, moved = f.rep.image((e,), v)
+    return RegularFunction.of_pairs(f.rep, f._phi, (d_v * d_e, moved))
 
 
 def derive_left(e: int, f: RegularFunction) -> RegularFunction:

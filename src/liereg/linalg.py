@@ -25,6 +25,14 @@ meets a nonzero entry of phi.  ``mat_mul`` runs the same scatter once per
 nonzero column of its right factor: column j of A B is A times column j of
 B.
 
+The closure walk ``reps.submodule_generated`` takes either as its linear
+maps: ``image`` spans the vectors U(g) . v of a module, ``pull_back`` the
+covectors phi U(g).  On the realization phi(. v) of a finite functional h
+the covectors phi M_x are its left translates h <| x, the rows of the
+Hankel matrix (h(x y)), whose columns are its right translates x |> h, so
+the walk of phi has the dimension of U(g) |> h (Fliess, J. Math. Pures
+Appl. 53, 1974).
+
 Elimination is fraction-free.  :class:`Echelon` takes integer vectors (a
 caller holding rationals clears them once with ``integral``; a Fraction
 raises TypeError) and keeps primitive integer rows in row echelon form:

@@ -170,21 +170,25 @@ def tensor(r1: RepSpec, r2: RepSpec) -> RepSpec:
     return RepSpec(r1.alphabet, n1 * n2, ops, labels)
 
 
-def submodule_generated(ops, ints) -> Echelon:
+def submodule_generated(maps, ints) -> Echelon:
     """The Echelon of the smallest subspace containing the integer vector ints
-    and closed under the Operators ops, read off breadth first.
+    and closed under the linear maps maps, read off breadth first.
 
-    The walk runs on integer multiples of the vectors (a span does not see
-    scale), and it stops once the rank is len(ints): the whole space is closed.
+    Each map takes and returns a list of ints: an Operator's image for the
+    vectors U(g) . v, or its pull_back for the covectors phi U(g), the left
+    translates of a functional (the rows of its Hankel matrix; Fliess,
+    J. Math. Pures Appl. 53, 1974).  The walk runs on integer multiples of
+    the vectors (a span does not see scale), and it stops once the rank is
+    len(ints): the whole space is closed.
     """
     dim = len(ints)
     ech = Echelon()
     queue = [ints] if ech.add(ints) else []
     for u in queue:  # the queue grows while it is read
-        for op in ops:
+        for f in maps:
             if ech.rank == dim:
                 return ech
-            w = op.image(u)
+            w = f(u)
             if ech.add(w):
                 queue.append(w)
     return ech

@@ -16,6 +16,7 @@ UNCALLED = (
     ("grp.f_w", "the coordinate functions f_w of the group, a paper concept"),
     ("kacmoody.peter_weyl_rank", "the Peter-Weyl rank of matrix coefficients"),
     ("linalg.mat_vec", "named by the benchmark's per-layer metrics"),
+    ("reps.act_word", "named by the benchmark's per-layer metrics"),
     ("linalg.solve", "named by the benchmark's per-layer metrics"),
 )
 

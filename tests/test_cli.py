@@ -645,6 +645,14 @@ def test_malformed_field_named(capsys, argv, field):
     assert err.startswith(f"error: {field}") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("letters, why", [("a,a", "duplicate letter names"),
+                                          (",", "alphabet must be nonempty")])
+def test_bad_letters_name_the_field(capsys, letters, why):
+    code, out, err = run(capsys, "shuffle", "--w1", "a", "--w2", "a", "--letters", letters)
+    assert (code, out) == (1, "")
+    assert err == f"error: letters: {why}\n"
+
+
 SUITE_TIME = re.compile(r" \(\d+\.\d\d s\)")
 
 

@@ -154,12 +154,6 @@ def test_expand_rho_diagonalizable():
         duals.expand_rho(duals.phi((0,)), (1,), mixed)
 
 
-def test_r_cut():
-    assert duals.r_cut((0, 1)) == [(), (0,), (0, 1)]
-    assert duals.r_cut(()) == [()]
-    assert duals.r_cut((0, 0, 1)) == [(), (0,), (0, 0), (0, 0, 1)]
-
-
 def test_membership_ffr():
     ok, dim = duals.membership_ffr(duals.phi((0, 1)), AB)
     assert ok and dim == 3
@@ -172,7 +166,7 @@ def test_membership_ffr():
 def test_r_cut_spans_translation_closure():
     for w in [(0,), (0, 1), (1, 0, 0)]:
         ok, dim = duals.membership_ffr(duals.phi(w), AB)
-        assert ok and dim == len(duals.r_cut(w))
+        assert ok and dim == len(w) + 1
 
 
 def chain_functional(p=10):
@@ -300,15 +294,24 @@ def finite_functionals(draw):
     return FiniteFunctional(draw(st.dictionaries(word, coeff, max_size=4)))
 
 
+# the third letter diagonalizable: membership answers h over it too, where
+# realize_rep_backed refuses h
+ABD = Alphabet(("e1", "e2", "d"), (words.NILPOTENT, words.NILPOTENT, words.DIAGONAL))
+
+
 @settings(max_examples=100, deadline=None)
-@given(finite_functionals())
-@example(FiniteFunctional({}))
-@example(duals.phi(()))
-@example(FiniteFunctional({(0, 1): Fraction(1, 3), (1, 1): Fraction(-2, 5), (): 7}))
-def test_membership_of_a_finite_functional_is_its_hankel_rank(h):
-    expected = hankel_rank(h, sorted(ABC.letters()))
-    assert duals.membership_ffr(h, ABC) == (True, expected)
+@given(finite_functionals(), st.sampled_from((ABC, ABD)))
+@example(FiniteFunctional({}), ABC)
+@example(duals.phi(()), ABC)
+@example(FiniteFunctional({(0, 1): Fraction(1, 3), (1, 1): Fraction(-2, 5), (): 7}), ABC)
+@example(FiniteFunctional({(2, 0): 1, (0, 2, 2): 2}), ABD)
+def test_membership_of_a_finite_functional_is_its_hankel_rank(h, alphabet):
+    expected = hankel_rank(h, sorted(alphabet.letters()))
+    assert duals.membership_ffr(h, alphabet) == (True, expected)
     assert duals.membership_ffr(h) == (True, expected)
+    if not all(map(alphabet.is_nilpotent, h.support_letters())):
+        with pytest.raises(ValueError):
+            duals.realize_rep_backed(h, alphabet)
 
 
 @st.composite

@@ -148,6 +148,22 @@ def test_derivations():
     assert dlf(GroupWord([exp_factor(1, 1)])) == 0
 
 
+def test_derive_right_builds_no_fraction(monkeypatch):
+    """e |> f moves v's stored pair by RepSpec.image: no Fraction is made, and
+    its values are those of e acting on v in Fractions, for both kinds."""
+    rep = reps.RepSpec(MIXED, 3, {0: [[0, Fraction(1, 2), 0], [0, 0, -3], [0, 0, 0]],
+                                  1: [[2, 0, 0], [0, -1, 0], [0, 0, 0]]})
+    f = RegularFunction(rep, (Fraction(1, 3), 2, 0), (Fraction(3, 4), Fraction(-1, 5), 7))
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    moved = [grp.derive_right(e, f) for e in (0, 1)]
+    monkeypatch.undo()
+    assert [(d.phi, d.v) for d in moved] == [(f.phi, ref_act_word(rep, (e,), f.v)) for e in (0, 1)]
+
+
 def test_derivation_leibniz_instance():
     rep = reps.make_cyclic_pair(AB, 0, 1)
     f1 = RegularFunction(rep, (1, 0), (0, 1))

@@ -138,20 +138,21 @@ def test_tensor_diagonal_adds_eigenvalues():
     assert t.matrices[1] == ((3,),)
 
 
-def letter_operators(rep):
-    return [rep.operators[e] for e in sorted(rep.alphabet.letters())]
+def letter_images(rep):
+    """Each letter's Operator.image, the linear maps of the closure walk."""
+    return [rep.operators[e].image for e in sorted(rep.alphabet.letters())]
 
 
 def test_submodule_generated():
-    ops = letter_operators(chain12())
-    assert reps.submodule_generated(ops, [1, 0, 0]).rank == 3
-    assert reps.submodule_generated(ops, [0, 0, 0]).basis() == []
-    assert reps.submodule_generated(ops, [0, 0, 5]).basis() == [(0, 0, 1)]
+    maps = letter_images(chain12())
+    assert reps.submodule_generated(maps, [1, 0, 0]).rank == 3
+    assert reps.submodule_generated(maps, [0, 0, 0]).basis() == []
+    assert reps.submodule_generated(maps, [0, 0, 5]).basis() == [(0, 0, 1)]
 
 
 def test_submodule_closure_property():
     rep = reps.make_VNJ(AB, 2, (0, 1))
-    basis = reps.submodule_generated(letter_operators(rep), [0, 1, 0, 0, 0, 0, 0]).basis()
+    basis = reps.submodule_generated(letter_images(rep), [0, 1, 0, 0, 0, 0, 0]).basis()
     ech = linalg.Echelon()
     for b in basis:
         ech.add(linalg.integral(b)[1])
@@ -512,7 +513,7 @@ def test_modules_never_build_their_fraction_matrices(monkeypatch):
         out.append(grp.derive_left(0, grp.RegularFunction(mixed, v[::-1], v)).phi)
         out.append(duals.product(h, h).evaluate_word((0, 1, 0)))
         out.append(duals.in_shuffle_span(h, 1))
-        out.append(reps.submodule_generated(letter_operators(chain), [1] + [0] * (chain.dim - 1)).basis())
+        out.append(reps.submodule_generated(letter_images(chain), [1] + [0] * (chain.dim - 1)).basis())
         return out
 
     expected = run()
