@@ -153,10 +153,15 @@ def _suffix_module(h: FiniteFunctional, alphabet: Alphabet = None):
     is b_w when w is a suffix and zero otherwise, so phi(w . v) = h(w) on every
     word.  The module has at most 1 + sum |w| dimensions over h's words w.
     Without an alphabet, the letters 0 .. max of h are read as locally
-    nilpotent.  Every letter acts nilpotently here, whatever its kind.
+    nilpotent; with one, a letter of h outside it is refused (ValueError).
+    Every letter acts nilpotently here, whatever its kind.
     """
     if alphabet is None:
         alphabet = Alphabet(range(1 + max(h.support_letters(), default=0)))
+    foreign = sorted(h.support_letters().difference(alphabet.letters()))
+    if foreign:
+        raise ValueError(f"letter {foreign[0]} of h is not in the alphabet "
+                         f"({', '.join(alphabet.names)})")
     rep = reps.word_module(alphabet, {w[i:] for w in h.terms for i in range(len(w) + 1)} | {()})
     phi = linalg.integral([h.terms.get(u, 0) for u in rep.labels])
     return rep, phi, (1, [1] + [0] * (rep.dim - 1))
@@ -171,9 +176,10 @@ def realize_rep_backed(h: FiniteFunctional, alphabet: Alphabet = None) -> Matrix
     h <| x the covectors phi M_x: the columns and the rows of the Hankel
     matrix (h(x y)) (Fliess, J. Math. Pures Appl. 53, 1974).
     """
-    if alphabet is not None and not all(map(alphabet.is_nilpotent, h.support_letters())):
+    rep, phi, v = _suffix_module(h, alphabet)
+    if not all(map(rep.alphabet.is_nilpotent, h.support_letters())):
         raise ValueError("finite functionals realize rep-backed only over nilpotent letters")
-    return MatrixCoefficient.of_pairs(*_suffix_module(h, alphabet))
+    return MatrixCoefficient.of_pairs(rep, phi, v)
 
 
 def product(h1, h2, alphabet: Alphabet = None):

@@ -159,9 +159,21 @@ def validate_gcm(a) -> GCM:
 #
 # Both divisions must be exact, and that is checked: a remainder (or a
 # negative multiplicity) means the recurrence went wrong.  Only the nonzero
-# C_beta' are stored, and the sum runs over them alone.  Freudenthal's
-# formula pairs against B alpha, precomputed for each root, so each
-# (beta|alpha) is one integer dot product and its final division is exact.
+# C_beta' are stored, and the sum runs over them alone.
+#
+# Freudenthal's recursion runs on the dominant chamber (Moody-Patera, Bull.
+# AMS 7, 1982).  For dominant Lambda the multiplicities of L(Lambda) are
+# W-invariant (Kac, Prop. 10.1), so `_dominant_beta` reflects each weight
+# Lambda - beta to its dominant conjugate Lambda - beta', or finds that the
+# walk leaves the cone below Lambda, where the multiplicity is 0.  The
+# recursion is asked, and caches, dominant weights only, and Peterson runs to
+# the height of beta', never of beta.  At a dominant lambda = Lambda - beta
+# the left factor (beta|2 Lambda + 2 rho - beta) = (beta|Lambda + rho) +
+# (beta|lambda + rho) is a sum of positive pairings, so the division is by a
+# positive integer; it must be exact with a nonnegative quotient, and that is
+# checked.  The formula pairs against B alpha, precomputed for each root, so
+# each (beta|alpha) is one integer dot product.  The walk is written here
+# again, apart from IrrTrunc's, so the oracle shares no code with the build.
 
 
 def root_multiplicities(gcm: GCM, max_height: int) -> dict:
@@ -220,17 +232,29 @@ def root_multiplicities(gcm: GCM, max_height: int) -> dict:
 
 
 def freudenthal_multiplicity(gcm: GCM, lam, beta, _cache=None) -> int:
-    """Weight multiplicity of L(lam) at lam - beta by the Freudenthal recursion.
+    """Weight multiplicity of L(lam) at lam - beta by the Freudenthal recursion,
+    run on the dominant chamber.
 
-    `_cache`, one dict per (gcm, lam), keeps the multiplicities found and,
-    under the key None, the root table with its height: Peterson's recurrence
-    runs again only for a beta taller than the table.  Roots taller than beta
-    never fit into it, so a taller table gives the same sums.
+    `_dominant_beta` first reflects lam - beta to its dominant conjugate
+    lam - beta', or proves it is not <= lam (multiplicity 0, and Peterson
+    never runs); the recursion then visits dominant weights alone.  `lam`
+    must be dominant: the invariance under W that the walk uses holds for
+    the integrable L(lam).  `_cache`, one dict per (gcm, lam), keeps the
+    multiplicities found, keyed by the dominant beta', and, under the key
+    None, the root table with its height: Peterson's recurrence runs again
+    only for a beta' taller than the table.  Roots taller than beta' never
+    fit into it, so a taller table gives the same sums.
     """
     lam = tuple(int(x) for x in lam)
-    beta = tuple(int(x) for x in beta)
+    if len(lam) != gcm.n:
+        raise ValueError("highest weight has wrong length")
+    if any(x < 0 for x in lam):
+        raise ValueError("highest weight must be dominant")
     if _cache is None:
         _cache = {}
+    beta = _dominant_beta(gcm, lam, tuple(int(x) for x in beta))
+    if beta is None:
+        return 0
     if beta in _cache:
         return _cache[beta]
     lam_pairs = tuple(map(mul, gcm.d, lam))  # (alpha_i|Lambda) = d_i Lambda(h_i)
@@ -244,14 +268,41 @@ def freudenthal_multiplicity(gcm: GCM, lam, beta, _cache=None) -> int:
                           sum(map(mul, pair, alpha))))
         _cache[None] = height, roots
     lam_rho = tuple(map(add, lam_pairs, gcm.d))  # (alpha_i|Lambda + rho)
-    return _freudenthal(beta, roots, lam_rho, gcm, _cache)
+    return _freudenthal(beta, roots, lam, lam_rho, gcm, _cache)
 
 
-def _freudenthal(beta, roots, lam_rho, gcm: GCM, cache) -> int:
-    """mult(beta) from Freudenthal's formula at the weight Lambda - beta:
+def _dominant_beta(gcm: GCM, lam, beta):
+    """The beta' with lam - beta' the dominant conjugate of lam - beta under
+    simple reflections, or None when the walk leaves the cone below lam.
+
+    While lambda(h_i) = -m < 0, s_i lambda = lambda + m alpha_i lowers beta_i
+    by m; a coordinate of beta below 0 means a weight not <= lam, so the
+    multiplicity is 0.  Each step lowers the height, so the walk stops.
+    """
+    # lambda(h_j) = lam_j - sum_i a_ji beta_i, and alpha_i(h_j) = a_ji
+    coords = [x - sum(map(mul, row, beta)) for x, row in zip(lam, gcm.a)]
+    beta = list(beta)
+    while True:
+        i = next((i for i, x in enumerate(coords) if x < 0), None)
+        if i is None:
+            return tuple(beta)
+        m = -coords[i]
+        beta[i] -= m
+        if beta[i] < 0:
+            return None
+        coords = [x + m * row[i] for x, row in zip(coords, gcm.a)]
+
+
+def _freudenthal(beta, roots, lam, lam_rho, gcm: GCM, cache) -> int:
+    """mult(beta) for a dominant weight Lambda - beta, from Freudenthal's formula
 
         (2 (Lambda + rho|beta) - (beta|beta)) mult(beta)
-            = 2 sum_{alpha > 0, j >= 1} mult(alpha) mult(beta - j alpha) (Lambda - beta + j alpha|alpha).
+            = 2 sum_{alpha > 0, j >= 1} mult(alpha) mult(beta - j alpha) (Lambda - beta + j alpha|alpha),
+
+    each mult(beta - j alpha) read at the dominant conjugate of its weight.
+    The left factor is (beta|Lambda + rho) + (beta|lambda + rho) with
+    lambda = Lambda - beta dominant, so it is positive for beta > 0; the
+    division must be exact and its quotient nonnegative, and that is checked.
     """
     if beta in cache:
         return cache[beta]
@@ -266,17 +317,16 @@ def _freudenthal(beta, roots, lam_rho, gcm: GCM, cache) -> int:
         for _ in range(steps):
             target = tuple(map(sub, target, alpha))
             pairing += norm
-            m = _freudenthal(target, roots, lam_rho, gcm, cache)
-            if m:
-                total += mult_a * m * pairing
-    if denom == 0:
-        if total:
-            raise AssertionError((beta, total))
-        result = 0
-    else:
-        result, rem = divmod(2 * total, denom)
-        if rem or result < 0:
-            raise AssertionError((beta, Fraction(2 * total, denom)))
+            dominant = _dominant_beta(gcm, lam, target)
+            if dominant is not None:
+                m = _freudenthal(dominant, roots, lam, lam_rho, gcm, cache)
+                if m:
+                    total += mult_a * m * pairing
+    if denom <= 0:
+        raise AssertionError((beta, denom))
+    result, rem = divmod(2 * total, denom)
+    if rem or result < 0:
+        raise AssertionError((beta, Fraction(2 * total, denom)))
     cache[beta] = result
     return result
 

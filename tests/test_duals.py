@@ -163,6 +163,13 @@ def test_membership_ffr():
     assert ok3 and dim3 == 1
 
 
+@pytest.mark.parametrize("call", [duals.realize_rep_backed, duals.membership_ffr],
+                         ids=["realize", "membership"])
+def test_a_letter_outside_the_alphabet_is_refused_by_name(call):
+    with pytest.raises(ValueError, match=r"letter 1 .*not in the alphabet \(a\)"):
+        call(duals.phi((0, 1)), Alphabet(("a",)))
+
+
 def test_r_cut_spans_translation_closure():
     for w in [(0,), (0, 1), (1, 0, 0)]:
         ok, dim = duals.membership_ffr(duals.phi(w), AB)

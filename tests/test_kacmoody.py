@@ -342,6 +342,33 @@ def test_freudenthal_runs_peterson_once(monkeypatch):
     assert calls == [8]
 
 
+@pytest.mark.parametrize("k,mult,heights", [((5, 3), 1, [2]), ((0, 9), 0, []), ((2, 6), 0, [])],
+                         ids=["5-3", "0-9", "2-6"])
+def test_freudenthal_runs_peterson_to_the_dominant_height(monkeypatch, k, mult, heights):
+    """(5, 3) reflects to the dominant (1, 1); (0, 9) and (2, 6) reflect past
+    Lambda, so they are 0 before any root is needed."""
+    calls = []
+    real = kacmoody.root_multiplicities
+
+    def counted(gcm, max_height):
+        calls.append(max_height)
+        return real(gcm, max_height)
+
+    monkeypatch.setattr(kacmoody, "root_multiplicities", counted)
+    assert freudenthal_multiplicity(AFFINE, (1, 0), k) == mult
+    assert calls == heights
+
+
+def test_freudenthal_shares_no_code_with_the_build(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the oracle called the build")
+
+    monkeypatch.setattr(IrrTrunc, "_reflects_to_zero", refuse)
+    monkeypatch.setattr(IrrTrunc, "_build", refuse)
+    assert freudenthal_multiplicity(AFFINE, (1, 0), (5, 3)) == 1
+    assert freudenthal_multiplicity(HYPERBOLIC, (1, 0), (3, 3)) == 6
+
+
 def _ref_bilinear(gcm, beta, gamma):
     """(beta|gamma) = sum_ij beta_i d_i a_ij gamma_j over Fractions."""
     total = Fraction(0)
@@ -440,6 +467,77 @@ def test_root_multiplicities_match_the_fraction_reference(a, height):
     assert mult == ref_root_multiplicities(gcm, height)
     assert list(mult) == list(ref_root_multiplicities(gcm, height))  # same order
     assert all(type(m) is int for m in mult.values())
+
+
+def ref_freudenthal(gcm, lam, beta, cache=None) -> int:
+    """Freudenthal's recursion over every weight below lam - beta, with no
+    reflection: the earlier implementation, kept as the reference."""
+    if cache is None:
+        cache = {}
+    lam_pairs = [d * x for d, x in zip(gcm.d, lam)]
+    height, roots = cache.get(None, (0, ()))
+    if sum(beta) > height:
+        height = sum(beta)
+        roots = []
+        for alpha, mult_a in sorted(root_multiplicities(gcm, height).items()):
+            pair = gcm.pair_vector(alpha)
+            roots.append((alpha, mult_a, pair, sum(a * p for a, p in zip(alpha, lam_pairs)),
+                          sum(p * a for p, a in zip(pair, alpha))))
+        cache[None] = height, roots
+    lam_rho = tuple(p + d for p, d in zip(lam_pairs, gcm.d))
+
+    def mult(beta):
+        if beta in cache:
+            return cache[beta]
+        if not any(beta):
+            return 1
+        denom = 2 * sum(b * x for b, x in zip(beta, lam_rho)) - gcm.bilinear(beta, beta)
+        total = 0
+        for alpha, mult_a, pair, lam_pair, norm in roots:
+            steps = min(b // a for a, b in zip(alpha, beta) if a)
+            pairing = lam_pair - sum(p * b for p, b in zip(pair, beta))
+            target = beta
+            for _ in range(steps):
+                target = tuple(t - a for t, a in zip(target, alpha))
+                pairing += norm
+                m = mult(target)
+                if m:
+                    total += mult_a * m * pairing
+        if denom == 0:
+            assert total == 0, (beta, total)
+            result = 0
+        else:
+            result, rem = divmod(2 * total, denom)
+            assert rem == 0 and result >= 0, (beta, Fraction(2 * total, denom))
+        cache[beta] = result
+        return result
+
+    return mult(tuple(beta))
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetrizable_gcms(), st.lists(st.integers(0, 2), min_size=3, max_size=3))
+@example([[2, -2], [-2, 2]], [1, 0, 0])
+@example([[2, -3], [-3, 2]], [1, 1, 0])
+@example([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], [0, 2, 1])
+@example([[2, -2, 0], [-1, 2, -1], [0, -2, 2]], [2, 0, 1])
+def test_freudenthal_on_the_dominant_chamber_matches_the_full_recursion(a, lam):
+    gcm = validate_gcm(a)
+    lam = tuple(lam[:gcm.n])
+    cache, ref_cache = {}, {}
+    for k in _weights(gcm.n, 6):
+        assert freudenthal_multiplicity(gcm, lam, k, cache) == ref_freudenthal(
+            gcm, lam, k, ref_cache), k
+    # the recursion is asked for, and caches, dominant weights only
+    for beta in filter(None, cache):
+        assert all(x >= sum(a * b for a, b in zip(row, beta)) for x, row in zip(lam, gcm.a)), beta
+
+
+def test_freudenthal_refuses_a_non_dominant_weight():
+    with pytest.raises(ValueError, match="dominant"):
+        freudenthal_multiplicity(AFFINE, (1, -1), (1, 0))
+    with pytest.raises(ValueError, match="length"):
+        freudenthal_multiplicity(AFFINE, (1,), (1, 0))
 
 
 def test_root_multiplicities_affine_a2_imaginary_roots():
@@ -966,10 +1064,13 @@ def test_the_reflection_walk_marks_only_zero_weights(a, lam, depth):
     gcm = validate_gcm(a)
     lam = lam[:gcm.n]
     mod = IrrTrunc(gcm, lam, depth)
-    cache = {}
+    cache, ref_cache = {}, {}
     for k in _weights(gcm.n, depth):
         if any(k) and mod._reflects_to_zero(k, mod.lam_of(k)):
             assert freudenthal_multiplicity(gcm, lam, k, cache) == 0, k
+            # the oracle reflects too, so the full recursion keeps this
+            # test from checking the walk against itself
+            assert ref_freudenthal(gcm, lam, k, ref_cache) == 0, k
 
 
 # Plain-Fraction references for the integer actions: every generator is read
