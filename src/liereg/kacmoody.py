@@ -19,6 +19,9 @@ A zero space is built without its parents and stores no matrices: the f_i
 and e_i matrices to or from it are empty Operators of the right shape.  The
 walk runs before the depth cap is checked, so a weight past the cap that it
 proves zero is answered, and only a space that must be reduced is refused.
+Multiplicities alone (`dimensions`, `weight_multiplicity`) are read at the
+dominant conjugate, so they reduce only dominant weights and the spaces
+below them; bases and matrices are built at the weight asked for.
 
 Everything runs in integers: the matrices of f_i and e_i are linalg.Operators
 (integer entries over one denominator), kept on the weight space they lead
@@ -369,18 +372,23 @@ class IrrTrunc:
     levels closer to the top, and cached; each keeps the matrices of f_i
     into it and of e_i out of it (`WeightSpace.f`, `WeightSpace.e`), each a
     `linalg.Operator` (integer entries over one denominator, in lowest
-    terms).  A weight space that the reflection walk of `_reflects_to_zero`
+    terms).  A weight space that the reflection walk of `_dominant_depth`
     proves zero is cached alone, without its parents and without matrices;
     `f_matrix` and `e_matrix` give the empty Operator of the right shape for
-    it, and for a nonzero space next to it.  Every weight space is exact at
-    any depth, so there is one bound, checked in one place, `_build`, after
+    it, and for a nonzero space next to it.  The multiplicities of L(Lambda)
+    are W-invariant, so `dimensions` and `weight_multiplicity` read each one
+    at the weight's dominant conjugate and build no space at a non-dominant
+    weight but those below a dominant one; `space`, the matrices and the
+    actions build the weight they are asked for.  Every weight space is
+    exact at any depth, so there is one bound, the depth cap, checked after
     the walk: any operation builds the spaces it needs up to depth
-    `depth_cap`, and refuses a space beyond it unless the walk, which takes
-    at most `depth_cap + 1` steps, proves it zero.  `depth` only sets the range that `dimensions()` lists, and must
-    itself lie within the cap.  `dim_cap` bounds the number of candidates
-    reduced for one weight space, so it never applies to a space that the
-    walk proves zero: such a space reduces none.  An instance takes no lock,
-    so it is not meant to be shared between threads.
+    `depth_cap`, and refuses a weight beyond it unless the walk, which
+    takes at most `depth_cap + 1` steps, proves it zero.  `depth` only sets the range that
+    `dimensions()` lists, and must itself lie within the cap.  `dim_cap`
+    bounds the number of candidates reduced for one weight space, so it
+    never applies to a space that the walk proves zero: such a space
+    reduces none.  An instance takes no lock, so it is not meant to be
+    shared between threads.
     """
 
     def __init__(self, gcm: GCM, lam, depth: int,
@@ -430,32 +438,36 @@ class IrrTrunc:
             ws = self._spaces[k] = self._build(k)
         return ws
 
-    def _reflects_to_zero(self, k, lam) -> bool:
-        """Whether simple reflections take the weight lambda = `lam` at depth k
-        past Lambda, which proves V_k = 0.
+    def _dominant_depth(self, k, lam):
+        """The depth vector of the dominant conjugate of the weight lambda =
+        `lam` at depth k, or None when simple reflections take it past
+        Lambda, which proves V_k = 0.
 
         While some lambda(h_i) = -m < 0, s_i lambda = lambda + m alpha_i sits
         at depth k - m e_i; multiplicities are W-invariant (Kac,
         Infinite-dimensional Lie algebras, Prop. 3.7), and a weight that is
-        not <= Lambda has none, so a negative coordinate means V_k = 0.  Each
-        step lowers the height by at least 1, so the walk stops; one that ends
-        at a dominant weight gives no verdict.  The walk takes at most
-        depth_cap + 1 steps, so the work a depth vector causes is bounded by
-        the cap, not by its size; every k with sum(k) <= depth_cap + 1, the
-        most an action reaches from a space within the cap, gets the full
-        walk's verdict.
+        not <= Lambda has none, so a negative coordinate means V_k = 0, and a
+        walk that ends at a dominant weight gives the depth vector whose
+        space has the dimension of V_k.  Each step lowers the height by at
+        least 1, so the walk stops.  It takes at most depth_cap + 1 steps, so
+        the work a depth vector causes is bounded by the cap, not by its
+        size; every k with sum(k) <= depth_cap + 1, the most an action
+        reaches from a space within the cap, gets the full walk's verdict.
+        A walk cut off by that bound returns the depth vector where it
+        stopped, not a dominant one, for a k that every caller refuses as
+        past the cap.
         """
         k, lam = list(k), list(lam)
         for _ in range(self.depth_cap + 1):
             i = next((i for i, x in enumerate(lam) if x < 0), None)
             if i is None:
-                return False
+                break
             m = -lam[i]
             k[i] -= m
             if k[i] < 0:
-                return True
+                return None
             lam = [x + m * a for x, a in zip(lam, self._alpha[i])]
-        return False
+        return tuple(k)
 
     def _build(self, k) -> WeightSpace:
         """V_k, with the matrices of f_i into it and of e_i out of it.
@@ -484,7 +496,7 @@ class IrrTrunc:
         if not any(k):
             return WeightSpace(k, ((),), self.lam, none, none)
         lam = self.lam_of(k)
-        if self._reflects_to_zero(k, lam):
+        if self._dominant_depth(k, lam) is None:
             return WeightSpace(k, (), lam, none, none)
         self._check_total(sum(k))
         parents = [(j, self._space(_shift(k, j, -1))) for j in range(self.gcm.n) if k[j]]
@@ -538,14 +550,40 @@ class IrrTrunc:
         return WeightSpace(k, basis, lam, tuple(f), tuple(e))
 
     def weight_multiplicity(self, k) -> int:
-        return self.space(k).dim
+        """dim V_k, read at the dominant conjugate of the weight at depth k.
+
+        The walk runs first: a weight that it reflects past Lambda answers 0
+        at any depth, and nothing is built.  Only then is the depth cap
+        checked, so a weight past it that the walk does not prove zero is
+        refused as `space` refuses it; within the cap the walk is complete,
+        and the dominant space it ends at, which lies componentwise below k,
+        is built.
+        """
+        k = self._depth_vector(k)
+        top = self._dominant_depth(k, self.lam_of(k))
+        if top is None:
+            return 0
+        self._check_total(sum(k))
+        return self._space(top).dim
 
     def dimensions(self) -> dict:
-        """Nonzero weight multiplicities for all depth vectors of total at most `depth`."""
+        """Nonzero weight multiplicities for all depth vectors of total at most `depth`.
+
+        The box is read in product order.  A dominant weight is built; at any
+        other, the first lambda(h_i) = -m < 0 gives s_i lambda at depth
+        k - m e_i with the same multiplicity (W-invariance), and k - m e_i
+        is smaller than k in the i-th coordinate alone, so it comes earlier
+        in product order and lies in the box: it is in `out` unless its
+        multiplicity is 0, or it has a negative coordinate and the weight is
+        not <= Lambda.  So only dominant weights and the spaces below them
+        are built.
+        """
         out = {}
         for k in itertools.product(range(self.depth + 1), repeat=self.gcm.n):
             if sum(k) <= self.depth:
-                d = self._space(k).dim
+                lam = self.lam_of(k)
+                i = next((i for i, x in enumerate(lam) if x < 0), None)
+                d = self._space(k).dim if i is None else out.get(_shift(k, i, lam[i]), 0)
                 if d:
                     out[k] = d
         return out

@@ -425,6 +425,16 @@ def test_dim_cap_applies_only_to_weights_the_reflections_leave_open(
         assert json.loads(out)["multiplicity"] == multiplicity
 
 
+def test_km_mult_reads_the_multiplicity_at_the_dominant_weight(capsys, monkeypatch):
+    """(5,3) reflects to the dominant (1,1), whose one candidate f_1 f_0 v
+    fits the cap; reduced where it lies, V_(5,3) has 3 candidates."""
+    monkeypatch.setenv("LIEREG_DIM_CAP", "2")
+    code, out, err = run(capsys, "km-mult", "--matrix", AFFINE_A1, "--weight", "[1,0]",
+                         "--k", "[5,3]")
+    assert code == 0, err
+    assert json.loads(out)["multiplicity"] == 1
+
+
 @pytest.mark.parametrize("cap, argv, code, out_or_err", [
     # exp(f) exp(2f) v_Lambda: f f v_Lambda lies at depth 2, past the cap,
     # where the reflection walk proves the weight zero

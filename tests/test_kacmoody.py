@@ -363,7 +363,7 @@ def test_freudenthal_shares_no_code_with_the_build(monkeypatch):
     def refuse(*args):
         raise AssertionError("the oracle called the build")
 
-    monkeypatch.setattr(IrrTrunc, "_reflects_to_zero", refuse)
+    monkeypatch.setattr(IrrTrunc, "_dominant_depth", refuse)
     monkeypatch.setattr(IrrTrunc, "_build", refuse)
     assert freudenthal_multiplicity(AFFINE, (1, 0), (5, 3)) == 1
     assert freudenthal_multiplicity(HYPERBOLIC, (1, 0), (3, 3)) == 6
@@ -855,6 +855,8 @@ def test_a_zero_weight_builds_only_itself():
     # lambda(h_1) = -18 at k = (0,9): s_1 takes it to depth (0,-9), above Lambda
     mod = IrrTrunc(AFFINE, (1, 0), 9)
     assert mod.weight_multiplicity((0, 9)) == 0
+    assert mod._spaces == {}  # the multiplicity alone builds nothing
+    assert mod.space((0, 9)).dim == 0
     assert list(mod._spaces) == [(0, 9)]
 
 
@@ -882,11 +884,62 @@ def test_only_nonzero_spaces_run_an_elimination(monkeypatch, gcm, lam, depth):
 
     monkeypatch.setattr(kacmoody, "Echelon", Counting)
     mod = IrrTrunc(gcm, lam, depth)
-    dims = mod.dimensions()
+    dims = _build_box(mod)
     assert len(mod._spaces) > len(dims)  # some spaces in the box are zero
     assert len(made) == len(dims) - 1  # one per nonzero space below the top
     # matrices are stored only between two nonzero spaces
     assert all(op.height and op.width for op in _stored(mod))
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetrizable_gcms(), st.lists(st.integers(0, 2), min_size=3, max_size=3),
+       st.integers(0, 6))
+@example([[2, -2], [-2, 2]], [1, 0, 0], 6)
+@example([[2, -3], [-3, 2]], [1, 1, 0], 6)
+@example([[2, -1], [-3, 2]], [1, 1, 0], 6)
+@example([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], [0, 2, 1], 6)
+@example([[2, -2, 0], [-1, 2, -1], [0, -2, 2]], [2, 0, 1], 6)
+def test_multiplicities_read_on_the_dominant_chamber_match_the_direct_build(a, lam, depth):
+    """`dimensions` and `weight_multiplicity` read each weight at its
+    dominant conjugate; `space` reduces the weight where it lies, so a fresh
+    module built through it reads no multiplicity off a reflected weight."""
+    gcm = validate_gcm(a)
+    lam = tuple(lam[:gcm.n])
+    direct = IrrTrunc(gcm, lam, depth)
+    dims = _build_box(direct)
+    assert IrrTrunc(gcm, lam, depth).dimensions() == dims
+    mod = IrrTrunc(gcm, lam, depth)
+    for k in _weights(gcm.n, depth):
+        assert mod.weight_multiplicity(k) == direct.space(k).dim, k
+
+
+@pytest.mark.parametrize("gcm,lam,depth,built", [
+    (A2, (2, 1), 10, 4), (G2, (1, 1), 22, 21), (AFFINE, (1, 0), 12, 33),
+    (AFFINE_A2, (1, 0, 0), 6, 24), (HYPERBOLIC, (1, 0), 9, 31),
+])
+def test_multiplicities_build_only_the_spaces_below_dominant_weights(gcm, lam, depth, built):
+    mod, asked = IrrTrunc(gcm, lam, depth), IrrTrunc(gcm, lam, depth)
+    dims = mod.dimensions()
+    box = _weights(gcm.n, depth)
+    assert {k: asked.weight_multiplicity(k) for k in box} == {k: dims.get(k, 0) for k in box}
+    dominant = [k for k in box if min(mod.lam_of(k)) >= 0]
+    for k in mod._spaces:
+        assert any(all(map(int.__le__, k, top)) for top in dominant), k
+    # each weight is read at its dominant conjugate, which lies in the box
+    assert sorted(asked._spaces) == sorted(mod._spaces)
+    assert len(mod._spaces) == built < len(box)
+    assert dims == _build_box(IrrTrunc(gcm, lam, depth))
+
+
+def test_weight_multiplicity_walks_before_it_checks_the_cap():
+    mod = IrrTrunc(AFFINE, (1, 0), 4, depth_cap=4)
+    # (5,3) reflects to the dominant (1,1), but a weight the walk leaves
+    # open is refused past the cap, as `space` refuses it
+    with pytest.raises(TruncationError, match="truncation depth 8,"):
+        mod.weight_multiplicity((5, 3))
+    # (0,9) reflects past Lambda: 0 at any depth
+    assert mod.weight_multiplicity((0, 9)) == 0
+    assert mod._spaces == {}  # neither call built a space
 
 
 def test_dim_cap_bounds_the_candidates():
@@ -915,6 +968,14 @@ def test_depth_extension_is_lazy_and_cached():
     out = act_km_group(mod, (KMFactor("f", 0, Fraction(1)),), mod.highest_weight_vector())
     assert out.coefficient((6,)) == Fraction(1, 720)
     assert (6,) in mod._spaces
+
+
+def _build_box(mod):
+    """Build every weight space of the box through `space`, which reduces
+    each weight where it lies, and return the nonzero dimensions, as
+    `dimensions()` lists them."""
+    dims = {k: mod.space(k).dim for k in _weights(mod.gcm.n, mod.depth)}
+    return {k: d for k, d in dims.items() if d}
 
 
 def _build_digest(mod):
@@ -951,8 +1012,10 @@ def _build_digest(mod):
 )
 def test_weight_space_bases_and_matrices_are_pinned(gcm, lam, depth, dim, digest):
     mod = IrrTrunc(gcm, lam, depth)
-    assert sum(mod.dimensions().values()) == dim
+    dims = _build_box(mod)
+    assert sum(dims.values()) == dim
     assert _build_digest(mod) == digest
+    assert IrrTrunc(gcm, lam, depth).dimensions() == dims
 
 
 @pytest.mark.parametrize(
@@ -986,9 +1049,11 @@ def test_the_build_reduces_each_space_once(monkeypatch, gcm, lam, depth, updates
     monkeypatch.setattr(linalg.Echelon, "add", counting_add)
     monkeypatch.setattr(linalg.Echelon, "reduce", counting_reduce)
     monkeypatch.setattr(linalg, "_make_primitive", counting_make_primitive)
-    dims = IrrTrunc(gcm, lam, depth).dimensions()
+    dims = _build_box(IrrTrunc(gcm, lam, depth))
     assert counts["reduce"] == len(dims) - 1  # one per nonzero space below the top
     assert counts["primitive"] - counts["accepted"] == updates
+    monkeypatch.undo()
+    assert IrrTrunc(gcm, lam, depth).dimensions() == dims
 
 
 @pytest.mark.parametrize(
@@ -1066,7 +1131,7 @@ def test_the_reflection_walk_marks_only_zero_weights(a, lam, depth):
     mod = IrrTrunc(gcm, lam, depth)
     cache, ref_cache = {}, {}
     for k in _weights(gcm.n, depth):
-        if any(k) and mod._reflects_to_zero(k, mod.lam_of(k)):
+        if any(k) and mod._dominant_depth(k, mod.lam_of(k)) is None:
             assert freudenthal_multiplicity(gcm, lam, k, cache) == 0, k
             # the oracle reflects too, so the full recursion keeps this
             # test from checking the walk against itself
