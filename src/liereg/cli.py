@@ -322,7 +322,9 @@ def cmd_km_build(args):
 def cmd_km_mult(args):
     gcm, lam = _km_weight(args)
     k = _nonnegative_ints(_load_json(args.k, "k"), "k", gcm.n)
-    mod = IrrTrunc(gcm, lam, depth=sum(k), depth_cap=_depth_cap(), dim_cap=_dim_cap())
+    # depth 0: km-mult lists no box, and weight_multiplicity checks the cap
+    # after the reflection walk, so a zero weight past the cap is answered
+    mod = IrrTrunc(gcm, lam, depth=0, depth_cap=_depth_cap(), dim_cap=_dim_cap())
     mult = mod.weight_multiplicity(k)
     # "gram-rank" is the old name of "multiplicity", kept for one release
     out = {"depth": list(k), "multiplicity": mult, "gram-rank": mult}
@@ -414,11 +416,14 @@ def cmd_check(args):
 
 @functools.cache  # built once per process: main parses with it on every call
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser; its `commands` maps each subcommand's name to
+    the subcommand's own parser, to which `main` hands the arguments."""
     parser = argparse.ArgumentParser(
         prog="liereg",
         description="Exact computer algebra for free Lie algebras and Kac-Moody modules.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
@@ -509,8 +514,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  When argv starts with a subcommand's name, the rest
+    goes straight to that subcommand's parser, as the top-level parser
+    would hand it on, and the top-level parser reports what is left over;
+    anything else (no command, -h, an unknown command) the top-level parser
+    parses, so every message is the one argparse gives."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args.command = argv[0]
     if args.command == "act" and args.x is None and args.group is None:
         parser.error("act needs --x or --group")
     if args.command == "witness" and args.x is None and args.group is None:

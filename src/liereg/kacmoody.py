@@ -25,9 +25,10 @@ below them; bases and matrices are built at the weight asked for.
 
 Everything runs in integers: the matrices of f_i and e_i are linalg.Operators
 (integer entries over one denominator), kept on the weight space they lead
-into (f_i) or out of (e_i); a weight space is reduced from integer rows; and
-a TruncVector is stored once, as one denominator and integer coordinates in
-lowest terms, the form every action reads and returns.  Fractions are built
+into (f_i) or out of (e_i), where the actions read them; a weight space is
+reduced from integer rows; and a TruncVector is stored once, as one
+denominator and integer coordinates in lowest terms, the form every action
+reads and returns.  Fractions are built
 only where a caller reads them (`TruncVector.parts`, `coefficient`).
 
 Weights are tracked as depth vectors k with lambda = Lambda - sum k_i alpha_i.
@@ -487,10 +488,14 @@ class IrrTrunc:
         of the blocks for one j are cleared to one denominator and the
         integer rows go to an Echelon, whose reduced row echelon form gives
         all of it: the pivot columns are the first independent candidates,
-        kept as the basis; column c holds candidate c in that basis, which is
-        the matrix of f_i (each primitive row over its pivot entry); the
-        images at the pivots, over the denominator of their j, are the
-        matrices of e_j.  Only matrices between two nonzero spaces are stored.
+        kept as the basis; column c holds candidate c in that basis (each
+        primitive row over its pivot entry), and the columns of the
+        candidates f_i b are the matrix of f_i, written column by column from
+        the nonzero entries that the Echelon's `supports` list, so no zero
+        entry is scaled or scanned; the images at the pivots, over the
+        denominator of their j, are the columns of e_j.  Both go through
+        `Operator.from_int_columns`, which keeps them in lowest terms.  Only
+        matrices between two nonzero spaces are stored.
         """
         none = (None,) * self.gcm.n
         if not any(k):
@@ -533,16 +538,22 @@ class IrrTrunc:
         if not pivots:
             return WeightSpace(k, (), lam, none, none)
         lead = math.lcm(*[row[p] for row, p in zip(ech.rows, pivots)])
-        reduced = [(lead // row[p], row) for row, p in zip(ech.rows, pivots)]
+        columns = [[] for _ in range(count)]  # candidate c in the basis, times lead
+        for r, (row, p, support) in enumerate(zip(ech.rows, pivots, ech.supports)):
+            s = lead // row[p]
+            for c in support:
+                columns[c].append((r, s * row[c]))
         f, e = list(none), list(none)
-        start = 0  # where f_i V_{k - e_i} starts, in the columns and in the rows
+        start = 0  # where f_i V_{k - e_i} starts among the candidates
         for (i, src), (den, rows) in zip(above, images):
             stop = start + src.dim
-            f[i] = Operator.from_int_rows(
-                [[s * x for x in row[start:stop]] for s, row in reduced], lead, src.dim
+            f[i] = Operator.from_int_columns(
+                [(c - start, columns[c]) for c in range(start, stop)], lead, len(pivots), src.dim
             )
-            e[i] = Operator.from_int_rows(
-                [[row[p] for p in pivots] for row in rows], den, len(pivots)
+            e[i] = Operator.from_int_columns(
+                [(c, [(r, row[p]) for r, row in enumerate(rows) if row[p]])
+                 for c, p in enumerate(pivots)],
+                den, len(rows), len(pivots),
             )
             start = stop
         candidates = [(i,) + b for i, src in above for b in src.basis]
@@ -687,17 +698,23 @@ def _lowest(d, parts):
     return d // c, {k: [x // c for x in ints] for k, ints in parts.items()}
 
 
-def _image(d, parts, i: int, step: int, matrix):
-    """(D, parts') with the generator's image of parts / d equal to parts' / D:
-    matrix(i, k) is its Operator at weight k, which moves k by step e_i, so
-    each image part comes from one part."""
+def _image(m: IrrTrunc, d, parts, i: int, step: int):
+    """(D, parts') with the image of parts / d under f_i (step 1) or e_i
+    (step -1) equal to parts' / D; each image part comes from one part.
+
+    The Operators are read where the build stores them, f_i on the space it
+    leads into and e_i on the space it leaves, and a part whose Operator is
+    None (either end is zero) has no image.  The target of f_i is built on
+    first use, so an f_i past the depth cap is refused as `space` refuses it.
+    """
     moved = []
     for k, ints in parts.items():
-        op = matrix(i, k)
-        if op.height:
+        target = _shift(k, i, step)
+        op = m._space(target).f[i] if step == 1 else m._space(k).e[i]
+        if op is not None:
             u = op.image(ints)
             if any(u):
-                moved.append((_shift(k, i, step), op.denom, u))
+                moved.append((target, op.denom, u))
     den = math.lcm(*[e for _, e, _ in moved])
     return d * den, {k: u if e == den else [x * (den // e) for x in u] for k, e, u in moved}
 
@@ -726,17 +743,17 @@ def _e_poly(m: IrrTrunc, x: NcPoly, d, parts):
     for w, c in x.terms.items():
         d_w, image = d, parts
         for i in reversed(w):
-            d_w, image = _image(d_w, image, i, -1, m.e_matrix)
+            d_w, image = _image(m, d_w, image, i, -1)
         terms.append((c, d_w, image))
     return _combine(terms)
 
 
 def act_f(m: IrrTrunc, i: int, v: TruncVector) -> TruncVector:
-    return TruncVector._of(*_image(v.d, v.ints, i, 1, m.f_matrix))
+    return TruncVector._of(*_image(m, v.d, v.ints, i, 1))
 
 
 def act_e(m: IrrTrunc, i: int, v: TruncVector) -> TruncVector:
-    return TruncVector._of(*_image(v.d, v.ints, i, -1, m.e_matrix))
+    return TruncVector._of(*_image(m, v.d, v.ints, i, -1))
 
 
 def act_h(m: IrrTrunc, i: int, v: TruncVector) -> TruncVector:
@@ -798,29 +815,30 @@ def _exp_series(apply_once, t: Fraction, d, parts):
 
     With t = p/q the k-th term t^k X^k v / k! is term_k / den_k (times 1/d):
     if X term_(k-1) = u_k / D_k, then term_k = p u_k and
-    den_k = den_(k-1) q k D_k.  The partial sum is kept over the same
-    running denominator.
+    den_k = den_(k-1) q k D_k.  The terms are kept and summed once, over
+    the last den_k, which every earlier one divides: starting from the last
+    term, no partial sum is ever rescaled.
     """
     p, q = t.numerator, t.denominator
-    acc = term = parts
-    den = k = 1
+    terms = [(1, parts)]  # (den_k, term_k)
     while True:
+        den, term = terms[-1]
         d_x, u = apply_once(1, term)
         if not u or not p:
-            return d * den, acc
+            break
         term = {key: [p * x for x in ints] for key, ints in u.items()}
-        s, acc = _combine([(1, 1, acc), (1, q * k * d_x, term)])
-        den *= s
-        k += 1
+        terms.append((den * q * len(terms) * d_x, term))
+    den, acc = _combine([(1, den_k, term) for den_k, term in reversed(terms)])
+    return d * den, acc
 
 
 def _factor_image(m: IrrTrunc, factor: KMFactor, d, parts):
     """(D, parts') with factor . (parts / d) = parts' / D."""
     i = factor.data
     if factor.kind == "e":
-        return _exp_series(lambda d, u: _image(d, u, i, -1, m.e_matrix), factor.param, d, parts)
+        return _exp_series(lambda d, u: _image(m, d, u, i, -1), factor.param, d, parts)
     if factor.kind == "f":
-        return _exp_series(lambda d, u: _image(d, u, i, 1, m.f_matrix), factor.param, d, parts)
+        return _exp_series(lambda d, u: _image(m, d, u, i, 1), factor.param, d, parts)
     if factor.kind == "root":
         poly = words.multibracket(factor.data)
         return _exp_series(lambda d, u: _e_poly(m, poly, d, u), factor.param, d, parts)

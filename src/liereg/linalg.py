@@ -4,17 +4,17 @@ A matrix applied many times, as a module's letter is, is an
 :class:`Operator`: integer entries over one common denominator, kept as its
 nonzero columns, each the (row, value) pairs of its nonzero entries.  The
 constructor stores the columns it is given, so a builder whose map sends
-basis vector j somewhere writes column j directly; a matrix that arrives as
-rows is turned into columns in one place, ``Operator.from_rows`` (rows of
-ints or Fractions, cleared once) or ``Operator.from_int_rows`` (full
-integer rows over a denominator, kept in lowest terms), which touch only
-the nonzero entries.  ``matrix()``, the Fraction view, is the only way back
-to rows.  ``Operator.image`` gives denom * M v for an integer vector v,
-``Operator.pull_back`` denom * phi M.  An action clears its vector's
-denominators once with ``integral``, chains the integer products while it
-multiplies the denominators, and builds Fractions once, for the result,
-with ``over``; ``combine`` sums scaled integer vectors over one
-denominator.  ``mat_mul`` multiplies two Operators, and ``kron`` takes and
+basis vector j somewhere writes column j directly, and
+``Operator.from_int_columns`` stores integer columns over a denominator in
+lowest terms.  A matrix that arrives as rows is turned into columns in one
+place, ``Operator.from_rows`` (rows of ints or Fractions, cleared once),
+which touches only the nonzero entries.  ``matrix()``, the Fraction view,
+is the only way back to rows.  ``Operator.image`` gives denom * M v for an
+integer vector v, ``Operator.pull_back`` denom * phi M.  An action clears
+its vector's denominators once with ``integral``, chains the integer
+products while it multiplies the denominators, and builds Fractions once,
+for the result, with ``over``; ``combine`` sums scaled integer vectors over
+one denominator.  ``mat_mul`` multiplies two Operators, and ``kron`` takes and
 returns nonzero columns.
 
 ``image`` scatters: each stored column whose vector entry is nonzero adds
@@ -57,7 +57,9 @@ row, so it leaves ``reduce()`` nothing to clear.
 The Kac-Moody modules keep their f_i and e_i matrices as Operators too.
 A weight space is built from integer block products (``mat_mul`` of two
 operators; its accumulators start at int 0) whose rows go to an Echelon in
-the same order and are reduced once, after the last of them.
+the same order and are reduced once, after the last of them; its f_i
+columns are read from the reduced rows' ``supports`` and its e_i columns
+from the block rows at the pivots, both through ``from_int_columns``.
 """
 from __future__ import annotations
 
@@ -110,8 +112,9 @@ class Operator:
 
     Kept as `columns`, its nonzero columns as (j, ((row, value), ...)) in
     increasing j, each in increasing row with no zero value, and stored as
-    given: a builder writes them directly, and a matrix that arrives as rows
-    goes through `from_rows` or `from_int_rows`.
+    given: a builder writes them directly (in lowest terms through
+    `from_int_columns`), and a matrix that arrives as rows goes through
+    `from_rows`.
     """
 
     __slots__ = ("columns", "denom", "height", "width")
@@ -134,15 +137,17 @@ class Operator:
         return cls(columns, denom, len(m), len(m[0]) if m else 0)
 
     @classmethod
-    def from_int_rows(cls, rows, denom, width):
-        """The operator of rows / denom, for rows of `width` ints each, in lowest terms."""
-        columns = _nonzero_columns(rows)
+    def from_int_columns(cls, columns, denom, height, width):
+        """The operator of columns / denom, in lowest terms, for integer columns
+        given as (j, [(row, value), ...]) in increasing j and row with no zero
+        value; an empty column is left out."""
+        columns = [(j, column) for j, column in columns if column]
         if denom != 1:
             g = math.gcd(denom, *[x for _, column in columns for _, x in column])
             if g != 1:
                 columns = [(j, [(i, x // g) for i, x in column]) for j, column in columns]
                 denom //= g
-        return cls(tuple([(j, tuple(column)) for j, column in columns]), denom, len(rows), width)
+        return cls(tuple([(j, tuple(column)) for j, column in columns]), denom, height, width)
 
     def matrix(self) -> tuple:
         """M as a tuple of rows of Fractions."""
@@ -242,7 +247,8 @@ class Echelon:
     `add` and `contains` take integer vectors.  `rows` holds primitive
     integer rows in increasing pivot column: each row is zero left of its
     pivot and at the pivots of the rows stored before it, its pivot entry is
-    positive and its entries have gcd 1.  `add` inserts a row and changes no
+    positive and its entries have gcd 1; `supports` holds each row's nonzero
+    columns, in increasing order.  `add` inserts a row and changes no
     stored row.  `reduce()` brings the rows, in place, to the reduced row
     echelon form times the pivot entries; `basis()` reduces and divides by
     the pivot entries.
@@ -251,7 +257,7 @@ class Echelon:
     def __init__(self):
         self.rows = []
         self.pivots = []
-        self._supports = []  # nonzero columns of each row, in order
+        self.supports = []  # nonzero columns of each row, in order
         self._reduced = True  # every pivot column is zero outside its own row
 
     def _reduce(self, v):
@@ -259,7 +265,7 @@ class Echelon:
         a nonzero multiple of the exact remainder, zero exactly when v lies in
         the span.  The copy matters: callers may pass a stored row."""
         v = list(v)
-        for row, p, support in zip(self.rows, self.pivots, self._supports):
+        for row, p, support in zip(self.rows, self.pivots, self.supports):
             c = v[p]
             if c:
                 a = row[p]
@@ -284,7 +290,7 @@ class Echelon:
             self._reduced = False
         self.rows.insert(idx, v)
         self.pivots.insert(idx, p)
-        self._supports.insert(idx, support)
+        self.supports.insert(idx, support)
         return True
 
     def reduce(self) -> None:
@@ -292,7 +298,7 @@ class Echelon:
         nothing to do when no row above a pivot is nonzero in its column."""
         if self._reduced:
             return
-        rows, supports = self.rows, self._supports
+        rows, supports = self.rows, self.supports
         for i in range(len(rows) - 1, 0, -1):
             v, p, support = rows[i], self.pivots[i], supports[i]
             a = v[p]

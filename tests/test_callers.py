@@ -18,6 +18,8 @@ UNCALLED = (
     ("linalg.mat_vec", "named by the benchmark's per-layer metrics"),
     ("reps.act_word", "named by the benchmark's per-layer metrics"),
     ("linalg.solve", "named by the benchmark's per-layer metrics"),
+    ("kacmoody.IrrTrunc.e_matrix",
+     "named by the benchmark's per-layer metrics; the actions read the stored e_i"),
 )
 
 

@@ -697,3 +697,96 @@ def test_parser_is_built_once_and_reused_after_an_error(capsys):
     assert json.loads(out)["terms"] == [{"word": "e1.e2", "coeff": "1"}]
     code, out, _ = run(capsys, "shuffle", "--w1", "e1", "--w2", "e2")
     assert code == 0 and json.loads(out) == first
+
+
+@pytest.mark.parametrize("k, code, out_or_err", [
+    # the walk reflects (0,9) past Lambda: 0, with no space reduced
+    ("[0,9]", 0, [0, 0]),
+    # (5,3) reflects to the dominant (1,1), which the walk leaves open
+    ("[5,3]", 2, "error: operation requires truncation depth 8, the depth cap is 4; "
+                 "raise it with LIEREG_DEPTH_CAP\n"),
+])
+def test_km_mult_answers_a_zero_weight_past_the_depth_cap(
+        capsys, monkeypatch, k, code, out_or_err):
+    monkeypatch.setenv("LIEREG_DEPTH_CAP", "4")
+    got, out, err = run(capsys, "km-mult", "--matrix", AFFINE_A1, "--weight", "[1,0]",
+                        "--k", k, "--oracle")
+    assert got == code, err
+    if code:
+        assert (out, err) == ("", out_or_err)
+    else:
+        data = json.loads(out)
+        assert [data["multiplicity"], data["freudenthal"]] == out_or_err
+
+
+ROUTED = [
+    # every subcommand's valid form
+    ["shuffle", "--w1", "e1", "--w2", "e2"],
+    ["mul", "--x", "e1", "--y", "e2", "--letters", "e1,e2"],
+    ["coproduct", "--x", "e1.e2"],
+    ["antipode", "--x", "e1.e2"],
+    ["act", "--rep", '{"dim":2,"letters":[{"name":"e","matrix":[[0,0],[1,0]]}]}',
+     "--vector", "[1,0]", "--x", "e"],
+    ["eval", "--functional", "phi:e1.e2", "--x", "e1.e2"],
+    ["taylor", "--functional", "phi:e1", "--tuple", "e1"],
+    ["phi-map", "--rep", '{"dim":2,"letters":[{"name":"e","matrix":[[0,0],[1,0]]}]}',
+     "--phi", "[0,1]", "--vector", "[1,0]"],
+    ["xi-map", "--functional", "phi:e1.e2"],
+    ["witness", "--x", "e1.e2"],
+    ["membership", "--functional", "phi:e1.e2", "--bound", "2"],
+    ["km-build", "--matrix", '{"matrix":[[2]]}', "--weight", "[2]", "--depth", "3"],
+    ["km-mult", "--matrix", AFFINE_A1, "--weight", "[1,0]", "--k", "[2,2]", "--oracle"],
+    ["km-theta", "--matrix", '{"matrix":[[2]]}', "--weight", "[2]", "--depth", "2",
+     "--group", '[{"kind":"e","index":0,"param":"1"},{"kind":"f","index":0,"param":"1"}]'],
+    ["km-cone", "--matrix", '{"matrix":[[2]]}', "--weight", "[1]", "--depth", "1",
+     "--vector", '[{"depth":[0],"coords":["1"]}]'],
+    ["check", "--suite", "z-monoid", "--seed", "1"],
+    # help, and what the top-level parser refuses
+    [], ["-h"], ["km-mult", "-h"], ["nope"], ["nope", "--matrix", "x"],
+    # what a subcommand's parser refuses or leaves over
+    ["km-mult", "--matrix", '{"matrix":[[2]]}'],
+    ["km-mult", "--matrix", '{"matrix":[[2]]}', "--weight", "[1]", "--k", "[1]", "--bogus", "x"],
+    ["shuffle", "--w1", "e1", "--w2", "e2", "stray"],
+    ["km-build", "--matrix", '{"matrix":[[2]]}', "--weight", "[1]", "--depth", "one"],
+    # an abbreviated option and the --opt=value form
+    ["km-mult", "--mat", '{"matrix":[[2]]}', "--weight", "[1]", "--k", "[1]"],
+    ["km-mult", '--matrix={"matrix":[[2]]}', "--weight=[1]", "--k=[1]", "--oracle"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", ROUTED, ids=[f"{i}-{argv[0] if argv else 'none'}" for i, argv in enumerate(ROUTED)]
+)
+def test_main_routes_as_the_top_level_parser_does(capsys, argv):
+    """main hands a subcommand's arguments straight to its parser; the exit
+    code, stdout, stderr and the Namespace the command runs with are those of
+    the full top-level parse."""
+    parser = cli.build_parser()
+    seen = []
+    originals = {name: p.get_default("fn") for name, p in parser.commands.items()}
+
+    def outcome(call):
+        seen.clear()
+        try:
+            code = call()
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, SUITE_TIME.sub("", out.out), out.err, list(seen)
+
+    def full_path():
+        args = parser.parse_args(argv)
+        return args.fn(args)
+
+    try:
+        for name, p in parser.commands.items():
+            def spy(args, fn=originals[name]):
+                seen.append(args)
+                return fn(args)
+            p.set_defaults(fn=spy)
+        routed, full = outcome(lambda: cli.main(list(argv))), outcome(full_path)
+    finally:
+        for name, p in parser.commands.items():
+            p.set_defaults(fn=originals[name])
+    assert routed == full
+    assert routed[0] in (0, 2), routed

@@ -999,6 +999,10 @@ def _build_digest(mod):
     return h.hexdigest()[:16]
 
 
+def _no_row_scan(rows):
+    raise AssertionError("the build scanned full rows for their nonzero columns")
+
+
 @pytest.mark.parametrize(
     "gcm,lam,depth,dim,digest",
     [
@@ -1010,7 +1014,10 @@ def _build_digest(mod):
         (HYPERBOLIC, (1, 0), 12, 867, "94eac4842d10eca5"),
     ],
 )
-def test_weight_space_bases_and_matrices_are_pinned(gcm, lam, depth, dim, digest):
+def test_weight_space_bases_and_matrices_are_pinned(monkeypatch, gcm, lam, depth, dim, digest):
+    """The build writes its Operators column by column: it never scans full
+    rows for their nonzero columns."""
+    monkeypatch.setattr(linalg, "_nonzero_columns", _no_row_scan)
     mod = IrrTrunc(gcm, lam, depth)
     dims = _build_box(mod)
     assert sum(dims.values()) == dim
@@ -1049,6 +1056,7 @@ def test_the_build_reduces_each_space_once(monkeypatch, gcm, lam, depth, updates
     monkeypatch.setattr(linalg.Echelon, "add", counting_add)
     monkeypatch.setattr(linalg.Echelon, "reduce", counting_reduce)
     monkeypatch.setattr(linalg, "_make_primitive", counting_make_primitive)
+    monkeypatch.setattr(linalg, "_nonzero_columns", _no_row_scan)
     dims = _build_box(IrrTrunc(gcm, lam, depth))
     assert counts["reduce"] == len(dims) - 1  # one per nonzero space below the top
     assert counts["primitive"] - counts["accepted"] == updates
@@ -1247,6 +1255,44 @@ def test_actions_match_the_fraction_reference(mv, spec):
             act_km_group(mod, tuple(g), v)
     else:
         assert _as_parts(act_km_group(mod, tuple(g), v)) == expected
+
+
+def _public_matrix(self, i, k):
+    raise AssertionError("an action read f_matrix or e_matrix")
+
+
+@pytest.mark.parametrize("gcm, lam", REFERENCE_MODULES)
+def test_actions_read_the_stored_operators(monkeypatch, gcm, lam):
+    """theta_eval, act_km_group and act_e_poly read the Operators that the
+    build stores on each weight space, not f_matrix or e_matrix, and still
+    equal the Fraction references; the module they act on is built while the
+    public matrices raise."""
+    ref = IrrTrunc(gcm, lam, depth=4, depth_cap=8)
+    top = (0,) * gcm.n
+    g = (
+        coweight_torus_factor(gcm, lam, (1, -1), Fraction(-3, 2)),
+        KMFactor("e", 0, Fraction(2, 3)),
+        KMFactor("root", (0, 1), Fraction(1, 2)),
+        KMFactor("e", 1, Fraction(-5, 4)),
+        KMFactor("f", 0, Fraction(-1, 3)),
+        KMFactor("f", 1, Fraction(2)),
+    )
+    expected = {top: [Fraction(1)]}
+    for factor in reversed(g):
+        expected = _ref_factor(ref, factor, expected)
+    down = {top: [Fraction(1)]}
+    for factor in g[-2:]:
+        down = _ref_factor(ref, factor, down)
+    x = words.NcPoly({(1,): Fraction(2, 3), (0, 1): 1, (1, 0): -1, (0,): Fraction(-1, 5)})
+    expected_poly = _ref_poly(ref, x, down)
+    assert len(down) > 2 and expected_poly  # the f factors leave the top
+
+    monkeypatch.setattr(IrrTrunc, "f_matrix", _public_matrix)
+    monkeypatch.setattr(IrrTrunc, "e_matrix", _public_matrix)
+    mod = IrrTrunc(gcm, lam, depth=4, depth_cap=8)
+    assert theta_eval(mod, g) == expected.get(top, [0])[0]
+    assert _as_parts(act_km_group(mod, g, mod.highest_weight_vector())) == expected
+    assert _as_parts(kacmoody.act_e_poly(mod, x, TruncVector(down))) == expected_poly
 
 
 def _ref_rank(rows):

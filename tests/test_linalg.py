@@ -306,14 +306,17 @@ def test_operator_round_trips_through_its_matrix(m, integer):
 @given(matrices(), st.integers(1, 12))
 @example(((Fraction(4), Fraction(6)), (ZERO, Fraction(-2))), 4)  # gcd 2 with the denominator
 @example(((ZERO, ZERO), (ZERO, ZERO)), 6)
-def test_operator_from_int_rows_is_in_lowest_terms(m, denom):
+def test_operator_from_int_columns_is_in_lowest_terms(m, denom):
     rows = [[x.numerator for x in row] for row in m]  # integer rows, then over denom
     width = len(m[0]) if m else 0
-    op = linalg.Operator.from_int_rows(rows, denom, width)
+    # every column, empty ones too: the constructor leaves those out
+    columns = [(j, [(i, row[j]) for i, row in enumerate(rows) if row[j]]) for j in range(width)]
+    op = linalg.Operator.from_int_columns(columns, denom, len(rows), width)
     expected = tuple(tuple(Fraction(x, denom) for x in row) for row in rows)
     assert op.matrix() == expected and (op.height, op.width) == (len(rows), width)
     assert op.denom == math.lcm(*{x.denominator for row in expected for x in row})
     assert op.columns == linalg.Operator.from_rows(expected).columns
+    assert _is_canonical(op.columns)
 
 
 @SHAPES
