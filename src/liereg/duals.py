@@ -92,12 +92,19 @@ def evaluate(h, x) -> Fraction:
 
 
 def shuffle_product(h1: FiniteFunctional, h2: FiniteFunctional) -> FiniteFunctional:
+    """The sum over word pairs of c1 c2 times the shuffles of w1 and w2.
+    Each factor's denominators are cleared once, the sums run in integers,
+    and one Fraction is built per word."""
+    d1, n1 = linalg.integral(h1.terms.values())
+    d2, n2 = linalg.integral(h2.terms.values())
     out = {}
-    for w1, c1 in h1.terms.items():
-        for w2, c2 in h2.terms.items():
+    for w1, a in zip(h1.terms, n1):
+        for w2, b in zip(h2.terms, n2):
+            c = a * b
             for w, mult in words.shuffles(w1, w2).items():
-                out[w] = out.get(w, Fraction(0)) + c1 * c2 * mult
-    return FiniteFunctional(out)
+                out[w] = out.get(w, 0) + c * mult
+    d = d1 * d2
+    return FiniteFunctional({w: Fraction(s, d) for w, s in out.items() if s})
 
 
 def _as_poly(x) -> NcPoly:

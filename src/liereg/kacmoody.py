@@ -926,21 +926,25 @@ class _SquareComponent:
         """f_i (x) 1 + 1 (x) f_i from the layer at total_k - e_i to that at
         total_k: f_i (x) 1 sends the block (k1, k2) into (k1 + e_i, k2) and
         1 (x) f_i into (k1, k2 + e_i), which comes first; both are summed
-        over the lcm of the denominators."""
+        over the lcm of the denominators.  The f_i are read where the build
+        stores them, on their target spaces, and the shapes from the spaces'
+        dimensions."""
         offsets, height = self.blocks(total_k)
         above, width = self.blocks(_shift(total_k, i, -1))
-        fs = [(self.m.f_matrix(i, k1), self.m.f_matrix(i, k2)) for k1, k2 in above]
-        den = math.lcm(*[f.denom for pair in fs for f in pair])
+        space = self.m._space
+        fs = [(space(_shift(k1, i, 1)).f[i], space(_shift(k2, i, 1)).f[i]) for k1, k2 in above]
+        den = math.lcm(*[f.denom for pair in fs for f in pair if f is not None])
         columns = []
         for ((k1, k2), start), (f1, f2) in zip(above.items(), fs):
             down1 = offsets.get((_shift(k1, i, 1), k2))
             down2 = offsets.get((k1, _shift(k2, i, 1)))
-            s1, s2 = den // f1.denom, den // f2.denom
-            c1, c2 = dict(f1.columns), dict(f2.columns)
-            d2 = f2.width  # dim V_k2
-            for a in range(f1.width):
+            # a None f_i has a zero end, so it contributes no entry
+            c1, s1 = ({}, 0) if f1 is None else (dict(f1.columns), den // f1.denom)
+            c2, s2 = ({}, 0) if f2 is None else (dict(f2.columns), den // f2.denom)
+            d2, h2 = space(k2).dim, space(_shift(k2, i, 1)).dim
+            for a in range(space(k1).dim):
                 for b in range(d2):
-                    column = [(down2 + a * f2.height + c, s2 * y) for c, y in c2.get(b, ())]
+                    column = [(down2 + a * h2 + c, s2 * y) for c, y in c2.get(b, ())]
                     column += [(down1 + r * d2 + b, s1 * x) for r, x in c1.get(a, ())]
                     if column:
                         columns.append((start + a * d2 + b, tuple(column)))

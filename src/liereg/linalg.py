@@ -38,8 +38,13 @@ caller holding rationals clears them once with ``integral``; a Fraction
 raises TypeError) and keeps primitive integer rows in row echelon form:
 ``add`` reduces a vector against the rows in pivot order, cross-multiplying
 and dividing by the row gcd (Bareiss, Math. Comp. 22, 1968), inserts a
-nonzero remainder, and changes no stored row.  ``contains`` and ``rank``
-read this form.  ``reduce()`` brings the rows to the reduced row echelon
+nonzero remainder, and changes no stored row.  Most adds of a span loop are
+cheap, and take short paths: a zero vector (a nilpotent letter killing the
+top of a module) is turned away after one ``any``, with no copy or scan,
+and the first row of an empty Echelon is copied and made primitive with no
+reduction pass; ``contains`` answers both cases the same way.  A stored row
+is always a copy, never the caller's list.  ``contains`` and ``rank`` read
+this form.  ``reduce()`` brings the rows to the reduced row echelon
 form, each reduced row times its positive pivot entry, by one
 back-substitution, bottom row first; it has two callers, ``basis()``, which
 then divides by the pivot entries, and the Kac-Moody weight-space build.
@@ -66,6 +71,7 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
+from itertools import compress
 
 ZERO = Fraction(0)
 
@@ -248,10 +254,12 @@ class Echelon:
     integer rows in increasing pivot column: each row is zero left of its
     pivot and at the pivots of the rows stored before it, its pivot entry is
     positive and its entries have gcd 1; `supports` holds each row's nonzero
-    columns, in increasing order.  `add` inserts a row and changes no
-    stored row.  `reduce()` brings the rows, in place, to the reduced row
-    echelon form times the pivot entries; `basis()` reduces and divides by
-    the pivot entries.
+    columns, in increasing order.  `add` inserts a row, a copy of the
+    caller's vector or of its remainder, and changes no stored row; a zero
+    vector returns False after one `any`, and a first row is not reduced.
+    `reduce()` brings the rows, in place, to the reduced row echelon form
+    times the pivot entries; `basis()` reduces and divides by the pivot
+    entries.
     """
 
     def __init__(self):
@@ -278,15 +286,19 @@ class Echelon:
         return v
 
     def add(self, v) -> bool:
-        """Add a vector; returns True if it enlarged the span."""
-        v = self._reduce(v)
-        support = [j for j, x in enumerate(v) if x]
+        """Add a vector; returns True if it enlarged the span.  Neither a
+        zero vector nor a first row is reduced: the one is turned away, the
+        other copied."""
+        if not any(v):
+            return False
+        v = self._reduce(v) if self.rows else list(v)
+        support = list(compress(range(len(v)), v))
         if not support:
             return False
         p = support[0]
         _make_primitive(v, support, p)
         idx = bisect.bisect(self.pivots, p)
-        if self._reduced and any(row[p] for row in self.rows[:idx]):
+        if idx and self._reduced and any(row[p] for row in self.rows[:idx]):
             self._reduced = False
         self.rows.insert(idx, v)
         self.pivots.insert(idx, p)
@@ -322,7 +334,9 @@ class Echelon:
         self._reduced = True
 
     def contains(self, v) -> bool:
-        return not any(self._reduce(v))
+        if not any(v):
+            return True
+        return bool(self.rows) and not any(self._reduce(v))
 
     @property
     def rank(self) -> int:

@@ -20,6 +20,8 @@ UNCALLED = (
     ("linalg.solve", "named by the benchmark's per-layer metrics"),
     ("kacmoody.IrrTrunc.e_matrix",
      "named by the benchmark's per-layer metrics; the actions read the stored e_i"),
+    ("kacmoody.IrrTrunc.f_matrix",
+     "named by the benchmark's per-layer metrics; the actions read the stored f_i"),
 )
 
 

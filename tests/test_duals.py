@@ -301,6 +301,27 @@ def finite_functionals(draw):
     return FiniteFunctional(draw(st.dictionaries(word, coeff, max_size=4)))
 
 
+def ref_shuffle_product(h1, h2):
+    """The shuffle product summed term by term in Fractions."""
+    out = {}
+    for w1, c1 in h1.terms.items():
+        for w2, c2 in h2.terms.items():
+            for w, mult in words.shuffles(w1, w2).items():
+                out[w] = out.get(w, Fraction(0)) + c1 * c2 * mult
+    return FiniteFunctional(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(finite_functionals(), finite_functionals())
+@example(FiniteFunctional({}), duals.phi((0,)))
+@example(FiniteFunctional({(0,): Fraction(1, 2), (1,): Fraction(-1, 3)}),
+         FiniteFunctional({(1,): Fraction(1, 3), (0,): Fraction(1, 2)}))  # e1 e2 cancels
+def test_shuffle_product_matches_the_fraction_sum(h1, h2):
+    got = duals.shuffle_product(h1, h2)
+    assert got == ref_shuffle_product(h1, h2)
+    assert all(type(c) is Fraction and c for c in got.terms.values())
+
+
 # the third letter diagonalizable: membership answers h over it too, where
 # realize_rep_backed refuses h
 ABD = Alphabet(("e1", "e2", "d"), (words.NILPOTENT, words.NILPOTENT, words.DIAGONAL))

@@ -1562,3 +1562,34 @@ def test_the_cone_operators_are_the_fraction_tensor_action(gcm, lam, depth):
             assert op.matrix() == _ref_tensor_f(mod, i, above, blocks)
             ints = [[x * op.denom for x in row] for row in op.matrix()]
             assert op.columns == linalg.Operator.from_rows(ints).columns
+
+
+@pytest.mark.parametrize("gcm, lam", REFERENCE_MODULES)
+def test_the_cone_reads_the_stored_operators(monkeypatch, gcm, lam):
+    """_SquareComponent.f reads each f_i where the build stores it, not
+    through f_matrix or e_matrix, and still equals the Fraction tensor
+    action, zero ends included; the reference is built before the public
+    matrices raise."""
+    depth = 4
+    ref = IrrTrunc(gcm, lam, depth=depth, depth_cap=8)
+    ref_component = kacmoody._SquareComponent(ref)
+
+    def layer(total):
+        offsets = ref_component.blocks(total)[0]
+        return [(k1, k2, ref.space(k1).dim, ref.space(k2).dim) for k1, k2 in offsets]
+
+    expected = {
+        (total, i): _ref_tensor_f(ref, i, layer(_shift(total, i, -1)), layer(total))
+        for total in _weights(gcm.n, depth) for i in range(gcm.n) if total[i]
+    }
+    # exp(t f_0) v_Lambda, in the cone (Kostant); its square stays within the cap
+    v = act_km_group(ref, (KMFactor("f", 0, Fraction(3, 2)),), ref.highest_weight_vector())
+
+    monkeypatch.setattr(IrrTrunc, "f_matrix", _public_matrix)
+    monkeypatch.setattr(IrrTrunc, "e_matrix", _public_matrix)
+    mod = IrrTrunc(gcm, lam, depth=depth, depth_cap=8)
+    component = kacmoody._SquareComponent(mod)
+    assert any(not op.columns for op in map(linalg.Operator.from_rows, expected.values()))
+    for (total, i), matrix in expected.items():
+        assert component.f(i, total).matrix() == matrix
+    assert kostant_cone_test(mod, TruncVector(v.parts))

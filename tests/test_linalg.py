@@ -549,6 +549,115 @@ def test_echelon_add_changes_no_stored_row():
     assert e.rows == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 
 
+def _count_reductions(monkeypatch):
+    """Patch Echelon._reduce to count its calls; returns the counter."""
+    calls = [0]
+    reduce_ = Echelon._reduce
+
+    def counting_reduce(self, v):
+        calls[0] += 1
+        return reduce_(self, v)
+
+    monkeypatch.setattr(Echelon, "_reduce", counting_reduce)
+    return calls
+
+
+def test_a_zero_vector_is_turned_away_unreduced(monkeypatch):
+    calls = _count_reductions(monkeypatch)
+    empty, e = Echelon(), Echelon()
+    e.add([0, 2, 4])
+    e.add([1, 0, 1])
+    calls[0] = 0
+    for ech in (empty, e):
+        stored = ([list(r) for r in ech.rows], list(ech.pivots), [list(s) for s in ech.supports])
+        for zero in ([0, 0, 0], (0, 0, 0), [Fraction(0)] * 3):
+            assert ech.add(zero) is False
+            assert ech.contains(zero) is True
+        assert (ech.rows, ech.pivots, ech.supports) == stored
+    assert Echelon().add([]) is False and Echelon().contains([]) is True
+    assert calls[0] == 0
+    assert e.add([1, 2, 3]) is True and calls[0] == 1  # the counter sees a real reduction
+
+
+def test_a_first_row_is_copied_and_made_primitive_unreduced(monkeypatch):
+    calls = _count_reductions(monkeypatch)
+    for v in ([0, -4, 6, 0, 2], (0, -4, 6, 0, 2)):
+        given = list(v)
+        e = Echelon()
+        assert e.contains(v) is False
+        assert e.add(v) is True
+        assert calls[0] == 0
+        row = e.rows[0]
+        assert row is not v and type(row) is list
+        assert (e.rows, e.pivots, e.supports) == ([[0, 2, -3, 0, -1]], [1], [[1, 2, 4]])
+        assert row[e.pivots[0]] > 0 and math.gcd(*row) == 1
+        e.add([0, 0, 1, 0, 0])  # nonzero in the first row at its pivot: reduce() rewrites that row
+        e.reduce()
+        assert e.rows == [[0, 2, 0, 0, -1], [0, 0, 1, 0, 0]]
+        assert e.basis() == [(0, 1, 0, 0, Fraction(-1, 2)), (0, 0, 1, 0, 0)]
+        assert list(v) == given
+        assert calls[0] == 1
+        calls[0] = 0
+    assert Echelon().add([7]) is True  # a one-entry row is divided by itself
+    e = Echelon()
+    e.add([3, 0])
+    assert e.rows == [[1, 0]]
+
+
+@st.composite
+def integer_vector_lists(draw, max_width=7, max_length=14):
+    """Lists of integer vectors of one width: fresh ones, zero vectors,
+    repeats (the same list object or an equal copy) and combinations."""
+    n = draw(st.integers(1, max_width))
+    out = []
+    for _ in range(draw(st.integers(0, max_length))):
+        how = draw(st.sampled_from(("fresh", "zero", "repeat", "copy", "combine")))
+        if how == "zero" or not out and how != "fresh":
+            v = [0] * n
+        elif how == "fresh":
+            v = [draw(st.sampled_from((0, 0, 1, -1, 2, -3, 6, 10))) for _ in range(n)]
+        elif how == "repeat":
+            v = draw(st.sampled_from(out))
+        elif how == "copy":
+            v = list(draw(st.sampled_from(out)))
+        else:
+            a, b = draw(st.sampled_from(out)), draw(st.sampled_from(out))
+            s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            v = [s * x + t * y for x, y in zip(a, b)]
+        out.append(v)
+    return n, out
+
+
+@SHAPES
+@given(integer_vector_lists())
+@example((3, [[0, 0, 0], [0, 2, -4], [0, 0, 0], [0, 2, -4], [1, 1, 1]]))
+@example((2, [[0, 0], [0, 0]]))
+def test_echelon_on_integer_vectors_matches_reference(case):
+    """Zero vectors, repeats and first rows, taken with their short paths,
+    give the rank, pivots, membership and basis of Gauss-Jordan elimination,
+    and no stored row is the caller's list."""
+    n, vectors = case
+    originals = [list(v) for v in vectors]
+    e = Echelon()
+    added = []
+    for v in vectors:
+        def held(u):
+            return len(ref_rref(_as_fractions([*added, u]))[1]) == e.rank
+
+        grows = not held(v)
+        assert e.contains(v) is not grows
+        assert e.add(v) is grows
+        added.append(list(v))
+        pivots = ref_rref(_as_fractions(added))[1]
+        assert e.rank == len(pivots)
+        assert e.pivots == pivots
+        for probe in (*vectors, [0] * n, [1] * n):
+            assert e.contains(probe) is held(probe)
+    assert all(row is not v for row in e.rows for v in vectors)
+    assert e.basis() == ref_rref(_as_fractions(added))[0]
+    assert [list(v) for v in vectors] == originals
+
+
 def test_free_span_jobs_make_no_back_substitution(monkeypatch):
     """One pass over the benchmark's seed-201 free-span job list: 2,257
     Echelon.add calls, 1,254 of them accepted, and at most 20 stored rows
@@ -597,8 +706,15 @@ def test_echelon_negative_pivot_and_back_substitution_gcd():
 
 
 def test_echelon_rejects_fractions():
-    with pytest.raises(TypeError):
-        Echelon().add((Fraction(1, 2), 1))
+    # as a first row, as a pivot entry met by a stored row, and past every pivot
+    for v in ((Fraction(1, 2), 1), (Fraction(2), 0)):
+        with pytest.raises(TypeError):
+            Echelon().add(v)
+    e = Echelon()
+    e.add((1, 0))
+    for v in ((Fraction(1, 2), 1), (0, Fraction(1, 2))):
+        with pytest.raises(TypeError):
+            e.add(v)
 
 
 class ArithmeticCountingFraction(Fraction):
