@@ -66,11 +66,13 @@ class MatrixCoefficient(PhiV):
     __slots__ = ()
 
     def evaluate_word(self, w: Word) -> Fraction:
-        """phi(w . v), paired in integers: one Fraction, built at the end."""
+        """phi(w . v), paired in integers: one Fraction, built at the end, or
+        linalg.ZERO when the pairing is 0."""
         d_phi, phi = self._phi
         d_v, v = self._v
         d_w, v = self.rep.image(w, v)
-        return Fraction(sum(map(mul, phi, v)), d_phi * d_v * d_w)
+        s = sum(map(mul, phi, v))
+        return Fraction(s, d_phi * d_v * d_w) if s else linalg.ZERO
 
     def __repr__(self):
         return f"MatrixCoefficient(dim={self.rep.dim})"

@@ -2,8 +2,15 @@
 
 A GroupWord is a product of factors exp(t*e) (locally nilpotent letter) or
 s^e (diagonalizable letter, s != 0).  The leftmost factor acts last, i.e.
-factors compose like ordinary function application.  No normal form is
-computed; group elements are only compared through their actions.
+factors compose like ordinary function application.
+
+A word acts through its reduced form, the normal form of a free product of
+one-parameter groups: on each of them exp(s e) exp(t e) = exp((s+t) e) and
+s^e s'^e = (s s')^e, so every run of adjacent factors on one letter acts as
+one factor, and a factor that is the identity (exp(0 e), 1^e) acts as
+nothing.  The fold is exact on every module, since the factors of a run
+commute, and it runs on integer pairs (p, q) for p/q.  Group elements are
+otherwise compared only through their actions.
 """
 from __future__ import annotations
 
@@ -65,19 +72,14 @@ class GroupWord(tuple):
         return all(a.letter != b.letter for a, b in zip(self, self[1:]))
 
 
-def _factor_image(rep: RepSpec, factor: OneParamFactor, ints):
-    """(D, u) with factor . ints = u / D, for an integer vector ints."""
-    if rep.kind(factor.letter) != factor.kind:
-        raise reps.RepError(
-            f"factor kind {factor.kind} does not match the module kind of "
-            f"letter {rep.alphabet.names[factor.letter]}"
-        )
-    p, q = factor.param.numerator, factor.param.denominator
-    if factor.kind == words.NILPOTENT:
+def _factor_image(rep: RepSpec, letter: int, kind: str, p: int, q: int, ints):
+    """(D, u) with factor . ints = u / D, for an integer vector ints and the
+    factor of the letter and kind with parameter p/q, q > 0."""
+    if kind == words.NILPOTENT:
         # with t = p/q and M = R/D, the k-th term t^k M^k v / k! is
         # term_k / ((qD)^k k!), term_k = p R term_(k-1); the sum is kept
         # over the running denominator (qD)^k k!
-        op = rep.operators[factor.letter]
+        op = rep.operators[letter]
         step = q * op.denom
         acc = term = ints
         den = k = 1
@@ -92,21 +94,49 @@ def _factor_image(rep: RepSpec, factor: OneParamFactor, ints):
                 raise reps.RepError("exp series did not terminate: matrix not nilpotent")
             k += 1
     # s^n with s = p/q, over q^top |p|^bottom: every entry stays an integer
-    eigs = rep.operators[factor.letter].diagonal()
+    eigs = rep.operators[letter].diagonal()
     top, bottom = max([0, *eigs]), -min([0, *eigs])
     den = q**top * abs(p) ** bottom
     scale = {n: den * p**n // q**n if n >= 0 else den * q**-n // p**-n for n in set(eigs)}
     return den, [x * scale[n] for x, n in zip(ints, eigs)]
 
 
+def _reduced(g: GroupWord) -> list:
+    """g's reduced form as (letter, kind, p, q) in application order,
+    rightmost factor first: each run of adjacent factors on one letter folded
+    into one, exp parameters added and torus parameters multiplied as p/q in
+    lowest terms, and a factor that is the identity left out, so the factors
+    it parted meet and fold in turn."""
+    out = []
+    for f in reversed(g):
+        nilpotent = f.kind == words.NILPOTENT
+        p, q = f.param.numerator, f.param.denominator
+        if out and out[-1][0] == f.letter:
+            _, _, p0, q0 = out.pop()
+            p = p0 * q + p * q0 if nilpotent else p0 * p
+            q *= q0
+            c = math.gcd(p, q)
+            p, q = p // c, q // c
+        if p != (0 if nilpotent else q):
+            out.append((f.letter, f.kind, p, q))
+    return out
+
+
 def _group_image(rep: RepSpec, g: GroupWord, d, ints):
     """(D, u) with g . (ints / d) = u / D, for an integer vector ints.
 
-    The vector stays a list of ints over one denominator from the first
-    factor to the last, reduced by their gcd between factors.
+    Every factor's kind is checked against the module, and then g's reduced
+    form acts.  The vector stays a list of ints over one denominator from
+    the first factor to the last, reduced by their gcd between factors.
     """
-    for factor in reversed(g):
-        d_f, ints = _factor_image(rep, factor, ints)
+    for factor in g:
+        if rep.kind(factor.letter) != factor.kind:
+            raise reps.RepError(
+                f"factor kind {factor.kind} does not match the module kind of "
+                f"letter {rep.alphabet.names[factor.letter]}"
+            )
+    for factor in _reduced(g):
+        d_f, ints = _factor_image(rep, *factor, ints)
         d *= d_f
         c = math.gcd(d, *ints)
         if c != 1:
@@ -132,10 +162,12 @@ class RegularFunction(duals.PhiV):
 
 
 def eval_regular(f: RegularFunction, g: GroupWord) -> Fraction:
-    """phi(g . v), paired in integers: one Fraction, built at the end."""
+    """phi(g . v), paired in integers: one Fraction, built at the end, or
+    linalg.ZERO when the pairing is 0."""
     d_phi, phi = f._phi
     d_v, v = _group_image(f.rep, g, *f._v)
-    return Fraction(sum(map(mul, phi, v)), d_phi * d_v)
+    s = sum(map(mul, phi, v))
+    return Fraction(s, d_phi * d_v) if s else linalg.ZERO
 
 
 def phi_map(f: RegularFunction) -> MatrixCoefficient:

@@ -334,8 +334,11 @@ class Echelon:
         self._reduced = True
 
     def contains(self, v) -> bool:
+        """Whether the integer vector v lies in the span; a nonzero Fraction
+        entry raises TypeError, as in `add`, and a zero vector is held."""
         if not any(v):
             return True
+        math.gcd(*filter(None, v))  # the integer check
         return bool(self.rows) and not any(self._reduce(v))
 
     @property

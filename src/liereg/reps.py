@@ -65,12 +65,16 @@ class RepSpec:
             raise RepError(f"{field}: has length {len(v)}, module dimension is {self.dim}")
 
     def image(self, w: Word, ints):
-        """(D, u) with w . ints = u / D, for an integer vector ints; no Fraction is built."""
+        """(D, u) with w . ints = u / D, for an integer vector ints; no Fraction
+        is built.  The letters stop once the vector is zero: u is then zero,
+        over the denominators met so far."""
         d = 1
         for e in reversed(w):
             op = self.operators[e]
             ints = op.image(ints)
             d *= op.denom
+            if not any(ints):
+                break
         return d, ints
 
     def pull_back(self, w: Word, ints):

@@ -1,4 +1,6 @@
+import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -174,8 +176,6 @@ def test_derivation_leibniz_instance():
     lhs = duals.right_translate(NcPoly.letter(e), prod)
     rhs_a = duals.product(duals.right_translate(NcPoly.letter(e), h1), h2)
     rhs_b = duals.product(h1, duals.right_translate(NcPoly.letter(e), h2))
-    import itertools
-
     for n in range(4):
         for w in itertools.product((0, 1), repeat=n):
             assert lhs.evaluate_word(w) == rhs_a.evaluate_word(w) + rhs_b.evaluate_word(w)
@@ -328,12 +328,23 @@ def test_actions_run_without_fraction_arithmetic():
         torus_factor(2, CountingFraction(-2, 5)),
         exp_factor(1, CountingFraction(4, 3)),
     ])
+    # adjacent repeats: an exp pair that cancels, a torus pair and an exp pair that fold
+    repeats = GroupWord([
+        exp_factor(1, CountingFraction(5, 2)),
+        exp_factor(0, CountingFraction(1, 3)),
+        exp_factor(0, CountingFraction(-1, 3)),
+        exp_factor(1, CountingFraction(-2, 7)),
+        torus_factor(2, CountingFraction(-2, 5)),
+        torus_factor(2, CountingFraction(3, 4)),
+    ])
     h = MatrixCoefficient(rep, v, v)
     f = RegularFunction(rep, v, v)
     x = NcPoly({(0, 1): CountingFraction(1, 2), (1,): CountingFraction(-3)})
     CountingFraction.ops = 0
     grp.act_group(rep, g, v)
     f(g)
+    grp.act_group(rep, repeats, v)
+    f(repeats)
     reps.act_word(rep, (0, 1, 0), v)
     reps.act_poly(rep, x, v)
     h.evaluate_word((1, 0))
@@ -355,11 +366,156 @@ def test_group_actions_reject_a_vector_of_the_wrong_length():
 
 
 def test_exp_of_a_letter_that_is_not_nilpotent_is_refused():
-    # the module is not validated, so the letter's matrix may be invertible
+    # the module is not validated, so the letter's matrix may be invertible;
+    # exp of it is refused alone, folded, and next to a pair that cancels
     rep = reps.RepSpec(AB, 2, {0: [[1, 0], [0, 1]]})
-    with pytest.raises(reps.RepError, match="not nilpotent"):
-        grp.act_group(rep, GroupWord([exp_factor(0, 1)]), (1, 0))
+    for g in [GroupWord([exp_factor(0, 1)]),
+              GroupWord([exp_factor(0, Fraction(1, 2)), exp_factor(0, Fraction(1, 2))]),
+              GroupWord([exp_factor(0, 3), exp_factor(1, 5), exp_factor(1, -5)])]:
+        with pytest.raises(reps.RepError, match="not nilpotent"):
+            grp.act_group(rep, g, (1, 0))
     with pytest.raises(RuntimeError, match="non-terminating"):
         grp.taylor_expand(MatrixCoefficient(rep, (1, 0), (1, 0)), (0,))
-    with pytest.raises(reps.RepError, match="does not match"):
-        grp.act_group(rep, GroupWord([torus_factor(0, 2)]), (1, 0))
+    # every factor's kind is checked before the word is folded: a pair that
+    # cancels, or multiplies to 1, is refused on a letter of the other kind
+    mixed = reps.RepSpec(MIXED, 2, {0: [[0, 1], [0, 0]], 1: [[2, 0], [0, -1]]})
+    for module, g in [(rep, GroupWord([torus_factor(0, 2)])),
+                      (mixed, GroupWord([exp_factor(1, 2), exp_factor(1, -2)])),
+                      (mixed, GroupWord([torus_factor(0, 3), torus_factor(0, Fraction(1, 3))])),
+                      (mixed, GroupWord([exp_factor(0, 1), exp_factor(1, 0)]))]:
+        with pytest.raises(reps.RepError, match="does not match"):
+            grp.act_group(module, g, (1, 0))
+
+
+# ---------------------------------------------------------------------------
+# A word acts through its reduced form: adjacent factors on one letter fold
+# (exp parameters add, torus parameters multiply) and identities drop out.
+
+
+@st.composite
+def words_with_repeats(draw):
+    """Group words over e1, e2 (exp) and d (torus) built from runs: a single
+    factor, two factors on one letter, or a cancelling pair (s, -s) or
+    (s, 1/s); neighbouring runs may share their letter too."""
+    factors = []
+    for _ in range(draw(st.integers(0, 4))):
+        e = draw(st.integers(0, 2))
+        make, params = (exp_factor, PARAMS) if e < 2 else (torus_factor, PARAMS.filter(bool))
+        s = draw(params)
+        run = draw(st.sampled_from(("single", "pair", "cancel")))
+        if run == "single":
+            factors.append(make(e, s))
+        elif run == "pair":
+            factors += [make(e, s), make(e, draw(params))]
+        elif e < 2:
+            factors += [make(e, s), make(e, -s)]
+        else:
+            factors += [make(e, s), make(e, 1 / s)]
+    return GroupWord(factors)
+
+
+@ACTION
+@given(st.data())
+def test_words_with_adjacent_repeats_match_reference(data):
+    rep = data.draw(modules())
+    v = data.draw(vectors(rep.dim))
+    g = data.draw(words_with_repeats())
+    expected = ref_act_group(rep, g, v)
+    out = grp.act_group(rep, g, v)
+    assert out == expected and all(type(x) is Fraction for x in out)
+    phi = data.draw(vectors(rep.dim))
+    value = grp.eval_regular(RegularFunction(rep, phi, v), g)
+    assert value == sum((Fraction(a) * b for a, b in zip(phi, expected)), ZERO)
+    assert type(value) is Fraction
+
+
+def _count_images(call):
+    """(result, number of Operator.image calls made by call())."""
+    real = linalg.Operator.image
+    count = 0
+
+    def counted(self, ints):
+        nonlocal count
+        count += 1
+        return real(self, ints)
+
+    with mock.patch.object(linalg.Operator, "image", counted):
+        return call(), count
+
+
+def test_a_word_costs_the_images_of_its_reduced_form():
+    rep = reps.make_VNJ(AB, 3, (0, 1))
+    v = tuple(Fraction(i + 1, 2) for i in range(rep.dim))
+    half, third = Fraction(1, 2), Fraction(2, 3)
+    # the e2 pair cancels, so the three e1 factors meet: 1/2 + 2/3 - 1 = 1/6
+    g = GroupWord([exp_factor(0, half), exp_factor(0, third), exp_factor(1, 3),
+                   exp_factor(1, -3), exp_factor(0, -1), exp_factor(1, 2), exp_factor(1, 0)])
+    reduced = GroupWord([exp_factor(0, Fraction(1, 6)), exp_factor(1, 2)])
+    out, count = _count_images(lambda: grp.act_group(rep, g, v))
+    out_reduced, count_reduced = _count_images(lambda: grp.act_group(rep, reduced, v))
+    assert out == out_reduced == ref_act_group(rep, g, v)
+    assert count == count_reduced
+    factor_by_factor = sum(_count_images(lambda f=f: grp.act_group(rep, GroupWord([f]), v))[1]
+                           for f in g)
+    assert count < factor_by_factor
+    f = RegularFunction(rep, v, v)
+    assert _count_images(lambda: f(g)) == _count_images(lambda: f(reduced))
+    # a word that reduces to nothing makes no image
+    identity = GroupWord([exp_factor(1, 2), exp_factor(0, 0), exp_factor(1, -2)])
+    assert _count_images(lambda: grp.act_group(rep, identity, v)) == (v, 0)
+    # nor reads an eigenvalue, when torus factors multiply to 1
+    rep = reps.RepSpec(NIL_DIAG, 2, {0: [[0, 1], [0, 0]], 2: [[2, 0], [0, -1]]})
+    identity = GroupWord([torus_factor(2, Fraction(-2, 3)), torus_factor(2, Fraction(-3, 2))])
+    with mock.patch.object(linalg.Operator, "diagonal", side_effect=AssertionError):
+        assert grp.act_group(rep, identity, (1, 2)) == (1, 2)
+
+
+# ---------------------------------------------------------------------------
+# A word action stops at the letter that makes the vector zero.
+
+CHAIN = reps.make_chain(AB, (0, 1))  # e1 b0 = b1, e2 b1 = b2
+KILLING = (1, 0, 1, 0, 1, 0)  # from b0: e1 gives b1, e2 gives b2, e1 gives 0
+
+
+def test_a_word_action_stops_at_zero():
+    b0 = [1, 0, 0]
+    (d, u), count = _count_images(lambda: CHAIN.image(KILLING, b0))
+    assert count == 3 and d == 1 and u == [0, 0, 0]
+    assert _count_images(lambda: CHAIN.image((1, 0), b0)) == ((1, [0, 0, 1]), 2)
+    b0 = CHAIN.basis_vector(0)
+    assert reps.act_word(CHAIN, KILLING, b0) == ref_act_word(CHAIN, KILLING, b0) == (ZERO,) * 3
+    x = NcPoly({KILLING: Fraction(3, 2), (1, 0): Fraction(-2, 5), (0, 0): 7})
+    assert reps.act_poly(CHAIN, x, b0) == (ZERO, ZERO, Fraction(-2, 5))
+
+
+def test_a_zero_pairing_builds_no_fraction(monkeypatch):
+    h = MatrixCoefficient(CHAIN, (1, 2, 3), (Fraction(1, 2), 0, 0))
+    f = RegularFunction(CHAIN, (0, 1, 0), (1, 0, 0))
+    # exp(e2) exp(e1) b0 = b0 + b1 + b2, which (0, 1, -1) pairs to 0
+    g = GroupWord([exp_factor(1, 1), exp_factor(0, 1)])
+    f_zero = RegularFunction(CHAIN, (0, 1, -1), (1, 0, 0))
+    g_fixed = GroupWord([exp_factor(1, 4)])  # exp(4 e2) b0 = b0
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    values = [h.evaluate_word(KILLING), h.evaluate_word((1,)), f(g_fixed), f_zero(g)]
+    monkeypatch.undo()
+    assert values == [0, 0, 0, 0] and all(type(x) is Fraction for x in values)
+    assert h.evaluate_word((0,)) == 1 and f(g) == 1
+
+
+def test_translates_are_unchanged_on_words_that_kill_the_vector():
+    phi, v = (1, Fraction(-1, 3), 2), (Fraction(3, 4), 5, -1)
+    h = MatrixCoefficient(CHAIN, phi, v)
+    x = NcPoly({KILLING: 2, (0,): Fraction(1, 3), (1, 1): -1, (): Fraction(-1, 2)})
+    moved = duals.right_translate(x, h)
+    for n in range(4):
+        for y in itertools.product((0, 1), repeat=n):
+            expected = sum(
+                (c * sum((Fraction(a) * b for a, b in zip(phi, ref_act_word(CHAIN, y + u, v))),
+                         ZERO) for u, c in x.terms.items()),
+                ZERO,
+            )
+            assert moved.evaluate_word(y) == expected == duals.evaluate(h, NcPoly.word(y) * x)

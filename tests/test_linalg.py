@@ -715,6 +715,13 @@ def test_echelon_rejects_fractions():
     for v in ((Fraction(1, 2), 1), (0, Fraction(1, 2))):
         with pytest.raises(TypeError):
             e.add(v)
+    # contains keeps the rule, with no row to reduce against and past every pivot
+    with pytest.raises(TypeError):
+        Echelon().contains((Fraction(1, 2), 1))
+    with pytest.raises(TypeError):
+        e.contains((0, Fraction(1, 2)))
+    # a zero vector is held, Fraction(0) entries included
+    assert Echelon().contains((Fraction(0), 0)) and e.contains((Fraction(0), Fraction(0)))
 
 
 class ArithmeticCountingFraction(Fraction):
