@@ -61,18 +61,63 @@ class PhiV:
 
 
 class MatrixCoefficient(PhiV):
-    """Rep-backed functional h(x) = phi(x . v)."""
+    """Rep-backed functional h(x) = phi(x . v).
 
-    __slots__ = ()
+    Its value splits at any point of a word: phi(u w . v) = (phi M_u)(w . v),
+    where the covector phi M_u is the left translate h <| u, a row of the
+    Hankel matrix (Fliess, J. Math. Pures Appl. 53, 1974).  Words listed in
+    words.all_words order share long prefixes, so the coefficient keeps one
+    private path, `_path`: the last word read and its prefix covectors
+    phi M_u as pairs (d, ints), phi first, at most one more than the longest
+    word.  The path is only ever replaced whole, never changed in place, so
+    a reader on another thread sees the old path or the new one; `_phi` and
+    `_v` are never changed.  A new coefficient has no path.
+    """
+
+    __slots__ = ("_path",)
 
     def evaluate_word(self, w: Word) -> Fraction:
-        """phi(w . v), paired in integers: one Fraction, built at the end, or
-        linalg.ZERO when the pairing is 0."""
-        d_phi, phi = self._phi
+        """phi(w . v): phi pulled back letter by letter from the left,
+        starting from the longest prefix w shares with the last word, then
+        paired with v in integers.  Once a covector phi M_u is zero the value
+        is linalg.ZERO and the path ends there; the letters after u are only
+        checked to lie in the alphabet (RepError otherwise).  One Fraction is
+        built, at the end, or none when the pairing is 0."""
+        try:
+            word, covs = self._path
+        except AttributeError:
+            word, covs = (), [self._phi]
+        n, m = len(w), len(word)
+        k = 0  # the length of the prefix w shares with word
+        if m and n and word[0] == w[0]:
+            k, top = 1, (n if n < m else m)
+            while k < top and word[k] == w[k]:
+                k += 1
+        d, p = covs[k]
+        if k < n:
+            if k == m and not any(p):  # the path ends at zero
+                self.rep._check_letters(w[k:])
+                return linalg.ZERO
+            ops = self.rep.operators
+            covs = covs[:k + 1]
+            while k < n:
+                try:
+                    op = ops[w[k]]
+                except KeyError:
+                    raise self.rep._letter_error(w[k]) from None
+                p = op.pull_back(p)
+                d *= op.denom
+                k += 1
+                covs.append((d, p))
+                if not any(p):
+                    self.rep._check_letters(w[k:])
+                    self._path = (w[:k], covs)
+                    return linalg.ZERO
+            # w[:n] is w itself for a tuple, and a copy of a caller's list
+            self._path = (w[:n], covs)
         d_v, v = self._v
-        d_w, v = self.rep.image(w, v)
-        s = sum(map(mul, phi, v))
-        return Fraction(s, d_phi * d_v * d_w) if s else linalg.ZERO
+        s = sum(map(mul, p, v))
+        return Fraction(s, d * d_v) if s else linalg.ZERO
 
     def __repr__(self):
         return f"MatrixCoefficient(dim={self.rep.dim})"

@@ -25,6 +25,12 @@ meets a nonzero entry of phi.  ``mat_mul`` runs the same scatter once per
 nonzero column of its right factor: column j of A B is A times column j of
 B.
 
+``pull_back``'s callers are ``RepSpec.pull_back`` (the left translates
+h <| x), the closure walk below, and
+``duals.MatrixCoefficient.evaluate_word``, which pulls phi back along a
+word letter by letter, from the longest prefix the word shares with the
+last one read, and pairs the covector with v.
+
 The closure walk ``reps.submodule_generated`` takes either as its linear
 maps: ``image`` spans the vectors U(g) . v of a module, ``pull_back`` the
 covectors phi U(g).  On the realization phi(. v) of a finite functional h

@@ -67,13 +67,19 @@ class RepSpec:
     def image(self, w: Word, ints):
         """(D, u) with w . ints = u / D, for an integer vector ints; no Fraction
         is built.  The letters stop once the vector is zero: u is then zero,
-        over the denominators met so far."""
+        over the denominators met so far, and the letters left unread are
+        only checked to lie in the alphabet (RepError otherwise)."""
         d = 1
-        for e in reversed(w):
-            op = self.operators[e]
+        letters = reversed(w)
+        for e in letters:
+            try:
+                op = self.operators[e]
+            except KeyError:
+                raise self._letter_error(e) from None
             ints = op.image(ints)
             d *= op.denom
             if not any(ints):
+                self._check_letters(letters)  # the letters not yet read
                 break
         return d, ints
 
@@ -81,10 +87,22 @@ class RepSpec:
         """(D, p) with phi M_w1 ... M_wk = p / D, for an integer row vector phi = ints."""
         d = 1
         for e in w:
-            op = self.operators[e]
+            try:
+                op = self.operators[e]
+            except KeyError:
+                raise self._letter_error(e) from None
             ints = op.pull_back(ints)
             d *= op.denom
         return d, ints
+
+    def _letter_error(self, e) -> RepError:
+        return RepError(f"letter {e} is not in the alphabet ({', '.join(self.alphabet.names)})")
+
+    def _check_letters(self, letters) -> None:
+        """Raise RepError for the first of letters that is not in the alphabet."""
+        for e in letters:
+            if e not in self.operators:
+                raise self._letter_error(e)
 
 
 def _is_nilpotent(op: Operator) -> bool:

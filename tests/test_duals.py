@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -168,6 +170,32 @@ def test_membership_ffr():
 def test_a_letter_outside_the_alphabet_is_refused_by_name(call):
     with pytest.raises(ValueError, match=r"letter 1 .*not in the alphabet \(a\)"):
         call(duals.phi((0, 1)), Alphabet(("a",)))
+
+
+CHAIN_AB = reps.make_chain(AB, (0, 1))  # e1 b0 = b1, e2 b1 = b2
+
+
+def evaluate_past_a_zero_path(w):
+    h = MatrixCoefficient(CHAIN_AB, (1, 1, 1), (1, 0, 0))
+    assert h.evaluate_word((1, 1)) == 0  # phi M_e2 M_e2 = 0: the path ends at zero
+    return h.evaluate_word(w)
+
+
+# e2 kills b0, read first by an action; phi M_e2 M_e2 = 0, read first by a
+# pull back: each word puts the bad letter before or after a killing letter
+@pytest.mark.parametrize("w", [(7, 1), (1, 7), (7, 1, 1), (1, 1, 7)],
+                         ids=lambda w: ".".join(map(str, w)))
+@pytest.mark.parametrize("call", [
+    lambda w: MatrixCoefficient(CHAIN_AB, (1, 1, 1), (1, 0, 0)).evaluate_word(w),
+    evaluate_past_a_zero_path,
+    lambda w: reps.act_word(CHAIN_AB, w, (1, 0, 0)),
+    lambda w: duals.left_translate(w, MatrixCoefficient(CHAIN_AB, (1, 1, 1), (1, 0, 0))),
+    lambda w: duals.right_translate(w, MatrixCoefficient(CHAIN_AB, (1, 1, 1), (1, 0, 0))),
+], ids=["evaluate_word", "evaluate_word-past-zero", "act_word", "left_translate",
+        "right_translate"])
+def test_a_letter_outside_a_module_is_refused_by_name_wherever_it_sits(call, w):
+    with pytest.raises(reps.RepError, match=r"^letter 7 is not in the alphabet \(e1, e2\)$"):
+        call(w)
 
 
 def test_r_cut_spans_translation_closure():
@@ -452,6 +480,148 @@ def test_membership_builds_no_fraction_and_stops_at_full_rank(monkeypatch):
     assert late == []
     assert results == [(True, 5), (True, 15)]
     assert ranks[-1] == 15
+
+
+def ref_covector(h, u):
+    """phi M_u1 ... M_uk in Fractions, on h.rep.matrices."""
+    mats = h.rep.matrices
+    p = list(h.phi)
+    for e in u:
+        p = [sum((x * row[j] for x, row in zip(p, mats[e])), Fraction(0)) for j in range(len(p))]
+    return p
+
+
+def ref_value(h, w):
+    """phi(M_w1 (... (M_wk v))) in Fractions, on h.rep.matrices."""
+    mats = h.rep.matrices
+    u = list(h.v)
+    for e in reversed(w):
+        u = [sum((a * b for a, b in zip(row, u)), Fraction(0)) for row in mats[e]]
+    return sum((a * b for a, b in zip(h.phi, u)), Fraction(0))
+
+
+LETTERS = st.integers(0, 1)
+SHORT_WORDS = st.lists(LETTERS, max_size=5).map(tuple)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(matrix_coefficients(), st.builds(chain_functional, st.integers(1, 5)),
+                 st.builds(cyclic_functional)),
+       st.data())
+def test_consecutive_words_read_the_path_of_the_last(h, data):
+    """Repeats, one-letter extensions, prefixes, the empty word, words past a
+    zero covector, and calls on coefficients sharing phi or v with h, in a
+    drawn order: every value is the reference and a fresh coefficient's."""
+    phi, v = h._phi, h._v
+    phi_ints, v_ints = list(phi[1]), list(v[1])
+    sharing = [duals.left_translate((0,), h), duals.right_translate((1,), h),
+               duals.product(h, duals.phi((0,))), grp.phi_map(grp.xi_map(h))]
+    last, zeros = (), []  # zeros: words whose covector phi M_u is 0
+    for _ in range(data.draw(st.integers(1, 30))):
+        step = data.draw(st.sampled_from(
+            ("repeat", "extend", "prefix", "empty", "word", "past-zero", "sharing")))
+        target = h
+        if step == "repeat":
+            w = last
+        elif step == "extend":
+            w = last + (data.draw(LETTERS),)
+        elif step == "prefix":
+            w = last[:data.draw(st.integers(0, max(len(last) - 1, 0)))]
+        elif step == "empty":
+            w = ()
+        elif step == "past-zero" and zeros:
+            w = data.draw(st.sampled_from(zeros)) + data.draw(SHORT_WORDS)
+        elif step == "sharing":
+            target, w = data.draw(st.sampled_from(sharing)), data.draw(SHORT_WORDS)
+        else:
+            w = data.draw(SHORT_WORDS)
+        fresh = MatrixCoefficient(target.rep, target.phi, target.v)
+        assert target.evaluate_word(w) == ref_value(target, w) == fresh.evaluate_word(w)
+        if target is h:
+            last = w
+            if not any(ref_covector(h, w)):
+                zeros.append(w)
+    assert h._phi is phi and h._v is v
+    assert phi[1] == phi_ints and v[1] == v_ints
+    assert sharing[0]._v is v and sharing[1]._phi is phi
+    assert sharing[3]._phi is phi and sharing[3]._v is v
+
+
+def dense_product():
+    """phi(. v) on the tensor square of a dense 3-dimensional module whose
+    letters are conjugates of strictly upper triangular matrices."""
+    f = Fraction
+    # P N P^-1 for P with rows (1, 0, 0), (1, 1, 0), (2, 1, 1)
+    e1 = [[f(-3, 2), f(1, 2), f(1, 2)], [f(1, 2), f(5, 2), f(-3, 2)], [f(-1), f(3), f(-1)]]
+    e2 = [[f(-2), f(-4), f(3)], [f(-8, 3), f(-14, 3), f(11, 3)], [f(-14, 3), f(-26, 3), f(20, 3)]]
+    rep = reps.RepSpec(AB, 3, {0: e1, 1: e2})
+    h1 = MatrixCoefficient(rep, (1, f(2, 3), -1), (f(1, 2), 1, 3))
+    h2 = MatrixCoefficient(rep, (2, -1, f(1, 4)), (1, -2, f(1, 3)))
+    return duals.product(h1, h2)
+
+
+def test_consecutive_words_pull_back_only_past_the_shared_prefix(monkeypatch):
+    h = dense_product()
+    calls = []
+    image, pull_back = linalg.Operator.image, linalg.Operator.pull_back
+
+    def counting_image(self, ints):
+        calls.append("image")
+        return image(self, ints)
+
+    def counting_pull_back(self, ints):
+        calls.append("pull_back")
+        return pull_back(self, ints)
+
+    def cost(w):
+        del calls[:]
+        value = h.evaluate_word(w)
+        assert value == ref_value(h, w)
+        return list(calls)
+
+    monkeypatch.setattr(linalg.Operator, "image", counting_image)
+    monkeypatch.setattr(linalg.Operator, "pull_back", counting_pull_back)
+    assert any(ref_covector(h, (0, 1)))  # so (0, 1, 0) costs one pull_back
+    made = []
+    for w in words.all_words((0, 1), 5):
+        made += cost(w)
+    # the prefix-tree nodes of each length, walked once per length
+    assert made.count("image") == 0 and len(made) <= 2 + 6 + 14 + 30 + 62
+    assert cost((1, 1, 1, 1, 1)) == [] and cost(()) == []
+    # every word of length 5 kills the tensor square, so no word past it pulls
+    assert not any(ref_covector(h, (1, 1, 1, 1, 1))) and cost((1, 1, 1, 1, 1, 0)) == []
+    cost((0, 1))
+    assert cost((0, 1, 0)) == ["pull_back"]
+
+
+def test_threads_sharing_a_coefficient_read_whole_paths():
+    """The path is only ever replaced whole: threads evaluating one
+    coefficient in different word orders read the reference values."""
+    h = dense_product()
+    ws = list(words.all_words((0, 1), 4))
+    expected = {w: ref_value(h, w) for w in ws}
+    orders = [ws, ws[::-1], sorted(ws, key=lambda w: w[::-1]), ws[1::2] + ws[::2]]
+    wrong = []
+
+    def work(order):
+        try:
+            for _ in range(3):
+                wrong.extend(w for w in order if h.evaluate_word(w) != expected[w])
+        except Exception as exc:  # reported by the assertion below
+            wrong.append(exc)
+
+    threads = [threading.Thread(target=work, args=(order,)) for order in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_z_monoid():
