@@ -165,8 +165,7 @@ def right_translate(x, h):
     x = _as_poly(x)
     if isinstance(h, MatrixCoefficient):
         d_v, v = h._v
-        terms = ((c, *h.rep.image(u, v)) for u, c in x.terms.items())
-        den, moved = linalg.combine(terms, h.rep.dim)
+        den, moved = h.rep.poly_image(x, v)
         return MatrixCoefficient.of_pairs(h.rep, h._phi, (d_v * den, moved))
     out = {}
     for u, cu in x.terms.items():
@@ -187,8 +186,7 @@ def left_translate(x, h):
     if isinstance(h, MatrixCoefficient):
         # phi(u y . v) = (phi M_u1 ... M_um)(y . v): pull phi back letter by letter
         d_phi, phi = h._phi
-        terms = ((c, *h.rep.pull_back(u, phi)) for u, c in x.terms.items())
-        den, pulled = linalg.combine(terms, h.rep.dim)
+        den, pulled = h.rep.poly_pull_back(x, phi)
         return MatrixCoefficient.of_pairs(h.rep, (d_phi * den, pulled), h._v)
     out = {}
     for u, cu in x.terms.items():

@@ -11,6 +11,12 @@ one factor, and a factor that is the identity (exp(0 e), 1^e) acts as
 nothing.  The fold is exact on every module, since the factors of a run
 commute, and it runs on integer pairs (p, q) for p/q.  Group elements are
 otherwise compared only through their actions.
+
+A factor acts on an integer vector over one denominator: exp(t e) takes the
+chain of images of the vector under e until one is zero and sums its series
+once, over its last denominator; s^e scales each entry by s^n.  The
+faithfulness witnesses act on the integer unit vector of their module and
+build Fractions only for the vector they return.
 """
 from __future__ import annotations
 
@@ -28,7 +34,7 @@ from .duals import (
     realize_rep_backed,
 )
 from .linalg import frac
-from .reps import RepSpec, act_poly
+from .reps import RepSpec
 from .words import Alphabet, NcPoly, Word
 
 
@@ -74,25 +80,31 @@ class GroupWord(tuple):
 
 def _factor_image(rep: RepSpec, letter: int, kind: str, p: int, q: int, ints):
     """(D, u) with factor . ints = u / D, for an integer vector ints and the
-    factor of the letter and kind with parameter p/q, q > 0."""
+    factor of the letter and kind with parameter p/q, q > 0.
+
+    An exp factor first takes the chain u_k = R^k ints, M = R/D, until an
+    image is zero (RepError after dim + 1 nonzero images: the letter is not
+    nilpotent).  With m the last k, exp(t M) ints is the sum of
+    p^k (qD)^(m-k) (m!/k!) u_k over (qD)^m m!: the terms are kept and summed
+    once, from u_m down in Horner form, so no partial sum is rescaled.
+    """
     if kind == words.NILPOTENT:
-        # with t = p/q and M = R/D, the k-th term t^k M^k v / k! is
-        # term_k / ((qD)^k k!), term_k = p R term_(k-1); the sum is kept
-        # over the running denominator (qD)^k k!
         op = rep.operators[letter]
-        step = q * op.denom
-        acc = term = ints
-        den = k = 1
+        chain = [ints]
         while True:
-            term = [p * x for x in op.image(term)]
-            if not any(term):
-                return den, acc
-            scale = step * k
-            acc = [a * scale + x for a, x in zip(acc, term)]
-            den *= scale
-            if k > rep.dim:
+            u = op.image(chain[-1])
+            if not any(u):
+                break
+            if len(chain) > rep.dim:
                 raise reps.RepError("exp series did not terminate: matrix not nilpotent")
-            k += 1
+            chain.append(u)
+        # acc = sum over k >= j of p^(k-j) (qD)^(m-k) (m!/k!) u_k over den = (qD)^(m-j) m!/j!
+        step = q * op.denom
+        acc, den = chain.pop(), 1
+        for k in range(len(chain), 0, -1):
+            den *= step * k
+            acc = [p * a + den * x for a, x in zip(acc, chain[k - 1])]
+        return den, acc
     # s^n with s = p/q, over q^top |p|^bottom: every entry stays an integer
     eigs = rep.operators[letter].diagonal()
     top, bottom = max([0, *eigs]), -min([0, *eigs])
@@ -251,9 +263,9 @@ def faithfulness_witness(x: NcPoly, alphabet: Alphabet, dim_cap: int = linalg.DE
     n = x.max_length()
     j = sorted(x.support_letters()) or [0]
     rep = reps.make_VNJ(alphabet, n, j, dim_cap)
-    v0 = rep.basis_vector(rep.labels.index(()))
-    moved = act_poly(rep, x, v0)
-    return rep, v0, moved
+    # b_empty comes first: word_module orders its basis by words.word_key
+    den, moved = rep.poly_image(x, [1] + [0] * (rep.dim - 1))
+    return rep, rep.basis_vector(0), linalg.over(moved, den)
 
 
 def group_faithfulness_witness(g: GroupWord, alphabet: Alphabet):
@@ -267,6 +279,5 @@ def group_faithfulness_witness(g: GroupWord, alphabet: Alphabet):
         raise ValueError("group word must be reduced: nonzero params, distinct neighbours")
     seq = tuple(f.letter for f in reversed(g))  # application order
     rep = reps.make_chain(alphabet, seq)
-    v0 = rep.basis_vector(0)
-    moved = act_group(rep, g, v0)
-    return rep, v0, moved
+    d, moved = _group_image(rep, g, 1, [1] + [0] * (rep.dim - 1))
+    return rep, rep.basis_vector(0), linalg.over(moved, d)

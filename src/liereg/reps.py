@@ -7,6 +7,13 @@ flags non-diagonal input rather than attempting an eigendecomposition).
 
 Convention: a word acts first-letter-outermost,
 (x1 x2 ... xk) . v = x1(x2(...(xk v))).
+
+Actions run on integer vectors over one denominator.  `RepSpec.image` moves
+a vector along a word and `RepSpec.pull_back` a covector, each stopping at
+the letter that makes it zero; `poly_image` and `poly_pull_back` are the one
+core for a polynomial sum c w, its terms summed in integers by
+linalg.combine.  Fractions are built only at the edge: `act_word` and
+`act_poly` clear their input once and build the result with linalg.over.
 """
 from __future__ import annotations
 
@@ -57,7 +64,12 @@ class RepSpec:
         return self.alphabet.kind(letter)
 
     def basis_vector(self, i: int):
-        return tuple(Fraction(1) if j == i else Fraction(0) for j in range(self.dim))
+        """b_i as a tuple of Fractions: one Fraction(1), linalg.ZERO elsewhere."""
+        if not 0 <= i < self.dim:
+            raise RepError(f"basis index {i} is outside the module: dimension is {self.dim}")
+        v = [linalg.ZERO] * self.dim
+        v[i] = Fraction(1)
+        return tuple(v)
 
     def check_length(self, v, field: str = "vector") -> None:
         """Raise RepError, naming the field, unless v has one entry per basis vector."""
@@ -84,16 +96,32 @@ class RepSpec:
         return d, ints
 
     def pull_back(self, w: Word, ints):
-        """(D, p) with phi M_w1 ... M_wk = p / D, for an integer row vector phi = ints."""
+        """(D, p) with phi M_w1 ... M_wk = p / D, for an integer row vector
+        phi = ints.  The letters stop once the covector is zero, as in image."""
         d = 1
-        for e in w:
+        letters = iter(w)
+        for e in letters:
             try:
                 op = self.operators[e]
             except KeyError:
                 raise self._letter_error(e) from None
             ints = op.pull_back(ints)
             d *= op.denom
+            if not any(ints):
+                self._check_letters(letters)  # the letters not yet read
+                break
         return d, ints
+
+    def poly_image(self, x: NcPoly, ints):
+        """(D, u) with x . ints = u / D, for an integer vector ints: the images
+        c w . ints of x's terms summed in integers over one denominator."""
+        return linalg.combine(((c, *self.image(w, ints)) for w, c in x.terms.items()), self.dim)
+
+    def poly_pull_back(self, x: NcPoly, ints):
+        """(D, p) with the sum of c phi M_w over x's terms c w equal to p / D,
+        for an integer row vector phi = ints, summed as in poly_image."""
+        return linalg.combine(((c, *self.pull_back(w, ints)) for w, c in x.terms.items()),
+                              self.dim)
 
     def _letter_error(self, e) -> RepError:
         return RepError(f"letter {e} is not in the alphabet ({', '.join(self.alphabet.names)})")
@@ -160,8 +188,7 @@ def act_poly(rep: RepSpec, x: NcPoly, v):
     """x . v, its terms summed in integers over one common denominator."""
     rep.check_length(v)
     d, ints = linalg.integral(v)
-    terms = ((c, *rep.image(w, ints)) for w, c in x.terms.items())
-    den, acc = linalg.combine(terms, rep.dim)
+    den, acc = rep.poly_image(x, ints)
     return linalg.over(acc, d * den)
 
 

@@ -10,7 +10,7 @@ from liereg import duals, grp, linalg, reps, words
 from liereg.duals import MatrixCoefficient
 from liereg.grp import GroupWord, RegularFunction, exp_factor, torus_factor
 from liereg.words import Alphabet, NcPoly
-from test_reps import NIL_DIAG, ZERO, modules, ref_act_word, vectors
+from test_reps import NIL_DIAG, ZERO, module_matrices, modules, ref_act_word, vectors
 
 
 AB = Alphabet(("e1", "e2"))
@@ -234,6 +234,25 @@ def ref_act_group(rep, g, v):
 
 
 @st.composite
+def full_index_modules(draw):
+    """A module of test_reps whose e1 is dense strictly upper triangular in a
+    permuted basis, every entry nonzero: its nilpotency index is the
+    dimension, so exp(t e1) runs the longest series, m = dim - 1."""
+    dim, mats = draw(module_matrices())
+    perm = draw(st.permutations(range(dim)))
+    nonzero = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+    m = [[ZERO] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            m[perm[i]][perm[j]] = draw(nonzero)
+    mats[0] = m
+    return reps.RepSpec(NIL_DIAG, dim, mats)
+
+
+ACTION_MODULES = st.one_of(modules(), full_index_modules())
+
+
+@st.composite
 def group_words(draw):
     factor = st.one_of(
         st.builds(exp_factor, st.integers(0, 1), PARAMS),
@@ -245,7 +264,7 @@ def group_words(draw):
 @ACTION
 @given(st.data())
 def test_act_group_matches_reference(data):
-    rep = data.draw(modules())
+    rep = data.draw(ACTION_MODULES)
     v = data.draw(vectors(rep.dim))
     g = data.draw(group_words())
     out = grp.act_group(rep, g, v)
@@ -417,7 +436,7 @@ def words_with_repeats(draw):
 @ACTION
 @given(st.data())
 def test_words_with_adjacent_repeats_match_reference(data):
-    rep = data.draw(modules())
+    rep = data.draw(ACTION_MODULES)
     v = data.draw(vectors(rep.dim))
     g = data.draw(words_with_repeats())
     expected = ref_act_group(rep, g, v)
@@ -429,9 +448,10 @@ def test_words_with_adjacent_repeats_match_reference(data):
     assert type(value) is Fraction
 
 
-def _count_images(call):
-    """(result, number of Operator.image calls made by call())."""
-    real = linalg.Operator.image
+def _count_images(call, method="image"):
+    """(result, number of Operator.image calls, or calls of the Operator
+    method named, made by call())."""
+    real = getattr(linalg.Operator, method)
     count = 0
 
     def counted(self, ints):
@@ -439,7 +459,7 @@ def _count_images(call):
         count += 1
         return real(self, ints)
 
-    with mock.patch.object(linalg.Operator, "image", counted):
+    with mock.patch.object(linalg.Operator, method, counted):
         return call(), count
 
 
@@ -486,6 +506,52 @@ def test_a_word_action_stops_at_zero():
     assert reps.act_word(CHAIN, KILLING, b0) == ref_act_word(CHAIN, KILLING, b0) == (ZERO,) * 3
     x = NcPoly({KILLING: Fraction(3, 2), (1, 0): Fraction(-2, 5), (0, 0): 7})
     assert reps.act_poly(CHAIN, x, b0) == (ZERO, ZERO, Fraction(-2, 5))
+
+
+def test_a_pull_back_stops_at_a_zero_covector():
+    # phi M_e2 = (0, 1, 0) and phi M_e2 M_e2 = 0: the last four letters are not read
+    h = MatrixCoefficient(CHAIN, (1, 1, 1), (Fraction(1, 2), 3, 0))
+    w = (1, 1, 0, 1, 0, 1)
+    (d, p), count = _count_images(lambda: CHAIN.pull_back(w, [1, 1, 1]), "pull_back")
+    assert count == 2 and p == [0, 0, 0]
+    left, count = _count_images(lambda: duals.left_translate(w, h), "pull_back")
+    assert count == 2 and left.phi == (ZERO,) * 3 and left.v == h.v
+    assert all(left.evaluate_word(y) == h.evaluate_word(w + y) == 0
+               for y in [(), (0,), (1, 0)])
+    x = NcPoly({w: 2, (1,): Fraction(1, 3), (): -1})
+    assert duals.left_translate(x, h).phi == (-1, Fraction(-2, 3), -1)
+    # a letter past the stop is still checked against the alphabet
+    with pytest.raises(reps.RepError, match="^letter 7 is not in the alphabet"):
+        CHAIN.pull_back(w + (7,), [1, 1, 1])
+
+
+def _count_fractions(monkeypatch, call):
+    """(result, number of Fraction.__new__ calls made by call())."""
+    new = Fraction.__new__
+    count = 0
+
+    def counted(cls, *args, **kwargs):
+        nonlocal count
+        count += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    out = call()
+    monkeypatch.undo()
+    return out, count
+
+
+def test_the_witnesses_build_only_their_output_fractions(monkeypatch):
+    """One Fraction per nonzero entry of moved, and v0's one 1."""
+    g = GroupWord([exp_factor(0, Fraction(-2, 3)), exp_factor(1, 5), exp_factor(0, Fraction(1, 4))])
+    x = NcPoly({(0, 1): Fraction(3, 2), (1,): -4, (1, 1): 1})
+    for call in [lambda: grp.group_faithfulness_witness(g, AB),
+                 lambda: grp.faithfulness_witness(x, AB)]:
+        (rep, v0, moved), count = _count_fractions(monkeypatch, call)
+        assert v0 == rep.basis_vector(0)
+        assert count == 1 + sum(1 for c in moved if c)
+    assert moved[rep.labels.index((0, 1))] == Fraction(3, 2)
+    assert _count_fractions(monkeypatch, lambda: CHAIN.basis_vector(1)) == ((0, 1, 0), 1)
 
 
 def test_a_zero_pairing_builds_no_fraction(monkeypatch):

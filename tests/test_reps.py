@@ -101,6 +101,14 @@ def test_dimension_mismatch_raises():
         reps.act_word(rep, (0,), (1, 0))
 
 
+def test_a_basis_index_outside_the_module_is_refused():
+    rep = chain12()
+    assert rep.basis_vector(0) == (1, 0, 0) and rep.basis_vector(2) == (0, 0, 1)
+    for i in [-1, 3, 5]:
+        with pytest.raises(RepError, match=f"^basis index {i} is outside the module: dimension is 3$"):
+            rep.basis_vector(i)
+
+
 def test_validate_integrable():
     rep = chain12()
     assert reps.validate_integrable(rep) == []
@@ -280,6 +288,9 @@ def test_act_poly_matches_reference(data):
     out = reps.act_poly(rep, x, v)
     assert out == tuple(expected)
     assert all(type(y) is Fraction for y in out)
+    d, ints = linalg.integral(v)
+    den, u = rep.poly_image(x, ints)
+    assert linalg.over(u, d * den) == out and all(type(y) is int for y in u)
 
 
 @ACTION
@@ -315,6 +326,11 @@ def test_translations_match_reference(data):
     left, right = duals.left_translate(x, h), duals.right_translate(x, h)
     assert left.phi == tuple(pulled) and left.v == h.v
     assert right.v == tuple(moved) and right.phi == h.phi
+    (d_phi, phi_ints), (d_v, v_ints) = linalg.integral(phi), linalg.integral(v)
+    den, p = rep.poly_pull_back(x, phi_ints)
+    assert linalg.over(p, d_phi * den) == tuple(pulled)
+    den, u = rep.poly_image(x, v_ints)
+    assert linalg.over(u, d_v * den) == tuple(moved)
     for y in data.draw(st.lists(NIL_WORDS, max_size=3)):
         assert left.evaluate_word(y) == sum((c * h.evaluate_word(u + y) for u, c in x.terms.items()), ZERO)
         assert right.evaluate_word(y) == sum((c * h.evaluate_word(y + u) for u, c in x.terms.items()), ZERO)
