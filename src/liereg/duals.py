@@ -300,7 +300,11 @@ class RhoExpansion:
 
 def _expand_mc(rep: RepSpec, phi, v, den, letters):
     """The development of phi(. v) along letters, for integer vectors phi and v
-    over the common denominator den; each index tuple is reached once."""
+    over the common denominator den; each index tuple is reached once.
+
+    A locally nilpotent letter reads its chain of images (RepSpec.exp_chain,
+    which refuses a matrix that is not nilpotent): e^k v / k! is u_k over
+    D^k k!.  A diagonalizable letter splits v by eigenvalue."""
     if not letters:
         c = sum(map(mul, phi, v))
         return {(): Fraction(c, den)} if c else {}
@@ -308,17 +312,12 @@ def _expand_mc(rep: RepSpec, phi, v, den, letters):
     rest = letters[:-1]
     out = {}
     if rep.kind(e) == words.NILPOTENT:
-        op = rep.operators[e]
-        k = 0
-        while any(v):
-            if k > rep.dim:
-                raise RuntimeError("non-terminating expansion on a nilpotent letter")
-            for ks, c in _expand_mc(rep, phi, v, den, rest).items():
+        # e^k v / k! is u_k over D^k k!, for the chain u_k of e's images
+        for k, (d, u) in enumerate(rep.exp_chain(e, v)):
+            if k:
+                den *= d * k
+            for ks, c in _expand_mc(rep, phi, u, den, rest).items():
                 out[ks + (k,)] = c
-            k += 1
-            # e^k v / k! = image^k(v) / (denom^k k!)
-            v = op.image(v)
-            den *= op.denom * k
     else:
         by_eig = {}
         for i, (x, n) in enumerate(zip(v, rep.operators[e].diagonal())):

@@ -12,11 +12,13 @@ nothing.  The fold is exact on every module, since the factors of a run
 commute, and it runs on integer pairs (p, q) for p/q.  Group elements are
 otherwise compared only through their actions.
 
-A factor acts on an integer vector over one denominator: exp(t e) takes the
-chain of images of the vector under e until one is zero and sums its series
-once, over its last denominator; s^e scales each entry by s^n.  The
-faithfulness witnesses act on the integer unit vector of their module and
-build Fractions only for the vector they return.
+A factor acts on an integer vector over one denominator, through the series
+rules the Kac-Moody engine shares: exp(t e) takes the chain of images of the
+vector under e until one is zero (RepSpec.exp_chain) and sums its series
+once, over its last denominator (linalg.exp_sum); s^e scales each entry by
+s^n over one denominator (linalg.power_scale).  The faithfulness witnesses
+act on the integer unit vector of their module and build Fractions only for
+the vector they return.
 """
 from __future__ import annotations
 
@@ -82,34 +84,16 @@ def _factor_image(rep: RepSpec, letter: int, kind: str, p: int, q: int, ints):
     """(D, u) with factor . ints = u / D, for an integer vector ints and the
     factor of the letter and kind with parameter p/q, q > 0.
 
-    An exp factor first takes the chain u_k = R^k ints, M = R/D, until an
-    image is zero (RepError after dim + 1 nonzero images: the letter is not
-    nilpotent).  With m the last k, exp(t M) ints is the sum of
-    p^k (qD)^(m-k) (m!/k!) u_k over (qD)^m m!: the terms are kept and summed
-    once, from u_m down in Horner form, so no partial sum is rescaled.
+    An exp factor sums the letter's chain of images (RepSpec.exp_chain,
+    which refuses a matrix that is not nilpotent) with linalg.exp_sum, in
+    Horner form over flat integer lists; a torus factor scales each entry
+    by s^n over linalg.power_scale's denominator.
     """
     if kind == words.NILPOTENT:
-        op = rep.operators[letter]
-        chain = [ints]
-        while True:
-            u = op.image(chain[-1])
-            if not any(u):
-                break
-            if len(chain) > rep.dim:
-                raise reps.RepError("exp series did not terminate: matrix not nilpotent")
-            chain.append(u)
-        # acc = sum over k >= j of p^(k-j) (qD)^(m-k) (m!/k!) u_k over den = (qD)^(m-j) m!/j!
-        step = q * op.denom
-        acc, den = chain.pop(), 1
-        for k in range(len(chain), 0, -1):
-            den *= step * k
-            acc = [p * a + den * x for a, x in zip(acc, chain[k - 1])]
-        return den, acc
-    # s^n with s = p/q, over q^top |p|^bottom: every entry stays an integer
+        return linalg.exp_sum(p, q, rep.exp_chain(letter, ints),
+                              lambda a, u, b, w: [a * x + b * y for x, y in zip(u, w)])
     eigs = rep.operators[letter].diagonal()
-    top, bottom = max([0, *eigs]), -min([0, *eigs])
-    den = q**top * abs(p) ** bottom
-    scale = {n: den * p**n // q**n if n >= 0 else den * q**-n // p**-n for n in set(eigs)}
+    den, scale = linalg.power_scale(p, q, eigs)
     return den, [x * scale[n] for x, n in zip(ints, eigs)]
 
 

@@ -206,6 +206,9 @@ def decode_functional(obj, alphabet: Alphabet = None):
 
 
 def decode_group_word(alphabet: Alphabet, obj) -> GroupWord:
+    """The group word of a list of {letter, kind, param}; each factor's kind
+    must be the one its letter's kind in the alphabet allows: 'exp' for a
+    locally nilpotent letter, 'torus' for a diagonalizable one."""
     if not isinstance(obj, list):
         raise SchemaError("group: expected a list of factors")
     factors = []
@@ -219,6 +222,12 @@ def decode_group_word(alphabet: Alphabet, obj) -> GroupWord:
         kind = entry.get("kind", "exp")
         if kind not in ("exp", "torus"):
             raise SchemaError(f"group[{i}].kind: expected 'exp' or 'torus'")
+        expected = "exp" if alphabet.is_nilpotent(letter) else "torus"
+        if kind != expected:
+            raise SchemaError(
+                f"group[{i}].kind: letter {alphabet.names[letter]} is {alphabet.kind(letter)}, "
+                f"so its factor kind is {expected!r}, not {kind!r}"
+            )
         param = decode_fraction(entry.get("param", "1"), f"group[{i}].param")
         if kind == "exp":
             factors.append(grp.exp_factor(letter, param))

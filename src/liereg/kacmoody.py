@@ -721,15 +721,12 @@ def _image(m: IrrTrunc, d, parts, i: int, step: int):
 
 def _combine(terms):
     """(D, parts) with parts / D the sum of c * p / d over the terms (c, d, p),
-    c rational and p integer parts; zero parts are left out."""
-    den, acc = 1, {}
+    c rational and p integer parts; zero parts are left out.  D, the lcm of
+    the c.denominator * d, is taken first, so no partial sum is rescaled."""
+    den = math.lcm(*[c.denominator * d for c, d, _ in terms])
+    acc = {}
     for c, d, parts in terms:
-        d *= c.denominator
-        common = math.lcm(den, d)
-        if common != den:
-            acc = {k: [a * (common // den) for a in u] for k, u in acc.items()}
-            den = common
-        s = c.numerator * (common // d)
+        s = c.numerator * (den // (c.denominator * d))
         for k, u in parts.items():
             old = acc.get(k)
             acc[k] = [s * x for x in u] if old is None else [a + s * x for a, x in zip(old, u)]
@@ -813,22 +810,20 @@ KMGroupWord = tuple  # of KMFactor, leftmost factor acts last
 def _exp_series(apply_once, t: Fraction, d, parts):
     """exp(t X) on parts / d, with apply_once(d, parts) the image under X.
 
-    With t = p/q the k-th term t^k X^k v / k! is term_k / den_k (times 1/d):
-    if X term_(k-1) = u_k / D_k, then term_k = p u_k and
-    den_k = den_(k-1) q k D_k.  The terms are kept and summed once, over
-    the last den_k, which every earlier one divides: starting from the last
-    term, no partial sum is ever rescaled.
+    The chain [(1, parts), (D_1, u_1), ...] of images X u_(k-1) = u_k / D_k
+    runs to the last nonzero one, and linalg.exp_sum sums it in Horner form,
+    with _combine of the two terms as its a u + b w.  X is applied once even
+    when t = 0, so a factor whose image lies past the depth cap is refused
+    whatever its parameter.
     """
     p, q = t.numerator, t.denominator
-    terms = [(1, parts)]  # (den_k, term_k)
-    while True:
-        den, term = terms[-1]
-        d_x, u = apply_once(1, term)
-        if not u or not p:
-            break
-        term = {key: [p * x for x in ints] for key, ints in u.items()}
-        terms.append((den * q * len(terms) * d_x, term))
-    den, acc = _combine([(1, den_k, term) for den_k, term in reversed(terms)])
+    chain = [(1, parts)]
+    d_x, u = apply_once(1, parts)
+    while u and p:
+        chain.append((d_x, u))
+        d_x, u = apply_once(1, u)
+    den, acc = linalg.exp_sum(
+        p, q, chain, lambda a, u, b, w: _combine([(a, 1, u), (b, 1, w)])[1])
     return d * den, acc
 
 
@@ -842,16 +837,11 @@ def _factor_image(m: IrrTrunc, factor: KMFactor, d, parts):
     if factor.kind == "root":
         poly = words.multibracket(factor.data)
         return _exp_series(lambda d, u: _e_poly(m, poly, d, u), factor.param, d, parts)
-    # torus: s^n on the weight with n = Lambda(h) - sum k_i alpha_i(h); with
-    # s = p/q, over q^top |p|^bottom every entry stays an integer
+    # torus: s^n on the weight with n = Lambda(h) - sum k_i alpha_i(h)
     lam_val, alpha_vals = factor.data
-    p, q = factor.param.numerator, factor.param.denominator
     powers = {k: lam_val - sum(map(mul, k, alpha_vals)) for k in parts}
-    top, bottom = max([0, *powers.values()]), -min([0, *powers.values()])
-    den = q**top * abs(p) ** bottom
-    scale = {
-        n: den * p**n // q**n if n >= 0 else den * q**-n // p**-n for n in set(powers.values())
-    }
+    den, scale = linalg.power_scale(
+        factor.param.numerator, factor.param.denominator, powers.values())
     return d * den, {k: [x * scale[powers[k]] for x in ints] for k, ints in parts.items()}
 
 

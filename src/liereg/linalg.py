@@ -14,8 +14,12 @@ integer vector v, ``Operator.pull_back`` denom * phi M.  An action clears
 its vector's denominators once with ``integral``, chains the integer
 products while it multiplies the denominators, and builds Fractions once,
 for the result, with ``over``; ``combine`` sums scaled integer vectors over
-one denominator.  ``mat_mul`` multiplies two Operators, and ``kron`` takes and
-returns nonzero columns.
+one denominator, taken first.  Two series rules serve both group engines,
+the free one (``grp``, flat integer lists) and the Kac-Moody one (weight
+parts): ``exp_sum`` sums an exp series from its chain of images, in Horner
+form, through the caller's own a u + b w, and ``power_scale`` gives the
+integer scales of a torus factor s^n over one denominator.  ``mat_mul``
+multiplies two Operators, and ``kron`` takes and returns nonzero columns.
 
 ``image`` scatters: each stored column whose vector entry is nonzero adds
 that entry times its pairs, so M v costs one product per nonzero entry of M
@@ -213,17 +217,43 @@ def _nonzero_columns(rows) -> list:
 
 def combine(terms, n):
     """(D, ints) with ints / D the sum of c * u / d over the terms (c, d, u),
-    c rational and u n ints; D is the lcm of the c.denominator * d."""
-    den, acc = 1, [0] * n
-    for c, d, u in terms:
-        d *= c.denominator
-        common = math.lcm(den, d)
-        if common != den:
-            acc = [a * (common // den) for a in acc]
-            den = common
-        s = c.numerator * (common // d)
-        acc = [a + s * b for a, b in zip(acc, u)]
+    c rational and u n ints.  D, the lcm of the c.denominator * d, is taken
+    first, so each term is added once, at its nonzero entries, and no
+    partial sum is rescaled."""
+    terms = [(c.numerator, c.denominator * d, u) for c, d, u in terms]
+    den, acc = math.lcm(*[d for _, d, _ in terms]), [0] * n
+    for a, d, u in terms:
+        s = a * (den // d)
+        for j in compress(range(n), u):
+            acc[j] += s * u[j]
     return den, acc
+
+
+def exp_sum(p, q, chain, add):
+    """(D, acc) with acc / D = exp(t X) u_0 for t = p/q, q > 0, given the
+    chain [(1, u_0), (D_1, u_1), ...] of images X u_(k-1) = u_k / D_k up to
+    the last nonzero one; add(a, u, b, w) is a u + b w in the caller's layout.
+
+    The k-th term is p^k u_k over q^k k! D_1 ... D_k.  With m the last k,
+    the terms are summed once, in Horner form from u_m down:
+    acc <- p acc + (q k D_k) ... (q m D_m) u_(k-1).  Every earlier
+    denominator divides the last, so no partial sum is rescaled.
+    """
+    den, acc = 1, chain[-1][1]
+    for k in range(len(chain) - 1, 0, -1):
+        den *= q * k * chain[k][0]
+        acc = add(p, acc, den, chain[k - 1][1])
+    return den, acc
+
+
+def power_scale(p, q, exponents):
+    """(D, {n: D s^n}) for s = p/q, p != 0 < q, and each exponent n: with
+    D = q^top |p|^bottom, top the largest exponent and -bottom the least
+    (both clipped at 0), every D s^n is an integer."""
+    exponents = set(exponents)
+    top, bottom = max([0, *exponents]), -min([0, *exponents])
+    den = q**top * abs(p) ** bottom
+    return den, {n: den * p**n // q**n if n >= 0 else den * q**-n // p**-n for n in exponents}
 
 
 def mat_mul(a, b) -> list:

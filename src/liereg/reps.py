@@ -12,8 +12,11 @@ Actions run on integer vectors over one denominator.  `RepSpec.image` moves
 a vector along a word and `RepSpec.pull_back` a covector, each stopping at
 the letter that makes it zero; `poly_image` and `poly_pull_back` are the one
 core for a polynomial sum c w, its terms summed in integers by
-linalg.combine.  Fractions are built only at the edge: `act_word` and
-`act_poly` clear their input once and build the result with linalg.over.
+linalg.combine; `exp_chain` is the one chain of images an exp factor or a
+Taylor development of a locally nilpotent letter reads, and the one place
+that refuses a letter whose matrix is not nilpotent.  Fractions are built
+only at the edge: `act_word` and `act_poly` clear their input once and
+build the result with linalg.over.
 """
 from __future__ import annotations
 
@@ -122,6 +125,21 @@ class RepSpec:
         for an integer row vector phi = ints, summed as in poly_image."""
         return linalg.combine(((c, *self.pull_back(w, ints)) for w, c in x.terms.items()),
                               self.dim)
+
+    def exp_chain(self, letter: int, ints):
+        """[(1, ints), (D, u_1), ...] with M u_(k-1) = u_k / D, M = R / D the
+        letter's matrix: the images of the integer vector ints up to the last
+        nonzero one, the chain that linalg.exp_sum sums into exp(t M) ints.
+        RepError after dim + 1 nonzero images: the matrix is not nilpotent."""
+        op = self.operators[letter]
+        chain = [(1, ints)]
+        u = op.image(ints)
+        while any(u):
+            if len(chain) > self.dim:
+                raise RepError("exp series did not terminate: matrix not nilpotent")
+            chain.append((op.denom, u))
+            u = op.image(u)
+        return chain
 
     def _letter_error(self, e) -> RepError:
         return RepError(f"letter {e} is not in the alphabet ({', '.join(self.alphabet.names)})")

@@ -144,6 +144,26 @@ def test_act_names_the_param_of_a_zero_torus_factor(capsys):
     assert err == "error: group[0].param: a torus factor needs a nonzero parameter\n"
 
 
+MIXED_REP = ('{"dim":2,"letters":[{"name":"e","matrix":[[0,1],[0,0]]},'
+             '{"name":"d","kind":"diagonalizable-integer","matrix":[[3,0],[0,-2]]}]}')
+KIND_MISMATCHES = [
+    (["act", "--rep", MIXED_REP, "--vector", "[1,1]", "--group",
+      '[{"letter":"e","kind":"exp","param":"2"},{"letter":"d","kind":"exp","param":"1"}]'],
+     "group[1].kind: letter d is diagonalizable-integer, so its factor kind is 'torus', not 'exp'"),
+    (["act", "--rep", MIXED_REP, "--vector", "[1,1]", "--group",
+      '[{"letter":"e","kind":"torus","param":"2"}]'],
+     "group[0].kind: letter e is locally-nilpotent, so its factor kind is 'exp', not 'torus'"),
+    (["witness", "--letters", "e1,e2", "--group",
+      '[{"letter":"e1","kind":"exp","param":"2"},{"letter":"e2","kind":"torus","param":"3"}]'],
+     "group[1].kind: letter e2 is locally-nilpotent, so its factor kind is 'exp', not 'torus'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", KIND_MISMATCHES)
+def test_a_factor_kind_that_does_not_fit_its_letter_is_named(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 def test_xi_map_realizes_a_word_on_its_suffixes_under_a_small_cap(capsys, monkeypatch):
     """The realization has one dimension per suffix, ignoring the cap: V_8
     over three letters would have 9,841."""

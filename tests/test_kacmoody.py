@@ -1231,6 +1231,10 @@ def module_vectors(draw, max_depth=2):
 # f_0 on V_(1,1) of this module has denominator 2, on V_(0,1) denominator 1
 @example((IrrTrunc(A2, (1, 1), depth=4, depth_cap=8),
           TruncVector({(1, 1): (1, Fraction(-1, 3)), (0, 1): (2,)})), [("f", 0, Fraction(1, 2))])
+# exp(t f_0) on V_(1,1) of this module runs a chain of 4 terms whose step
+# denominators are 1, 3 and 2
+@example((IrrTrunc(AFFINE, (2, 1), depth=4, depth_cap=8),
+          TruncVector({(1, 1): (1, Fraction(-1, 2))})), [("f", 0, Fraction(-2, 3))])
 def test_actions_match_the_fraction_reference(mv, spec):
     mod, v = mv
     parts = _as_parts(v)

@@ -764,3 +764,44 @@ def test_echelon_runs_without_fraction_arithmetic():
     assert ArithmeticCountingFraction.calls == 0
     assert accepted == [True, True, False, True, True] and all(held)
     assert (basis, pivots) == ref_rref(_as_fractions(vectors))
+
+
+@st.composite
+def combine_terms(draw):
+    """A length n and terms (c, d, u) for linalg.combine: c an int or a
+    Fraction, d a positive denominator, u n ints, at times zero or a unit
+    vector."""
+    n = draw(st.integers(0, 5))
+    vectors = [st.lists(st.integers(-9, 9), min_size=n, max_size=n), st.just([0] * n)]
+    if n:
+        vectors.append(st.integers(0, n - 1).map(lambda i: [int(j == i) for j in range(n)]))
+    coeff = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=12))
+    terms = st.tuples(coeff, st.integers(1, 30), st.one_of(*vectors))
+    return n, draw(st.lists(terms, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(combine_terms())
+# the lcm grows at every term, a zero vector's among them
+@example((3, [(Fraction(1, 2), 1, [1, 0, 0]), (3, 4, [0, 0, 0]),
+              (Fraction(-2, 3), 5, [2, -1, 7]), (1, 7, [0, 0, 1])]))
+@example((2, []))
+def test_combine_is_the_fraction_sum(case):
+    n, terms = case
+    den, ints = linalg.combine(iter(terms), n)  # a generator, as poly_image passes them
+    assert den == math.lcm(*[Fraction(c).denominator * d for c, d, _ in terms])
+    assert all(type(x) is int for x in ints)
+    expected = [sum((Fraction(c) * u[j] / d for c, d, u in terms), Fraction(0)) for j in range(n)]
+    assert [Fraction(x, den) for x in ints] == expected
+
+
+@pytest.mark.parametrize("p, q", [(2, 3), (-2, 3), (-5, 1), (1, 4), (-7, 2)])
+def test_power_scale_matches_fraction_powers(p, q):
+    # exponents of both signs, 0 and a repeated one
+    for exponents in ([3, -2, 0, 3, 1, -1], [2, 2], [-3], [0]):
+        den, scale = linalg.power_scale(p, q, iter(exponents))
+        top, bottom = max(0, *exponents), -min(0, *exponents)
+        assert den == q**top * abs(p) ** bottom and set(scale) == set(exponents)
+        for n in exponents:
+            assert type(scale[n]) is int and Fraction(scale[n], den) == Fraction(p, q) ** n
+    assert linalg.power_scale(p, q, []) == (1, {})
