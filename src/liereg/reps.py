@@ -9,13 +9,14 @@ Convention: a word acts first-letter-outermost,
 (x1 x2 ... xk) . v = x1(x2(...(xk v))).
 
 Actions run on integer vectors over one denominator.  `RepSpec.image` moves
-a vector along a word and `RepSpec.pull_back` a covector, each stopping at
-the letter that makes it zero; `poly_image` and `poly_pull_back` are the one
-core for a polynomial sum c w, its terms summed in integers by
-linalg.combine; `exp_chain` is the one chain of images an exp factor or a
-Taylor development of a locally nilpotent letter reads, and the one place
-that refuses a letter whose matrix is not nilpotent.  Fractions are built
-only at the edge: `act_word` and `act_poly` clear their input once and
+a vector along a word and `RepSpec.pull_back` a covector, through one letter
+loop, `RepSpec._walk`, that stops at the letter that makes the vector zero;
+`poly_image` and `poly_pull_back` are the one core for a polynomial sum c w,
+its terms summed in integers by linalg.combine; `exp_chain` is the one chain
+of images an exp factor or a Taylor development of a locally nilpotent
+letter reads, and the one place that refuses a letter whose matrix is not
+nilpotent: `validate_integrable` runs it on the unit vectors.  Fractions are
+built only at the edge: `act_word` and `act_poly` clear their input once and
 build the result with linalg.over.
 """
 from __future__ import annotations
@@ -64,7 +65,10 @@ class RepSpec:
         return MappingProxyType({e: op.matrix() for e, op in self.operators.items()})
 
     def kind(self, letter: int) -> str:
-        return self.alphabet.kind(letter)
+        try:
+            return self.alphabet.kind(letter)
+        except ValueError:
+            raise self._letter_error(letter) from None
 
     def basis_vector(self, i: int):
         """b_i as a tuple of Fractions: one Fraction(1), linalg.ZERO elsewhere."""
@@ -81,34 +85,28 @@ class RepSpec:
 
     def image(self, w: Word, ints):
         """(D, u) with w . ints = u / D, for an integer vector ints; no Fraction
-        is built.  The letters stop once the vector is zero: u is then zero,
-        over the denominators met so far, and the letters left unread are
-        only checked to lie in the alphabet (RepError otherwise)."""
-        d = 1
-        letters = reversed(w)
-        for e in letters:
-            try:
-                op = self.operators[e]
-            except KeyError:
-                raise self._letter_error(e) from None
-            ints = op.image(ints)
-            d *= op.denom
-            if not any(ints):
-                self._check_letters(letters)  # the letters not yet read
-                break
-        return d, ints
+        is built.  The last letter acts first (_walk)."""
+        return self._walk(reversed(w), ints, Operator.image)
 
     def pull_back(self, w: Word, ints):
         """(D, p) with phi M_w1 ... M_wk = p / D, for an integer row vector
-        phi = ints.  The letters stop once the covector is zero, as in image."""
+        phi = ints.  The first letter acts first (_walk)."""
+        return self._walk(iter(w), ints, Operator.pull_back)
+
+    def _walk(self, letters, ints, step):
+        """(D, u): the integer vector ints carried through the iterator
+        letters, in order, by step (Operator.image or Operator.pull_back),
+        each letter's denominator multiplied into D.  The letters stop once
+        the vector is zero: u is then zero, over the denominators met so
+        far, and the letters left unread are only checked to lie in the
+        alphabet (RepError otherwise)."""
         d = 1
-        letters = iter(w)
         for e in letters:
             try:
                 op = self.operators[e]
             except KeyError:
                 raise self._letter_error(e) from None
-            ints = op.pull_back(ints)
+            ints = step(op, ints)
             d *= op.denom
             if not any(ints):
                 self._check_letters(letters)  # the letters not yet read
@@ -130,8 +128,12 @@ class RepSpec:
         """[(1, ints), (D, u_1), ...] with M u_(k-1) = u_k / D, M = R / D the
         letter's matrix: the images of the integer vector ints up to the last
         nonzero one, the chain that linalg.exp_sum sums into exp(t M) ints.
-        RepError after dim + 1 nonzero images: the matrix is not nilpotent."""
-        op = self.operators[letter]
+        RepError after dim + 1 nonzero images: the matrix is not nilpotent,
+        and for a letter outside the alphabet."""
+        try:
+            op = self.operators[letter]
+        except KeyError:
+            raise self._letter_error(letter) from None
         chain = [(1, ints)]
         u = op.image(ints)
         while any(u):
@@ -151,36 +153,27 @@ class RepSpec:
                 raise self._letter_error(e)
 
 
-def _is_nilpotent(op: Operator) -> bool:
-    """Whether the ranks of M^k fall to 0: the column space of M^(k+1) lies in
-    that of M^k, so once two ranks agree the spaces do, and stay so."""
-    cols = [[0] * i + [1] + [0] * (op.width - i - 1) for i in range(op.width)]
-    while cols:
-        space = Echelon()
-        for col in cols:
-            col = op.image(col)
-            if any(col):
-                space.add(col)
-        if space.rank == len(cols):
-            return False
-        cols = space.rows
-    return True
-
-
 def _is_integer_diagonal(op: Operator) -> bool:
     return all(i == j and x % op.denom == 0 for j, column in op.columns for i, x in column)
 
 
 def validate_integrable(rep: RepSpec):
-    """Structured validation report: list of violations, empty when integrable."""
+    """Structured validation report: list of violations, empty when integrable.
+
+    A locally nilpotent letter's matrix M is checked through RepSpec.exp_chain,
+    the one refusal of a letter that is not nilpotent, run on each integer
+    unit vector: M is nilpotent iff M^dim = 0, iff no unit vector's chain of
+    images outlasts dim of them."""
     violations = []
     for e in rep.alphabet.letters():
         name = rep.alphabet.names[e]
-        op = rep.operators[e]
         if rep.kind(e) == words.NILPOTENT:
-            if not _is_nilpotent(op):
+            try:
+                for i in range(rep.dim):
+                    rep.exp_chain(e, [0] * i + [1] + [0] * (rep.dim - i - 1))
+            except RepError:
                 violations.append(f"letter {name}: matrix is not nilpotent")
-        elif not _is_integer_diagonal(op):
+        elif not _is_integer_diagonal(rep.operators[e]):
             violations.append(
                 f"letter {name}: diagonalizable letters must be given as "
                 "diagonal matrices with integer entries"

@@ -65,10 +65,13 @@ class Alphabet:
         return range(len(self.names))
 
     def kind(self, letter: int) -> str:
+        """The letter's kind; ValueError, naming the letter, for one outside the alphabet."""
+        if not 0 <= letter < len(self.kinds):
+            raise ValueError(f"letter {letter} is not in the alphabet ({', '.join(self.names)})")
         return self.kinds[letter]
 
     def is_nilpotent(self, letter: int) -> bool:
-        return self.kinds[letter] == NILPOTENT
+        return self.kind(letter) == NILPOTENT
 
     def word(self, text: str) -> Word:
         """Parse a '.'-separated word; '1' is the empty word."""

@@ -53,6 +53,9 @@ def test_right_translate_strips_suffix():
     assert duals.right_translate(NcPoly.letter(0), duals.phi((0, 1))).is_zero()
     h = FiniteFunctional({(0, 1): 2})
     assert duals.right_translate(NcPoly.one(), h) == h
+    # a word that is all suffix leaves the empty word, and 1 |> phi_() is phi_()
+    assert duals.right_translate(NcPoly.word((0, 1)), h) == FiniteFunctional({(): 2})
+    assert duals.right_translate(NcPoly.one(), duals.phi(())) == duals.phi(())
 
 
 def test_left_translate_strips_prefix():
@@ -114,6 +117,24 @@ def test_product_mixed_finite_and_rep_backed():
     h1 = duals.phi((0,))
     h2 = cyclic_functional()
     prod = duals.product(h1, h2, AB)
+    for n in range(5):
+        for w in itertools.product((0, 1), repeat=n):
+            expected = Fraction(0)
+            for (l, r), c in words.coproduct(NcPoly.word(w)).terms.items():
+                expected += c * h1.evaluate_word(l) * h2.evaluate_word(r)
+            assert prod.evaluate_word(w) == expected
+
+
+def test_product_of_matrix_coefficients_with_denominators():
+    """Both factors carry denominators in phi and in v, so the product's
+    phi and v are Kronecker products over the products of the denominators."""
+    chain = reps.make_chain(AB, (0, 1))
+    h1 = MatrixCoefficient(chain, (Fraction(1, 2), Fraction(-1, 3), Fraction(2)),
+                           (Fraction(1), Fraction(-1, 5), Fraction(0)))
+    h2 = MatrixCoefficient(reps.make_cyclic_pair(AB, 0, 1), (Fraction(1, 7), Fraction(3)),
+                           (Fraction(2, 3), Fraction(1)))
+    prod = duals.product(h1, h2)
+    assert prod.phi == linalg.vec_kron(h1.phi, h2.phi) and prod.v == linalg.vec_kron(h1.v, h2.v)
     for n in range(5):
         for w in itertools.product((0, 1), repeat=n):
             expected = Fraction(0)

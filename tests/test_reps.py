@@ -3,10 +3,10 @@ from functools import partial
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liereg import duals, linalg, reps, words
+from liereg import duals, grp, linalg, reps, words
 from liereg.duals import MatrixCoefficient
 from liereg.linalg import CapError
 from liereg.reps import RepError, RepSpec
@@ -107,6 +107,45 @@ def test_a_basis_index_outside_the_module_is_refused():
     for i in [-1, 3, 5]:
         with pytest.raises(RepError, match=f"^basis index {i} is outside the module: dimension is 3$"):
             rep.basis_vector(i)
+
+
+def _chain_coefficient():
+    rep = chain12()
+    return MatrixCoefficient(rep, (1, 1, 1), rep.basis_vector(0))
+
+
+# each entry point reached with a letter outside AB = (e1, e2): the kind
+# lookups used to index a tuple, so -1 read e2's kind and 7 raised IndexError
+OUTSIDE_LETTER_CALLS = {
+    "Alphabet.kind": (lambda e: AB.kind(e), ValueError),
+    "Alphabet.is_nilpotent": (lambda e: AB.is_nilpotent(e), ValueError),
+    "make_VNJ": (lambda e: reps.make_VNJ(AB, 2, [e]), ValueError),
+    "make_chain": (lambda e: reps.make_chain(AB, (0, e)), ValueError),
+    "RepSpec.kind": (lambda e: chain12().kind(e), RepError),
+    "exp_chain": (lambda e: chain12().exp_chain(e, [1, 0, 0]), RepError),
+    "eigenvalues": (lambda e: reps.eigenvalues(chain12(), e), RepError),
+    "act_group": (lambda e: grp.act_group(chain12(), grp.GroupWord([grp.exp_factor(e, 1)]),
+                                          (1, 0, 0)), RepError),
+    "expand_rho": (lambda e: duals.expand_rho(_chain_coefficient(), (e,)), RepError),
+    "taylor_expand": (lambda e: grp.taylor_expand(_chain_coefficient(), (e,)), RepError),
+    "expand_rho-finite": (lambda e: duals.expand_rho(duals.phi((0,)), (e,), AB), ValueError),
+    "group_faithfulness_witness": (
+        lambda e: grp.group_faithfulness_witness(grp.GroupWord([grp.exp_factor(e, 1)]), AB),
+        ValueError),
+}
+
+
+@pytest.mark.parametrize("call, error, letter", [
+    *(pytest.param(call, error, letter, id=f"{name}-{letter}")
+      for name, (call, error) in OUTSIDE_LETTER_CALLS.items() for letter in (-1, 7)),
+    # on -1 the word module of V_N(J) had no operator for the letter, so the
+    # action refused it by name already
+    pytest.param(lambda e: grp.faithfulness_witness(NcPoly.word((e,)), AB), ValueError, 7,
+                 id="faithfulness_witness-7"),
+])
+def test_a_letter_outside_the_alphabet_is_refused_by_name(call, error, letter):
+    with pytest.raises(error, match=rf"^letter {letter} is not in the alphabet \(e1, e2\)$"):
+        call(letter)
 
 
 def test_validate_integrable():
@@ -487,6 +526,10 @@ def square_matrices(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(square_matrices())
+# b0's chain ends at once, but b1 and b2 swap for ever: every unit vector is read
+@example([[ZERO] * 3, [ZERO, ZERO, Fraction(1)], [ZERO, Fraction(1), ZERO]])
+# nilpotent of index exactly dim, the longest chain the rule accepts
+@example([[ZERO, Fraction(1), ZERO], [ZERO, ZERO, Fraction(1)], [ZERO] * 3])
 def test_validate_integrable_matches_reference(m):
     dim = len(m)
     power = m
