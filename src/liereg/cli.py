@@ -1,6 +1,13 @@
 """Command-line front end: JSON in, JSON out, deterministic (``check`` also
 prints each suite's wall time).
 
+Each JSON subcommand's handler returns its object, and the wrapper that
+build_parser registers prints it; ``check`` prints its own lines.  The
+alphabet is --letters when given, else the letter names of the bare words
+among the command's arguments (a JSON argument names no letters), else e1.
+A refusal names the argument or JSON field that carried the bad input
+(``x[0].word``, ``gcm.matrix``, ...), a library's own refusal included.
+
 Exit codes: 0 success, 1 validation failure, 2 size/depth cap exceeded.
 Caps can be overridden with the environment variables LIEREG_DIM_CAP and
 LIEREG_DEPTH_CAP.
@@ -45,10 +52,6 @@ def _depth_cap() -> int:
     return _env_cap("LIEREG_DEPTH_CAP", kacmoody.DEFAULT_DEPTH_CAP)
 
 
-def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
-
-
 def _load_json(text: str, field: str):
     if text == "-":
         text = sys.stdin.read()
@@ -66,54 +69,54 @@ def _load_json(text: str, field: str):
         raise SchemaError(f"{field}: invalid JSON ({exc.msg})") from exc
 
 
-def _alphabet_from_args(args, *word_texts) -> Alphabet:
-    if getattr(args, "letters", None):
-        try:
-            return Alphabet([n for n in args.letters.split(",") if n])
-        except ValueError as exc:
-            raise SchemaError(f"letters: {exc}") from exc
-    seen = []
-    for text in word_texts:
-        if not text or text == "1":
-            continue
-        for part in text.split("."):
-            if not part:
-                raise SchemaError(f"word: empty letter name in {text!r}")
-            if part not in seen:
-                seen.append(part)
-    if not seen:
-        seen = ["e1"]
-    return Alphabet(sorted(seen))
-
-
 def _is_json_arg(text: str) -> bool:
     stripped = text.lstrip()
     return stripped.startswith("[") or stripped.startswith("@") or stripped == "-"
 
 
-def _bare_words(text: str) -> list:
-    """[text] when a polynomial argument is a bare word, else []."""
-    return [] if _is_json_arg(text) else [text]
+def _alphabet_from_args(args, *texts) -> Alphabet:
+    """The alphabet of --letters; else the sorted letter names of those texts
+    that are bare words, since a JSON text names no letters; else e1.  A
+    malformed word is left for jsonio.decode_word to refuse by its field."""
+    if getattr(args, "letters", None):
+        try:
+            return Alphabet([n for n in args.letters.split(",") if n])
+        except ValueError as exc:
+            raise SchemaError(f"letters: {exc}") from exc
+    names = {
+        part
+        for text in texts if text != "1" and not _is_json_arg(text)
+        for part in text.split(".") if part
+    }
+    return Alphabet(sorted(names) or ["e1"])
 
 
-def _decode_poly_arg(alphabet: Alphabet, text: str) -> NcPoly:
-    """Accept either a bare word string or an NcPoly JSON array."""
+def _decode_poly_arg(alphabet: Alphabet, text: str, field: str) -> NcPoly:
+    """The polynomial of the argument `field`: a bare word or an NcPoly JSON array."""
     if _is_json_arg(text):
-        return jsonio.decode_ncpoly(alphabet, _load_json(text, "poly"))
-    return NcPoly.word(jsonio.decode_word(alphabet, text))
+        return jsonio.decode_ncpoly(alphabet, _load_json(text, field), field)
+    return NcPoly.word(jsonio.decode_word(alphabet, text, field))
 
 
-def _functional_from_args(args, *word_texts) -> tuple:
+def _named(field: str, fn, *args):
+    """fn(*args), with a library ValueError raised as a SchemaError naming field."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise SchemaError(f"{field}: {exc}") from exc
+
+
+def _functional_from_args(args, *texts) -> tuple:
     """Returns (alphabet, functional).
 
     A matrix coefficient brings its module's alphabet, and a finite JSON
     functional needs the one --letters gives.  For a phi:w functional, the
-    letters of w and of word_texts, the other words of the command, make up
-    the alphabet when --letters does not give one.
+    alphabet is _alphabet_from_args's of w and of texts, the command's other
+    words.
     """
     text = args.functional
     if text.startswith("phi:"):
-        alphabet = _alphabet_from_args(args, text[4:], *word_texts)
+        alphabet = _alphabet_from_args(args, text[4:], *texts)
         w = jsonio.decode_word(alphabet, text[4:], "functional")
         return alphabet, duals.phi(w)
     obj = _load_json(text, "functional")
@@ -142,38 +145,34 @@ def cmd_shuffle(args):
     w1 = jsonio.decode_word(alphabet, args.w1, "w1")
     w2 = jsonio.decode_word(alphabet, args.w2, "w2")
     h = duals.shuffle_product(duals.phi(w1), duals.phi(w2))
-    _emit({"terms": jsonio.encode_ncpoly(alphabet, h)})
-    return EXIT_OK
+    return {"terms": jsonio.encode_ncpoly(alphabet, h)}
 
 
 def cmd_mul(args):
     alphabet = _alphabet_from_args(args, args.x, args.y)
-    x = _decode_poly_arg(alphabet, args.x)
-    y = _decode_poly_arg(alphabet, args.y)
-    _emit({"terms": jsonio.encode_ncpoly(alphabet, x * y)})
-    return EXIT_OK
+    x = _decode_poly_arg(alphabet, args.x, "x")
+    y = _decode_poly_arg(alphabet, args.y, "y")
+    return {"terms": jsonio.encode_ncpoly(alphabet, x * y)}
 
 
 def cmd_coproduct(args):
     alphabet = _alphabet_from_args(args, args.x)
-    x = _decode_poly_arg(alphabet, args.x)
-    delta = words.coproduct(x)
-    _emit({"terms": [
+    x = _decode_poly_arg(alphabet, args.x, "x")
+    delta = _named("x", words.coproduct, x)
+    return {"terms": [
         {
             "left": alphabet.word_str(w1),
             "right": alphabet.word_str(w2),
             "coeff": encode_fraction(c),
         }
         for (w1, w2), c in sorted(delta.terms.items())
-    ]})
-    return EXIT_OK
+    ]}
 
 
 def cmd_antipode(args):
     alphabet = _alphabet_from_args(args, args.x)
-    x = _decode_poly_arg(alphabet, args.x)
-    _emit({"terms": jsonio.encode_ncpoly(alphabet, words.antipode(x))})
-    return EXIT_OK
+    x = _decode_poly_arg(alphabet, args.x, "x")
+    return {"terms": jsonio.encode_ncpoly(alphabet, words.antipode(x))}
 
 
 def cmd_act(args):
@@ -184,17 +183,15 @@ def cmd_act(args):
         g = jsonio.decode_group_word(rep.alphabet, _load_json(args.group, "group"))
         out = grp.act_group(rep, g, v)
     else:
-        x = _decode_poly_arg(rep.alphabet, args.x)
+        x = _decode_poly_arg(rep.alphabet, args.x, "x")
         out = reps.act_poly(rep, x, v)
-    _emit({"vector": jsonio.encode_vector(out)})
-    return EXIT_OK
+    return {"vector": jsonio.encode_vector(out)}
 
 
 def cmd_eval(args):
-    alphabet, h = _functional_from_args(args, *_bare_words(args.x))
-    x = _decode_poly_arg(alphabet, args.x)
-    _emit({"value": encode_fraction(duals.evaluate(h, x))})
-    return EXIT_OK
+    alphabet, h = _functional_from_args(args, args.x)
+    x = _decode_poly_arg(alphabet, args.x, "x")
+    return {"value": encode_fraction(duals.evaluate(h, x))}
 
 
 def _pretty_taylor(poly: duals.RhoExpansion) -> str:
@@ -219,11 +216,10 @@ def cmd_taylor(args):
         letters = [alphabet.index(n) for n in tuple_names]
     except KeyError as exc:
         raise SchemaError(f"tuple: unknown letter {exc.args[0]!r}") from exc
-    poly = grp.taylor_expand(h, letters, alphabet)
+    poly = _named("tuple", grp.taylor_expand, h, letters, alphabet)
     out = jsonio.encode_taylor(poly)
     out["pretty"] = _pretty_taylor(poly)
-    _emit(out)
-    return EXIT_OK
+    return out
 
 
 def cmd_phi_map(args):
@@ -233,8 +229,7 @@ def cmd_phi_map(args):
     v = jsonio.decode_vector(_load_json(args.vector, "vector"), "vector")
     f = grp.RegularFunction(rep, phi, v)
     h = grp.phi_map(f)
-    _emit(jsonio.encode_functional(h))
-    return EXIT_OK
+    return jsonio.encode_functional(h)
 
 
 def cmd_xi_map(args):
@@ -242,8 +237,7 @@ def cmd_xi_map(args):
     f = grp.xi_map(h, alphabet)
     out = jsonio.encode_functional(grp.phi_map(f))
     out["kind"] = "regular-function"
-    _emit(out)
-    return EXIT_OK
+    return out
 
 
 def cmd_witness(args):
@@ -254,15 +248,14 @@ def cmd_witness(args):
             raise SchemaError("group: witness construction needs a reduced word")
         rep, v0, moved = grp.group_faithfulness_witness(g, alphabet)
     else:
-        alphabet = _alphabet_from_args(args, *_bare_words(args.x))
-        x = _decode_poly_arg(alphabet, args.x)
-        rep, v0, moved = grp.faithfulness_witness(x, alphabet, _dim_cap())
-    _emit({
+        alphabet = _alphabet_from_args(args, args.x)
+        x = _decode_poly_arg(alphabet, args.x, "x")
+        rep, v0, moved = _named("x", grp.faithfulness_witness, x, alphabet, _dim_cap())
+    return {
         "rep": jsonio.encode_rep(rep),
         "start": jsonio.encode_vector(v0),
         "moved": jsonio.encode_vector(moved),
-    })
-    return EXIT_OK
+    }
 
 
 def cmd_membership(args):
@@ -274,8 +267,7 @@ def cmd_membership(args):
     if args.bound is not None:
         out["in-shuffle-span"] = duals.in_shuffle_span(h, args.bound)
         out["bound"] = args.bound
-    _emit(out)
-    return EXIT_OK
+    return out
 
 
 def _nonnegative_ints(obj, field: str, n: int) -> tuple:
@@ -288,7 +280,8 @@ def _nonnegative_ints(obj, field: str, n: int) -> tuple:
 
 def _km_weight(args) -> tuple:
     """The validated GCM of --matrix and the dominant weight of --weight."""
-    gcm = validate_gcm(jsonio.decode_gcm_matrix(_load_json(args.matrix, "gcm")))
+    rows = jsonio.decode_gcm_matrix(_load_json(args.matrix, "gcm"))
+    gcm = _named("gcm.matrix", validate_gcm, rows)
     return gcm, _nonnegative_ints(_load_json(args.weight, "weight"), "weight", gcm.n)
 
 
@@ -304,7 +297,7 @@ def _km_module(args) -> IrrTrunc:
 def cmd_km_build(args):
     mod = _km_module(args)
     dims = mod.dimensions()
-    _emit({
+    return {
         "symmetrizer": [encode_fraction(d) for d in mod.gcm.d],
         "weights": [
             {
@@ -315,8 +308,7 @@ def cmd_km_build(args):
             for k in sorted(dims)
         ],
         "total-dimension": sum(dims.values()),
-    })
-    return EXIT_OK
+    }
 
 
 def cmd_km_mult(args):
@@ -330,8 +322,7 @@ def cmd_km_mult(args):
     out = {"depth": list(k), "multiplicity": mult, "gram-rank": mult}
     if args.oracle:
         out["freudenthal"] = kacmoody.freudenthal_multiplicity(gcm, lam, k)
-    _emit(out)
-    return EXIT_OK
+    return out
 
 
 def _decode_km_group(gcm, lam, obj):
@@ -367,8 +358,7 @@ def _decode_km_group(gcm, lam, obj):
 def cmd_km_theta(args):
     mod = _km_module(args)
     g = _decode_km_group(mod.gcm, mod.lam, _load_json(args.group, "group"))
-    _emit({"theta": encode_fraction(kacmoody.theta_eval(mod, g))})
-    return EXIT_OK
+    return {"theta": encode_fraction(kacmoody.theta_eval(mod, g))}
 
 
 def cmd_km_cone(args):
@@ -389,8 +379,7 @@ def cmd_km_cone(args):
             raise SchemaError(f"vector[{i}].depth: depth {list(k)} is given twice")
         parts[k] = coords
     v = TruncVector(parts)
-    _emit({"in-cone": kacmoody.kostant_cone_test(mod, v)})
-    return EXIT_OK
+    return {"in-cone": kacmoody.kostant_cone_test(mod, v)}
 
 
 def cmd_check(args):
@@ -425,10 +414,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
+    def add(name, fn, *parents, **kwargs):
+        """The subcommand `name`, whose handler returns the JSON object that
+        the wrapper prints; its options start with those of parents."""
+        def run(args):
+            sys.stdout.write(json.dumps(fn(args), indent=2) + "\n")
+            return EXIT_OK
+        p = sub.add_parser(name, parents=parents, **kwargs)
+        p.set_defaults(fn=run)
         return p
+
+    # the options that the km-* commands share, declared once
+    km_weight = argparse.ArgumentParser(add_help=False)
+    km_weight.add_argument("--matrix", required=True)
+    km_weight.add_argument("--weight", required=True)
+    km_depth = argparse.ArgumentParser(add_help=False)
+    km_depth.add_argument("--depth", type=int, required=True)
 
     p = add("shuffle", cmd_shuffle, help="shuffle product of two delta functionals")
     p.add_argument("--w1", required=True)
@@ -483,30 +484,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int)
     p.add_argument("--letters")
 
-    p = add("km-build", cmd_km_build, help="build a truncated highest-weight module")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--depth", type=int, required=True)
+    add("km-build", cmd_km_build, km_weight, km_depth,
+        help="build a truncated highest-weight module")
 
-    p = add("km-mult", cmd_km_mult, help="weight multiplicity, optionally cross-checked")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--weight", required=True)
+    p = add("km-mult", cmd_km_mult, km_weight,
+            help="weight multiplicity, optionally cross-checked")
     p.add_argument("--k", required=True)
     p.add_argument("--oracle", action="store_true")
 
-    p = add("km-theta", cmd_km_theta, help="highest matrix coefficient of a group word")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p = add("km-theta", cmd_km_theta, km_weight, km_depth,
+            help="highest matrix coefficient of a group word")
     p.add_argument("--group", required=True)
 
-    p = add("km-cone", cmd_km_cone, help="tensor-square cone membership test")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p = add("km-cone", cmd_km_cone, km_weight, km_depth,
+            help="tensor-square cone membership test")
     p.add_argument("--vector", required=True)
 
-    p = add("check", cmd_check, help="run acceptance suites")
+    # check prints its own text and picks its exit code
+    p = sub.add_parser("check", help="run acceptance suites")
+    p.set_defaults(fn=cmd_check)
     p.add_argument("--suite", default="all")
     p.add_argument("--seed", type=int, default=0)
 
@@ -530,10 +526,8 @@ def main(argv=None) -> int:
         if extra:
             parser.error(f"unrecognized arguments: {' '.join(extra)}")
         args.command = argv[0]
-    if args.command == "act" and args.x is None and args.group is None:
-        parser.error("act needs --x or --group")
-    if args.command == "witness" and args.x is None and args.group is None:
-        parser.error("witness needs --x or --group")
+    if args.command in ("act", "witness") and args.x is None and args.group is None:
+        parser.error(f"{args.command} needs --x or --group")
     try:
         return args.fn(args)
     except linalg.CapError as exc:

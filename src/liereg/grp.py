@@ -243,7 +243,7 @@ def derive_left(e: int, f: RegularFunction) -> RegularFunction:
 def faithfulness_witness(x: NcPoly, alphabet: Alphabet, dim_cap: int = linalg.DEFAULT_DIM_CAP):
     """(V_N(J), b_empty, x.b_empty) with the image reproducing x's coefficients."""
     if x.is_zero():
-        raise ValueError("faithfulness witness needs a nonzero polynomial")
+        raise ValueError("the witness needs a nonzero polynomial")
     n = x.max_length()
     j = sorted(x.support_letters()) or [0]
     rep = reps.make_VNJ(alphabet, n, j, dim_cap)

@@ -52,10 +52,15 @@ def decode_fraction(s, field: str = "coeff") -> Fraction:
 
 
 def decode_word(alphabet: Alphabet, text, field: str = "word"):
+    """The word of a dotted text; else a SchemaError naming the field and
+    the empty or unknown letter name."""
+    text = str(text)
     try:
-        return alphabet.word(str(text))
+        return alphabet.word(text)
     except KeyError as exc:
-        raise SchemaError(f"{field}: unknown letter {exc.args[0]!r}") from exc
+        name = exc.args[0]
+        why = f"unknown letter {name!r}" if name else f"empty letter name in {text!r}"
+        raise SchemaError(f"{field}: {why}") from exc
 
 
 def encode_ncpoly(alphabet: Alphabet, x: TermMap) -> list:
@@ -80,8 +85,8 @@ def _decode_terms(alphabet: Alphabet, obj, field: str) -> dict:
     return terms
 
 
-def decode_ncpoly(alphabet: Alphabet, obj) -> NcPoly:
-    return NcPoly(_decode_terms(alphabet, obj, "poly"))
+def decode_ncpoly(alphabet: Alphabet, obj, field: str = "poly") -> NcPoly:
+    return NcPoly(_decode_terms(alphabet, obj, field))
 
 
 def encode_vector(v) -> list:
@@ -146,9 +151,12 @@ def decode_rep(obj) -> RepSpec:
     for i, entry in enumerate(letters):
         if not isinstance(entry, dict) or "name" not in entry:
             raise SchemaError(f"rep.letters[{i}]: expected {{name, kind, matrix}}")
-        if not isinstance(entry["name"], str):
+        name = entry["name"]
+        if not isinstance(name, str):
             raise SchemaError(f"rep.letters[{i}].name: expected a string")
-        names.append(entry["name"])
+        if name in names:
+            raise SchemaError(f"rep.letters[{i}].name: duplicate letter name {name!r}")
+        names.append(name)
         kind = entry.get("kind", words.NILPOTENT)
         if not isinstance(kind, str) or kind not in words.KINDS:
             raise SchemaError(f"rep.letters[{i}].kind: unknown kind {kind!r}")
@@ -198,10 +206,9 @@ def decode_functional(obj, alphabet: Alphabet = None):
         rep = decode_rep(obj.get("rep"))
         phi = decode_vector(obj.get("phi"), "functional.phi")
         v = decode_vector(obj.get("v"), "functional.v")
-        try:
-            return MatrixCoefficient(rep, phi, v)
-        except ValueError as exc:
-            raise SchemaError(f"functional: {exc}") from exc
+        rep.check_length(phi, "functional.phi")
+        rep.check_length(v, "functional.v")
+        return MatrixCoefficient(rep, phi, v)
     raise SchemaError(f"functional.kind: unknown kind {kind!r}")
 
 

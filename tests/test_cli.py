@@ -683,6 +683,64 @@ def test_bad_letters_name_the_field(capsys, letters, why):
     assert err == f"error: letters: {why}\n"
 
 
+CHAIN_3 = '{"dim":3,"letters":[{"name":"e1","matrix":[[0,0,0],[1,0,0],[0,1,0]]}]}'
+WITH_TORUS = ('{"dim":2,"letters":[{"name":"e","matrix":[[0,1],[0,0]]},'
+              '{"name":"d","kind":"diagonalizable-integer","matrix":[[3,0],[0,-2]]}]}')
+E1_JSON = '[{"word":"e1","coeff":"2"}]'
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a library's refusal, prefixed with the field that carried the input
+    (["act", "--rep", '{"dim":2,"letters":[{"name":"e","matrix":[[0,1],[0,0]]},'
+      '{"name":"e","matrix":[[0,0],[0,0]]}]}', "--vector", "[1,0]", "--x", "e"],
+     "rep.letters[1].name: duplicate letter name 'e'"),
+    (["eval", "--functional", '{"kind":"matrix-coefficient","rep":' + CHAIN_3
+      + ',"phi":["1","0"],"v":["1","0","0"]}', "--x", "e1"],
+     "functional.phi: has length 2, module dimension is 3"),
+    (["eval", "--functional", '{"kind":"matrix-coefficient","rep":' + CHAIN_3
+      + ',"phi":["1","0","0"],"v":["1","0","0","0"]}', "--x", "e1"],
+     "functional.v: has length 4, module dimension is 3"),
+    (["taylor", "--functional", '{"kind":"matrix-coefficient","rep":' + WITH_TORUS
+      + ',"phi":["1","1"],"v":["1","1"]}', "--tuple", "e,d"],
+     "tuple: taylor_expand requires locally nilpotent letters"),
+    (["witness", "--letters", "e1,e2", "--x", "[]"], "x: the witness needs a nonzero polynomial"),
+    (["coproduct", "--x", ".".join(["e1"] * 31)],
+     "x: coproduct on a word of length 31 exceeds the size guard (30)"),
+    (["km-build", "--matrix", '{"matrix":[[2,1],[-1,2]]}', "--weight", "[1,0]", "--depth", "2"],
+     "gcm.matrix: off-diagonal entry (0,1) must be nonpositive"),
+    (["km-mult", "--matrix", '{"matrix":[[2,-1,-1],[-1,2,-1],[-2,-1,2]]}',
+      "--weight", "[1,0,0]", "--k", "[1,0,0]"],
+     "gcm.matrix: matrix is not symmetrizable"),
+    # each polynomial argument is named as its own field
+    (["mul", "--x", "e1", "--y", '[{"word":"e1"},{"word":"e2"}]'],
+     "y[1].word: unknown letter 'e2'"),
+    (["mul", "--x", "[{bad", "--y", "e1"],
+     "x: invalid JSON (Expecting property name enclosed in double quotes)"),
+    (["act", "--rep", CHAIN_3, "--vector", "[1,0,0]", "--x", "e2"], "x: unknown letter 'e2'"),
+    # decode_word, not the alphabet, refuses a malformed word
+    (["shuffle", "--w1", "e1..x", "--w2", "e1"], "w1: empty letter name in 'e1..x'"),
+    (["eval", "--functional", "phi:e1", "--x", "e1..e2", "--letters", "e1,e2"],
+     "x: empty letter name in 'e1..e2'"),
+])
+def test_every_refusal_names_its_field(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, terms", [
+    (["coproduct", "--x", E1_JSON], [("1", "e1", "2"), ("e1", "1", "2")]),
+    (["antipode", "--x", E1_JSON], [("e1", "-2")]),
+    (["mul", "--x", E1_JSON, "--y", E1_JSON], [("e1.e1", "4")]),
+])
+def test_a_json_polynomial_names_no_letters(capsys, argv, terms):
+    """The alphabet comes from --letters, else from the bare words, else is
+    e1: a JSON polynomial's text is never read as a letter name."""
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert [tuple(t.values())[:-1] + (t["coeff"],) for t in json.loads(out)["terms"]] == terms
+
+
 SUITE_TIME = re.compile(r" \(\d+\.\d\d s\)")
 
 

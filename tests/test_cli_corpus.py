@@ -62,6 +62,15 @@ def test_the_corpus_covers_every_free_side_subcommand():
     assert len(_lines()) >= 150
 
 
+def test_the_corpus_covers_every_km_subcommand():
+    commands = {line["argv"][0] for line in _lines()}
+    assert commands >= {"km-build", "km-mult", "km-theta", "km-cone"}
+    km = [line for line in _lines() if line["argv"][0].startswith("km-")]
+    # each exit: an answer, a refused field and a cap
+    assert {line["exit"] for line in km} == {0, 1, 2}
+    assert sum(line["argv"][0] == "km-cone" for line in km) >= 150
+
+
 @pytest.mark.parametrize("line", _lines(), ids=lambda line: " ".join(line["argv"])[:60])
 def test_the_cli_replays_its_corpus(line):
     expected = {key: line[key] for key in ("exit", "stdout_sha256", "stderr") if key in line}
