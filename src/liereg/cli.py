@@ -244,9 +244,7 @@ def cmd_witness(args):
     if args.group is not None:
         alphabet = _alphabet_from_args(args)
         g = jsonio.decode_group_word(alphabet, _load_json(args.group, "group"))
-        if not g.is_reduced():
-            raise SchemaError("group: witness construction needs a reduced word")
-        rep, v0, moved = grp.group_faithfulness_witness(g, alphabet)
+        rep, v0, moved = _named("group", grp.group_faithfulness_witness, g, alphabet)
     else:
         alphabet = _alphabet_from_args(args, args.x)
         x = _decode_poly_arg(alphabet, args.x, "x")

@@ -21,7 +21,10 @@ walk runs before the depth cap is checked, so a weight past the cap that it
 proves zero is answered, and only a space that must be reduced is refused.
 Multiplicities alone (`dimensions`, `weight_multiplicity`) are read at the
 dominant conjugate, so they reduce only dominant weights and the spaces
-below them; bases and matrices are built at the weight asked for.
+below them, and the cap bounds that conjugate, the space reduced.
+`dimensions` walks the support one level at a time from the top, each
+nonzero weight handing lambda - alpha_j to its children, so the zero part of
+its box is never read.  Bases and matrices are built at the weight asked for.
 
 Everything runs in integers: the matrices of f_i and e_i are linalg.Operators
 (integer entries over one denominator), kept on the weight space they lead
@@ -39,7 +42,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, le, mul, sub
 
 from . import linalg, words
 from .linalg import Echelon, Operator, frac
@@ -170,29 +173,37 @@ def validate_gcm(a) -> GCM:
 # W-invariant (Kac, Prop. 10.1), so `_dominant_beta` reflects each weight
 # Lambda - beta to its dominant conjugate Lambda - beta', or finds that the
 # walk leaves the cone below Lambda, where the multiplicity is 0.  The
-# recursion is asked, and caches, dominant weights only, and Peterson runs to
-# the height of beta', never of beta.  At a dominant lambda = Lambda - beta
-# the left factor (beta|2 Lambda + 2 rho - beta) = (beta|Lambda + rho) +
-# (beta|lambda + rho) is a sum of positive pairings, so the division is by a
-# positive integer; it must be exact with a nonnegative quotient, and that is
-# checked.  The formula pairs against B alpha, precomputed for each root, so
-# each (beta|alpha) is one integer dot product.  The walk is written here
-# again, apart from IrrTrunc's, so the oracle shares no code with the build.
+# recursion is asked, and caches, dominant weights only, each componentwise
+# below beta' (a reflection only lowers beta), so Peterson runs on the box
+# below beta', the only roots the sum can subtract.  At a dominant
+# lambda = Lambda - beta the left factor (beta|2 Lambda + 2 rho - beta) =
+# (beta|Lambda + rho) + (beta|lambda + rho) is a sum of positive pairings, so
+# the division is by a positive integer; it must be exact with a nonnegative
+# quotient, and that is checked.  The formula pairs against B alpha,
+# precomputed for each root, so each (beta|alpha) is one integer dot product,
+# and each target beta - j alpha gets its lambda(h) by adding A alpha, also
+# precomputed.  The walk is written here again, apart from IrrTrunc's, so the
+# oracle shares no code with the build.
 
 
-def root_multiplicities(gcm: GCM, max_height: int) -> dict:
-    """Multiplicities of positive roots up to the given height.
+def root_multiplicities(gcm: GCM, max_height: int, box=None) -> dict:
+    """Multiplicities of positive roots up to the given height, and, given a
+    `box`, only of those componentwise below it.
 
     Peterson's recurrence, run in integers in height order; returns
     {depth vector: multiplicity} for the actual roots.  The right-hand side
     at height h is gathered from the pairs of stored C_beta' whose heights
     add up to h, so only sums of two multiples of roots are visited, never
-    the whole lattice.
+    the whole lattice.  Every term for a beta comes from summands below it,
+    so within a box the pairs whose sum leaves it are skipped and each
+    multiplicity found is the unbounded table's.
     """
     if max_height < 1:
         return {}
     scale = math.lcm(*range(1, max_height + 1))  # L
-    simple = sorted(tuple(int(i == j) for j in range(gcm.n)) for i in range(gcm.n))
+    if box is None:
+        box = (max_height,) * gcm.n  # holds every root up to the height
+    simple = sorted(tuple(int(i == j) for j in range(gcm.n)) for i in range(gcm.n) if box[i])
     mult = {alpha: 1 for alpha in simple}
     # height -> [(beta, B beta, C_beta)] for the nonzero C_beta of that height
     support = {1: [(alpha, gcm.pair_vector(alpha), scale) for alpha in simple]}
@@ -205,7 +216,8 @@ def root_multiplicities(gcm: GCM, max_height: int) -> dict:
                 cb1 *= twice
                 for bpp, _, cb2 in support.get(height - h1, ()):
                     beta = tuple(map(add, bp, bpp))
-                    rhs[beta] = rhs.get(beta, 0) + sum(map(mul, pair_bp, bpp)) * cb1 * cb2
+                    if all(map(le, beta, box)):
+                        rhs[beta] = rhs.get(beta, 0) + sum(map(mul, pair_bp, bpp)) * cb1 * cb2
         # every C_beta is a sum of nonnegative terms, positive exactly on the
         # multiples of roots; k alpha = alpha + (k - 1) alpha is a key already
         for beta in sorted(rhs):
@@ -241,13 +253,15 @@ def freudenthal_multiplicity(gcm: GCM, lam, beta, _cache=None) -> int:
 
     `_dominant_beta` first reflects lam - beta to its dominant conjugate
     lam - beta', or proves it is not <= lam (multiplicity 0, and Peterson
-    never runs); the recursion then visits dominant weights alone.  `lam`
-    must be dominant: the invariance under W that the walk uses holds for
-    the integrable L(lam).  `_cache`, one dict per (gcm, lam), keeps the
-    multiplicities found, keyed by the dominant beta', and, under the key
-    None, the root table with its height: Peterson's recurrence runs again
-    only for a beta' taller than the table.  Roots taller than beta' never
-    fit into it, so a taller table gives the same sums.
+    never runs); the recursion then visits dominant weights alone, each
+    componentwise below beta'.  `lam` must be dominant: the invariance under
+    W that the walk uses holds for the integrable L(lam).  `_cache`, one
+    dict per (gcm, lam), keeps the multiplicities found, keyed by the
+    dominant beta', and, under the key None, the root table with its box:
+    Peterson's recurrence runs only on the roots componentwise below the
+    box, and runs again, on the box grown to hold beta', only for a beta'
+    outside it.  A root outside the box is not below beta' and never fits
+    into it, so a larger table gives the same sums.
     """
     lam = tuple(int(x) for x in lam)
     if len(lam) != gcm.n:
@@ -256,35 +270,39 @@ def freudenthal_multiplicity(gcm: GCM, lam, beta, _cache=None) -> int:
         raise ValueError("highest weight must be dominant")
     if _cache is None:
         _cache = {}
-    beta = _dominant_beta(gcm, lam, tuple(int(x) for x in beta))
+    beta = tuple(int(x) for x in beta)
+    # lambda(h_j) = lam_j - sum_i a_ji beta_i, and alpha_i(h_j) = a_ji
+    beta = _dominant_beta(gcm, beta, [x - sum(map(mul, row, beta)) for x, row in zip(lam, gcm.a)])
     if beta is None:
         return 0
     if beta in _cache:
         return _cache[beta]
     lam_pairs = tuple(map(mul, gcm.d, lam))  # (alpha_i|Lambda) = d_i Lambda(h_i)
-    height, roots = _cache.get(None, (0, ()))
-    if sum(beta) > height:
-        height = sum(beta)
-        roots = []  # (alpha, mult, B alpha, (Lambda|alpha), (alpha|alpha)), up to the height
-        for alpha, mult_a in sorted(root_multiplicities(gcm, height).items()):
+    box, roots = _cache.get(None, ((0,) * gcm.n, ()))
+    if not all(map(le, beta, box)):
+        box = tuple(map(max, box, beta))
+        # (alpha, mult, B alpha, (Lambda|alpha), (alpha|alpha), A alpha), below the box
+        roots = []
+        for alpha, mult_a in sorted(root_multiplicities(gcm, sum(box), box).items()):
             pair = gcm.pair_vector(alpha)
             roots.append((alpha, mult_a, pair, sum(map(mul, alpha, lam_pairs)),
-                          sum(map(mul, pair, alpha))))
-        _cache[None] = height, roots
+                          sum(map(mul, pair, alpha)),
+                          tuple(sum(map(mul, row, alpha)) for row in gcm.a)))
+        _cache[None] = box, roots
     lam_rho = tuple(map(add, lam_pairs, gcm.d))  # (alpha_i|Lambda + rho)
     return _freudenthal(beta, roots, lam, lam_rho, gcm, _cache)
 
 
-def _dominant_beta(gcm: GCM, lam, beta):
+def _dominant_beta(gcm: GCM, beta, coords):
     """The beta' with lam - beta' the dominant conjugate of lam - beta under
-    simple reflections, or None when the walk leaves the cone below lam.
+    simple reflections, or None when the walk leaves the cone below lam;
+    `coords` are the weight's lambda(h_j) = lam_j - sum_i a_ji beta_i.
 
     While lambda(h_i) = -m < 0, s_i lambda = lambda + m alpha_i lowers beta_i
-    by m; a coordinate of beta below 0 means a weight not <= lam, so the
-    multiplicity is 0.  Each step lowers the height, so the walk stops.
+    by m and adds m a_ji to each lambda(h_j), one column of A; a coordinate
+    of beta below 0 means a weight not <= lam, so the multiplicity is 0.
+    Each step lowers the height, so the walk stops.
     """
-    # lambda(h_j) = lam_j - sum_i a_ji beta_i, and alpha_i(h_j) = a_ji
-    coords = [x - sum(map(mul, row, beta)) for x, row in zip(lam, gcm.a)]
     beta = list(beta)
     while True:
         i = next((i for i, x in enumerate(coords) if x < 0), None)
@@ -303,7 +321,8 @@ def _freudenthal(beta, roots, lam, lam_rho, gcm: GCM, cache) -> int:
         (2 (Lambda + rho|beta) - (beta|beta)) mult(beta)
             = 2 sum_{alpha > 0, j >= 1} mult(alpha) mult(beta - j alpha) (Lambda - beta + j alpha|alpha),
 
-    each mult(beta - j alpha) read at the dominant conjugate of its weight.
+    each mult(beta - j alpha) read at the dominant conjugate of its weight,
+    whose coordinates lambda(h) step by A alpha from those at beta.
     The left factor is (beta|Lambda + rho) + (beta|lambda + rho) with
     lambda = Lambda - beta dominant, so it is positive for beta > 0; the
     division must be exact and its quotient nonnegative, and that is checked.
@@ -313,15 +332,17 @@ def _freudenthal(beta, roots, lam, lam_rho, gcm: GCM, cache) -> int:
     if not any(beta):
         return 1
     denom = 2 * sum(map(mul, beta, lam_rho)) - gcm.bilinear(beta, beta)
+    coords = [x - sum(map(mul, row, beta)) for x, row in zip(lam, gcm.a)]
     total = 0
-    for alpha, mult_a, pair, lam_pair, norm in roots:
+    for alpha, mult_a, pair, lam_pair, norm, alpha_h in roots:
         steps = min(b // a for a, b in zip(alpha, beta) if a)
         pairing = lam_pair - sum(map(mul, pair, beta))
-        target = beta
+        target, target_h = beta, coords
         for _ in range(steps):
             target = tuple(map(sub, target, alpha))
+            target_h = list(map(add, target_h, alpha_h))
             pairing += norm
-            dominant = _dominant_beta(gcm, lam, target)
+            dominant = _dominant_beta(gcm, target, target_h)
             if dominant is not None:
                 m = _freudenthal(dominant, roots, lam, lam_rho, gcm, cache)
                 if m:
@@ -383,8 +404,10 @@ class IrrTrunc:
     actions build the weight they are asked for.  Every weight space is
     exact at any depth, so there is one bound, the depth cap, checked after
     the walk: any operation builds the spaces it needs up to depth
-    `depth_cap`, and refuses a weight beyond it unless the walk, which
-    takes at most `depth_cap + 1` steps, proves it zero.  `depth` only sets the range that
+    `depth_cap`, and refuses a space beyond it unless the walk, which
+    takes at most `depth_cap + 1` steps, proves it zero; a multiplicity
+    read refuses only when the end of the walk, the space it reduces, lies
+    beyond the cap.  `depth` only sets the range that
     `dimensions()` lists, and must itself lie within the cap.  `dim_cap`
     bounds the number of candidates reduced for one weight space, so it
     never applies to a space that the walk proves zero: such a space
@@ -455,8 +478,9 @@ class IrrTrunc:
         size; every k with sum(k) <= depth_cap + 1, the most an action
         reaches from a space within the cap, gets the full walk's verdict.
         A walk cut off by that bound returns the depth vector where it
-        stopped, not a dominant one, for a k that every caller refuses as
-        past the cap.
+        stopped, a W-conjugate that need not be dominant, for a k past the
+        cap: `_build` refuses such a k, and `weight_multiplicity` reads the
+        conjugate's space unless it too lies past the cap.
         """
         k, lam = list(k), list(lam)
         for _ in range(self.depth_cap + 1):
@@ -561,43 +585,55 @@ class IrrTrunc:
         return WeightSpace(k, basis, lam, tuple(f), tuple(e))
 
     def weight_multiplicity(self, k) -> int:
-        """dim V_k, read at the dominant conjugate of the weight at depth k.
+        """dim V_k, read at the W-conjugate of the weight at depth k that the
+        reflection walk ends at.
 
-        The walk runs first: a weight that it reflects past Lambda answers 0
-        at any depth, and nothing is built.  Only then is the depth cap
-        checked, so a weight past it that the walk does not prove zero is
-        refused as `space` refuses it; within the cap the walk is complete,
-        and the dominant space it ends at, which lies componentwise below k,
-        is built.
+        A weight that the walk reflects past Lambda answers 0 at any depth,
+        and nothing is built.  Otherwise the depth cap is checked on the end
+        of the walk, the space that is reduced: within the cap the walk is
+        complete and ends at the dominant conjugate, which lies componentwise
+        below k.  A walk cut off after depth_cap + 1 steps still ends at a
+        W-conjugate of the same dimension, at least depth_cap + 1 below k, so
+        its space is built, or refused past the cap, as `space` would.
         """
         k = self._depth_vector(k)
         top = self._dominant_depth(k, self.lam_of(k))
         if top is None:
             return 0
-        self._check_total(sum(k))
+        self._check_total(sum(top))
         return self._space(top).dim
 
     def dimensions(self) -> dict:
-        """Nonzero weight multiplicities for all depth vectors of total at most `depth`.
+        """Nonzero weight multiplicities for all depth vectors of total at most
+        `depth`, in product order.
 
-        The box is read in product order.  A dominant weight is built; at any
-        other, the first lambda(h_i) = -m < 0 gives s_i lambda at depth
-        k - m e_i with the same multiplicity (W-invariance), and k - m e_i
-        is smaller than k in the i-th coordinate alone, so it comes earlier
-        in product order and lies in the box: it is in `out` unless its
-        multiplicity is 0, or it has a negative coordinate and the weight is
-        not <= Lambda.  So only dominant weights and the spaces below them
-        are built.
+        The support is walked one total depth at a time from the top: the
+        weights read at the next level are the children k + e_j of those just
+        found nonzero, each carrying lambda - alpha_j, so no lambda is
+        computed from k and no zero region of the box is visited.  The walk
+        misses no nonzero weight, since V_mu = sum_i f_i V_{mu + alpha_i}.  A
+        dominant weight is built; at any other, the first lambda(h_i) = -m < 0
+        gives s_i lambda at depth k - m e_i with the same multiplicity
+        (W-invariance), on a shallower level already read: it is in `out`
+        unless its multiplicity is 0, or it has a negative coordinate and the
+        weight is not <= Lambda.  So only dominant weights with a nonzero
+        parent and the spaces below them are built.
         """
         out = {}
-        for k in itertools.product(range(self.depth + 1), repeat=self.gcm.n):
-            if sum(k) <= self.depth:
-                lam = self.lam_of(k)
+        level = {(0,) * self.gcm.n: self.lam}  # depth vector -> lambda(h_i)
+        for total in range(self.depth + 1):
+            if total:
+                level = {_shift(k, j, 1): tuple(map(sub, lam, alpha))
+                         for k, lam in level.items() for j, alpha in enumerate(self._alpha)}
+            found = {}
+            for k, lam in level.items():
                 i = next((i for i, x in enumerate(lam) if x < 0), None)
                 d = self._space(k).dim if i is None else out.get(_shift(k, i, lam[i]), 0)
                 if d:
                     out[k] = d
-        return out
+                    found[k] = lam
+            level = found
+        return dict(sorted(out.items()))
 
     # -- generator actions on quotient coordinates --------------------------
 

@@ -780,8 +780,10 @@ def test_parser_is_built_once_and_reused_after_an_error(capsys):
 @pytest.mark.parametrize("k, code, out_or_err", [
     # the walk reflects (0,9) past Lambda: 0, with no space reduced
     ("[0,9]", 0, [0, 0]),
-    # (5,3) reflects to the dominant (1,1), which the walk leaves open
-    ("[5,3]", 2, "error: operation requires truncation depth 8, the depth cap is 4; "
+    # (5,3) reflects to the dominant (1,1), within the cap
+    ("[5,3]", 0, [1, 1]),
+    # (4,3) reflects to the dominant (3,3), past the cap
+    ("[4,3]", 2, "error: operation requires truncation depth 6, the depth cap is 4; "
                  "raise it with LIEREG_DEPTH_CAP\n"),
 ])
 def test_km_mult_answers_a_zero_weight_past_the_depth_cap(

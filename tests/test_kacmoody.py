@@ -333,30 +333,33 @@ def test_freudenthal_runs_peterson_once(monkeypatch):
     calls = []
     real = kacmoody.root_multiplicities
 
-    def counted(gcm, max_height):
-        calls.append(max_height)
-        return real(gcm, max_height)
+    def counted(gcm, max_height, box):
+        calls.append((max_height, box))
+        return real(gcm, max_height, box)
 
     monkeypatch.setattr(kacmoody, "root_multiplicities", counted)
     assert freudenthal_multiplicity(AFFINE, (1, 0), (4, 4)) == 5
-    assert calls == [8]
+    assert calls == [(8, (4, 4))]
 
 
-@pytest.mark.parametrize("k,mult,heights", [((5, 3), 1, [2]), ((0, 9), 0, []), ((2, 6), 0, [])],
-                         ids=["5-3", "0-9", "2-6"])
-def test_freudenthal_runs_peterson_to_the_dominant_height(monkeypatch, k, mult, heights):
-    """(5, 3) reflects to the dominant (1, 1); (0, 9) and (2, 6) reflect past
-    Lambda, so they are 0 before any root is needed."""
+@pytest.mark.parametrize("k,mult,heights,boxes", [
+    ((5, 3), 1, [2], [(1, 1)]), ((0, 9), 0, [], []), ((2, 6), 0, [], []),
+], ids=["5-3", "0-9", "2-6"])
+def test_freudenthal_runs_peterson_to_the_dominant_height(monkeypatch, k, mult, heights, boxes):
+    """(5, 3) reflects to the dominant (1, 1), the box Peterson runs on;
+    (0, 9) and (2, 6) reflect past Lambda, so they are 0 before any root is
+    needed."""
     calls = []
     real = kacmoody.root_multiplicities
 
-    def counted(gcm, max_height):
-        calls.append(max_height)
-        return real(gcm, max_height)
+    def counted(gcm, max_height, box):
+        calls.append((max_height, box))
+        return real(gcm, max_height, box)
 
     monkeypatch.setattr(kacmoody, "root_multiplicities", counted)
     assert freudenthal_multiplicity(AFFINE, (1, 0), k) == mult
-    assert calls == heights
+    assert [height for height, _ in calls] == heights
+    assert [box for _, box in calls] == boxes
 
 
 def test_freudenthal_shares_no_code_with_the_build(monkeypatch):
@@ -467,6 +470,20 @@ def test_root_multiplicities_match_the_fraction_reference(a, height):
     assert mult == ref_root_multiplicities(gcm, height)
     assert list(mult) == list(ref_root_multiplicities(gcm, height))  # same order
     assert all(type(m) is int for m in mult.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetrizable_gcms(), st.lists(st.integers(0, 4), min_size=3, max_size=3))
+@example([[2, -3], [-3, 2]], [4, 3, 0])
+@example([[2, -2], [-2, 2]], [0, 5, 0])
+@example([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], [3, 2, 2])
+def test_root_multiplicities_in_a_box_are_the_unbounded_table_restricted_to_it(a, box):
+    gcm = validate_gcm(a)
+    box = tuple(box[:gcm.n])
+    full = root_multiplicities(gcm, sum(box))
+    assert root_multiplicities(gcm, sum(box), box) == {
+        beta: m for beta, m in full.items() if all(map(int.__le__, beta, box))
+    }
 
 
 def ref_freudenthal(gcm, lam, beta, cache=None) -> int:
@@ -913,6 +930,41 @@ def test_multiplicities_read_on_the_dominant_chamber_match_the_direct_build(a, l
         assert mod.weight_multiplicity(k) == direct.space(k).dim, k
 
 
+def ref_dimensions(mod) -> dict:
+    """The box read in product order, each dominant weight built and any
+    other read at its first reflection, which comes earlier: the earlier
+    `dimensions`, kept as the reference."""
+    out = {}
+    for k in itertools.product(range(mod.depth + 1), repeat=mod.gcm.n):
+        if sum(k) <= mod.depth:
+            lam = mod.lam_of(k)
+            i = next((i for i, x in enumerate(lam) if x < 0), None)
+            d = mod.space(k).dim if i is None else out.get(_shift(k, i, lam[i]), 0)
+            if d:
+                out[k] = d
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetrizable_gcms(), st.lists(st.integers(0, 2), min_size=3, max_size=3),
+       st.integers(0, 6))
+@example([[2, -2], [-2, 2]], [0, 0, 0], 6)
+@example([[2, 0, 0], [0, 2, -2], [0, -2, 2]], [1, 0, 0], 6)
+@example([[2, -3], [-3, 2]], [1, 1, 0], 6)
+@example([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], [0, 2, 1], 6)
+def test_dimensions_walks_the_support_as_the_box_scan_reads_it(a, lam, depth):
+    """In the first two examples the weights k delta below the top are
+    dominant with multiplicity 0 and no nonzero parent, so the walk never
+    reads them, and builds no space outside the cone below the support."""
+    gcm = validate_gcm(a)
+    lam = tuple(lam[:gcm.n])
+    mod = IrrTrunc(gcm, lam, depth)
+    dims = mod.dimensions()
+    assert list(dims.items()) == list(ref_dimensions(IrrTrunc(gcm, lam, depth)).items())
+    for k in mod._spaces:
+        assert any(all(map(int.__le__, k, top)) for top in dims), k
+
+
 @pytest.mark.parametrize("gcm,lam,depth,built", [
     (A2, (2, 1), 10, 4), (G2, (1, 1), 22, 21), (AFFINE, (1, 0), 12, 33),
     (AFFINE_A2, (1, 0, 0), 6, 24), (HYPERBOLIC, (1, 0), 9, 31),
@@ -933,13 +985,29 @@ def test_multiplicities_build_only_the_spaces_below_dominant_weights(gcm, lam, d
 
 def test_weight_multiplicity_walks_before_it_checks_the_cap():
     mod = IrrTrunc(AFFINE, (1, 0), 4, depth_cap=4)
-    # (5,3) reflects to the dominant (1,1), but a weight the walk leaves
-    # open is refused past the cap, as `space` refuses it
-    with pytest.raises(TruncationError, match="truncation depth 8,"):
-        mod.weight_multiplicity((5, 3))
     # (0,9) reflects past Lambda: 0 at any depth
     assert mod.weight_multiplicity((0, 9)) == 0
+    # (4,3) reflects to the dominant (3,3), which lies past the cap and is
+    # refused with its own depth
+    with pytest.raises(TruncationError, match="truncation depth 6,"):
+        mod.weight_multiplicity((4, 3))
     assert mod._spaces == {}  # neither call built a space
+    # the cap bounds the space reduced: (5,3) reflects to the dominant (1,1)
+    assert mod.weight_multiplicity((5, 3)) == 1
+    assert max(map(sum, mod._spaces)) == 2
+
+
+@pytest.mark.parametrize("cap,answer", [(3, 1), (2, "truncation depth 3,")])
+def test_a_walk_cut_off_by_the_cap_reads_its_last_weight(cap, answer):
+    """(9,6) walks (4,6), (4,2), (1,2), (1,0) to the top in five steps.  Cut
+    off after cap + 1 steps it ends at a W-conjugate of the top: (1,0) lies
+    within a cap of 3 and has dimension 1; (1,2) lies past a cap of 2."""
+    mod = IrrTrunc(AFFINE, (1, 0), 0, depth_cap=cap)
+    if isinstance(answer, int):
+        assert mod.weight_multiplicity((9, 6)) == answer
+    else:
+        with pytest.raises(TruncationError, match=answer):
+            mod.weight_multiplicity((9, 6))
 
 
 def test_dim_cap_bounds_the_candidates():
