@@ -128,9 +128,6 @@ class MatrixCoefficient(PhiV):
         return f"MatrixCoefficient(dim={self.rep.dim})"
 
 
-Functional = (FiniteFunctional, MatrixCoefficient)
-
-
 def phi(w: Word) -> FiniteFunctional:
     """The delta functional phi_w."""
     return FiniteFunctional({tuple(w): 1})

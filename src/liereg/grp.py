@@ -9,8 +9,10 @@ one-parameter groups: on each of them exp(s e) exp(t e) = exp((s+t) e) and
 s^e s'^e = (s s')^e, so every run of adjacent factors on one letter acts as
 one factor, and a factor that is the identity (exp(0 e), 1^e) acts as
 nothing.  The fold is exact on every module, since the factors of a run
-commute, and it runs on integer pairs (p, q) for p/q.  Group elements are
-otherwise compared only through their actions.
+commute; it is linalg.reduced_word, the one normal form that the Kac-Moody
+engine folds its words through too, run on integer pairs (p, q) for p/q.
+A word is reduced when it is nonempty and its own normal form.  Group
+elements are otherwise compared only through their actions.
 
 A factor acts on an integer vector over one denominator, through the series
 rules the Kac-Moody engine shares: exp(t e) takes the chain of images of the
@@ -72,24 +74,30 @@ class GroupWord(tuple):
         return GroupWord(tuple(self) + tuple(other))
 
     def is_reduced(self) -> bool:
-        if not self:
-            return False
-        for f in self:
-            if f.param == 0:
-                return False
-        return all(a.letter != b.letter for a, b in zip(self, self[1:]))
+        """Whether the word is nonempty and its own normal form: no two
+        adjacent factors on one letter and no identity factor."""
+        factors = _factors(self)
+        return bool(factors) and linalg.reduced_word(factors) == factors
 
 
-def _factor_image(rep: RepSpec, letter: int, kind: str, p: int, q: int, ints):
+def _factors(g) -> list:
+    """g's factors as linalg.reduced_word reads them, (letter, additive, p, q)
+    for the parameter p/q, in application order, rightmost factor first."""
+    return [(f.letter, f.kind == words.NILPOTENT, f.param.numerator, f.param.denominator)
+            for f in reversed(g)]
+
+
+def _factor_image(rep: RepSpec, letter: int, nilpotent: bool, p: int, q: int, ints):
     """(D, u) with factor . ints = u / D, for an integer vector ints and the
-    factor of the letter and kind with parameter p/q, q > 0.
+    exp factor (nilpotent) or torus factor of the letter with parameter p/q,
+    q > 0.
 
     An exp factor sums the letter's chain of images (RepSpec.exp_chain,
     which refuses a matrix that is not nilpotent) with linalg.exp_sum, in
     Horner form over flat integer lists; a torus factor scales each entry
     by s^n over linalg.power_scale's denominator.
     """
-    if kind == words.NILPOTENT:
+    if nilpotent:
         return linalg.exp_sum(p, q, rep.exp_chain(letter, ints),
                               lambda a, u, b, w: [a * x + b * y for x, y in zip(u, w)])
     eigs = rep.operators[letter].diagonal()
@@ -97,33 +105,13 @@ def _factor_image(rep: RepSpec, letter: int, kind: str, p: int, q: int, ints):
     return den, [x * scale[n] for x, n in zip(ints, eigs)]
 
 
-def _reduced(g: GroupWord) -> list:
-    """g's reduced form as (letter, kind, p, q) in application order,
-    rightmost factor first: each run of adjacent factors on one letter folded
-    into one, exp parameters added and torus parameters multiplied as p/q in
-    lowest terms, and a factor that is the identity left out, so the factors
-    it parted meet and fold in turn."""
-    out = []
-    for f in reversed(g):
-        nilpotent = f.kind == words.NILPOTENT
-        p, q = f.param.numerator, f.param.denominator
-        if out and out[-1][0] == f.letter:
-            _, _, p0, q0 = out.pop()
-            p = p0 * q + p * q0 if nilpotent else p0 * p
-            q *= q0
-            c = math.gcd(p, q)
-            p, q = p // c, q // c
-        if p != (0 if nilpotent else q):
-            out.append((f.letter, f.kind, p, q))
-    return out
-
-
 def _group_image(rep: RepSpec, g: GroupWord, d, ints):
     """(D, u) with g . (ints / d) = u / D, for an integer vector ints.
 
     Every factor's kind is checked against the module, and then g's reduced
-    form acts.  The vector stays a list of ints over one denominator from
-    the first factor to the last, reduced by their gcd between factors.
+    form, linalg.reduced_word of its factors, acts.  The vector stays a list
+    of ints over one denominator from the first factor to the last, reduced
+    by their gcd between factors.
     """
     for factor in g:
         if rep.kind(factor.letter) != factor.kind:
@@ -131,7 +119,7 @@ def _group_image(rep: RepSpec, g: GroupWord, d, ints):
                 f"factor kind {factor.kind} does not match the module kind of "
                 f"letter {rep.alphabet.names[factor.letter]}"
             )
-    for factor in _reduced(g):
+    for factor in linalg.reduced_word(_factors(g)):
         d_f, ints = _factor_image(rep, *factor, ints)
         d *= d_f
         c = math.gcd(d, *ints)

@@ -271,6 +271,8 @@ def freudenthal_multiplicity(gcm: GCM, lam, beta, _cache=None) -> int:
     if _cache is None:
         _cache = {}
     beta = tuple(int(x) for x in beta)
+    if len(beta) != gcm.n:
+        raise ValueError(f"beta has length {len(beta)}, expected {gcm.n}")
     # lambda(h_j) = lam_j - sum_i a_ji beta_i, and alpha_i(h_j) = a_ji
     beta = _dominant_beta(gcm, beta, [x - sum(map(mul, row, beta)) for x, row in zip(lam, gcm.a)])
     if beta is None:
@@ -442,8 +444,11 @@ class IrrTrunc:
         return tuple(x - sum(map(mul, row, k)) for x, row in zip(self.lam, self.gcm.a))
 
     def _depth_vector(self, k) -> tuple:
-        """k as a tuple of ints, checked to be componentwise nonnegative."""
+        """k as a tuple of ints, checked to have one entry per simple root and
+        to be componentwise nonnegative."""
         k = tuple(map(int, k))
+        if len(k) != self.gcm.n:
+            raise ValueError(f"depth vector has length {len(k)}, expected {self.gcm.n}")
         if min(k, default=0) < 0:
             raise ValueError("depth vector must be componentwise nonnegative")
         return k
@@ -840,22 +845,17 @@ def coweight_torus_factor(gcm: GCM, lam, coeffs, s) -> KMFactor:
     return KMFactor("torus", (lam_val, alpha_vals), s)
 
 
-KMGroupWord = tuple  # of KMFactor, leftmost factor acts last
-
-
-def _exp_series(apply_once, t: Fraction, d, parts):
-    """exp(t X) on parts / d, with apply_once(d, parts) the image under X.
+def _exp_series(apply_once, p, q, d, parts):
+    """exp(t X) on parts / d for t = p/q, q > 0, with apply_once(d, parts)
+    the image under X.
 
     The chain [(1, parts), (D_1, u_1), ...] of images X u_(k-1) = u_k / D_k
     runs to the last nonzero one, and linalg.exp_sum sums it in Horner form,
-    with _combine of the two terms as its a u + b w.  X is applied once even
-    when t = 0, so a factor whose image lies past the depth cap is refused
-    whatever its parameter.
+    with _combine of the two terms as its a u + b w.
     """
-    p, q = t.numerator, t.denominator
     chain = [(1, parts)]
     d_x, u = apply_once(1, parts)
-    while u and p:
+    while u:
         chain.append((d_x, u))
         d_x, u = apply_once(1, u)
     den, acc = linalg.exp_sum(
@@ -863,29 +863,37 @@ def _exp_series(apply_once, t: Fraction, d, parts):
     return d * den, acc
 
 
-def _factor_image(m: IrrTrunc, factor: KMFactor, d, parts):
-    """(D, parts') with factor . (parts / d) = parts' / D."""
-    i = factor.data
-    if factor.kind == "e":
-        return _exp_series(lambda d, u: _image(m, d, u, i, -1), factor.param, d, parts)
-    if factor.kind == "f":
-        return _exp_series(lambda d, u: _image(m, d, u, i, 1), factor.param, d, parts)
-    if factor.kind == "root":
-        poly = words.multibracket(factor.data)
-        return _exp_series(lambda d, u: _e_poly(m, poly, d, u), factor.param, d, parts)
+def _factor_image(m: IrrTrunc, kind: str, data, p, q, d, parts):
+    """(D, parts') with factor . (parts / d) = parts' / D, for the factor of
+    the kind and data with parameter p/q, q > 0."""
+    if kind == "e":
+        return _exp_series(lambda d, u: _image(m, d, u, data, -1), p, q, d, parts)
+    if kind == "f":
+        return _exp_series(lambda d, u: _image(m, d, u, data, 1), p, q, d, parts)
+    if kind == "root":
+        poly = words.multibracket(data)
+        return _exp_series(lambda d, u: _e_poly(m, poly, d, u), p, q, d, parts)
     # torus: s^n on the weight with n = Lambda(h) - sum k_i alpha_i(h)
-    lam_val, alpha_vals = factor.data
+    lam_val, alpha_vals = data
     powers = {k: lam_val - sum(map(mul, k, alpha_vals)) for k in parts}
-    den, scale = linalg.power_scale(
-        factor.param.numerator, factor.param.denominator, powers.values())
+    den, scale = linalg.power_scale(p, q, powers.values())
     return d * den, {k: [x * scale[powers[k]] for x in ints] for k, ints in parts.items()}
 
 
 def _group_image(m: IrrTrunc, g, d, parts):
     """(D, parts') with g . (parts / d) = parts' / D, the rightmost factor
-    acting first; reduced by the gcd of the entries between factors."""
-    for factor in reversed(tuple(g)):
-        d, parts = _lowest(*_factor_image(m, factor, d, parts))
+    acting first; reduced by the gcd of the entries between factors.
+
+    g acts through its normal form, linalg.reduced_word, keyed by kind and
+    data: a run of e_i, of f_i or of one root multibracket adds its
+    parameters, a run of torus factors with equal data (Lambda(h),
+    alpha(h)), which act alike on L(Lambda), multiplies them, and an
+    identity factor acts as nothing.
+    """
+    factors = [((f.kind, f.data), f.kind != "torus", f.param.numerator, f.param.denominator)
+               for f in reversed(tuple(g))]
+    for (kind, data), _, p, q in linalg.reduced_word(factors):
+        d, parts = _lowest(*_factor_image(m, kind, data, p, q, d, parts))
     return d, parts
 
 

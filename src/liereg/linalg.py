@@ -14,11 +14,14 @@ integer vector v, ``Operator.pull_back`` denom * phi M.  An action clears
 its vector's denominators once with ``integral``, chains the integer
 products while it multiplies the denominators, and builds Fractions once,
 for the result, with ``over``; ``combine`` sums scaled integer vectors over
-one denominator, taken first.  Two series rules serve both group engines,
-the free one (``grp``, flat integer lists) and the Kac-Moody one (weight
-parts): ``exp_sum`` sums an exp series from its chain of images, in Horner
-form, through the caller's own a u + b w, and ``power_scale`` gives the
-integer scales of a torus factor s^n over one denominator.  ``mat_mul``
+one denominator, taken first.  Three group-word rules serve both group
+engines, the free one (``grp``, flat integer lists) and the Kac-Moody one
+(weight parts): ``reduced_word`` is the one normal form of a word in
+one-parameter factors, each run of one subgroup folded into one factor and
+identity factors dropped; ``exp_sum`` sums an exp series from its chain of
+images, in Horner form, through the caller's own a u + b w; and
+``power_scale`` gives the integer scales of a torus factor s^n over one
+denominator.  ``mat_mul``
 multiplies two Operators, and ``kron`` takes and returns nonzero columns.
 
 ``image`` scatters: each stored column whose vector entry is nonzero adds
@@ -244,6 +247,29 @@ def exp_sum(p, q, chain, add):
         den *= q * k * chain[k][0]
         acc = add(p, acc, den, chain[k - 1][1])
     return den, acc
+
+
+def reduced_word(factors) -> list:
+    """The normal form of a word in one-parameter factors, each given as
+    (key, additive, p, q) for the parameter p/q, q > 0, in application order.
+
+    Each run of adjacent factors with equal keys becomes one factor: p/q is
+    added when additive (exp(s X) exp(t X) = exp((s + t) X)) and multiplied
+    otherwise (s^h s'^h = (s s')^h), in lowest terms.  An identity factor
+    (0 added, 1 multiplied) is left out, so the factors it parted meet and
+    fold in turn.
+    """
+    out = []
+    for key, additive, p, q in factors:
+        if out and out[-1][0] == key:
+            _, _, p0, q0 = out.pop()
+            p = p0 * q + p * q0 if additive else p0 * p
+            q *= q0
+            c = math.gcd(p, q)
+            p, q = p // c, q // c
+        if p != (0 if additive else q):
+            out.append((key, additive, p, q))
+    return out
 
 
 def power_scale(p, q, exponents):

@@ -1,7 +1,8 @@
 """Every public top-level function and every public method of a top-level
 class of liereg has a caller inside the package, or is listed below with the
-reason it stays without one; and every module-level import of liereg is
-used."""
+reason it stays without one; every public module-level name that an
+assignment binds has a reader inside the package; and every module-level
+import of liereg is used."""
 import ast
 from pathlib import Path
 
@@ -75,6 +76,31 @@ def test_every_public_function_has_a_caller_or_a_reason():
     assert uncalled - set(kept) == set(), "public functions with no caller in liereg"
     assert set(kept) - uncalled == set(), "listed as uncalled, but now called or gone"
     assert all(reason for reason in kept.values())
+
+
+def _unread_assignments():
+    """The public names that module-level assignments of liereg bind, as
+    module.name, that no code of the package loads as a name or reads as an
+    attribute."""
+    bound, read = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for sub in (n for target in targets for n in ast.walk(target)):
+                    if isinstance(sub, ast.Name) and not sub.id.startswith("_"):
+                        bound[f"{path.stem}.{sub.id}"] = sub.id
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                read.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                read.add(sub.attr)
+    return {qualified for qualified, name in bound.items() if name not in read}
+
+
+def test_every_public_module_level_name_has_a_reader():
+    assert _unread_assignments() == set()
 
 
 def _unused_imports(path):

@@ -31,6 +31,10 @@ def test_group_word_reduction():
     assert not GroupWord([]).is_reduced()
     assert not GroupWord([exp_factor(0, 1), exp_factor(0, 1)]).is_reduced()
     assert not GroupWord([exp_factor(0, 0)]).is_reduced()
+    # reduced is "its own normal form": a torus factor s = 1 is the identity
+    assert GroupWord([torus_factor(1, 2), exp_factor(0, 1)]).is_reduced()
+    assert not GroupWord([torus_factor(1, 1)]).is_reduced()
+    assert not GroupWord([torus_factor(1, 2), torus_factor(1, Fraction(1, 2))]).is_reduced()
 
 
 def test_act_group_chain():

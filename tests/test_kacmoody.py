@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from liereg import checks, kacmoody, linalg, words
@@ -555,6 +555,19 @@ def test_freudenthal_refuses_a_non_dominant_weight():
         freudenthal_multiplicity(AFFINE, (1, -1), (1, 0))
     with pytest.raises(ValueError, match="length"):
         freudenthal_multiplicity(AFFINE, (1,), (1, 0))
+
+
+@pytest.mark.parametrize("k", [(1, 0, 0), (0,), (1,), (0, 0, 5), ()])
+def test_a_depth_vector_of_the_wrong_length_is_refused(k):
+    """A depth vector needs one entry per simple root, in the build and in
+    the oracle alike; a short one used to raise IndexError or read 1, a long
+    one to read its prefix."""
+    mod = IrrTrunc(A2, (1, 0), depth=2)
+    reads = [mod.weight_multiplicity, mod.space, lambda k: mod.f_matrix(0, k),
+             lambda k: mod.e_matrix(0, k), lambda k: freudenthal_multiplicity(A2, (1, 0), k)]
+    for read in reads:
+        with pytest.raises(ValueError, match=f"length {len(k)}, expected 2"):
+            read(k)
 
 
 def test_root_multiplicities_affine_a2_imaginary_roots():
@@ -1327,6 +1340,82 @@ def test_actions_match_the_fraction_reference(mv, spec):
             act_km_group(mod, tuple(g), v)
     else:
         assert _as_parts(act_km_group(mod, tuple(g), v)) == expected
+
+
+@st.composite
+def words_with_repeats(draw, gcm, lam):
+    """A Kac-Moody group word of runs, each of one e_i, f_i, root
+    multibracket or torus coweight and at times closed by the inverse of its
+    product, with an identity factor of every kind (parameter 0, or 1 for
+    the torus) put in at random places."""
+    params = st.sampled_from([Fraction(n, d) for n in (-2, -1, 1, 2) for d in (1, 2, 3)])
+    coweights = st.lists(st.integers(-1, 1), min_size=gcm.n, max_size=gcm.n)
+    indices = st.integers(0, gcm.n - 1)
+
+    def factor(kind, i, coeffs, t):
+        if kind == "torus":
+            return coweight_torus_factor(gcm, lam, coeffs, t)
+        return KMFactor(kind, (i, (i + 1) % gcm.n) if kind == "root" else i, t)
+
+    g = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind, i, coeffs = draw(st.sampled_from(["e", "f", "root", "torus"])), draw(indices), draw(coweights)
+        run = draw(st.lists(params, min_size=1, max_size=3))
+        if draw(st.booleans()):
+            run.append(1 / math.prod(run) if kind == "torus" else -sum(run))
+        g += [factor(kind, i, coeffs, t) for t in run]
+    for kind in ("e", "f", "root", "torus"):
+        identity = factor(kind, draw(indices), draw(coweights), 1 if kind == "torus" else 0)
+        g.insert(draw(st.integers(0, len(g))), identity)
+    return g
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), symmetrizable_gcms(), st.lists(st.integers(0, 1), min_size=3, max_size=3))
+def test_a_folded_word_acts_as_its_factors_one_by_one(data, a, lam):
+    """act_km_group folds adjacent repeats and drops identity factors of
+    every kind; the result is the Fraction reference applied factor by
+    factor.  A word whose reference leaves the depth cap is not drawn."""
+    gcm = validate_gcm(a)
+    lam = tuple(lam[:gcm.n])
+    ref = IrrTrunc(gcm, lam, depth=0, depth_cap=6)
+    g = data.draw(words_with_repeats(gcm, lam))
+    expected = {(0,) * gcm.n: [Fraction(1)]}
+    try:
+        for factor in reversed(g):
+            expected = _ref_factor(ref, factor, expected)
+    except TruncationError:
+        assume(False)
+    mod = IrrTrunc(gcm, lam, depth=0, depth_cap=6)
+    assert _as_parts(act_km_group(mod, tuple(g), mod.highest_weight_vector())) == expected
+
+
+def test_a_run_of_one_generator_runs_one_exp_series(monkeypatch):
+    """f(1/3) f(2/3) acts as f(1): one exp series, with as many images as
+    f(1) takes; an identity factor of any kind runs none."""
+    series, images = [], []
+    exp_series, image = kacmoody._exp_series, linalg.Operator.image
+
+    def counted_series(*args):
+        series.append(args)
+        return exp_series(*args)
+
+    def counted_image(op, ints):
+        images.append(op)
+        return image(op, ints)
+
+    monkeypatch.setattr(kacmoody, "_exp_series", counted_series)
+    monkeypatch.setattr(linalg.Operator, "image", counted_image)
+    mod = IrrTrunc(AFFINE, (1, 0), depth=0)
+    v = mod.highest_weight_vector()
+    run = act_km_group(mod, (KMFactor("f", 0, Fraction(1, 3)), KMFactor("f", 0, Fraction(2, 3))), v)
+    assert (len(series), len(images)) == (1, 1)  # f_0 v; f_0^2 v lies in a zero space
+    assert act_km_group(mod, (KMFactor("f", 0, 1),), v) == run
+    assert (len(series), len(images)) == (2, 2)
+    identities = (KMFactor("e", 0, 0), KMFactor("f", 1, 0), KMFactor("root", (0, 1), 0),
+                  coweight_torus_factor(AFFINE, (1, 0), (1, 0), 1))
+    assert act_km_group(mod, identities, v) == v
+    assert (len(series), len(images)) == (2, 2)
 
 
 def _public_matrix(self, i, k):

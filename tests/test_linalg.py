@@ -805,3 +805,50 @@ def test_power_scale_matches_fraction_powers(p, q):
         for n in exponents:
             assert type(scale[n]) is int and Fraction(scale[n], den) == Fraction(p, q) ** n
     assert linalg.power_scale(p, q, []) == (1, {})
+
+
+def _add(key, p, q=1):
+    return (key, True, p, q)
+
+
+def _mul(key, p, q=1):
+    return (key, False, p, q)
+
+
+@pytest.mark.parametrize("factors, normal_form", [
+    ([], []),
+    # a run adds its parameters when additive, in lowest terms
+    ([_add("e", 1, 3), _add("e", 1, 6)], [_add("e", 1, 2)]),
+    # and multiplies them otherwise
+    ([_mul("s", 2, 3), _mul("s", -9, 4), _mul("s", 5)], [_mul("s", -15, 2)]),
+    # an identity factor is left out, alone or once a run folds to it
+    ([_add("e", 0), _mul("s", 1), _add("f", 2), _add("f", -2)], []),
+    ([_mul("s", -2, 3), _mul("s", -3, 2), _add("e", 1)], [_add("e", 1)]),
+    # the factors a dropped run parted meet and fold in turn: e(1) f(2) f(-2) e(3) = e(4)
+    ([_add("e", 1), _add("f", 2), _add("f", -2), _add("e", 3)], [_add("e", 4)]),
+    # different keys stay apart, in order
+    ([_add("e", 1), _add("f", 1), _add("e", 1)], [_add("e", 1), _add("f", 1), _add("e", 1)]),
+])
+def test_reduced_word_folds_runs_and_drops_identities(factors, normal_form):
+    assert linalg.reduced_word(iter(factors)) == normal_form
+    assert linalg.reduced_word(normal_form) == normal_form  # a normal form is its own
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from([-2, -1, 0, 1, 2]),
+                          st.integers(1, 3)), max_size=8))
+def test_reduced_word_is_the_fraction_normal_form(spec):
+    """Keys a and b are additive, c multiplicative (with no zero parameter),
+    each parameter in lowest terms, as a Fraction gives it; the reference
+    folds on a stack of Fractions."""
+    params = [Fraction(1 if k == "c" and not p else p, q) for k, p, q in spec]
+    factors = [(k, k != "c", t.numerator, t.denominator) for (k, _, _), t in zip(spec, params)]
+    stack = []
+    for (key, additive, _, _), t in zip(factors, params):
+        if stack and stack[-1][0] == key:
+            t = stack.pop()[1] + t if additive else stack.pop()[1] * t
+        if t != (0 if additive else 1):
+            stack.append((key, t))
+    out = linalg.reduced_word(factors)
+    assert [(key, Fraction(p, q)) for key, _, p, q in out] == stack
+    assert all(math.gcd(p, q) == 1 and q > 0 for _, _, p, q in out)
