@@ -7,6 +7,8 @@ alphabet is --letters when given, else the letter names of the bare words
 among the command's arguments (a JSON argument names no letters), else e1.
 A refusal names the argument or JSON field that carried the bad input
 (``x[0].word``, ``gcm.matrix``, ...), a library's own refusal included.
+The CLI reads argv, files and environment variables only: group words of
+both halves, modules and functionals are decoded by jsonio.
 
 Exit codes: 0 success, 1 validation failure, 2 size/depth cap exceeded.
 Caps can be overridden with the environment variables LIEREG_DIM_CAP and
@@ -22,8 +24,8 @@ import sys
 
 from . import checks, duals, grp, jsonio, kacmoody, linalg, reps, words
 from .duals import MatrixCoefficient
-from .jsonio import SchemaError, decode_fraction, decode_int_list, encode_fraction
-from .kacmoody import IrrTrunc, KMFactor, TruncVector, validate_gcm
+from .jsonio import SchemaError, decode_int_list, encode_fraction
+from .kacmoody import IrrTrunc, TruncVector, validate_gcm
 from .words import Alphabet, NcPoly
 
 EXIT_OK = 0
@@ -323,39 +325,9 @@ def cmd_km_mult(args):
     return out
 
 
-def _decode_km_group(gcm, lam, obj):
-    if not isinstance(obj, list):
-        raise SchemaError("group: expected a list of factors")
-    factors = []
-    for i, entry in enumerate(obj):
-        if not isinstance(entry, dict) or "kind" not in entry:
-            raise SchemaError(f"group[{i}]: expected {{kind, ...}}")
-        kind = entry["kind"]
-        if kind not in ("e", "f", "root", "torus"):
-            raise SchemaError(f"group[{i}].kind: unknown kind {kind!r}")
-        try:
-            param = decode_fraction(entry["param"], f"group[{i}].param")
-            if kind in ("e", "f"):
-                (index,) = decode_int_list([entry["index"]], f"group[{i}].index", 1, gcm.n)
-                factors.append(KMFactor(kind, index, param))
-            elif kind == "root":
-                indices = decode_int_list(entry["indices"], f"group[{i}].indices", below=gcm.n)
-                if not indices:
-                    raise SchemaError(f"group[{i}].indices: expected at least one index")
-                factors.append(KMFactor("root", indices, param))
-            else:
-                coweight = decode_int_list(entry["coweight"], f"group[{i}].coweight", gcm.n)
-                if not param:
-                    raise SchemaError(f"group[{i}].param: a torus factor needs a nonzero parameter")
-                factors.append(kacmoody.coweight_torus_factor(gcm, lam, coweight, param))
-        except KeyError as exc:
-            raise SchemaError(f"group[{i}].{exc.args[0]}: missing") from exc
-    return tuple(factors)
-
-
 def cmd_km_theta(args):
     mod = _km_module(args)
-    g = _decode_km_group(mod.gcm, mod.lam, _load_json(args.group, "group"))
+    g = jsonio.decode_km_group_word(mod.gcm.n, _load_json(args.group, "group"))
     return {"theta": encode_fraction(kacmoody.theta_eval(mod, g))}
 
 

@@ -1,15 +1,20 @@
 """JSON serialization for the CLI: rationals as "p/q", words as dotted names.
 
 Every encoder/decoder pair round-trips exactly; decoders raise
-:class:`SchemaError` naming the offending field.
+:class:`SchemaError` naming the offending field.  The group words of both
+halves, free (`decode_group_word`) and Kac-Moody (`decode_km_group_word`),
+are read by one walk over the factor list; neither names a module, so a
+Kac-Moody word needs only the rank of its GCM.
 """
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from . import grp, words
 from .duals import FiniteFunctional, MatrixCoefficient, RhoExpansion
 from .grp import GroupWord
+from .kacmoody import KMFactor
 from .reps import RepSpec
 from .words import Alphabet, NcPoly, TermMap
 
@@ -140,30 +145,32 @@ def _encode_label(alphabet: Alphabet, label) -> str:
     return f"({_encode_label(alphabet, left)} (x) {_encode_label(alphabet, right)})"
 
 
-def decode_rep(obj) -> RepSpec:
+def decode_rep(obj, field: str = "rep") -> RepSpec:
+    """The module of a JSON {dim, letters, labels?}; a refusal names its
+    fields under field."""
     if not isinstance(obj, dict) or "dim" not in obj or "letters" not in obj:
-        raise SchemaError("rep: expected {dim, letters, labels?}")
-    (dim,) = decode_int_list([obj["dim"]], "rep.dim", 1)
+        raise SchemaError(f"{field}: expected {{dim, letters, labels?}}")
+    (dim,) = decode_int_list([obj["dim"]], f"{field}.dim", 1)
     letters = obj["letters"]
     if not isinstance(letters, list) or not letters:
-        raise SchemaError("rep.letters: expected a nonempty list")
+        raise SchemaError(f"{field}.letters: expected a nonempty list")
     names, kinds, matrices = [], [], {}
     for i, entry in enumerate(letters):
         if not isinstance(entry, dict) or "name" not in entry:
-            raise SchemaError(f"rep.letters[{i}]: expected {{name, kind, matrix}}")
+            raise SchemaError(f"{field}.letters[{i}]: expected {{name, kind, matrix}}")
         name = entry["name"]
         if not isinstance(name, str):
-            raise SchemaError(f"rep.letters[{i}].name: expected a string")
+            raise SchemaError(f"{field}.letters[{i}].name: expected a string")
         if name in names:
-            raise SchemaError(f"rep.letters[{i}].name: duplicate letter name {name!r}")
+            raise SchemaError(f"{field}.letters[{i}].name: duplicate letter name {name!r}")
         names.append(name)
         kind = entry.get("kind", words.NILPOTENT)
         if not isinstance(kind, str) or kind not in words.KINDS:
-            raise SchemaError(f"rep.letters[{i}].kind: unknown kind {kind!r}")
+            raise SchemaError(f"{field}.letters[{i}].kind: unknown kind {kind!r}")
         kinds.append(kind)
         matrices[i] = decode_matrix(
             entry.get("matrix", [[0] * dim for _ in range(dim)]),
-            f"rep.letters[{i}].matrix",
+            f"{field}.letters[{i}].matrix",
         )
     alphabet = Alphabet(names, kinds)
     labels = obj.get("labels")
@@ -172,11 +179,11 @@ def decode_rep(obj) -> RepSpec:
         and len(labels) == dim
         and all(isinstance(label, str) for label in labels)
     ):
-        raise SchemaError(f"rep.labels: expected one string per basis vector, {dim} in all")
+        raise SchemaError(f"{field}.labels: expected one string per basis vector, {dim} in all")
     try:
         return RepSpec(alphabet, dim, matrices, labels)
     except ValueError as exc:
-        raise SchemaError(f"rep: {exc}") from exc
+        raise SchemaError(f"{field}: {exc}") from exc
 
 
 def encode_functional(h, alphabet: Alphabet = None) -> dict:
@@ -203,7 +210,7 @@ def decode_functional(obj, alphabet: Alphabet = None):
             _decode_terms(alphabet, obj.get("terms", []), "functional.terms")
         )
     if kind == "matrix-coefficient":
-        rep = decode_rep(obj.get("rep"))
+        rep = decode_rep(obj.get("rep"), "functional.rep")
         phi = decode_vector(obj.get("phi"), "functional.phi")
         v = decode_vector(obj.get("v"), "functional.v")
         rep.check_length(phi, "functional.phi")
@@ -212,16 +219,36 @@ def decode_functional(obj, alphabet: Alphabet = None):
     raise SchemaError(f"functional.kind: unknown kind {kind!r}")
 
 
-def decode_group_word(alphabet: Alphabet, obj) -> GroupWord:
-    """The group word of a list of {letter, kind, param}; each factor's kind
-    must be the one its letter's kind in the alphabet allows: 'exp' for a
-    locally nilpotent letter, 'torus' for a diagonalizable one."""
+def _decode_factors(obj, key: str, shape: str, decode_entry) -> list:
+    """The factors of a JSON group word, a list of dicts that each carry key.
+
+    decode_entry(i, entry) reads the i-th entry as (torus, param, make), the
+    factor being make(param); a key it finds missing is refused as
+    group[i].<key>: missing, and a torus factor of parameter 0 is refused
+    after every other check of its entry.
+    """
     if not isinstance(obj, list):
         raise SchemaError("group: expected a list of factors")
     factors = []
     for i, entry in enumerate(obj):
-        if not isinstance(entry, dict) or "letter" not in entry:
-            raise SchemaError(f"group[{i}]: expected {{letter, kind, param}}")
+        if not isinstance(entry, dict) or key not in entry:
+            raise SchemaError(f"group[{i}]: expected {shape}")
+        try:
+            torus, param, make = decode_entry(i, entry)
+        except KeyError as exc:
+            raise SchemaError(f"group[{i}].{exc.args[0]}: missing") from exc
+        if torus and not param:
+            raise SchemaError(f"group[{i}].param: a torus factor needs a nonzero parameter")
+        factors.append(make(param))
+    return factors
+
+
+def decode_group_word(alphabet: Alphabet, obj) -> GroupWord:
+    """The group word of a list of {letter, kind, param}; each factor's kind
+    must be the one its letter's kind in the alphabet allows: 'exp' for a
+    locally nilpotent letter, 'torus' for a diagonalizable one."""
+
+    def factor(i, entry):
         try:
             letter = alphabet.index(str(entry["letter"]))
         except KeyError as exc:
@@ -236,13 +263,34 @@ def decode_group_word(alphabet: Alphabet, obj) -> GroupWord:
                 f"so its factor kind is {expected!r}, not {kind!r}"
             )
         param = decode_fraction(entry.get("param", "1"), f"group[{i}].param")
-        if kind == "exp":
-            factors.append(grp.exp_factor(letter, param))
-        elif param:
-            factors.append(grp.torus_factor(letter, param))
+        make = grp.exp_factor if kind == "exp" else grp.torus_factor
+        return kind == "torus", param, functools.partial(make, letter)
+
+    return GroupWord(_decode_factors(obj, "letter", "{letter, kind, param}", factor))
+
+
+def decode_km_group_word(n: int, obj) -> tuple:
+    """The Kac-Moody group word of a list of {kind, param, ...} over a GCM of
+    rank n: kind 'e' or 'f' with an index, 'root' with a nonempty list of
+    indices, 'torus' with a coweight of n integers.  The word names no
+    module: it acts on every L(Lambda) of the GCM."""
+
+    def factor(i, entry):
+        kind = entry["kind"]
+        if kind not in ("e", "f", "root", "torus"):
+            raise SchemaError(f"group[{i}].kind: unknown kind {kind!r}")
+        param = decode_fraction(entry["param"], f"group[{i}].param")
+        if kind in ("e", "f"):
+            (data,) = decode_int_list([entry["index"]], f"group[{i}].index", 1, n)
+        elif kind == "root":
+            data = decode_int_list(entry["indices"], f"group[{i}].indices", below=n)
+            if not data:
+                raise SchemaError(f"group[{i}].indices: expected at least one index")
         else:
-            raise SchemaError(f"group[{i}].param: a torus factor needs a nonzero parameter")
-    return GroupWord(factors)
+            data = decode_int_list(entry["coweight"], f"group[{i}].coweight", n)
+        return kind == "torus", param, functools.partial(KMFactor, kind, data)
+
+    return tuple(_decode_factors(obj, "kind", "{kind, ...}", factor))
 
 
 def encode_taylor(poly: RhoExpansion) -> dict:

@@ -813,14 +813,14 @@ def act_e_poly(m: IrrTrunc, x: NcPoly, v: TruncVector) -> TruncVector:
 
 @dataclass(frozen=True)
 class KMFactor:
-    """One factor of a Kac-Moody group word.
+    """One factor of a Kac-Moody group word.  It names no module, so one
+    word acts on every L(Lambda) of its GCM.
 
     kind 'e'/'f': exp(param * e_i) / exp(param * f_i), data = i.
     kind 'root': exp(param * x) for x the multibracket of the raising
         generators along data (a tuple of indices).
-    kind 'torus': s^h with param = s != 0 and data = (Lambda(h), alpha values),
-        i.e. the integer value of h on the highest weight and on each
-        simple root.
+    kind 'torus': s^h with param = s != 0 and data = the coweight of h, the
+        n integers c_j of h = sum c_j h_j.
     """
 
     kind: str
@@ -833,16 +833,6 @@ class KMFactor:
             raise ValueError(f"unknown factor kind {self.kind!r}")
         if self.kind == "torus" and self.param == 0:
             raise ValueError("torus factors need a nonzero parameter")
-
-
-def coweight_torus_factor(gcm: GCM, lam, coeffs, s) -> KMFactor:
-    """Torus factor s^h for h = sum coeffs_j h_j."""
-    coeffs = tuple(int(c) for c in coeffs)
-    lam_val = sum(c * l for c, l in zip(coeffs, lam))
-    alpha_vals = tuple(
-        sum(c * gcm.a[j][i] for j, c in enumerate(coeffs)) for i in range(gcm.n)
-    )
-    return KMFactor("torus", (lam_val, alpha_vals), s)
 
 
 def _exp_series(apply_once, p, q, d, parts):
@@ -873,9 +863,8 @@ def _factor_image(m: IrrTrunc, kind: str, data, p, q, d, parts):
     if kind == "root":
         poly = words.multibracket(data)
         return _exp_series(lambda d, u: _e_poly(m, poly, d, u), p, q, d, parts)
-    # torus: s^n on the weight with n = Lambda(h) - sum k_i alpha_i(h)
-    lam_val, alpha_vals = data
-    powers = {k: lam_val - sum(map(mul, k, alpha_vals)) for k in parts}
+    # torus: s^n at depth k, n = lambda_k(h) = sum_j c_j lambda_k(h_j) for the coweight c
+    powers = {k: sum(map(mul, data, m.lam_of(k))) for k in parts}
     den, scale = linalg.power_scale(p, q, powers.values())
     return d * den, {k: [x * scale[powers[k]] for x in ints] for k, ints in parts.items()}
 
@@ -884,14 +873,22 @@ def _group_image(m: IrrTrunc, g, d, parts):
     """(D, parts') with g . (parts / d) = parts' / D, the rightmost factor
     acting first; reduced by the gcd of the entries between factors.
 
-    g acts through its normal form, linalg.reduced_word, keyed by kind and
-    data: a run of e_i, of f_i or of one root multibracket adds its
-    parameters, a run of torus factors with equal data (Lambda(h),
-    alpha(h)), which act alike on L(Lambda), multiplies them, and an
-    identity factor acts as nothing.
+    Every factor is checked against the module first: an e/f or root index
+    lies in 0..n-1 and a coweight has n entries, else a ValueError names the
+    factor's position in g.  Then g acts through its normal form,
+    linalg.reduced_word, keyed by kind and data: a run of e_i, of f_i, of
+    one root multibracket or of one torus coweight adds (multiplies, for
+    the torus) its parameters, and an identity factor acts as nothing.
     """
+    g, n = tuple(g), m.gcm.n
+    for pos, f in enumerate(g):
+        if f.kind == "torus":
+            if len(f.data) != n:
+                raise ValueError(f"factor {pos}: coweight {f.data} has length {len(f.data)}, expected {n}")
+        elif not all(0 <= i < n for i in ((f.data,) if f.kind in ("e", "f") else f.data)):
+            raise ValueError(f"factor {pos}: {f.kind} data {f.data} has an index outside 0..{n - 1}")
     factors = [((f.kind, f.data), f.kind != "torus", f.param.numerator, f.param.denominator)
-               for f in reversed(tuple(g))]
+               for f in reversed(g)]
     for (kind, data), _, p, q in linalg.reduced_word(factors):
         d, parts = _lowest(*_factor_image(m, kind, data, p, q, d, parts))
     return d, parts

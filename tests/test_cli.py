@@ -646,6 +646,26 @@ def test_non_integrable_rep_rejected(capsys, argv, field):
     assert err.startswith(f"error: {field}") and "not nilpotent" in err
 
 
+NO_REP_MC = '{"kind":"matrix-coefficient","phi":["1","0"],"v":["1","0"]}'
+BOGUS_KIND_MC = (
+    '{"kind":"matrix-coefficient","rep":{"dim":2,"letters":[{"name":"e1"},'
+    '{"name":"e2","kind":"bogus"}]},"phi":["1","0"],"v":["1","0"]}'
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ["membership"], ["eval", "--x", "e1"], ["taylor", "--tuple", "e1"], ["xi-map"],
+])
+@pytest.mark.parametrize("functional, message", [
+    (NO_REP_MC, "functional.rep: expected {dim, letters, labels?}"),
+    (BOGUS_KIND_MC, "functional.rep.letters[1].kind: unknown kind 'bogus'"),
+    (NOT_NILPOTENT_MC, "functional.rep: letter e1: matrix is not nilpotent"),
+])
+def test_a_module_in_a_functional_is_refused_under_functional_rep(capsys, argv, functional, message):
+    code, out, err = run(capsys, argv[0], "--functional", functional, *argv[1:])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 REP_1 = '{"dim":1,"letters":[{"name":"a"}]'
 
 

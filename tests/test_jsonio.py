@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from liereg import duals, grp, jsonio, reps
+from liereg import duals, grp, jsonio, reps, words
 from liereg.jsonio import SchemaError
+from liereg.kacmoody import KMFactor
 from liereg.words import Alphabet, NcPoly
 
 
@@ -76,6 +77,36 @@ def test_group_word_round_trip():
         jsonio.decode_group_word(AB, [{"letter": "e9", "kind": "exp", "param": "1"}])
     with pytest.raises(SchemaError):
         jsonio.decode_group_word(AB, [{"letter": "e1", "kind": "torus", "param": "0"}])
+
+
+def test_km_group_word_decodes_without_a_module():
+    obj = [{"kind": "torus", "coweight": [1, 0], "param": "2"},
+           {"kind": "root", "indices": [0, 1], "param": "1/2"},
+           {"kind": "f", "index": 1, "param": "-3"}]
+    assert jsonio.decode_km_group_word(2, obj) == (
+        KMFactor("torus", (1, 0), 2), KMFactor("root", (0, 1), Fraction(1, 2)), KMFactor("f", 1, -3))
+
+
+ED = Alphabet(("e", "d"), (words.NILPOTENT, words.DIAGONAL))
+
+
+@pytest.mark.parametrize("decode, torus", [
+    (lambda obj: jsonio.decode_group_word(ED, obj), {"letter": "d", "kind": "torus"}),
+    (lambda obj: jsonio.decode_km_group_word(2, obj), {"kind": "torus", "coweight": [1, 0]}),
+])
+def test_both_group_word_decoders_refuse_alike(decode, torus):
+    """The two decoders share one walk over the factor list: its list and
+    entry checks and the refusal of a torus parameter 0."""
+    refusals = [
+        ({}, "group: expected a list of factors"),
+        ([None], "group[0]: expected {"),
+        ([{**torus, "param": "1/2"}, {**torus, "param": "0"}],
+         "group[1].param: a torus factor needs a nonzero parameter"),
+    ]
+    for obj, message in refusals:
+        with pytest.raises(SchemaError) as exc:
+            decode(obj)
+        assert str(exc.value).startswith(message)
 
 
 def test_gcm_decoding():

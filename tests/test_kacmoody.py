@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 
 from fractions import Fraction
 
@@ -20,7 +21,6 @@ from liereg.kacmoody import (
     act_f,
     act_h,
     act_km_group,
-    coweight_torus_factor,
     freudenthal_multiplicity,
     kostant_cone_test,
     peter_weyl_rank,
@@ -268,7 +268,7 @@ def test_exp_action_sl2():
 
 def test_torus_factor():
     mod = IrrTrunc(SL2, (2,), depth=2)
-    factor = coweight_torus_factor(SL2, mod.lam, (1,), Fraction(3))
+    factor = KMFactor("torus", (1,), Fraction(3))
     v = TruncVector({(0,): (1,), (1,): (1,), (2,): (1,)})
     out = act_km_group(mod, (factor,), v)
     # weights 2, 0, -2 under h
@@ -280,13 +280,37 @@ def test_torus_factor():
 def test_torus_exp_conjugation():
     mod = IrrTrunc(SL2, (3,), depth=3)
     s, t = Fraction(2), Fraction(5, 3)
-    h = coweight_torus_factor(SL2, mod.lam, (1,), s)
-    h_inv = coweight_torus_factor(SL2, mod.lam, (1,), 1 / s)
+    h = KMFactor("torus", (1,), s)
+    h_inv = KMFactor("torus", (1,), 1 / s)
     v = TruncVector({(0,): (1,), (1,): (Fraction(1, 2),)})
     lhs = kacmoody.act_km_group(mod, (h, KMFactor("f", 0, t), h_inv), v)
     # s^h exp(t f) s^-h = exp(t s^-alpha(h) f)
     rhs = act_km_group(mod, (KMFactor("f", 0, t * s ** -2),), v)
     assert lhs == rhs
+
+
+def test_one_torus_word_acts_on_every_module():
+    """s^h0 exp(e_0) exp(3 f_0) with s = 2 gives theta = 2^Lambda(h0) (1 + 3 Lambda(h0))
+    on L(Lambda): a torus factor reads Lambda(h0) from the module it acts on."""
+    g = (KMFactor("torus", (1, 0), 2), KMFactor("e", 0, 1), KMFactor("f", 0, 3))
+    thetas = [theta_eval(IrrTrunc(A2, lam, depth=1), g) for lam in ((1, 0), (0, 1), (1, 1))]
+    assert thetas == [8, 1, 8]
+
+
+@pytest.mark.parametrize("word, message", [
+    ((KMFactor("e", 2, 1),), "factor 1: e data 2 has an index outside 0..1"),
+    ((KMFactor("f", 2, 1),), "factor 1: f data 2 has an index outside 0..1"),
+    ((KMFactor("root", (0, 2), 1),), "factor 1: root data (0, 2) has an index outside 0..1"),
+    ((KMFactor("torus", (1,), 2),), "factor 1: coweight (1,) has length 1, expected 2"),
+    ((KMFactor("torus", (1, 0, 0), 2),), "factor 1: coweight (1, 0, 0) has length 3, expected 2"),
+    # checked before the fold, which would drop the pair
+    ((KMFactor("e", 2, 1), KMFactor("e", 2, -1)), "factor 1: e data 2 has an index outside 0..1"),
+])
+def test_a_factor_that_misfits_the_module_is_refused_by_position(word, message):
+    mod = IrrTrunc(A2, (1, 0), depth=1)
+    g = (KMFactor("f", 0, 1), *word)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        act_km_group(mod, g, mod.highest_weight_vector())
 
 
 def test_theta_eval_sl2():
@@ -746,6 +770,10 @@ def test_peter_weyl_rank():
     samples = []
     for a, b in [(1, 1), (2, 1), (1, 3), (Fraction(1, 2), 5), (3, Fraction(2, 7))]:
         samples.append((KMFactor("e", 0, Fraction(b)), KMFactor("f", 0, Fraction(a))))
+    # a torus sample acts on both modules: s^h scales v_Lambda by s^Lambda(h)
+    tori = [(KMFactor("torus", (1,), Fraction(s)),) for s in (2, 3)]
+    assert peter_weyl_rank([entries[0], entries[2]], tori) == 2  # rows (2, 3), (4, 9)
+    samples += [(*torus, KMFactor("e", 0, Fraction(1)), KMFactor("f", 0, Fraction(2))) for torus in tori]
     assert peter_weyl_rank(entries, samples) == 4
     assert peter_weyl_rank(entries[:1], samples) == 1
     assert peter_weyl_rank([entries[0], entries[0]], samples) == 1
@@ -1269,11 +1297,13 @@ def _ref_poly(mod, x, parts):
 
 def _ref_factor(mod, factor, parts):
     if factor.kind == "torus":
-        lam_val, alpha_vals = factor.data
-        return {
-            k: [c * factor.param ** (lam_val - sum(map(int.__mul__, k, alpha_vals))) for c in coords]
-            for k, coords in parts.items()
-        }
+        a, lam, coweight = mod.gcm.a, mod.lam, factor.data
+
+        def exponent(k):  # lambda_k(h) = sum_j c_j (Lambda_j - sum_i k_i a_ji)
+            return sum(c * (lam[j] - sum(x * a[j][i] for i, x in enumerate(k)))
+                       for j, c in enumerate(coweight))
+
+        return {k: [x * factor.param ** exponent(k) for x in coords] for k, coords in parts.items()}
     def apply(p):
         if factor.kind == "root":
             return _ref_poly(mod, words.multibracket(factor.data), p)
@@ -1328,7 +1358,7 @@ def test_actions_match_the_fraction_reference(mv, spec):
     g = []
     for kind, i, t in spec:
         if kind == "torus":
-            g.append(coweight_torus_factor(mod.gcm, mod.lam, (i, 1 - 2 * i), t))
+            g.append(KMFactor("torus", (i, 1 - 2 * i), t))
         else:
             g.append(KMFactor(kind, (0, 1) if kind == "root" else i, t))
     try:
@@ -1343,7 +1373,7 @@ def test_actions_match_the_fraction_reference(mv, spec):
 
 
 @st.composite
-def words_with_repeats(draw, gcm, lam):
+def words_with_repeats(draw, gcm):
     """A Kac-Moody group word of runs, each of one e_i, f_i, root
     multibracket or torus coweight and at times closed by the inverse of its
     product, with an identity factor of every kind (parameter 0, or 1 for
@@ -1354,7 +1384,7 @@ def words_with_repeats(draw, gcm, lam):
 
     def factor(kind, i, coeffs, t):
         if kind == "torus":
-            return coweight_torus_factor(gcm, lam, coeffs, t)
+            return KMFactor("torus", tuple(coeffs), t)
         return KMFactor(kind, (i, (i + 1) % gcm.n) if kind == "root" else i, t)
 
     g = []
@@ -1379,7 +1409,7 @@ def test_a_folded_word_acts_as_its_factors_one_by_one(data, a, lam):
     gcm = validate_gcm(a)
     lam = tuple(lam[:gcm.n])
     ref = IrrTrunc(gcm, lam, depth=0, depth_cap=6)
-    g = data.draw(words_with_repeats(gcm, lam))
+    g = data.draw(words_with_repeats(gcm))
     expected = {(0,) * gcm.n: [Fraction(1)]}
     try:
         for factor in reversed(g):
@@ -1388,6 +1418,40 @@ def test_a_folded_word_acts_as_its_factors_one_by_one(data, a, lam):
         assume(False)
     mod = IrrTrunc(gcm, lam, depth=0, depth_cap=6)
     assert _as_parts(act_km_group(mod, tuple(g), mod.highest_weight_vector())) == expected
+
+
+@st.composite
+def km_words(draw, n):
+    """A Kac-Moody group word of 1 to 4 factors over a GCM of rank n: e_i,
+    f_i, the root multibracket (i, i + 1 mod n) or a torus coweight of
+    entries -1..1."""
+    params = st.sampled_from([Fraction(p, q) for p in (-2, -1, 1, 2) for q in (1, 2, 3)])
+    coweights = st.lists(st.integers(-1, 1), min_size=n, max_size=n).map(tuple)
+    g = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind, i = draw(st.sampled_from(["e", "f", "root", "torus"])), draw(st.integers(0, n - 1))
+        data = draw(coweights) if kind == "torus" else (i, (i + 1) % n) if kind == "root" else i
+        g.append(KMFactor(kind, data, draw(params)))
+    return tuple(g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), symmetrizable_gcms())
+def test_theta_is_multiplicative_in_the_highest_weight(data, a):
+    """theta_(Lambda + Lambda') = theta_Lambda theta_Lambda' for one word
+    acting on all three modules (v_Lambda (x) v_Lambda' generates
+    L(Lambda + Lambda'), and g acts on a tensor product as g (x) g).  A
+    word that leaves the depth cap on any of them is not drawn."""
+    gcm = validate_gcm(a)
+    weights = st.lists(st.integers(0, 1), min_size=gcm.n, max_size=gcm.n).map(tuple)
+    lam, lam2 = data.draw(weights), data.draw(weights)
+    g = data.draw(km_words(gcm.n))
+    try:
+        thetas = [theta_eval(IrrTrunc(gcm, mu, depth=0, depth_cap=5), g)
+                  for mu in (lam, lam2, tuple(x + y for x, y in zip(lam, lam2)))]
+    except TruncationError:
+        assume(False)
+    assert thetas[2] == thetas[0] * thetas[1]
 
 
 def test_a_run_of_one_generator_runs_one_exp_series(monkeypatch):
@@ -1413,7 +1477,7 @@ def test_a_run_of_one_generator_runs_one_exp_series(monkeypatch):
     assert act_km_group(mod, (KMFactor("f", 0, 1),), v) == run
     assert (len(series), len(images)) == (2, 2)
     identities = (KMFactor("e", 0, 0), KMFactor("f", 1, 0), KMFactor("root", (0, 1), 0),
-                  coweight_torus_factor(AFFINE, (1, 0), (1, 0), 1))
+                  KMFactor("torus", (1, 0), 1))
     assert act_km_group(mod, identities, v) == v
     assert (len(series), len(images)) == (2, 2)
 
@@ -1431,7 +1495,7 @@ def test_actions_read_the_stored_operators(monkeypatch, gcm, lam):
     ref = IrrTrunc(gcm, lam, depth=4, depth_cap=8)
     top = (0,) * gcm.n
     g = (
-        coweight_torus_factor(gcm, lam, (1, -1), Fraction(-3, 2)),
+        KMFactor("torus", (1, -1), Fraction(-3, 2)),
         KMFactor("e", 0, Fraction(2, 3)),
         KMFactor("root", (0, 1), Fraction(1, 2)),
         KMFactor("e", 1, Fraction(-5, 4)),
@@ -1613,7 +1677,7 @@ def test_actions_build_no_fractions(monkeypatch):
     coefficients are Fractions.)"""
     mod = IrrTrunc(A2, (1, 1), depth=4, depth_cap=8)
     v = TruncVector({(0, 0): (Fraction(2, 3),), (1, 1): (Fraction(-1, 2), 5)})
-    g = (KMFactor("e", 1, Fraction(3, 4)), coweight_torus_factor(A2, mod.lam, (1, -1), Fraction(-2, 5)),
+    g = (KMFactor("e", 1, Fraction(3, 4)), KMFactor("torus", (1, -1), Fraction(-2, 5)),
          KMFactor("f", 0, Fraction(-3, 2)), KMFactor("f", 1, Fraction(1, 3)))
     made = []
     original = Fraction.__new__
